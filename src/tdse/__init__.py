@@ -57,9 +57,8 @@ from .reconstruction import (
 from .state import (
     CoefficientState,
     PhysicalParams,
-    VelocityVector,
     coefficient_velocity,
-    convolution_term,
+    velocity_kernel,
 )
 
 __version__ = "0.1.0"

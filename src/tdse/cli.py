@@ -146,12 +146,10 @@ def _cmd_run(args) -> int:
         obs_rows,
     )
     if reconstruction_error is None:
-        final_grid = evaluate_on_grid(
-            trajectory.final, cfg.grid.xmin, cfg.grid.xmax, cfg.grid.points
-        )
+        # the loop above ended on the final snapshot: its grid is the last one
         wf_rows = [
             (_fmt(x), _fmt(v.real), _fmt(v.imag), _fmt(abs(v) ** 2))
-            for x, v in zip(final_grid.xs, final_grid.values)
+            for x, v in zip(grid.xs, grid.values)
         ]
         _write_csv(
             os.path.join(out_dir, "wavefunction_final.csv"),

@@ -18,16 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrators import StepperConfig, propagate
-from .potential import (
-    BinOp,
-    Call,
-    Const,
-    Neg,
-    PotentialModel,
-    Power,
-    TimeVar,
-    eval_taylor_coefficients,
-)
+from .potential import PotentialModel, eval_taylor_coefficients
 from .reconstruction import WaveGrid, evaluate_at, norm_squared, observables
 from .state import CoefficientState, PhysicalParams
 
@@ -101,22 +92,6 @@ def _check_edges(values: np.ndarray, time: float):
         )
 
 
-def _is_time_independent(node) -> bool:
-    if isinstance(node, Const):
-        return True
-    if isinstance(node, TimeVar):
-        return False
-    if isinstance(node, Neg):
-        return _is_time_independent(node.operand)
-    if isinstance(node, BinOp):
-        return _is_time_independent(node.left) and _is_time_independent(node.right)
-    if isinstance(node, Power):
-        return _is_time_independent(node.base)
-    if isinstance(node, Call):
-        return _is_time_independent(node.arg)
-    raise TypeError(f"not a TimeProfile node: {node!r}")
-
-
 def _evolve_capturing(
     initial: WaveGrid,
     potential: PotentialModel,
@@ -134,7 +109,6 @@ def _evolve_capturing(
     xs = oracle_grid_xs(cfg)
     k = 2.0 * np.pi * np.fft.fftfreq(cfg.points, d=cfg.dx)
     kinetic_phase = np.exp(-0.5j * params.hbar * k**2 * cfg.dt / params.mass)
-    static = all(_is_time_independent(n) for n in potential.terms.values())
     half_phase = None
 
     psi = initial.values.copy()
@@ -145,7 +119,7 @@ def _evolve_capturing(
         out.append(WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t0))
     for p in range(1, cfg.steps + 1):
         t_mid = t0 + (p - 0.5) * cfg.dt
-        if half_phase is None or not static:
+        if half_phase is None or not potential.is_static:
             vn = eval_taylor_coefficients(potential, t_mid, potential.degree)
             v_grid = np.polynomial.polynomial.polyval(xs, vn)
             half_phase = np.exp(-0.5j * v_grid * cfg.dt / params.hbar)

@@ -25,7 +25,7 @@ Models are immutable after construction and evaluation is pure.
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -240,14 +240,26 @@ def _poly_pow(p, exponent: int):
 
 @dataclass(frozen=True)
 class PotentialModel:
-    """Polynomial-in-x potential; terms maps degree -> TimeProfile."""
+    """Polynomial-in-x potential; terms maps degree -> TimeProfile.
+
+    Each profile is compiled once, at construction, into a closure over
+    math functions; is_static is True when no profile mentions t.
+    """
 
     terms: dict
+    is_static: bool = field(init=False, repr=False, compare=False)
+    _profiles: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for d in self.terms:
             if not isinstance(d, int) or d < 0:
                 raise ValueError(f"term degrees must be nonnegative integers, got {d!r}")
+        compiled = [(d, _compile(node)) for d, node in self.terms.items()]
+        object.__setattr__(self, "_profiles", tuple((d, fn) for d, (fn, _) in compiled))
+        object.__setattr__(self, "is_static", all(static for _, (_, static) in compiled))
+
+    def __reduce__(self):  # the compiled closures do not pickle; recompile
+        return (PotentialModel, (self.terms,))
 
     @property
     def degree(self) -> int:
@@ -413,31 +425,51 @@ def parse_potential(text: str) -> PotentialModel:
 # evaluation
 
 
+def _compile(node):
+    """(fn, static) for a TimeProfile tree.
+
+    fn(t) evaluates the tree node by node, left operand before right and
+    the zero-divisor check after both, with the dispatch on node types done
+    once here; static is True when the tree does not mention t.
+    """
+    if isinstance(node, Const):
+        value = node.value
+        return (lambda t: value), True
+    if isinstance(node, TimeVar):
+        return (lambda t: t), False
+    if isinstance(node, Neg):
+        operand, static = _compile(node.operand)
+        return (lambda t: -operand(t)), static
+    if isinstance(node, BinOp):
+        (left, left_static), (right, right_static) = _compile(node.left), _compile(node.right)
+        static = left_static and right_static
+        if node.op == "+":
+            return (lambda t: left(t) + right(t)), static
+        if node.op == "-":
+            return (lambda t: left(t) - right(t)), static
+        if node.op == "*":
+            return (lambda t: left(t) * right(t)), static
+
+        def divide(t):
+            numerator = left(t)
+            denominator = right(t)
+            if denominator == 0.0:
+                raise EvaluationError(f"division by zero at t = {t}")
+            return numerator / denominator
+
+        return divide, static
+    if isinstance(node, Power):
+        (base, static), exponent = _compile(node.base), node.exponent
+        return (lambda t: base(t) ** exponent), static
+    if isinstance(node, Call):
+        (arg, static), fn = _compile(node.arg), getattr(math, node.fn)
+        return (lambda t: fn(arg(t))), static
+    raise TypeError(f"not a TimeProfile node: {node!r}")
+
+
 def eval_profile(node, t: float) -> float:
     """Evaluate a TimeProfile tree at time t."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, TimeVar):
-        return t
-    if isinstance(node, Neg):
-        return -eval_profile(node.operand, t)
-    if isinstance(node, BinOp):
-        left = eval_profile(node.left, t)
-        right = eval_profile(node.right, t)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right == 0.0:
-            raise EvaluationError(f"division by zero at t = {t}")
-        return left / right
-    if isinstance(node, Power):
-        return eval_profile(node.base, t) ** node.exponent
-    if isinstance(node, Call):
-        return getattr(math, node.fn)(eval_profile(node.arg, t))
-    raise TypeError(f"not a TimeProfile node: {node!r}")
+    return _compile(node)[0](t)
 
 
 def eval_taylor_coefficients(model: PotentialModel, t: float, max_degree: int) -> np.ndarray:
@@ -445,15 +477,15 @@ def eval_taylor_coefficients(model: PotentialModel, t: float, max_degree: int) -
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     out = np.zeros(max_degree + 1)
-    for d, node in model.terms.items():
+    for d, fn in model._profiles:
         if d <= max_degree:
-            out[d] = eval_profile(node, t)
+            out[d] = fn(t)
     return out
 
 
 def eval_potential_at(model: PotentialModel, x: float, t: float) -> float:
     """Resummed potential value sum_n V_n(t) * x**n."""
-    return float(sum(eval_profile(node, t) * x**d for d, node in model.terms.items()))
+    return float(sum(fn(t) * x**d for d, fn in model._profiles))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ happens at analysis time (expectation values divide by the norm), never
 by rescaling coefficients.  Quadrature is composite trapezoid.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,9 @@ _EXP_CUTOFF = 700.0
 
 
 class ExponentOverflow(OverflowError):
-    """Re S(x) exceeded the exp ceiling: non-normalizable state or a window
-    wider than the representation's validity region."""
+    """Re S(x) exceeded the exp ceiling, or |psi|^2 or a moment built from
+    it overflowed: non-normalizable state or a window wider than the
+    representation's validity region."""
 
 
 class ZeroNorm(ValueError):
@@ -92,9 +94,21 @@ def evaluate_on_grid(
     return WaveGrid(xmin=xmin, dx=(xmax - xmin) / (points - 1), values=values, time=state.time)
 
 
+def _finite(name: str, *values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ExponentOverflow(
+            f"{name} is not finite on this window: |psi|^2 or a moment of it "
+            "passes the double range (Re S above about 354)"
+        )
+
+
 def norm_squared(grid: WaveGrid) -> float:
-    """Trapezoid integral of |psi|^2 over the grid window."""
-    return float(np.trapezoid(np.abs(grid.values) ** 2, dx=grid.dx))
+    """Trapezoid integral of |psi|^2 over the grid window; raises
+    ExponentOverflow when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n2 = float(np.trapezoid(np.abs(grid.values) ** 2, dx=grid.dx))
+    _finite("norm^2", n2)
+    return n2
 
 
 @dataclass(frozen=True)
@@ -111,18 +125,21 @@ def observables(grid: WaveGrid, params: PhysicalParams) -> Observables:
 
     <p> uses -i*hbar*d/dx with central differences in the interior and
     one-sided differences at the ends; its residual imaginary part is
-    reported as a discretization diagnostic.
+    reported as a discretization diagnostic.  Raises ExponentOverflow when
+    any of them is not finite.
     """
     n2 = norm_squared(grid)
     if n2 <= 1e-300:
         raise ZeroNorm("norm^2 vanishes on this window")
     xs = grid.xs
-    density = np.abs(grid.values) ** 2
-    mean_x = float(np.trapezoid(xs * density, dx=grid.dx)) / n2
-    mean_x2 = float(np.trapezoid(xs**2 * density, dx=grid.dx)) / n2
-    dpsi = np.gradient(grid.values, grid.dx)
-    p_int = np.conj(grid.values) * (-1j * params.hbar) * dpsi
-    mean_p = complex(np.trapezoid(p_int, dx=grid.dx)) / n2
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = np.abs(grid.values) ** 2
+        mean_x = float(np.trapezoid(xs * density, dx=grid.dx)) / n2
+        mean_x2 = float(np.trapezoid(xs**2 * density, dx=grid.dx)) / n2
+        dpsi = np.gradient(grid.values, grid.dx)
+        p_int = np.conj(grid.values) * (-1j * params.hbar) * dpsi
+        mean_p = complex(np.trapezoid(p_int, dx=grid.dx)) / n2
+    _finite("an observable", mean_x, mean_x2, mean_p.real, mean_p.imag)
     return Observables(n2, mean_x, mean_x2, mean_p.real, mean_p.imag)
 
 

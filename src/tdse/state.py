@@ -17,8 +17,9 @@ with the 1/n! factor already absorbed (see the potential module).  The
 infinite system is closed by holding alpha_n = 0 for every n > N.
 
 Unit conventions: alphas[n] carries length^-n, V_n carries
-energy * length^-n.  All functions here are pure; values are safe to
-share between threads without synchronization.
+energy * length^-n.  coefficient_velocity is pure; the functions a
+velocity_kernel returns reuse one scratch buffer, so each caller builds
+its own kernel.
 """
 
 import math
@@ -29,8 +30,7 @@ import numpy as np
 __all__ = [
     "PhysicalParams",
     "CoefficientState",
-    "VelocityVector",
-    "convolution_term",
+    "velocity_kernel",
     "coefficient_velocity",
 ]
 
@@ -79,65 +79,72 @@ class CoefficientState:
             raise ValueError("truncation_order must be at least 2")
 
 
-@dataclass(frozen=True)
-class VelocityVector:
-    """Time derivatives d(alpha_n)/dt, same indexing as CoefficientState."""
+def velocity_kernel(truncation_order: int, params: PhysicalParams):
+    """(forcing, velocity): the coefficient ODE's right-hand side for one
+    truncation order N and one set of physical parameters.
 
-    derivs: np.ndarray
-
-
-def convolution_term(alphas, n: int) -> complex:
-    """Quadratic self-interaction sum_{k=0}^{n} (k+1)(n-k+1) a_{k+1} a_{n-k+1}.
-
-    This is the x**n coefficient of (dS/dx)**2.  Indices beyond the stored
-    range count as zero coefficients.
+    ``forcing(v_coeffs)`` turns the potential's Taylor coefficients
+    V_0..V_M into the term (i/hbar) * V_n over n = 0..N; entries beyond
+    the stored range count as zero.  ``velocity(alphas, forced)`` returns
+    d(alpha_n)/dt for the coefficient array alpha_0..alpha_N.  The ladder
+    and derivative weights are built once here, so a propagation loop
+    computes the forcing once per distinct V row and pays only the
+    arithmetic per stage.  The returned functions share a scratch buffer:
+    use one kernel per thread.
     """
-    a = np.asarray(alphas, dtype=np.complex128)
-    total = 0.0 + 0.0j
-    for k in range(n + 1):
-        i, j = k + 1, n - k + 1
-        if i < len(a) and j < len(a):
-            total += (i * j) * a[i] * a[j]
-    return complex(total)
+    size = truncation_order + 1
+    n = np.arange(size)
+    ladder = ((n + 2) * (n + 1)).astype(np.complex128)
+    slope = np.arange(1, size).astype(np.complex128)
+    kinetic_scale = 0.5j * params.hbar / params.mass
+    forcing_scale = 1j / params.hbar
+    # alpha_{n+2}, zero above the truncation order; the top two slots stay zero
+    shifted = np.zeros(size, dtype=np.complex128)
+    no_quad = np.zeros(size, dtype=np.complex128)
+
+    def forcing(v_coeffs) -> np.ndarray:
+        v = np.asarray(v_coeffs, dtype=np.float64)
+        if len(v) != size:
+            pot = np.zeros(size)
+            m = min(len(v), size)
+            pot[:m] = v[:m]
+            v = pot
+        return forcing_scale * v
+
+    def velocity(a: np.ndarray, forced: np.ndarray) -> np.ndarray:
+        # ladder term (n+2)(n+1) * alpha_{n+2}
+        shifted[: size - 2] = a[2:]
+        kinetic = ladder * shifted
+
+        # Cauchy square of the derivative series c_j = (j+1) * alpha_{j+1};
+        # trailing zeros are trimmed first so the summation order (and thus
+        # the bit pattern) depends only on the numerical content, not on how
+        # much zero padding the truncation order happens to carry
+        c = slope * a[1:]
+        if c[-1] == 0:
+            nonzero = np.nonzero(c)[0]
+            if not len(nonzero):
+                return kinetic_scale * (kinetic + no_quad) - forced
+            c = c[: nonzero[-1] + 1]
+        full = np.convolve(c, c)
+        if len(full) >= size:
+            quad = full[:size]
+        else:
+            quad = np.zeros(size, dtype=np.complex128)
+            quad[: len(full)] = full
+        return kinetic_scale * (kinetic + quad) - forced
+
+    return forcing, velocity
 
 
 def coefficient_velocity(
     state: CoefficientState, v_coeffs, params: PhysicalParams
-) -> VelocityVector:
+) -> np.ndarray:
     """Right-hand side of the coefficient ODE system at the state's instant.
 
     ``v_coeffs`` holds the potential's Taylor coefficients V_0..V_M
     evaluated at the current time; entries beyond the stored range count
     as zero, as do alpha coefficients above the truncation order.
     """
-    a = state.alphas
-    n_max = state.truncation_order
-
-    # ladder term (n+2)(n+1) * alpha_{n+2}, zero above the truncation order
-    shifted = np.zeros(n_max + 1, dtype=np.complex128)
-    shifted[: n_max - 1] = a[2:]
-    n = np.arange(n_max + 1)
-    kinetic = (n + 2) * (n + 1) * shifted
-
-    # Cauchy square of the derivative series c_j = (j+1) * alpha_{j+1};
-    # trailing zeros are trimmed first so the summation order (and thus the
-    # bit pattern) depends only on the numerical content, not on how much
-    # zero padding the truncation order happens to carry
-    c = np.arange(1, n_max + 1) * a[1:]
-    nonzero = np.nonzero(c)[0]
-    quad = np.zeros(n_max + 1, dtype=np.complex128)
-    if len(nonzero):
-        c = c[: nonzero[-1] + 1]
-        full = np.convolve(c, c)
-        m = min(len(full), n_max + 1)
-        quad[:m] = full[:m]
-
-    v = np.asarray(v_coeffs, dtype=np.float64)
-    pot = np.zeros(n_max + 1)
-    m = min(len(v), n_max + 1)
-    pot[:m] = v[:m]
-
-    derivs = (0.5j * params.hbar / params.mass) * (kinetic + quad) - (
-        1j / params.hbar
-    ) * pot
-    return VelocityVector(derivs)
+    forcing, velocity = velocity_kernel(state.truncation_order, params)
+    return velocity(state.alphas, forcing(v_coeffs))

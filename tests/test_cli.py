@@ -337,6 +337,52 @@ points = 1024
     assert float(final[1]) <= 1e-4
 
 
+# Re S of the N = 16 quartic series passes ~354 at the +-9 window edges by
+# t = 0.5, so |psi|^2 overflows although exp(S) itself stays finite
+QUARTIC_WIDE_WINDOW = """
+[potential]
+expression = x^2/2 + 0.01*x^4
+
+[initial]
+kind = gaussian
+x0 = -0.2
+sigma = 0.95
+k0 = -0.3
+truncation_order = 16
+
+[stepper]
+integrator = rk4
+dt = 4e-4
+steps = 1250
+snapshot_stride = 625
+
+[grid]
+xmin = -9.0
+xmax = 9.0
+points = 1024
+
+[oracle]
+points = 1024
+steps = 512
+"""
+
+
+@pytest.mark.parametrize("command", ["compare", "run"])
+def test_density_overflow_exits_2_and_writes_no_non_finite_field(tmp_path, capsys, command):
+    config = write_config(tmp_path / "wide.cfg", QUARTIC_WIDE_WINDOW)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", config, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+    written = sorted(out.glob("*.csv")) if out.exists() else []
+    for path in written:
+        for line in path.read_text().splitlines()[1:]:
+            assert all(np.isfinite(float(field)) for field in line.split(","))
+    if command == "run":  # the healthy snapshots are kept
+        assert [p.name for p in written] == ["coefficients.csv", "observables.csv"]
+
+
 def test_fit_command_round_trip(tmp_path, capsys):
     xs = np.linspace(-2, 2, 41)
     values = np.exp(-(xs**2))

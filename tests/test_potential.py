@@ -1,6 +1,7 @@
 """Tests for the potential expression compiler."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -197,3 +198,15 @@ def test_format_reparse_fixpoint_on_random_expressions():
 def test_model_rejects_bad_degrees():
     with pytest.raises(ValueError):
         PotentialModel({-1: Const(1.0)})
+
+
+def test_is_static_and_pickle_round_trip():
+    assert parse_potential("x^2/2 + sin(2)*x").is_static
+    assert PotentialModel({}).is_static
+    driven = parse_potential("x^2/2 + 0.5*sin(2*t)*x")
+    assert not driven.is_static
+    restored = pickle.loads(pickle.dumps(driven))
+    assert restored == driven and not restored.is_static
+    assert np.array_equal(
+        eval_taylor_coefficients(restored, 0.3, 2), eval_taylor_coefficients(driven, 0.3, 2)
+    )

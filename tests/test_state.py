@@ -8,33 +8,45 @@ from tdse import (
     CoefficientState,
     PhysicalParams,
     coefficient_velocity,
-    convolution_term,
 )
 
 
 def velocity(alphas, v_coeffs=(0.0,), hbar=1.0, mass=1.0, order=None):
     state = CoefficientState(np.asarray(alphas, dtype=complex), 0.0, order or len(alphas) - 1)
-    return coefficient_velocity(state, v_coeffs, PhysicalParams(hbar, mass)).derivs
+    return coefficient_velocity(state, v_coeffs, PhysicalParams(hbar, mass))
+
+
+def brute_force_velocity(alphas, v_coeffs, hbar, mass):
+    """The coefficient ODE written out term by term, alpha_n = 0 for n > N."""
+    a = list(alphas) + [0.0, 0.0]
+    v = list(v_coeffs)
+    out = []
+    for n in range(len(alphas)):
+        ladder = (n + 2) * (n + 1) * a[n + 2]
+        quad = brute_force_convolution(alphas, n)
+        v_n = v[n] if n < len(v) else 0.0
+        out.append(0.5j * hbar / mass * (ladder + quad) - 1j / hbar * v_n)
+    return np.array(out)
 
 
 def test_convolution_term_examples():
-    # only k=1 contributes: 2*2*(-0.25)^2
-    assert convolution_term([0, 0, -0.25], 2) == pytest.approx(0.25)
-    # sole term is alpha_1^2 = 0
-    assert convolution_term([0, 0, -0.25], 0) == 0
-    # k=0 gives 1*2*1*2 = 4, k=1 gives 2*1*2*1 = 4
-    assert convolution_term([0, 1, 2], 1) == pytest.approx(8)
+    # with V = 0 and hbar = m = 1, d(alpha_n)/dt = (i/2) [(n+2)(n+1) alpha_{n+2}
+    # + conv_n]; for (0, 1, 2): conv_0 = 1, conv_1 = 1*2*1*2 + 2*1*2*1 = 8,
+    # conv_2 = 2*2*2*2 = 16 (alpha_3 = 0), ladder_0 = 2*1*2 = 4
+    assert velocity([0, 1, 2]) == pytest.approx([2.5j, 4j, 8j])
+    # sole n = 2 contribution is 2*2*(-0.25)^2 = 0.25; conv_0 = alpha_1^2 = 0
+    assert velocity([0, 0, -0.25])[2] == pytest.approx(0.125j)
 
 
 def test_convolution_matches_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(100):
-        length = rng.integers(1, 9)
+        length = int(rng.integers(3, 12))
         alphas = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        n = int(rng.integers(0, 12))
-        assert convolution_term(alphas, n) == pytest.approx(
-            brute_force_convolution(alphas, n), abs=1e-14
-        )
+        v_coeffs = rng.standard_normal(int(rng.integers(1, 14)))
+        hbar, mass = rng.uniform(0.5, 2.0, size=2)
+        expected = brute_force_velocity(alphas, v_coeffs, hbar, mass)
+        assert velocity(alphas, v_coeffs, hbar, mass) == pytest.approx(expected, abs=1e-12)
 
 
 def test_velocity_free_gaussian():
@@ -115,12 +127,10 @@ def test_conjugation_symmetry():
         n_max = int(rng.integers(2, 8))
         alphas = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
         v_coeffs = rng.standard_normal(3)
-        forward = coefficient_velocity(
-            CoefficientState(alphas, 0.0), v_coeffs, params
-        ).derivs
+        forward = coefficient_velocity(CoefficientState(alphas, 0.0), v_coeffs, params)
         reversed_ = coefficient_velocity(
             CoefficientState(np.conj(alphas), 0.0), v_coeffs, params
-        ).derivs
+        )
         assert np.allclose(reversed_, -np.conj(forward), atol=1e-14)
 
 
