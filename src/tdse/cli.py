@@ -69,24 +69,27 @@ def _next_pow2(n: int) -> int:
 
 
 def _oracle_config(cfg: RunConfig, stepper: StepperConfig, default_steps=None) -> OracleConfig:
+    """The oracle over the stepper's horizon.  Its step count is [oracle]
+    steps, else round(horizon / [oracle] dt), else the command default:
+    default_steps, or the stepper's own dt and steps when that is None.  Its
+    dt is [oracle] dt, else horizon / steps."""
     if cfg.grid is None:
         raise ConfigError("the oracle needs a [grid] section (or [oracle] overrides)")
     horizon = stepper.dt * stepper.steps
-    xmin = cfg.oracle.xmin if cfg.oracle.xmin is not None else cfg.grid.xmin
-    xmax = cfg.oracle.xmax if cfg.oracle.xmax is not None else cfg.grid.xmax
-    points = cfg.oracle.points or _next_pow2(max(256, cfg.grid.points))
-    if default_steps is not None:
-        steps = cfg.oracle.steps or default_steps
-        dt = horizon / steps
-    elif cfg.oracle.steps is not None and cfg.oracle.dt is None:
-        steps = cfg.oracle.steps
-        dt = horizon / steps
-    elif cfg.oracle.dt is not None and cfg.oracle.steps is None:
-        dt = cfg.oracle.dt
-        steps = max(1, round(horizon / dt))
+    opts = cfg.oracle
+    xmin = opts.xmin if opts.xmin is not None else cfg.grid.xmin
+    xmax = opts.xmax if opts.xmax is not None else cfg.grid.xmax
+    points = opts.points or _next_pow2(max(256, cfg.grid.points))
+    if opts.steps is None and opts.dt is None and default_steps is None:
+        dt, steps = stepper.dt, stepper.steps
     else:
-        dt = cfg.oracle.dt if cfg.oracle.dt is not None else stepper.dt
-        steps = cfg.oracle.steps if cfg.oracle.steps is not None else stepper.steps
+        if opts.steps is not None:
+            steps = opts.steps
+        elif opts.dt is not None:
+            steps = max(1, round(horizon / opts.dt))
+        else:
+            steps = default_steps
+        dt = opts.dt if opts.dt is not None else horizon / steps
     try:
         return OracleConfig(xmin=xmin, xmax=xmax, points=points, dt=dt, steps=steps)
     except ValueError as exc:
@@ -200,6 +203,9 @@ def _cmd_converge(args) -> int:
         _error(exc)
         return EXIT_CONFIG
 
+    # one oracle run serves every level: the horizon, and so the oracle
+    # config and its captured steps, is the same float at every level
+    oracle_memo = {}
     dts, errors = [], []
     try:
         for level in range(args.halvings + 1):
@@ -213,17 +219,21 @@ def _cmd_converge(args) -> int:
             if scenario == "oracle":
                 oracle_cfg = _oracle_config(cfg, stepper, default_steps=2048)
                 report = compare_methods(
-                    cfg.initial, cfg.potential, cfg.params, stepper, oracle_cfg
+                    cfg.initial, cfg.potential, cfg.params, stepper, oracle_cfg,
+                    memo=oracle_memo,
                 )
-                err = float(report.l2[-1])
+                status = report.stepper_status
+                if status == "completed":
+                    err = float(report.l2[-1])
             else:
                 trajectory = propagate(cfg.initial, cfg.potential, cfg.params, stepper)
-                if trajectory.status != "completed":
-                    err = float("nan")
-                else:
+                status = trajectory.status
+                if status == "completed":
                     err = reference_error(
                         scenario, cfg.potential, cfg.initial, trajectory.final, cfg.params
                     )
+            if status != "completed":
+                break
             dts.append(stepper.dt)
             errors.append(err)
     except PotentialError as exc:
@@ -235,15 +245,13 @@ def _cmd_converge(args) -> int:
 
     rows = []
     for i, (dt, err) in enumerate(zip(dts, errors)):
-        if i == 0:
-            ratio = ""
-        else:
-            ratio = _fmt(errors[i - 1] / err if err != 0.0 else float("inf"))
+        # a ratio exists only against a nonzero error of a previous level
+        ratio = _fmt(errors[i - 1] / err) if i > 0 and err != 0.0 else ""
         rows.append((_fmt(dt), _fmt(err), ratio))
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "convergence.csv"), "dt,error,ratio", rows)
-    print("status=completed")
-    return EXIT_OK
+    print(f"status={status}")
+    return EXIT_OK if status == "completed" else EXIT_BLOWUP
 
 
 def _cmd_compare(args) -> int:

@@ -98,8 +98,9 @@ def _evolve_capturing(
     params: PhysicalParams,
     cfg: OracleConfig,
     capture: set,
-) -> list:
-    """Run the split-step loop, returning grids at the requested step indices."""
+) -> dict:
+    """Run the split-step loop up to the last captured step index, returning
+    {index: grid} in ascending index order."""
     if initial.npoints != cfg.points or not (
         math.isclose(initial.xmin, cfg.xmin, rel_tol=0.0, abs_tol=1e-12)
         and math.isclose(initial.dx, cfg.dx, rel_tol=1e-12)
@@ -113,11 +114,11 @@ def _evolve_capturing(
 
     psi = initial.values.copy()
     t0 = initial.time
-    out = []
+    out = {}
     if 0 in capture:
         _check_edges(psi, t0)
-        out.append(WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t0))
-    for p in range(1, cfg.steps + 1):
+        out[0] = WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t0)
+    for p in range(1, min(cfg.steps, max(capture, default=0)) + 1):
         t_mid = t0 + (p - 0.5) * cfg.dt
         if half_phase is None or not potential.is_static:
             vn = eval_taylor_coefficients(potential, t_mid, potential.degree)
@@ -129,7 +130,7 @@ def _evolve_capturing(
         if p in capture:
             t = t0 + p * cfg.dt
             _check_edges(psi, t)
-            out.append(WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t))
+            out[p] = WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t)
     return out
 
 
@@ -147,7 +148,7 @@ def split_step_evolve(
     """
     capture = set(range(0, cfg.steps + 1, cfg.snapshot_stride))
     capture.update((0, cfg.steps))
-    return _evolve_capturing(initial, potential, params, cfg, capture)
+    return list(_evolve_capturing(initial, potential, params, cfg, capture).values())
 
 
 def l2_distance(a: WaveGrid, b: WaveGrid) -> float:
@@ -191,17 +192,36 @@ class ComparisonReport:
     stepper_status: str
 
 
+def _oracle_index(time: float, t0: float, oracle_dt: float):
+    """The oracle step index that lands on time, or None off the step grid."""
+    j = (time - t0) / oracle_dt
+    if abs(j - round(j)) > 1e-6 * max(1.0, abs(j)):
+        return None
+    return int(round(j))
+
+
 def compare_methods(
     initial: CoefficientState,
     potential: PotentialModel,
     params: PhysicalParams,
     stepper_cfg: StepperConfig,
     oracle_cfg: OracleConfig,
+    *,
+    memo: dict | None = None,
 ) -> ComparisonReport:
     """Propagate both methods over the same horizon and compare snapshots.
 
-    The coefficient trajectory's snapshot times must land on the oracle's
-    step grid (the configurations choose compatible dt values).
+    The coefficient trajectory's recorded snapshot times must land on the
+    oracle's step grid (the configurations choose compatible dt values);
+    this is checked before any stepping.  When the series blows up, the
+    last healthy state that propagate appends is compared only if it lands
+    on the grid as well, and the oracle runs no further than the last
+    compared snapshot.
+
+    memo, a dict the caller owns, keeps the oracle grids of each run keyed
+    by everything that determines them (initial state, potential, params,
+    oracle_cfg and the captured step indices), so calls that differ only in
+    the stepper reuse one oracle run.
     """
     horizon_s = stepper_cfg.dt * stepper_cfg.steps
     horizon_o = oracle_cfg.dt * oracle_cfg.steps
@@ -209,24 +229,36 @@ def compare_methods(
         raise ValueError(
             f"time horizons differ: stepper {horizon_s!r} vs oracle {horizon_o!r}"
         )
+    t0 = initial.time
+    recorded = set(range(0, stepper_cfg.steps + 1, stepper_cfg.snapshot_stride))
+    recorded.add(stepper_cfg.steps)
+    for p in sorted(recorded):
+        # the same arithmetic as propagate's clock and the index lookup below
+        time = t0 + p * stepper_cfg.dt
+        if _oracle_index(time, t0, oracle_cfg.dt) is None:
+            raise ValueError(f"snapshot time {time!r} does not land on the oracle step grid")
 
     trajectory = propagate(initial, potential, params, stepper_cfg)
-    indices = []
+    # every recorded snapshot is on the grid; only the unrecorded last
+    # healthy state of an aborted run can miss it, and is left out
+    compared = []
     for snap in trajectory.snapshots:
-        j = (snap.time - initial.time) / oracle_cfg.dt
-        if abs(j - round(j)) > 1e-6 * max(1.0, abs(j)):
-            raise ValueError(
-                f"snapshot time {snap.time!r} does not land on the oracle step grid"
-            )
-        indices.append(int(round(j)))
+        j = _oracle_index(snap.time, t0, oracle_cfg.dt)
+        if j is not None:
+            compared.append((snap, j))
 
-    start = state_on_oracle_grid(initial, oracle_cfg)
-    oracle_grids = _evolve_capturing(start, potential, params, oracle_cfg, set(indices))
-    by_index = dict(zip(sorted(set(indices)), oracle_grids))
+    capture = frozenset(j for _, j in compared)
+    key = (initial.alphas.tobytes(), t0, repr(potential), params, oracle_cfg, capture)
+    by_index = memo.get(key) if memo is not None else None
+    if by_index is None:
+        start = state_on_oracle_grid(initial, oracle_cfg)
+        by_index = _evolve_capturing(start, potential, params, oracle_cfg, capture)
+        if memo is not None:
+            memo[key] = by_index
 
     times, l2s, dxs, dnorms = [], [], [], []
     series_norm0 = oracle_norm0 = None
-    for snap, j in zip(trajectory.snapshots, indices):
+    for snap, j in compared:
         series_grid = state_on_oracle_grid(snap, oracle_cfg)
         oracle_grid = by_index[j]
         obs_s = observables(series_grid, params)

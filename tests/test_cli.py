@@ -230,10 +230,7 @@ allow_oracle_fallback = false
     assert "scenario" in capsys.readouterr().err
 
 
-def test_converge_oracle_fallback(tmp_path, capsys):
-    config = write_config(
-        tmp_path / "conv.cfg",
-        """
+CUBIC_FALLBACK = """
 [potential]
 expression = 0.05*x^3
 
@@ -249,8 +246,30 @@ steps = 30
 xmin = -14.0
 xmax = 14.0
 points = 1024
-""",
-    )
+"""
+
+# time-dependent: every oracle step evaluates the potential
+DRIVEN_FALLBACK = """
+[potential]
+expression = x^2/2 + 0.5*sin(2*t)*x + 0.1*cos(t)^2*x^2
+
+[initial]
+kind = gaussian
+truncation_order = 2
+
+[stepper]
+dt = 1e-2
+steps = 100
+
+[grid]
+xmin = -10.0
+xmax = 10.0
+points = 256
+"""
+
+
+def test_converge_oracle_fallback(tmp_path, capsys):
+    config = write_config(tmp_path / "conv.cfg", CUBIC_FALLBACK)
     out = tmp_path / "out"
     assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 0
     capsys.readouterr()
@@ -258,6 +277,163 @@ points = 1024
     errors = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(e > 0 for e in errors)
     assert errors[0] > errors[-1]
+
+
+def _count_oracle_runs(monkeypatch):
+    import tdse.oracle
+
+    runs = []
+    real = tdse.oracle._evolve_capturing
+    monkeypatch.setattr(
+        "tdse.oracle._evolve_capturing", lambda *a: runs.append(a[3]) or real(*a)
+    )
+    return runs
+
+
+def test_converge_runs_the_oracle_once_per_invocation(tmp_path, capsys, monkeypatch):
+    runs = _count_oracle_runs(monkeypatch)
+    config = write_config(tmp_path / "conv.cfg", DRIVEN_FALLBACK)
+    argv = ("converge", "--config", config, "--halvings", "3", "--out", str(tmp_path / "out"))
+    assert run_cli(*argv) == 0
+    assert len(runs) == 1
+    assert run_cli(*argv) == 0  # nothing is kept from one invocation to the next
+    assert len(runs) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("body", [CUBIC_FALLBACK, DRIVEN_FALLBACK], ids=["static", "driven"])
+def test_converge_reused_oracle_writes_the_bytes_of_independent_runs(
+    tmp_path, capsys, monkeypatch, body
+):
+    import tdse.cli
+
+    config = write_config(tmp_path / "conv.cfg", body)
+    shared, independent = tmp_path / "shared", tmp_path / "independent"
+    assert run_cli("converge", "--config", config, "--halvings", "3", "--out", str(shared)) == 0
+    real = tdse.cli.compare_methods
+    monkeypatch.setattr("tdse.cli.compare_methods", lambda *a, memo=None: real(*a))
+    runs = _count_oracle_runs(monkeypatch)
+    assert run_cli("converge", "--config", config, "--halvings", "3", "--out", str(independent)) == 0
+    assert len(runs) == 4
+    assert (shared / "convergence.csv").read_bytes() == (independent / "convergence.csv").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "oracle,steps,dt",
+    [
+        ("", 2048, 1.0 / 2048),
+        ("steps = 64\n", 64, 1.0 / 64),
+        ("dt = 0.25\n", 4, 0.25),
+        ("steps = 8\ndt = 0.125\n", 8, 0.125),
+    ],
+)
+def test_converge_oracle_steps_come_from_steps_then_dt_then_the_default(
+    tmp_path, capsys, monkeypatch, oracle, steps, dt
+):
+    runs = _count_oracle_runs(monkeypatch)
+    config = write_config(tmp_path / "conv.cfg", DRIVEN_FALLBACK + "\n[oracle]\n" + oracle)
+    assert run_cli("converge", "--config", config, "--halvings", "1", "--out", str(tmp_path)) == 0
+    assert [(cfg.steps, cfg.dt) for cfg in runs] == [(steps, dt)]
+    capsys.readouterr()
+
+
+# x^2/2 + 0.5*x^4 blows up under RK4 at dt = 0.2 within a few steps; the
+# last healthy state (t = 0.8) misses the default 2048-step oracle grid
+QUARTIC_BLOWUP = """
+[potential]
+expression = x^2/2 + 0.5*x^4
+
+[initial]
+kind = gaussian
+sigma = 0.5
+truncation_order = 8
+
+[stepper]
+integrator = rk4
+dt = 0.2
+steps = 400
+snapshot_stride = 3
+blowup_threshold = 1e8
+
+[grid]
+xmin = -5.0
+xmax = 5.0
+points = 256
+"""
+
+# forward Euler on the harmonic well grows |alpha_1| by sqrt(1 + dt^2) a step
+COHERENT_EULER_BLOWUP = """
+[potential]
+expression = x^2/2
+
+[initial]
+kind = coefficients
+alpha_re = -0.125, 0.5, -0.5
+
+[stepper]
+integrator = euler
+dt = 0.5
+steps = 400
+blowup_threshold = 1e6
+"""
+
+
+@pytest.mark.parametrize(
+    "body", [QUARTIC_BLOWUP, COHERENT_EULER_BLOWUP], ids=["oracle", "harmonic_coherent"]
+)
+def test_converge_blowup_exits_3_without_rows_for_aborted_levels(tmp_path, capsys, body):
+    config = write_config(tmp_path / "conv.cfg", body)
+    out = tmp_path / "out"
+    assert run_cli("converge", "--config", config, "--halvings", "3", "--out", str(out)) == 3
+    assert capsys.readouterr().out == "status=aborted_blowup\n"
+    # the coarsest level aborts, so no level completes
+    assert (out / "convergence.csv").read_text() == "dt,error,ratio\n"
+
+
+def test_converge_keeps_the_levels_before_an_abort(tmp_path, capsys, monkeypatch):
+    import tdse.cli
+
+    real = tdse.cli.propagate
+
+    def abort_at_the_third_level(initial, potential, params, cfg):
+        trajectory = real(initial, potential, params, cfg)
+        if cfg.steps == 400:
+            trajectory.status = "aborted_blowup"
+        return trajectory
+
+    monkeypatch.setattr("tdse.cli.propagate", abort_at_the_third_level)
+    config = write_config(tmp_path / "conv.cfg", FREE_CONVERGE.format(integrator="euler"))
+    out = tmp_path / "out"
+    assert run_cli("converge", "--config", config, "--halvings", "3", "--out", str(out)) == 3
+    assert capsys.readouterr().out == "status=aborted_blowup\n"
+    lines = (out / "convergence.csv").read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [1e-2, 5e-3]
+
+
+def test_converge_leaves_the_ratio_of_a_zero_error_empty(tmp_path, capsys):
+    # Euler is exact for a linear potential at dt = 1/4: every error is 0.0
+    config = write_config(
+        tmp_path / "conv.cfg",
+        """
+[potential]
+expression = 0.5*x
+
+[initial]
+kind = coefficients
+alpha_re = -0.125, 0.5
+
+[stepper]
+integrator = euler
+dt = 0.25
+steps = 4
+""",
+    )
+    out = tmp_path / "out"
+    assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
+    assert [(float(error), ratio) for _, error, ratio in rows] == [(0.0, "")] * 3
 
 
 def test_converge_named_scenario_mismatch(tmp_path, capsys):

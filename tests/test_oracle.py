@@ -174,3 +174,33 @@ def test_cross_validation_transitivity():
     assert l2_distance(series_grid, closed_grid) <= 1e-8
     assert l2_distance(closed_grid, oracle_grid) <= 1e-5
     assert l2_distance(series_grid, oracle_grid) <= 1e-5 + 1e-8
+
+
+def test_compare_rejects_off_grid_snapshots_before_stepping(monkeypatch):
+    def no_stepping(*args):
+        raise AssertionError("propagate ran before the snapshot grid check")
+
+    monkeypatch.setattr("tdse.oracle.propagate", no_stepping)
+    init = gaussian_coefficients(GaussianPacket(0, 1, 0))
+    stepper = StepperConfig(dt=1e-3, steps=200, snapshot_stride=1)
+    oracle = OracleConfig(-25.0, 25.0, 1024, dt=2e-3, steps=100)
+    with pytest.raises(ValueError, match="does not land on the oracle step grid"):
+        compare_methods(init, FREE, PARAMS, stepper, oracle)
+
+
+def test_oracle_stops_at_the_last_captured_step(monkeypatch):
+    import tdse.oracle
+
+    calls = []
+    real = tdse.oracle.eval_taylor_coefficients
+    monkeypatch.setattr(
+        "tdse.oracle.eval_taylor_coefficients", lambda *a: calls.append(a[1]) or real(*a)
+    )
+    driven = parse_potential("x^2/2 + 0.5*sin(2*t)*x")
+    cfg = OracleConfig(-15.0, 15.0, 512, dt=0.01, steps=10)
+    start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0, 1, 0)), cfg)
+    grids = tdse.oracle._evolve_capturing(start, driven, PARAMS, cfg, {0, 3})
+    assert sorted(grids) == [0, 3]
+    assert len(calls) == 3  # one potential evaluation per step taken
+    full = split_step_evolve(start, driven, PARAMS, OracleConfig(-15.0, 15.0, 512, 0.01, 3))
+    assert np.array_equal(grids[3].values, full[-1].values)
