@@ -18,7 +18,15 @@ from .initialization import DegenerateSystem, SampleTooSmall, fit_log_polynomial
 from .integrators import StepperConfig, propagate
 from .oracle import EdgeLeakage, GridMismatch, OracleConfig, compare_methods
 from .potential import PotentialError
-from .reconstruction import ExponentOverflow, ZeroNorm, evaluate_on_grid, observables
+# evaluate_on_grid and observables are not called here, but perfbench/tracing.py
+# wraps them under tdse.cli's names
+from .reconstruction import (  # noqa: F401
+    ExponentOverflow,
+    ZeroNorm,
+    evaluate_on_grid,
+    observables,
+    observables_kernel,
+)
 from .scenarios import detect_scenario, reference_error
 
 EXIT_OK = 0
@@ -59,6 +67,20 @@ def _resolve_out(args_out, cfg: RunConfig):
     if out is None:
         raise ConfigError("no output directory: pass --out or set [output] directory")
     return out
+
+
+def _finish(status: str, reconstruction_error) -> int:
+    """The status line and exit code of run and compare, which keep the rows
+    before a failure: a blow-up abort (exit 3) takes precedence over a
+    snapshot that could not be reconstructed (exit 2)."""
+    if status != "completed":
+        print(f"status={status}")
+        return EXIT_BLOWUP
+    if reconstruction_error is not None:
+        _error(reconstruction_error)
+        return EXIT_CONFIG
+    print(f"status={status}")
+    return EXIT_OK
 
 
 def _next_pow2(n: int) -> int:
@@ -115,21 +137,21 @@ def _cmd_run(args) -> int:
         return EXIT_DSL
 
     os.makedirs(out_dir, exist_ok=True)
-    coeff_rows = []
-    for snap in trajectory.snapshots:
-        for n, alpha in enumerate(snap.alphas):
-            coeff_rows.append((_fmt(snap.time), str(n), _fmt(alpha.real), _fmt(alpha.imag)))
+    coeff_rows = (
+        (_fmt(snap.time), str(n), _fmt(alpha.real), _fmt(alpha.imag))
+        for snap in trajectory.snapshots
+        for n, alpha in enumerate(snap.alphas.tolist())
+    )
     _write_csv(os.path.join(out_dir, "coefficients.csv"), "t,n,alpha_re,alpha_im", coeff_rows)
 
     # reconstruction can fail on non-normalizable states; keep whatever rows
-    # were healthy, and let a blow-up abort (exit 3) take precedence over the
-    # reconstruction failure (exit 2)
+    # were healthy
+    xs, observe = observables_kernel(cfg.grid.xmin, cfg.grid.xmax, cfg.grid.points, cfg.params)
     reconstruction_error = None
     obs_rows = []
     for snap in trajectory.snapshots:
         try:
-            grid = evaluate_on_grid(snap, cfg.grid.xmin, cfg.grid.xmax, cfg.grid.points)
-            obs = observables(grid, cfg.params)
+            values, obs = observe(snap)
         except (ExponentOverflow, ZeroNorm) as exc:
             reconstruction_error = exc
             break
@@ -149,25 +171,19 @@ def _cmd_run(args) -> int:
         obs_rows,
     )
     if reconstruction_error is None:
-        # the loop above ended on the final snapshot: its grid is the last one
-        wf_rows = [
+        # the loop above ended on the final snapshot: its values are the last
+        # ones; Python's abs of a Python complex matches numpy's scalar abs,
+        # which numpy's array abs does not in the last bit
+        wf_rows = (
             (_fmt(x), _fmt(v.real), _fmt(v.imag), _fmt(abs(v) ** 2))
-            for x, v in zip(grid.xs, grid.values)
-        ]
+            for x, v in zip(xs.tolist(), values.tolist())
+        )
         _write_csv(
             os.path.join(out_dir, "wavefunction_final.csv"),
             "x,psi_re,psi_im,prob_density",
             wf_rows,
         )
-
-    if trajectory.status != "completed":
-        print(f"status={trajectory.status}")
-        return EXIT_BLOWUP
-    if reconstruction_error is not None:
-        _error(reconstruction_error)
-        return EXIT_CONFIG
-    print(f"status={trajectory.status}")
-    return EXIT_OK
+    return _finish(trajectory.status, reconstruction_error)
 
 
 def _cmd_converge(args) -> int:
@@ -222,6 +238,8 @@ def _cmd_converge(args) -> int:
                     cfg.initial, cfg.potential, cfg.params, stepper, oracle_cfg,
                     memo=oracle_memo,
                 )
+                if report.reconstruction_error is not None:
+                    raise report.reconstruction_error
                 status = report.stepper_status
                 if status == "completed":
                     err = float(report.l2[-1])
@@ -282,8 +300,7 @@ def _cmd_compare(args) -> int:
         for t, l2, dx, dn in zip(report.times, report.l2, report.d_mean_x, report.d_norm)
     ]
     _write_csv(os.path.join(out_dir, "compare.csv"), "t,l2_distance,d_mean_x,d_norm", rows)
-    print(f"status={report.stepper_status}")
-    return EXIT_OK if report.stepper_status == "completed" else EXIT_BLOWUP
+    return _finish(report.stepper_status, report.reconstruction_error)
 
 
 def _read_samples(path: str):

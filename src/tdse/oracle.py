@@ -19,7 +19,14 @@ import numpy as np
 
 from .integrators import StepperConfig, propagate
 from .potential import PotentialModel, eval_taylor_coefficients
-from .reconstruction import WaveGrid, evaluate_at, norm_squared, observables
+from .reconstruction import (
+    ExponentOverflow,
+    WaveGrid,
+    ZeroNorm,
+    evaluate_at,
+    norm_squared,
+    observables,
+)
 from .state import CoefficientState, PhysicalParams
 
 __all__ = [
@@ -183,6 +190,9 @@ class ComparisonReport:
     d_mean_x is the <x> difference (series minus oracle); d_norm compares
     relative norm drift, i.e. norm2(t)/norm2(0) of the series
     reconstruction minus the same ratio for the (unitary) oracle.
+    reconstruction_error is the ExponentOverflow or ZeroNorm raised at the
+    first snapshot that could not be compared, which ends the rows, or None
+    when every snapshot was compared.
     """
 
     times: np.ndarray
@@ -190,6 +200,7 @@ class ComparisonReport:
     d_mean_x: np.ndarray
     d_norm: np.ndarray
     stepper_status: str
+    reconstruction_error: Exception | None = None
 
 
 def _oracle_index(time: float, t0: float, oracle_dt: float):
@@ -217,6 +228,10 @@ def compare_methods(
     last healthy state that propagate appends is compared only if it lands
     on the grid as well, and the oracle runs no further than the last
     compared snapshot.
+
+    A snapshot whose series or oracle grid cannot be reconstructed
+    (ExponentOverflow or ZeroNorm) ends the rows: the report keeps the rows
+    before it and carries the exception as reconstruction_error.
 
     memo, a dict the caller owns, keeps the oracle grids of each run keyed
     by everything that determines them (initial state, potential, params,
@@ -258,18 +273,24 @@ def compare_methods(
 
     times, l2s, dxs, dnorms = [], [], [], []
     series_norm0 = oracle_norm0 = None
+    reconstruction_error = None
     for snap, j in compared:
-        series_grid = state_on_oracle_grid(snap, oracle_cfg)
         oracle_grid = by_index[j]
-        obs_s = observables(series_grid, params)
-        obs_o = observables(oracle_grid, params)
+        try:
+            series_grid = state_on_oracle_grid(snap, oracle_cfg)
+            obs_s = observables(series_grid, params)
+            obs_o = observables(oracle_grid, params)
+            l2 = l2_distance(oracle_grid, series_grid)
+        except (ExponentOverflow, ZeroNorm) as exc:
+            reconstruction_error = exc
+            break
         if series_norm0 is None:
             series_norm0, oracle_norm0 = obs_s.norm2, obs_o.norm2
         times.append(snap.time)
-        l2s.append(l2_distance(oracle_grid, series_grid))
+        l2s.append(l2)
         dxs.append(obs_s.mean_x - obs_o.mean_x)
         dnorms.append(obs_s.norm2 / series_norm0 - obs_o.norm2 / oracle_norm0)
     return ComparisonReport(
         np.array(times), np.array(l2s), np.array(dxs), np.array(dnorms),
-        trajectory.status,
+        trajectory.status, reconstruction_error,
     )

@@ -20,6 +20,7 @@ __all__ = [
     "ZeroNorm",
     "evaluate_at",
     "evaluate_on_grid",
+    "observables_kernel",
     "norm_squared",
     "observables",
     "normalizability_check",
@@ -39,6 +40,13 @@ class ZeroNorm(ValueError):
     """Norm too small to divide by."""
 
 
+def _check_samples(dx, values: np.ndarray) -> None:
+    if not (np.isfinite(dx) and dx > 0):
+        raise ValueError(f"dx must be positive and finite, got {dx!r}")
+    if not np.isfinite(values).all():
+        raise ValueError("grid values must be finite")
+
+
 @dataclass
 class WaveGrid:
     """Complex samples psi(xmin + j*dx), j = 0..M-1, at one time instant."""
@@ -52,10 +60,7 @@ class WaveGrid:
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.ndim != 1 or len(self.values) < 8:
             raise ValueError("values must be a 1-D sequence of at least 8 samples")
-        if not (np.isfinite(self.dx) and self.dx > 0):
-            raise ValueError(f"dx must be positive and finite, got {self.dx!r}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
+        _check_samples(self.dx, self.values)
 
     @property
     def npoints(self) -> int:
@@ -63,6 +68,10 @@ class WaveGrid:
 
     @property
     def xs(self) -> np.ndarray:
+        """Positions xmin + j*dx.  For a grid from evaluate_on_grid these are
+        where moments are taken and what `run` prints, not the linspace
+        points the values were sampled at; the two can differ in the last
+        bit."""
         return self.xmin + self.dx * np.arange(self.npoints)
 
 
@@ -81,14 +90,23 @@ def evaluate_at(state: CoefficientState, xs: np.ndarray) -> np.ndarray:
     return np.exp(s)
 
 
-def evaluate_on_grid(
-    state: CoefficientState, xmin: float, xmax: float, points: int
-) -> WaveGrid:
-    """Sample the wavefunction on a uniform inclusive grid [xmin, xmax]."""
+def _check_window(xmin: float, xmax: float, points: int) -> None:
     if not xmax > xmin:
         raise ValueError(f"xmax must exceed xmin, got [{xmin}, {xmax}]")
     if points < 8:
         raise ValueError(f"points must be at least 8, got {points}")
+
+
+def evaluate_on_grid(
+    state: CoefficientState, xmin: float, xmax: float, points: int
+) -> WaveGrid:
+    """Sample the wavefunction on a uniform inclusive grid [xmin, xmax].
+
+    The values are taken at np.linspace(xmin, xmax, points); the returned
+    grid's positions (WaveGrid.xs), where moments are taken, are
+    xmin + j*dx with dx = (xmax - xmin) / (points - 1).  The two grids can
+    differ in the last bit at some points."""
+    _check_window(xmin, xmax, points)
     xs = np.linspace(xmin, xmax, points)
     values = evaluate_at(state, xs)
     return WaveGrid(xmin=xmin, dx=(xmax - xmin) / (points - 1), values=values, time=state.time)
@@ -102,11 +120,27 @@ def _finite(name: str, *values) -> None:
         )
 
 
+# np.trapezoid(y, dx=dx) and np.gradient(f, dx) (edge_order=1) for 1-D
+# arrays, written out with the same operations in the same order, so the
+# results are bitwise numpy's without the cost of their Python wrappers
+
+
+def _trapezoid(y: np.ndarray, dx):
+    return (dx * (y[1:] + y[:-1]) / 2.0).sum()
+
+
+def _gradient(f: np.ndarray, dx, out: np.ndarray) -> np.ndarray:
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+    out[0] = (f[1] - f[0]) / dx
+    out[-1] = (f[-1] - f[-2]) / dx
+    return out
+
+
 def norm_squared(grid: WaveGrid) -> float:
     """Trapezoid integral of |psi|^2 over the grid window; raises
     ExponentOverflow when it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        n2 = float(np.trapezoid(np.abs(grid.values) ** 2, dx=grid.dx))
+        n2 = float(_trapezoid(np.abs(grid.values) ** 2, grid.dx))
     _finite("norm^2", n2)
     return n2
 
@@ -120,27 +154,61 @@ class Observables:
     mean_p_im: float  # diagnostic; near zero for well-resolved states
 
 
+def _moments(values, dx, xs, xs_sq, hbar, dpsi) -> Observables:
+    """The body of observables: xs are the positions xmin + j*dx, xs_sq
+    their squares, dpsi a scratch buffer of the values' length."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = np.abs(values) ** 2
+        n2 = float(_trapezoid(density, dx))
+        _finite("norm^2", n2)
+        if n2 <= 1e-300:
+            raise ZeroNorm("norm^2 vanishes on this window")
+        mean_x = float(_trapezoid(xs * density, dx)) / n2
+        mean_x2 = float(_trapezoid(xs_sq * density, dx)) / n2
+        p_int = np.conj(values) * (-1j * hbar) * _gradient(values, dx, dpsi)
+        mean_p = complex(_trapezoid(p_int, dx)) / n2
+    _finite("an observable", mean_x, mean_x2, mean_p.real, mean_p.imag)
+    return Observables(n2, mean_x, mean_x2, mean_p.real, mean_p.imag)
+
+
 def observables(grid: WaveGrid, params: PhysicalParams) -> Observables:
     """norm^2 and normalized <x>, <x^2>, <p> over the grid window.
 
     <p> uses -i*hbar*d/dx with central differences in the interior and
     one-sided differences at the ends; its residual imaginary part is
     reported as a discretization diagnostic.  Raises ExponentOverflow when
-    any of them is not finite.
+    any of them is not finite, ZeroNorm when the norm vanishes.
     """
-    n2 = norm_squared(grid)
-    if n2 <= 1e-300:
-        raise ZeroNorm("norm^2 vanishes on this window")
     xs = grid.xs
-    with np.errstate(over="ignore", invalid="ignore"):
-        density = np.abs(grid.values) ** 2
-        mean_x = float(np.trapezoid(xs * density, dx=grid.dx)) / n2
-        mean_x2 = float(np.trapezoid(xs**2 * density, dx=grid.dx)) / n2
-        dpsi = np.gradient(grid.values, grid.dx)
-        p_int = np.conj(grid.values) * (-1j * params.hbar) * dpsi
-        mean_p = complex(np.trapezoid(p_int, dx=grid.dx)) / n2
-    _finite("an observable", mean_x, mean_x2, mean_p.real, mean_p.imag)
-    return Observables(n2, mean_x, mean_x2, mean_p.real, mean_p.imag)
+    dpsi = np.empty_like(grid.values)
+    return _moments(grid.values, grid.dx, xs, xs**2, params.hbar, dpsi)
+
+
+def observables_kernel(xmin: float, xmax: float, points: int, params: PhysicalParams):
+    """(xs, observe) for many states on one window: evaluate_on_grid
+    followed by observables, with everything that depends only on the
+    window built once here.
+
+    ``xs`` are the positions xmin + j*dx (WaveGrid.xs).  ``observe(state)``
+    returns ``(values, Observables)``, the samples at the linspace points
+    and their moments, bitwise what the two calls give, and raises the
+    same exceptions with the same messages in the same order.  observe
+    reuses one scratch buffer: use one kernel per thread.
+    """
+    _check_window(xmin, xmax, points)
+    sample_xs = np.linspace(xmin, xmax, points)
+    dx = (xmax - xmin) / (points - 1)
+    xs = xmin + dx * np.arange(points)
+    xs_sq = xs**2
+    dpsi = np.empty(points, dtype=np.complex128)
+    hbar = params.hbar
+
+    def observe(state: CoefficientState):
+        values = evaluate_at(state, sample_xs)
+        _check_samples(dx, values)
+        return values, _moments(values, dx, xs, xs_sq, hbar, dpsi)
+
+    return xs, observe
 
 
 def normalizability_check(state: CoefficientState, epsilon: float = 1e-12) -> bool:

@@ -1,7 +1,9 @@
 """Shared closed-form references and small helpers for the test suite.
 
 These are the independent oracles the numerical paths are checked
-against; they never call the code under test beyond plain data types.
+against; they never call the code under test beyond plain data types
+(reference_run loads the config and propagates with the package; what it
+writes from the snapshots is its own).
 """
 
 import cmath
@@ -9,7 +11,15 @@ import math
 
 import numpy as np
 
-from tdse import CoefficientState, EvaluationError
+from tdse import (
+    CoefficientState,
+    EvaluationError,
+    ExponentOverflow,
+    Observables,
+    ZeroNorm,
+    propagate,
+)
+from tdse.config import load_config
 from tdse.potential import BinOp, Call, Const, Neg, Power, TimeVar
 
 try:
@@ -173,3 +183,104 @@ def reference_propagate(initial, model, params, cfg):
             if p == cfg.steps or p % cfg.snapshot_stride == 0:
                 snapshots.append(state)
     return snapshots, "completed"
+
+
+# ---------------------------------------------------------------------------
+# textbook reconstruction, and `tdse run`'s outputs built from it
+
+
+def reference_reconstruct(state, xmin, xmax, points, params):
+    """evaluate_on_grid followed by observables, written the plain way:
+    the window is rebuilt and checked on every call, |psi|^2 is computed
+    once for the norm and again for the moments, and the quadrature and the
+    derivative are np.trapezoid and np.gradient.  Returns (values, xs,
+    Observables), xs being the positions xmin + j*dx of the moments."""
+    if not xmax > xmin:
+        raise ValueError(f"xmax must exceed xmin, got [{xmin}, {xmax}]")
+    if points < 8:
+        raise ValueError(f"points must be at least 8, got {points}")
+    samples = np.linspace(xmin, xmax, points)
+    s = np.full(samples.shape, state.alphas[-1], dtype=np.complex128)
+    for coeff in state.alphas[-2::-1]:
+        s = s * samples + coeff
+    peak = float(np.max(s.real))
+    if peak > 700.0:
+        raise ExponentOverflow(f"Re S reaches {peak:.1f} > 700 on the requested window")
+    values = np.exp(s)
+    dx = (xmax - xmin) / (points - 1)
+    if not (np.isfinite(dx) and dx > 0):
+        raise ValueError(f"dx must be positive and finite, got {dx!r}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("grid values must be finite")
+
+    def finite(name, *numbers):
+        if not all(math.isfinite(v) for v in numbers):
+            raise ExponentOverflow(
+                f"{name} is not finite on this window: |psi|^2 or a moment of it "
+                "passes the double range (Re S above about 354)"
+            )
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        n2 = float(np.trapezoid(np.abs(values) ** 2, dx=dx))
+    finite("norm^2", n2)
+    if n2 <= 1e-300:
+        raise ZeroNorm("norm^2 vanishes on this window")
+    xs = xmin + dx * np.arange(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = np.abs(values) ** 2
+        mean_x = float(np.trapezoid(xs * density, dx=dx)) / n2
+        mean_x2 = float(np.trapezoid(xs**2 * density, dx=dx)) / n2
+        dpsi = np.gradient(values, dx)
+        p_int = np.conj(values) * (-1j * params.hbar) * dpsi
+        mean_p = complex(np.trapezoid(p_int, dx=dx)) / n2
+    finite("an observable", mean_x, mean_x2, mean_p.real, mean_p.imag)
+    return values, xs, Observables(n2, mean_x, mean_x2, mean_p.real, mean_p.imag)
+
+
+def reference_run(config_path: str):
+    """(exit code, {file name: bytes}) of `tdse run` on a config: the CSVs
+    built as lists of rows of numpy scalars, with one reference_reconstruct
+    call per snapshot, and a blow-up (3) taking precedence over a snapshot
+    that cannot be reconstructed (2)."""
+    cfg = load_config(config_path)
+    trajectory = propagate(cfg.initial, cfg.potential, cfg.params, cfg.stepper)
+
+    def csv(header, rows):
+        text = header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+        return text.encode("utf-8")
+
+    def fmt(value):
+        return f"{value:.16e}"
+
+    files = {
+        "coefficients.csv": csv(
+            "t,n,alpha_re,alpha_im",
+            [
+                (fmt(snap.time), str(n), fmt(alpha.real), fmt(alpha.imag))
+                for snap in trajectory.snapshots
+                for n, alpha in enumerate(snap.alphas)
+            ],
+        )
+    }
+    error, rows = None, []
+    for snap in trajectory.snapshots:
+        try:
+            values, xs, obs = reference_reconstruct(
+                snap, cfg.grid.xmin, cfg.grid.xmax, cfg.grid.points, cfg.params
+            )
+        except (ExponentOverflow, ZeroNorm) as exc:
+            error = exc
+            break
+        rows.append(
+            (fmt(snap.time), fmt(obs.norm2), fmt(obs.mean_x), fmt(obs.mean_x2),
+             fmt(obs.mean_p_re), fmt(obs.mean_p_im))
+        )
+    files["observables.csv"] = csv("t,norm2,mean_x,mean_x2,mean_p_re,mean_p_im", rows)
+    if error is None:
+        files["wavefunction_final.csv"] = csv(
+            "x,psi_re,psi_im,prob_density",
+            [(fmt(x), fmt(v.real), fmt(v.imag), fmt(abs(v) ** 2)) for x, v in zip(xs, values)],
+        )
+    if trajectory.status != "completed":
+        return 3, files
+    return (2 if error is not None else 0), files

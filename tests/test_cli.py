@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import write_config
+from conftest import reference_run, write_config
 from tdse.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 HARMONIC_GAUSSIAN = """
 [physical]
@@ -555,8 +559,90 @@ def test_density_overflow_exits_2_and_writes_no_non_finite_field(tmp_path, capsy
     for path in written:
         for line in path.read_text().splitlines()[1:]:
             assert all(np.isfinite(float(field)) for field in line.split(","))
-    if command == "run":  # the healthy snapshots are kept
+    # the healthy snapshots (t = 0 and 0.25) are kept
+    if command == "run":
         assert [p.name for p in written] == ["coefficients.csv", "observables.csv"]
+    else:
+        assert [p.name for p in written] == ["compare.csv"]
+    kept = (out / ("observables.csv" if command == "run" else "compare.csv")).read_text()
+    assert [float(line.split(",")[0]) for line in kept.splitlines()[1:]] == [0.0, 0.25]
+
+
+# the N = 16 quartic of QUARTIC_WIDE_WINDOW at N = 24, on [-8, 8]: |psi|^2
+# overflows at t = 0.5 as well
+QUARTIC_N24 = (
+    QUARTIC_WIDE_WINDOW.replace("truncation_order = 16", "truncation_order = 24")
+    .replace("x0 = -0.2", "x0 = 0.0")
+    .replace("sigma = 0.95", "sigma = 1.0")
+    .replace("k0 = -0.3", "k0 = 0.0")
+    .replace("xmin = -9.0", "xmin = -8.0")
+    .replace("xmax = 9.0", "xmax = 8.0")
+)
+
+# QUARTIC_BLOWUP over 399 steps, with an oracle grid (dt = 0.06) that holds
+# every snapshot time: the t = 0.6 snapshot overflows Re S on [-5, 5] before
+# the series blows up
+QUARTIC_OVERFLOW_THEN_BLOWUP = (
+    QUARTIC_BLOWUP.replace("steps = 400", "steps = 399") + "\n[oracle]\nsteps = 1330\n"
+)
+
+
+def test_compare_keeps_rows_before_an_overflow_and_the_blowup_wins(tmp_path, capsys):
+    config = write_config(tmp_path / "cmp.cfg", QUARTIC_OVERFLOW_THEN_BLOWUP)
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", config, "--out", str(out)) == 3
+    assert capsys.readouterr() == ("status=aborted_blowup\n", "")
+    lines = (out / "compare.csv").read_text().splitlines()
+    assert lines[0] == "t,l2_distance,d_mean_x,d_norm"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0]
+
+
+# the last linspace point is xmax, one bit away from xmin + 1000*dx
+TWO_GRIDS = (
+    HARMONIC_GAUSSIAN.replace("xmin = -12.0", "xmin = -7.3")
+    .replace("xmax = 12.0", "xmax = 9.1")
+    .replace("points = 1201", "points = 1001")
+)
+
+
+def test_the_two_grids_window_has_two_grids():
+    xmin, xmax, points = -7.3, 9.1, 1001
+    dx = (xmax - xmin) / (points - 1)
+    assert np.any(np.linspace(xmin, xmax, points) != xmin + dx * np.arange(points))
+
+
+@pytest.mark.parametrize(
+    "name,code",
+    [("free_packet", 0), ("harmonic_coherent", 0), ("two_grids", 0), ("quartic_n24", 2)],
+)
+def test_run_writes_the_bytes_of_the_per_snapshot_reference(tmp_path, capsys, name, code):
+    if name == "two_grids":
+        body = TWO_GRIDS
+    elif name == "quartic_n24":
+        body = QUARTIC_N24
+    else:
+        body = (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
+    config = write_config(tmp_path / "run.cfg", body)
+    expected_code, expected = reference_run(config)
+    assert expected_code == code
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", config, "--out", str(out)) == code
+    capsys.readouterr()
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == expected
+
+
+def test_run_builds_the_observables_kernel_once(tmp_path, capsys, monkeypatch):
+    import tdse.cli
+
+    builds = []
+    real = tdse.cli.observables_kernel
+    monkeypatch.setattr(
+        "tdse.cli.observables_kernel", lambda *a: builds.append(a) or real(*a)
+    )
+    config = write_config(tmp_path / "run.cfg", HARMONIC_GAUSSIAN)
+    assert run_cli("run", "--config", config, "--out", str(tmp_path / "out")) == 0
+    capsys.readouterr()
+    assert len(builds) == 1  # for 5 snapshots
 
 
 def test_fit_command_round_trip(tmp_path, capsys):

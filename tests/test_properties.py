@@ -1,28 +1,38 @@
-"""Property tests: the fused stepper and the compiled potential reproduce
-their textbook references bit for bit, and the potential printer round-trips."""
+"""Property tests: the fused stepper, the compiled potential and the
+reconstruction kernel reproduce their textbook references bit for bit, and
+the potential printer round-trips."""
 
 import math
+import random
 import struct
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import mentions_t, reference_propagate, tree_eval_profile  # noqa: E402
+from conftest import (  # noqa: E402
+    mentions_t,
+    reference_propagate,
+    reference_reconstruct,
+    tree_eval_profile,
+)
 from tdse import (  # noqa: E402
     CoefficientState,
     PhysicalParams,
     PotentialModel,
     StepperConfig,
     eval_taylor_coefficients,
+    evaluate_on_grid,
     format_potential,
+    observables,
     parse_potential,
     propagate,
 )
 from tdse.potential import BinOp, Call, Const, Neg, Power, TimeVar, eval_profile  # noqa: E402
+from tdse.reconstruction import observables_kernel  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -205,3 +215,116 @@ potential_text = st.recursive(
 def test_format_then_parse_reproduces_the_model(text):
     model = parse_potential(text)
     assert parse_potential(format_potential(model)) == model
+
+
+# ---------------------------------------------------------------------------
+# (d) the reconstruction kernel against evaluate_on_grid + observables as
+# first written
+
+
+def _two_grid_windows(count: int = 16) -> list:
+    """Windows (xmin, xmax, points) whose linspace points and xmin + j*dx
+    differ somewhere; about one random window in twelve does."""
+    rng = random.Random(0)
+    found = []
+    while len(found) < count:
+        xmin = rng.uniform(-30.0, 10.0)
+        xmax = xmin + rng.uniform(0.5, 40.0)
+        points = rng.randint(8, 3000)
+        dx = (xmax - xmin) / (points - 1)
+        if np.any(np.linspace(xmin, xmax, points) != xmin + dx * np.arange(points)):
+            found.append((xmin, xmax, points))
+    return found
+
+
+windows = st.one_of(
+    st.tuples(
+        st.floats(-30.0, 10.0), st.floats(0.5, 40.0), st.integers(8, 3000)
+    ).map(lambda w: (w[0], w[0] + w[1], w[2])),
+    st.sampled_from(_two_grid_windows()),
+)
+
+
+KINDS = ["packet"] * 3 + ["flat", "re_s", "density", "moment", "vanish", "nan"]
+LIFTS = {"re_s": 720.0, "density": 400.0, "moment": 353.5, "vanish": -800.0}
+
+
+@st.composite
+def grid_states(draw):
+    """Terms up to order N that stay below 1 in magnitude on the window,
+    plus, except for a flat state, a Gaussian of a tenth of the window
+    about its centre.  Packets and flat states are healthy; the other kinds
+    overflow Re S, overflow |psi|^2 or a moment of it, vanish, or make the
+    Horner sum overflow into NaN."""
+    xmin, xmax, points = draw(windows)
+    kind = draw(st.sampled_from(KINDS))
+    order = draw(st.integers(2, 16))
+    parts = st.floats(-1.0, 1.0)
+    scale = 1.0 / max(abs(xmin), abs(xmax))
+    alphas = np.zeros(order + 1, dtype=np.complex128)
+    for n in range(1, order + 1):
+        alphas[n] = complex(draw(parts), draw(parts)) * scale**n / order
+    if kind != "flat":
+        centre = 0.5 * (xmin + xmax)
+        width = 0.1 * (xmax - xmin)
+        alphas[2] += -0.5 / width**2
+        alphas[1] += centre / width**2
+        alphas[0] += -0.5 * (centre / width) ** 2
+    alphas[0] += LIFTS.get(kind, draw(st.floats(-5.0, 5.0)))
+    if kind == "nan":
+        alphas[-1] = 1e300 * (1 + 1j) * scale ** (-order)
+    state = CoefficientState(alphas, draw(st.sampled_from([0.0, 0.5])))
+    return state, xmin, xmax, points
+
+
+def _reconstruction_outcome(fn):
+    """('ok', bits of the values, positions and five observables), or the
+    error's type and message."""
+    try:
+        # the Horner sum of a "nan" state overflows, with the same warning
+        # on both sides; the outcome is what is compared
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, xs, obs = fn()
+    except (ArithmeticError, ValueError) as exc:
+        return ("raise", type(exc), str(exc))
+    moments = (obs.norm2, obs.mean_x, obs.mean_x2, obs.mean_p_re, obs.mean_p_im)
+    return ("ok", _bits(values), _bits(xs), _bits(moments))
+
+
+def _kernel(state, xmin, xmax, points, params):
+    xs, observe = observables_kernel(xmin, xmax, points, params)
+    values, obs = observe(state)
+    return values, xs, obs
+
+
+def _one_grid(state, xmin, xmax, points, params):
+    grid = evaluate_on_grid(state, xmin, xmax, points)
+    return grid.values, grid.xs, observables(grid, params)
+
+
+@settings(max_examples=300)
+@given(grid_states(), st.floats(0.5, 2.0))
+@example((CoefficientState([0.0, 0.0, 1.0]), -40.0, 40.0, 101), 1.0)
+@example((CoefficientState([0.0, 0.0, -0.25]), -7.3, 9.1, 1001), 1.0)
+def test_observables_kernel_is_bitwise_the_reference(case, hbar):
+    state, xmin, xmax, points = case
+    params = PhysicalParams(hbar=hbar)
+    expected = _reconstruction_outcome(
+        lambda: reference_reconstruct(state, xmin, xmax, points, params)
+    )
+    assert _reconstruction_outcome(lambda: _kernel(state, xmin, xmax, points, params)) == expected
+    assert _reconstruction_outcome(lambda: _one_grid(state, xmin, xmax, points, params)) == expected
+    if expected[0] == "ok":  # nothing non-finite is returned without raising
+        values, _, obs = _kernel(state, xmin, xmax, points, params)
+        assert np.isfinite(values).all() and all(map(math.isfinite, vars(obs).values()))
+
+
+def test_the_kernel_keeps_its_window_on_later_states():
+    params = PhysicalParams()
+    xs, observe = observables_kernel(-9.0, 11.0, 777, params)
+    for a1 in (0.5, -1.0, 2.0):
+        state = CoefficientState([-0.2, a1, -0.3 + 0.1j])
+        values, obs = observe(state)
+        ref_values, ref_xs, ref_obs = reference_reconstruct(state, -9.0, 11.0, 777, params)
+        assert _bits(values) == _bits(ref_values) and _bits(xs) == _bits(ref_xs)
+        assert _bits(list(vars(obs).values())) == _bits(list(vars(ref_obs).values()))
