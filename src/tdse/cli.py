@@ -1,11 +1,14 @@
 """Batch front-end: run / converge / compare / fit commands with
 deterministic CSV artifacts.
 
-Exit codes: 0 success, 2 config or validation error, 3 propagation
-aborted by blow-up detection (partial outputs are still written),
-4 potential-DSL error.  All numbers are written with 17 significant
-digits so identical inputs give byte-identical files; the only standard
-output is one final status line.
+Each command is straight-line code that raises on failure; `main` maps
+the exception to an exit code through one table, `_EXIT_CODES`, and
+prints it as one `error:` line on stderr.  Exit codes: 0 success,
+2 config, validation or reconstruction error, or an output that cannot
+be written, 3 propagation aborted by blow-up detection (partial outputs
+are still written), 4 potential-DSL error.  All numbers are written with
+17 significant digits so identical inputs give byte-identical files; the
+only standard output is one final status line.
 """
 
 import argparse
@@ -14,9 +17,9 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, RunConfig, load_config
-from .initialization import DegenerateSystem, SampleTooSmall, fit_log_polynomial
+from .initialization import fit_log_polynomial
 from .integrators import StepperConfig, propagate
-from .oracle import EdgeLeakage, GridMismatch, OracleConfig, compare_methods
+from .oracle import EdgeLeakage, OracleConfig, compare_methods
 from .potential import PotentialError
 # evaluate_on_grid and observables are not called here, but perfbench/tracing.py
 # wraps them under tdse.cli's names
@@ -34,6 +37,15 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_DSL = 4
 
+# the first row whose class matches wins: PotentialError is a ValueError
+_EXIT_CODES = (
+    (PotentialError, EXIT_DSL),
+    (ValueError, EXIT_CONFIG),
+    (ExponentOverflow, EXIT_CONFIG),
+    (EdgeLeakage, EXIT_CONFIG),
+    (OSError, EXIT_CONFIG),
+)
+
 
 def _fmt(value: float) -> str:
     return f"{value:.16e}"
@@ -50,18 +62,6 @@ def _write_csv(path: str, header: str, rows) -> None:
             handle.write(",".join(row) + "\n")
 
 
-def _load(path: str):
-    """(config, 0) on success, (None, exit_code) with the message printed."""
-    try:
-        return load_config(path), EXIT_OK
-    except PotentialError as exc:
-        _error(exc)
-        return None, EXIT_DSL
-    except ConfigError as exc:
-        _error(exc)
-        return None, EXIT_CONFIG
-
-
 def _resolve_out(args_out, cfg: RunConfig):
     out = args_out or cfg.output_dir
     if out is None:
@@ -70,7 +70,7 @@ def _resolve_out(args_out, cfg: RunConfig):
 
 
 def _finish(status: str, reconstruction_error) -> int:
-    """The status line and exit code of run and compare, which keep the rows
+    """The status line and exit code of a command that keeps the rows
     before a failure: a blow-up abort (exit 3) takes precedence over a
     snapshot that could not be reconstructed (exit 2)."""
     if status != "completed":
@@ -112,29 +112,15 @@ def _oracle_config(cfg: RunConfig, stepper: StepperConfig, default_steps=None) -
         else:
             steps = default_steps
         dt = opts.dt if opts.dt is not None else horizon / steps
-    try:
-        return OracleConfig(xmin=xmin, xmax=xmax, points=points, dt=dt, steps=steps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return OracleConfig(xmin=xmin, xmax=xmax, points=points, dt=dt, steps=steps)
 
 
 def _cmd_run(args) -> int:
-    cfg, code = _load(args.config)
-    if cfg is None:
-        return code
-    try:
-        out_dir = _resolve_out(args.out, cfg)
-        if cfg.grid is None:
-            raise ConfigError("run needs a [grid] section for reconstruction output")
-    except ConfigError as exc:
-        _error(exc)
-        return EXIT_CONFIG
-
-    try:
-        trajectory = propagate(cfg.initial, cfg.potential, cfg.params, cfg.stepper)
-    except PotentialError as exc:
-        _error(exc)
-        return EXIT_DSL
+    cfg = load_config(args.config)
+    out_dir = _resolve_out(args.out, cfg)
+    if cfg.grid is None:
+        raise ConfigError("run needs a [grid] section for reconstruction output")
+    trajectory = propagate(cfg.initial, cfg.potential, cfg.params, cfg.stepper)
 
     os.makedirs(out_dir, exist_ok=True)
     coeff_rows = (
@@ -187,79 +173,66 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg, code = _load(args.config)
-    if cfg is None:
-        return code
-    try:
-        out_dir = _resolve_out(args.out, cfg)
-        if args.halvings < 1:
-            raise ConfigError("--halvings must be at least 1")
-        detected = detect_scenario(cfg.potential, cfg.initial, cfg.params)
-        requested = cfg.converge_scenario
-        if requested == "auto":
-            scenario = detected
-            if scenario is None:
-                if cfg.allow_oracle_fallback and cfg.grid is not None:
-                    scenario = "oracle"
-                else:
-                    raise ConfigError(
-                        "no registered closed-form scenario matches this config "
-                        "and the oracle fallback is disabled or lacks a [grid]"
-                    )
-        elif requested == "oracle":
-            scenario = "oracle"
-        else:
-            if requested != detected:
+    cfg = load_config(args.config)
+    out_dir = _resolve_out(args.out, cfg)
+    if args.halvings < 1:
+        raise ConfigError("--halvings must be at least 1")
+    detected = detect_scenario(cfg.potential, cfg.initial, cfg.params)
+    requested = cfg.converge_scenario
+    if requested == "auto":
+        scenario = detected
+        if scenario is None:
+            if cfg.allow_oracle_fallback and cfg.grid is not None:
+                scenario = "oracle"
+            else:
                 raise ConfigError(
-                    f"config does not match the requested scenario '{requested}'"
-                    + (f" (detected: {detected})" if detected else "")
+                    "no registered closed-form scenario matches this config "
+                    "and the oracle fallback is disabled or lacks a [grid]"
                 )
-            scenario = requested
-    except ConfigError as exc:
-        _error(exc)
-        return EXIT_CONFIG
+    elif requested == "oracle":
+        scenario = "oracle"
+    else:
+        if requested != detected:
+            raise ConfigError(
+                f"config does not match the requested scenario '{requested}'"
+                + (f" (detected: {detected})" if detected else "")
+            )
+        scenario = requested
 
     # one oracle run serves every level: the horizon, and so the oracle
     # config and its captured steps, is the same float at every level
     oracle_memo = {}
     dts, errors = [], []
-    try:
-        for level in range(args.halvings + 1):
-            factor = 2**level
-            stepper = replace(
-                cfg.stepper,
-                dt=cfg.stepper.dt / factor,
-                steps=cfg.stepper.steps * factor,
-                snapshot_stride=cfg.stepper.steps * factor,
+    for level in range(args.halvings + 1):
+        factor = 2**level
+        stepper = replace(
+            cfg.stepper,
+            dt=cfg.stepper.dt / factor,
+            steps=cfg.stepper.steps * factor,
+            snapshot_stride=cfg.stepper.steps * factor,
+        )
+        if scenario == "oracle":
+            oracle_cfg = _oracle_config(cfg, stepper, default_steps=2048)
+            report = compare_methods(
+                cfg.initial, cfg.potential, cfg.params, stepper, oracle_cfg,
+                memo=oracle_memo,
             )
-            if scenario == "oracle":
-                oracle_cfg = _oracle_config(cfg, stepper, default_steps=2048)
-                report = compare_methods(
-                    cfg.initial, cfg.potential, cfg.params, stepper, oracle_cfg,
-                    memo=oracle_memo,
+            if report.reconstruction_error is not None:
+                raise report.reconstruction_error
+            status = report.stepper_status
+            if status == "completed":
+                err = float(report.l2[-1])
+        else:
+            trajectory = propagate(cfg.initial, cfg.potential, cfg.params, stepper)
+            status = trajectory.status
+            if status == "completed":
+                err = reference_error(
+                    scenario, cfg.potential, cfg.initial, trajectory.final, cfg.params
                 )
-                if report.reconstruction_error is not None:
-                    raise report.reconstruction_error
-                status = report.stepper_status
-                if status == "completed":
-                    err = float(report.l2[-1])
-            else:
-                trajectory = propagate(cfg.initial, cfg.potential, cfg.params, stepper)
-                status = trajectory.status
-                if status == "completed":
-                    err = reference_error(
-                        scenario, cfg.potential, cfg.initial, trajectory.final, cfg.params
-                    )
-            if status != "completed":
-                break
-            dts.append(stepper.dt)
-            errors.append(err)
-    except PotentialError as exc:
-        _error(exc)
-        return EXIT_DSL
-    except (ConfigError, GridMismatch, EdgeLeakage, ExponentOverflow, ZeroNorm, ValueError) as exc:
-        _error(exc)
-        return EXIT_CONFIG
+        if status != "completed":
+            break
+        dts.append(stepper.dt)
+        errors.append(err)
 
     rows = []
     for i, (dt, err) in enumerate(zip(dts, errors)):
@@ -268,31 +241,14 @@ def _cmd_converge(args) -> int:
         rows.append((_fmt(dt), _fmt(err), ratio))
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "convergence.csv"), "dt,error,ratio", rows)
-    print(f"status={status}")
-    return EXIT_OK if status == "completed" else EXIT_BLOWUP
+    return _finish(status, None)
 
 
 def _cmd_compare(args) -> int:
-    cfg, code = _load(args.config)
-    if cfg is None:
-        return code
-    try:
-        out_dir = _resolve_out(args.out, cfg)
-        oracle_cfg = _oracle_config(cfg, cfg.stepper)
-    except ConfigError as exc:
-        _error(exc)
-        return EXIT_CONFIG
-
-    try:
-        report = compare_methods(
-            cfg.initial, cfg.potential, cfg.params, cfg.stepper, oracle_cfg
-        )
-    except PotentialError as exc:
-        _error(exc)
-        return EXIT_DSL
-    except (GridMismatch, EdgeLeakage, ExponentOverflow, ZeroNorm, ValueError) as exc:
-        _error(exc)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    out_dir = _resolve_out(args.out, cfg)
+    oracle_cfg = _oracle_config(cfg, cfg.stepper)
+    report = compare_methods(cfg.initial, cfg.potential, cfg.params, cfg.stepper, oracle_cfg)
 
     os.makedirs(out_dir, exist_ok=True)
     rows = [
@@ -325,12 +281,7 @@ def _read_samples(path: str):
 
 
 def _cmd_fit(args) -> int:
-    try:
-        samples = _read_samples(args.samples)
-        result = fit_log_polynomial(samples, args.degree)
-    except (ConfigError, SampleTooSmall, DegenerateSystem, ValueError) as exc:
-        _error(exc)
-        return EXIT_CONFIG
+    result = fit_log_polynomial(_read_samples(args.samples), args.degree)
     rows = [
         (str(n), _fmt(alpha.real), _fmt(alpha.imag))
         for n, alpha in enumerate(result.state.alphas)
@@ -381,7 +332,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+        _error(exc)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ import numpy as np
 from .initialization import GaussianPacket, gaussian_coefficients
 from .integrators import StepperConfig
 from .potential import PotentialModel, parse_potential
+from .scenarios import SCENARIOS
 from .state import CoefficientState, PhysicalParams
 
 __all__ = ["ConfigError", "GridSpec", "OracleOptions", "RunConfig", "load_config"]
@@ -106,7 +107,7 @@ _SCHEMA = {
     "converge": {"scenario", "allow_oracle_fallback"},
 }
 
-_SCENARIO_NAMES = ("auto", "free", "linear", "harmonic_ground", "harmonic_coherent", "oracle")
+_SCENARIO_NAMES = ("auto", *SCENARIOS, "oracle")
 
 
 class _Section:

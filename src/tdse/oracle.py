@@ -60,7 +60,6 @@ class OracleConfig:
     points: int
     dt: float
     steps: int
-    snapshot_stride: int = 1
 
     def __post_init__(self):
         if not self.xmax > self.xmin:
@@ -71,8 +70,6 @@ class OracleConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if self.steps < 0:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be at least 1")
 
     @property
     def dx(self) -> float:
@@ -99,15 +96,19 @@ def _check_edges(values: np.ndarray, time: float):
         )
 
 
-def _evolve_capturing(
+def split_step_evolve(
     initial: WaveGrid,
     potential: PotentialModel,
     params: PhysicalParams,
     cfg: OracleConfig,
     capture: set,
 ) -> dict:
-    """Run the split-step loop up to the last captured step index, returning
-    {index: grid} in ascending index order."""
+    """Propagate the grid wavefunction up to the last step index in capture
+    (at most cfg.steps), returning {index: grid} in ascending index order.
+
+    Raises EdgeLeakage if the wavefunction stops being negligible at the
+    window edges at any captured step.
+    """
     if initial.npoints != cfg.points or not (
         math.isclose(initial.xmin, cfg.xmin, rel_tol=0.0, abs_tol=1e-12)
         and math.isclose(initial.dx, cfg.dx, rel_tol=1e-12)
@@ -139,23 +140,6 @@ def _evolve_capturing(
             _check_edges(psi, t)
             out[p] = WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t)
     return out
-
-
-def split_step_evolve(
-    initial: WaveGrid,
-    potential: PotentialModel,
-    params: PhysicalParams,
-    cfg: OracleConfig,
-) -> list:
-    """Propagate the grid wavefunction, returning snapshots by stride.
-
-    Snapshots always include the initial and final grids.  Raises
-    EdgeLeakage if the wavefunction stops being negligible at the window
-    edges at any recorded snapshot.
-    """
-    capture = set(range(0, cfg.steps + 1, cfg.snapshot_stride))
-    capture.update((0, cfg.steps))
-    return list(_evolve_capturing(initial, potential, params, cfg, capture).values())
 
 
 def l2_distance(a: WaveGrid, b: WaveGrid) -> float:
@@ -267,7 +251,7 @@ def compare_methods(
     by_index = memo.get(key) if memo is not None else None
     if by_index is None:
         start = state_on_oracle_grid(initial, oracle_cfg)
-        by_index = _evolve_capturing(start, potential, params, oracle_cfg, capture)
+        by_index = split_step_evolve(start, potential, params, oracle_cfg, capture)
         if memo is not None:
             memo[key] = by_index
 

@@ -80,8 +80,11 @@ def evaluate_at(state: CoefficientState, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     a = state.alphas
     s = np.full(xs.shape, a[-1], dtype=np.complex128)
-    for coeff in a[-2::-1]:
-        s = s * xs + coeff
+    # a sum that overflows to inf or NaN is rejected by the Re S guard below
+    # or by the finite-sample check of the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeff in a[-2::-1]:
+            s = s * xs + coeff
     peak = float(np.max(s.real))
     if peak > _EXP_CUTOFF:
         raise ExponentOverflow(

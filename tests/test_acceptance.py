@@ -108,13 +108,11 @@ def test_criterion_05_coherent_state_rotation():
     assert abs(traj.final.alphas[1] - 0.5 * cmath.exp(-1j)) <= 1e-3
 
     steps = 2048
-    oracle_cfg = OracleConfig(
-        -12.0, 12.0, 1024, dt=np.pi / steps, steps=steps, snapshot_stride=steps
-    )
+    oracle_cfg = OracleConfig(-12.0, 12.0, 1024, dt=np.pi / steps, steps=steps)
     packet = gaussian_coefficients(GaussianPacket(1.0, GROUND_WIDTH, 0.0))
     start = state_on_oracle_grid(packet, oracle_cfg)
-    snaps = split_step_evolve(start, HARMONIC, PARAMS, oracle_cfg)
-    assert observables(snaps[-1], PARAMS).mean_x == pytest.approx(-1.0, abs=1e-3)
+    snaps = split_step_evolve(start, HARMONIC, PARAMS, oracle_cfg, {steps})
+    assert observables(snaps[steps], PARAMS).mean_x == pytest.approx(-1.0, abs=1e-3)
     _report(5, "coherent alpha_1 rotation and oracle <x>(pi) = -1")
 
 
@@ -142,22 +140,23 @@ def test_criterion_06_one_step_support_growth():
 
 def test_criterion_07_oracle_quality_gates():
     packet = gaussian_coefficients(GaussianPacket(1.0, GROUND_WIDTH, 0.0))
-    drift_cfg = OracleConfig(-12.0, 12.0, 1024, dt=1e-4, steps=10**4, snapshot_stride=10**4)
-    snaps = split_step_evolve(state_on_oracle_grid(packet, drift_cfg), HARMONIC, PARAMS, drift_cfg)
-    drift = abs(norm_squared(snaps[-1]) - norm_squared(snaps[0])) / norm_squared(snaps[0])
+    drift_cfg = OracleConfig(-12.0, 12.0, 1024, dt=1e-4, steps=10**4)
+    start = state_on_oracle_grid(packet, drift_cfg)
+    snaps = split_step_evolve(start, HARMONIC, PARAMS, drift_cfg, {0, 10**4})
+    drift = abs(norm_squared(snaps[10**4]) - norm_squared(snaps[0])) / norm_squared(snaps[0])
     assert drift <= 1e-10
 
-    spread_cfg = OracleConfig(-25.0, 25.0, 1024, dt=1e-3, steps=2000, snapshot_stride=2000)
+    spread_cfg = OracleConfig(-25.0, 25.0, 1024, dt=1e-3, steps=2000)
     start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0, 1, 0)), spread_cfg)
-    final = split_step_evolve(start, FREE, PARAMS, spread_cfg)[-1]
+    final = split_step_evolve(start, FREE, PARAMS, spread_cfg, {2000})[2000]
     assert observables(final, PARAMS).mean_x2 == pytest.approx(2.0, abs=1e-3)
 
     errors = []
     for steps in (50, 100, 200):
-        cfg = OracleConfig(-12.0, 12.0, 1024, dt=1.0 / steps, steps=steps, snapshot_stride=steps)
-        run = split_step_evolve(state_on_oracle_grid(packet, cfg), HARMONIC, PARAMS, cfg)
+        cfg = OracleConfig(-12.0, 12.0, 1024, dt=1.0 / steps, steps=steps)
+        run = split_step_evolve(state_on_oracle_grid(packet, cfg), HARMONIC, PARAMS, cfg, {steps})
         reference = state_on_oracle_grid(coherent_state_exact(1.0, 1.0), cfg)
-        errors.append(l2_distance(reference, run[-1]))
+        errors.append(l2_distance(reference, run[steps]))
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.4 <= coarse / fine <= 4.6
     _report(7, "oracle unitarity, spreading law, and second-order decay")
@@ -167,7 +166,7 @@ def test_criterion_08_beyond_closure_cross_validation():
     potential = parse_potential("x^2/2 + 0.01*x^4")
     initial = gaussian_coefficients(GaussianPacket(0.0, 1.0, 0.0), truncation_order=16)
     stepper = StepperConfig(dt=1e-4, steps=5000, integrator="rk4", snapshot_stride=5000)
-    oracle = OracleConfig(-8.0, 8.0, 1024, dt=0.5 / 2048, steps=2048, snapshot_stride=2048)
+    oracle = OracleConfig(-8.0, 8.0, 1024, dt=0.5 / 2048, steps=2048)
     report = compare_methods(initial, potential, PARAMS, stepper, oracle)
     assert report.stepper_status == "completed"
     assert report.l2[-1] <= 1e-2

@@ -287,9 +287,9 @@ def _count_oracle_runs(monkeypatch):
     import tdse.oracle
 
     runs = []
-    real = tdse.oracle._evolve_capturing
+    real = tdse.oracle.split_step_evolve
     monkeypatch.setattr(
-        "tdse.oracle._evolve_capturing", lambda *a: runs.append(a[3]) or real(*a)
+        "tdse.oracle.split_step_evolve", lambda *a: runs.append(a[3]) or real(*a)
     )
     return runs
 
@@ -684,3 +684,127 @@ def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as excinfo:
         run_cli("run", "--help")
     assert excinfo.value.code == 0
+
+
+def assert_one_error_line(capsys, fragment):
+    """Nothing on stdout, and on stderr one `error:` line holding fragment."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
+
+
+def test_every_tdse_exception_has_an_exit_code():
+    import importlib
+    import pkgutil
+
+    import tdse
+    from tdse.cli import _EXIT_CODES
+
+    defined = [
+        cls
+        for info in pkgutil.iter_modules(tdse.__path__)
+        for cls in vars(importlib.import_module(f"tdse.{info.name}")).values()
+        if isinstance(cls, type)
+        and issubclass(cls, BaseException)
+        and cls.__module__ == f"tdse.{info.name}"
+    ]
+    assert len(defined) >= 10
+    for cls in defined:
+        assert any(issubclass(cls, kind) for kind, _ in _EXIT_CODES), cls
+
+
+@pytest.mark.parametrize("command", ["run", "converge", "compare"])
+def test_an_output_directory_that_is_a_file_exits_2(tmp_path, capsys, command):
+    config = write_config(tmp_path / "run.cfg", HARMONIC_GAUSSIAN)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    argv = [command, "--config", config, "--out", str(taken)]
+    if command == "converge":
+        argv[3:3] = ["--halvings", "1"]
+    assert run_cli(*argv) == 2
+    assert_one_error_line(capsys, "File exists")
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_fit_output_that_is_a_directory_exits_2(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    lines = ["x,psi_re,psi_im"] + [f"{x},{np.exp(-x * x)},0.0" for x in np.linspace(-2, 2, 41)]
+    samples.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("fit", "--samples", str(samples), "--degree", "2", "--out", str(tmp_path)) == 2
+    assert_one_error_line(capsys, "Is a directory")
+
+
+# the Horner sum of S overflows into NaN at the window edges (x = 1e110)
+NAN_HORNER = """
+[potential]
+expression = 0
+
+[initial]
+kind = coefficients
+alpha_re = 0, 0, -0.25, 0, -1e-10
+
+[stepper]
+dt = 1e-6
+steps = 1
+
+[grid]
+xmin = -1e110
+xmax = 1e110
+points = 1201
+
+[oracle]
+points = 256
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_nan_horner_sum_exits_2_without_warnings(tmp_path, capsys, command):
+    config = write_config(tmp_path / "nan.cfg", NAN_HORNER)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", config, "--out", str(out)) == 2
+    assert_one_error_line(capsys, "grid values must be finite")
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert written == (["coefficients.csv"] if command == "run" else [])
+
+
+POLE = """
+[potential]
+expression = x^2/(t-0.05)
+
+[initial]
+kind = gaussian
+sigma = 1.0
+
+[stepper]
+dt = 1e-2
+steps = 10
+
+[grid]
+xmin = -10.0
+xmax = 10.0
+points = 256
+"""
+
+
+@pytest.mark.parametrize("command", ["converge", "compare"])
+def test_a_pole_in_the_potential_exits_4(tmp_path, capsys, command):
+    config = write_config(tmp_path / "pole.cfg", POLE)
+    argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+    if command == "converge":
+        argv[3:3] = ["--halvings", "1"]
+    assert run_cli(*argv) == 4
+    assert_one_error_line(capsys, "division by zero at t = 0.05")
+
+
+def test_compare_edge_leakage_exits_2(tmp_path, capsys):
+    # a sigma = 1 packet is far from negligible at the edges of [-3, 3]
+    body = (
+        POLE.replace("x^2/(t-0.05)", "x^2/2")
+        .replace("xmin = -10.0", "xmin = -3.0")
+        .replace("xmax = 10.0", "xmax = 3.0")
+    )
+    config = write_config(tmp_path / "edge.cfg", body)
+    assert run_cli("compare", "--config", config, "--out", str(tmp_path / "out")) == 2
+    assert_one_error_line(capsys, "edge magnitude")

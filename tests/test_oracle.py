@@ -45,34 +45,34 @@ def test_oracle_config_validation():
 def test_zero_steps_is_identity():
     cfg = OracleConfig(-15.0, 15.0, 512, dt=0.1, steps=0)
     start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0, 1, 0)), cfg)
-    snaps = split_step_evolve(start, FREE, PARAMS, cfg)
+    snaps = split_step_evolve(start, FREE, PARAMS, cfg, {0})
     assert len(snaps) == 1
     assert np.array_equal(snaps[0].values, start.values)
 
 
 def test_free_gaussian_spreading_law():
     # <x^2>(t) = sigma^2 * (1 + (hbar t / 2 m sigma^2)^2) -> 2.0 at t = 2
-    cfg = OracleConfig(-25.0, 25.0, 1024, dt=1e-3, steps=2000, snapshot_stride=2000)
+    cfg = OracleConfig(-25.0, 25.0, 1024, dt=1e-3, steps=2000)
     start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0, 1, 0)), cfg)
-    snaps = split_step_evolve(start, FREE, PARAMS, cfg)
-    assert observables(snaps[-1], PARAMS).mean_x2 == pytest.approx(2.0, abs=1e-3)
+    snaps = split_step_evolve(start, FREE, PARAMS, cfg, {2000})
+    assert observables(snaps[2000], PARAMS).mean_x2 == pytest.approx(2.0, abs=1e-3)
 
 
 def test_harmonic_coherent_oscillation():
     steps = 2048
-    cfg = OracleConfig(-12.0, 12.0, 1024, dt=np.pi / steps, steps=steps, snapshot_stride=steps)
+    cfg = OracleConfig(-12.0, 12.0, 1024, dt=np.pi / steps, steps=steps)
     packet = gaussian_coefficients(GaussianPacket(1.0, GROUND_WIDTH, 0.0))
     start = state_on_oracle_grid(packet, cfg)
-    snaps = split_step_evolve(start, HARMONIC, PARAMS, cfg)
-    assert observables(snaps[-1], PARAMS).mean_x == pytest.approx(-1.0, abs=1e-3)
+    snaps = split_step_evolve(start, HARMONIC, PARAMS, cfg, {steps})
+    assert observables(snaps[steps], PARAMS).mean_x == pytest.approx(-1.0, abs=1e-3)
 
 
 def test_unitarity_norm_drift():
-    cfg = OracleConfig(-12.0, 12.0, 1024, dt=1e-4, steps=10**4, snapshot_stride=10**4)
+    cfg = OracleConfig(-12.0, 12.0, 1024, dt=1e-4, steps=10**4)
     packet = gaussian_coefficients(GaussianPacket(1.0, GROUND_WIDTH, 0.0))
     start = state_on_oracle_grid(packet, cfg)
-    snaps = split_step_evolve(start, HARMONIC, PARAMS, cfg)
-    drift = abs(norm_squared(snaps[-1]) - norm_squared(snaps[0])) / norm_squared(snaps[0])
+    snaps = split_step_evolve(start, HARMONIC, PARAMS, cfg, {0, 10**4})
+    drift = abs(norm_squared(snaps[10**4]) - norm_squared(snaps[0])) / norm_squared(snaps[0])
     assert drift <= 1e-10
 
 
@@ -82,11 +82,11 @@ def test_second_order_convergence():
     packet = gaussian_coefficients(GaussianPacket(1.0, GROUND_WIDTH, 0.0))
     errors = []
     for steps in (50, 100, 200):
-        cfg = OracleConfig(-12.0, 12.0, 1024, dt=1.0 / steps, steps=steps, snapshot_stride=steps)
+        cfg = OracleConfig(-12.0, 12.0, 1024, dt=1.0 / steps, steps=steps)
         start = state_on_oracle_grid(packet, cfg)
-        snaps = split_step_evolve(start, HARMONIC, PARAMS, cfg)
+        snaps = split_step_evolve(start, HARMONIC, PARAMS, cfg, {steps})
         reference = state_on_oracle_grid(coherent_state_exact(1.0, 1.0), cfg)
-        errors.append(l2_distance(reference, snaps[-1]))
+        errors.append(l2_distance(reference, snaps[steps]))
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.4 <= coarse / fine <= 4.6
 
@@ -96,7 +96,7 @@ def test_edge_leakage_detected():
     packet = gaussian_coefficients(GaussianPacket(6.0, 1.0, 0.0))
     start = state_on_oracle_grid(packet, cfg)
     with pytest.raises(EdgeLeakage):
-        split_step_evolve(start, FREE, PARAMS, cfg)
+        split_step_evolve(start, FREE, PARAMS, cfg, set(range(cfg.steps + 1)))
 
 
 def test_l2_distance_identity_and_phase():
@@ -140,7 +140,7 @@ def test_compare_methods_free_case():
 def test_compare_methods_harmonic_case():
     init = CoefficientState([-0.125, 0.5, -0.5])
     stepper = StepperConfig(dt=1e-4, steps=10**4, snapshot_stride=10**4)
-    oracle = OracleConfig(-12.0, 12.0, 1024, dt=1.0 / 2048, steps=2048, snapshot_stride=2048)
+    oracle = OracleConfig(-12.0, 12.0, 1024, dt=1.0 / 2048, steps=2048)
     report = compare_methods(init, HARMONIC, PARAMS, stepper, oracle)
     assert report.l2[-1] <= 1e-3
 
@@ -158,7 +158,7 @@ def test_cross_validation_transitivity():
     # and the oracle agree pairwise
     x0 = 1.0
     init = gaussian_coefficients(GaussianPacket(x0, GROUND_WIDTH, 0.0))
-    cfg = OracleConfig(-12.0, 12.0, 1024, dt=1.0 / 1024, steps=1024, snapshot_stride=1024)
+    cfg = OracleConfig(-12.0, 12.0, 1024, dt=1.0 / 1024, steps=1024)
 
     stepper = StepperConfig(dt=1e-3, steps=1000, integrator="rk4", snapshot_stride=1000)
     from tdse import propagate
@@ -169,7 +169,7 @@ def test_cross_validation_transitivity():
     closed_grid = state_on_oracle_grid(coherent_state_exact(x0, 1.0), cfg)
 
     start = state_on_oracle_grid(init, cfg)
-    oracle_grid = split_step_evolve(start, HARMONIC, PARAMS, cfg)[-1]
+    oracle_grid = split_step_evolve(start, HARMONIC, PARAMS, cfg, {1024})[1024]
 
     assert l2_distance(series_grid, closed_grid) <= 1e-8
     assert l2_distance(closed_grid, oracle_grid) <= 1e-5
@@ -199,8 +199,8 @@ def test_oracle_stops_at_the_last_captured_step(monkeypatch):
     driven = parse_potential("x^2/2 + 0.5*sin(2*t)*x")
     cfg = OracleConfig(-15.0, 15.0, 512, dt=0.01, steps=10)
     start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0, 1, 0)), cfg)
-    grids = tdse.oracle._evolve_capturing(start, driven, PARAMS, cfg, {0, 3})
+    grids = split_step_evolve(start, driven, PARAMS, cfg, {0, 3})
     assert sorted(grids) == [0, 3]
     assert len(calls) == 3  # one potential evaluation per step taken
-    full = split_step_evolve(start, driven, PARAMS, OracleConfig(-15.0, 15.0, 512, 0.01, 3))
-    assert np.array_equal(grids[3].values, full[-1].values)
+    full = split_step_evolve(start, driven, PARAMS, OracleConfig(-15.0, 15.0, 512, 0.01, 3), {3})
+    assert np.array_equal(grids[3].values, full[3].values)
