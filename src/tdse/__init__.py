@@ -27,6 +27,7 @@ from .oracle import (
     OracleConfig,
     compare_methods,
     l2_distance,
+    oracle_error_estimate,
     split_step_evolve,
     state_on_oracle_grid,
 )

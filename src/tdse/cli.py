@@ -12,6 +12,7 @@ only standard output is one final status line.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -19,7 +20,15 @@ from dataclasses import replace
 from .config import ConfigError, RunConfig, load_config
 from .initialization import fit_log_polynomial
 from .integrators import StepperConfig, propagate
-from .oracle import EdgeLeakage, OracleConfig, compare_methods
+from .oracle import (
+    ADAPTIVE_MAX_STEPS,
+    ADAPTIVE_MIN_STEPS,
+    ADAPTIVE_TOLERANCE,
+    EdgeLeakage,
+    OracleConfig,
+    compare_methods,
+    oracle_error_estimate,
+)
 from .potential import PotentialError
 # evaluate_on_grid and observables are not called here, but perfbench/tracing.py
 # wraps them under tdse.cli's names
@@ -69,17 +78,18 @@ def _resolve_out(args_out, cfg: RunConfig):
     return out
 
 
-def _finish(status: str, reconstruction_error) -> int:
+def _finish(status: str, reconstruction_error, report: str = "") -> int:
     """The status line and exit code of a command that keeps the rows
     before a failure: a blow-up abort (exit 3) takes precedence over a
-    snapshot that could not be reconstructed (exit 2)."""
+    snapshot that could not be reconstructed (exit 2).  report is appended
+    to the status line of a completed run."""
     if status != "completed":
         print(f"status={status}")
         return EXIT_BLOWUP
     if reconstruction_error is not None:
         _error(reconstruction_error)
         return EXIT_CONFIG
-    print(f"status={status}")
+    print(f"status={status}{report}")
     return EXIT_OK
 
 
@@ -92,9 +102,10 @@ def _next_pow2(n: int) -> int:
 
 def _oracle_config(cfg: RunConfig, stepper: StepperConfig, default_steps=None) -> OracleConfig:
     """The oracle over the stepper's horizon.  Its step count is [oracle]
-    steps, else round(horizon / [oracle] dt), else the command default:
-    default_steps, or the stepper's own dt and steps when that is None.  Its
-    dt is [oracle] dt, else horizon / steps."""
+    steps, else round(horizon / [oracle] dt), else default_steps (converge's
+    fallback passes the count its oracle error estimate settled on), else,
+    when that is None too (compare), the stepper's own dt and steps.  Its dt
+    is [oracle] dt, else horizon / steps."""
     if cfg.grid is None:
         raise ConfigError("the oracle needs a [grid] section (or [oracle] overrides)")
     horizon = stepper.dt * stepper.steps
@@ -172,6 +183,43 @@ def _cmd_run(args) -> int:
     return _finish(trajectory.status, reconstruction_error)
 
 
+def _converge_levels(cfg: RunConfig, scenario: str, halvings: int, oracle_steps, oracle_memo):
+    """(dts, errors, status) of the dt levels up to the first that does not
+    complete; oracle levels use an oracle of oracle_steps steps by default."""
+    dts, errors = [], []
+    for level in range(halvings + 1):
+        factor = 2**level
+        stepper = replace(
+            cfg.stepper,
+            dt=cfg.stepper.dt / factor,
+            steps=cfg.stepper.steps * factor,
+            snapshot_stride=cfg.stepper.steps * factor,
+        )
+        if scenario == "oracle":
+            oracle_cfg = _oracle_config(cfg, stepper, default_steps=oracle_steps)
+            report = compare_methods(
+                cfg.initial, cfg.potential, cfg.params, stepper, oracle_cfg,
+                memo=oracle_memo,
+            )
+            if report.reconstruction_error is not None:
+                raise report.reconstruction_error
+            status = report.stepper_status
+            if status == "completed":
+                err = float(report.l2[-1])
+        else:
+            trajectory = propagate(cfg.initial, cfg.potential, cfg.params, stepper)
+            status = trajectory.status
+            if status == "completed":
+                err = reference_error(
+                    scenario, cfg.potential, cfg.initial, trajectory.final, cfg.params
+                )
+        if status != "completed":
+            break
+        dts.append(stepper.dt)
+        errors.append(err)
+    return dts, errors, status
+
+
 def _cmd_converge(args) -> int:
     cfg = load_config(args.config)
     out_dir = _resolve_out(args.out, cfg)
@@ -199,40 +247,38 @@ def _cmd_converge(args) -> int:
             )
         scenario = requested
 
+    # with no [oracle] steps or dt, the oracle's step count S is sized by
+    # its own error estimate: doubled from ADAPTIVE_MIN_STEPS until the
+    # estimate is within ADAPTIVE_TOLERANCE of the finest level's error
+    adaptive = scenario == "oracle" and cfg.oracle.steps is None and cfg.oracle.dt is None
+    oracle_steps = ADAPTIVE_MIN_STEPS if adaptive else None
     # one oracle run serves every level: the horizon, and so the oracle
-    # config and its captured steps, is the same float at every level
+    # config and its captured steps, is the same float at every level; the
+    # memo also hands each S-step run on to the estimate at 2S
     oracle_memo = {}
-    dts, errors = [], []
-    for level in range(args.halvings + 1):
-        factor = 2**level
-        stepper = replace(
-            cfg.stepper,
-            dt=cfg.stepper.dt / factor,
-            steps=cfg.stepper.steps * factor,
-            snapshot_stride=cfg.stepper.steps * factor,
+    best = math.inf
+    report = ""
+    while True:
+        dts, errors, status = _converge_levels(
+            cfg, scenario, args.halvings, oracle_steps, oracle_memo
         )
-        if scenario == "oracle":
-            oracle_cfg = _oracle_config(cfg, stepper, default_steps=2048)
-            report = compare_methods(
-                cfg.initial, cfg.potential, cfg.params, stepper, oracle_cfg,
-                memo=oracle_memo,
-            )
-            if report.reconstruction_error is not None:
-                raise report.reconstruction_error
-            status = report.stepper_status
-            if status == "completed":
-                err = float(report.l2[-1])
-        else:
-            trajectory = propagate(cfg.initial, cfg.potential, cfg.params, stepper)
-            status = trajectory.status
-            if status == "completed":
-                err = reference_error(
-                    scenario, cfg.potential, cfg.initial, trajectory.final, cfg.params
-                )
-        if status != "completed":
+        if not adaptive or not errors:
             break
-        dts.append(stepper.dt)
-        errors.append(err)
+        oracle_cfg = _oracle_config(cfg, cfg.stepper, default_steps=oracle_steps)
+        estimate = oracle_error_estimate(
+            cfg.initial, cfg.potential, cfg.params, oracle_cfg, memo=oracle_memo
+        )
+        if estimate <= ADAPTIVE_TOLERANCE * errors[-1]:
+            report = f" oracle_steps={oracle_steps} oracle_error={_fmt(estimate)}"
+            break
+        best = min(best, estimate)
+        if oracle_steps >= ADAPTIVE_MAX_STEPS:
+            raise ConfigError(
+                f"the oracle's error estimate stays above {ADAPTIVE_TOLERANCE:.0%} of the "
+                f"finest error {errors[-1]:.3e} up to {ADAPTIVE_MAX_STEPS} steps "
+                f"(best {best:.3e}); set [oracle] steps to override"
+            )
+        oracle_steps *= 2
 
     rows = []
     for i, (dt, err) in enumerate(zip(dts, errors)):
@@ -241,7 +287,7 @@ def _cmd_converge(args) -> int:
         rows.append((_fmt(dt), _fmt(err), ratio))
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "convergence.csv"), "dt,error,ratio", rows)
-    return _finish(status, None)
+    return _finish(status, None, report)
 
 
 def _cmd_compare(args) -> int:
@@ -290,8 +336,7 @@ def _cmd_fit(args) -> int:
     if parent:
         os.makedirs(parent, exist_ok=True)
     _write_csv(args.out, "n,alpha_re,alpha_im", rows)
-    print(f"status=completed residual={_fmt(result.residual)}")
-    return EXIT_OK
+    return _finish("completed", None, f" residual={_fmt(result.residual)}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

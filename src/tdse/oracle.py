@@ -13,7 +13,7 @@ silent corruption.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,9 +39,17 @@ __all__ = [
     "split_step_evolve",
     "l2_distance",
     "compare_methods",
+    "oracle_error_estimate",
 ]
 
 _EDGE_FRACTION = 1e-6
+
+# A run at S steps with no configured step count is trusted when its
+# estimated error is at most ADAPTIVE_TOLERANCE of the error it measures;
+# S is a power of two from ADAPTIVE_MIN_STEPS up to ADAPTIVE_MAX_STEPS.
+ADAPTIVE_MIN_STEPS = 256
+ADAPTIVE_MAX_STEPS = 8192
+ADAPTIVE_TOLERANCE = 0.01
 
 
 class EdgeLeakage(RuntimeError):
@@ -195,6 +203,19 @@ def _oracle_index(time: float, t0: float, oracle_dt: float):
     return int(round(j))
 
 
+def _oracle_grids(initial, potential, params, oracle_cfg, capture, memo) -> dict:
+    """split_step_evolve from initial's grid, looked up in memo (a dict or
+    None) under everything that determines the result."""
+    key = (initial.alphas.tobytes(), initial.time, repr(potential), params, oracle_cfg, capture)
+    by_index = memo.get(key) if memo is not None else None
+    if by_index is None:
+        start = state_on_oracle_grid(initial, oracle_cfg)
+        by_index = split_step_evolve(start, potential, params, oracle_cfg, capture)
+        if memo is not None:
+            memo[key] = by_index
+    return by_index
+
+
 def compare_methods(
     initial: CoefficientState,
     potential: PotentialModel,
@@ -247,13 +268,7 @@ def compare_methods(
             compared.append((snap, j))
 
     capture = frozenset(j for _, j in compared)
-    key = (initial.alphas.tobytes(), t0, repr(potential), params, oracle_cfg, capture)
-    by_index = memo.get(key) if memo is not None else None
-    if by_index is None:
-        start = state_on_oracle_grid(initial, oracle_cfg)
-        by_index = split_step_evolve(start, potential, params, oracle_cfg, capture)
-        if memo is not None:
-            memo[key] = by_index
+    by_index = _oracle_grids(initial, potential, params, oracle_cfg, capture, memo)
 
     times, l2s, dxs, dnorms = [], [], [], []
     series_norm0 = oracle_norm0 = None
@@ -278,3 +293,30 @@ def compare_methods(
         np.array(times), np.array(l2s), np.array(dxs), np.array(dnorms),
         trajectory.status, reconstruction_error,
     )
+
+
+def oracle_error_estimate(
+    initial: CoefficientState,
+    potential: PotentialModel,
+    params: PhysicalParams,
+    oracle_cfg: OracleConfig,
+    *,
+    memo: dict | None = None,
+) -> float:
+    """Estimated l2 error of the oracle's final grid: l2(S, S/2) / 3 for an
+    S-step run, from the error ratio 4 of a second-order scheme under step
+    halving.  oracle_cfg.steps must be even and positive.
+
+    Both runs capture steps 0 and final, as compare_methods does for two
+    snapshots at the ends of the horizon, so with the same memo the S-step
+    run of a comparison serves as the fine run here, and the fine run of
+    one estimate as the coarse run of the next at 2S.
+    """
+    if oracle_cfg.steps < 2 or oracle_cfg.steps % 2:
+        raise ValueError(f"steps must be even and positive, got {oracle_cfg.steps}")
+    coarse_cfg = replace(oracle_cfg, steps=oracle_cfg.steps // 2, dt=2.0 * oracle_cfg.dt)
+    fine, coarse = (
+        _oracle_grids(initial, potential, params, cfg, frozenset((0, cfg.steps)), memo)[cfg.steps]
+        for cfg in (oracle_cfg, coarse_cfg)
+    )
+    return l2_distance(fine, coarse) / 3.0

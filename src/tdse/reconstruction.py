@@ -31,9 +31,9 @@ _EXP_CUTOFF = 700.0
 
 
 class ExponentOverflow(OverflowError):
-    """Re S(x) exceeded the exp ceiling, or |psi|^2 or a moment built from
-    it overflowed: non-normalizable state or a window wider than the
-    representation's validity region."""
+    """Re S(x) exceeded the exp ceiling or is not finite, or |psi|^2 or a
+    moment built from it overflowed: non-normalizable state or a window
+    wider than the representation's validity region."""
 
 
 class ZeroNorm(ValueError):
@@ -80,16 +80,16 @@ def evaluate_at(state: CoefficientState, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     a = state.alphas
     s = np.full(xs.shape, a[-1], dtype=np.complex128)
-    # a sum that overflows to inf or NaN is rejected by the Re S guard below
-    # or by the finite-sample check of the caller
+    # a sum that overflows is rejected by the Re S guard below when its real
+    # part is inf or NaN (np.max is then NaN, which fails every comparison),
+    # else by the finite-sample check of the caller
     with np.errstate(over="ignore", invalid="ignore"):
         for coeff in a[-2::-1]:
             s = s * xs + coeff
     peak = float(np.max(s.real))
-    if peak > _EXP_CUTOFF:
-        raise ExponentOverflow(
-            f"Re S reaches {peak:.1f} > {_EXP_CUTOFF:.0f} on the requested window"
-        )
+    if not peak <= _EXP_CUTOFF:
+        reach = "is not finite" if math.isnan(peak) else f"reaches {peak:.1f} > {_EXP_CUTOFF:.0f}"
+        raise ExponentOverflow(f"Re S {reach} on the requested window")
     return np.exp(s)
 
 

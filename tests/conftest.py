@@ -204,8 +204,9 @@ def reference_reconstruct(state, xmin, xmax, points, params):
     for coeff in state.alphas[-2::-1]:
         s = s * samples + coeff
     peak = float(np.max(s.real))
-    if peak > 700.0:
-        raise ExponentOverflow(f"Re S reaches {peak:.1f} > 700 on the requested window")
+    if not peak <= 700.0:
+        reach = "is not finite" if math.isnan(peak) else f"reaches {peak:.1f} > 700"
+        raise ExponentOverflow(f"Re S {reach} on the requested window")
     values = np.exp(s)
     dx = (xmax - xmin) / (points - 1)
     if not (np.isfinite(dx) and dx > 0):

@@ -299,9 +299,9 @@ def test_converge_runs_the_oracle_once_per_invocation(tmp_path, capsys, monkeypa
     config = write_config(tmp_path / "conv.cfg", DRIVEN_FALLBACK)
     argv = ("converge", "--config", config, "--halvings", "3", "--out", str(tmp_path / "out"))
     assert run_cli(*argv) == 0
-    assert len(runs) == 1
+    assert sorted(cfg.steps for cfg in runs) == [128, 256]
     assert run_cli(*argv) == 0  # nothing is kept from one invocation to the next
-    assert len(runs) == 2
+    assert sorted(cfg.steps for cfg in runs[2:]) == [128, 256]
     capsys.readouterr()
 
 
@@ -318,7 +318,8 @@ def test_converge_reused_oracle_writes_the_bytes_of_independent_runs(
     monkeypatch.setattr("tdse.cli.compare_methods", lambda *a, memo=None: real(*a))
     runs = _count_oracle_runs(monkeypatch)
     assert run_cli("converge", "--config", config, "--halvings", "3", "--out", str(independent)) == 0
-    assert len(runs) == 4
+    # one run per level, then the estimate's own 256- and 128-step runs
+    assert sorted(cfg.steps for cfg in runs) == [128] + [256] * 5
     assert (shared / "convergence.csv").read_bytes() == (independent / "convergence.csv").read_bytes()
     capsys.readouterr()
 
@@ -326,7 +327,7 @@ def test_converge_reused_oracle_writes_the_bytes_of_independent_runs(
 @pytest.mark.parametrize(
     "oracle,steps,dt",
     [
-        ("", 2048, 1.0 / 2048),
+        ("", 256, 1.0 / 256),
         ("steps = 64\n", 64, 1.0 / 64),
         ("dt = 0.25\n", 4, 0.25),
         ("steps = 8\ndt = 0.125\n", 8, 0.125),
@@ -338,8 +339,72 @@ def test_converge_oracle_steps_come_from_steps_then_dt_then_the_default(
     runs = _count_oracle_runs(monkeypatch)
     config = write_config(tmp_path / "conv.cfg", DRIVEN_FALLBACK + "\n[oracle]\n" + oracle)
     assert run_cli("converge", "--config", config, "--halvings", "1", "--out", str(tmp_path)) == 0
-    assert [(cfg.steps, cfg.dt) for cfg in runs] == [(steps, dt)]
-    capsys.readouterr()
+    # the default is checked by an estimate that reruns the oracle at half the steps
+    expected = [(steps, dt)] if oracle else [(256, 1.0 / 256), (128, 1.0 / 128)]
+    assert [(cfg.steps, cfg.dt) for cfg in runs] == expected
+    status = capsys.readouterr().out
+    if oracle:  # a configured oracle reports nothing about itself
+        assert status == "status=completed\n"
+    else:
+        assert status.startswith("status=completed oracle_steps=256 oracle_error=")
+
+
+@pytest.mark.parametrize(
+    "halvings,steps", [(3, [128, 256]), (6, [128, 256, 512])], ids=["256", "512"]
+)
+def test_converge_sizes_the_oracle_by_its_error_estimate(
+    tmp_path, capsys, monkeypatch, halvings, steps
+):
+    # the estimate at 256 steps, 1.5e-6, is under 1% of the finest error at
+    # 3 halvings (8.7e-4) but not at 6 (1.1e-4); each doubling adds one run
+    runs = _count_oracle_runs(monkeypatch)
+    config = write_config(tmp_path / "conv.cfg", DRIVEN_FALLBACK)
+    out = tmp_path / "out"
+    argv = ("converge", "--config", config, "--halvings", str(halvings), "--out", str(out))
+    assert run_cli(*argv) == 0
+    assert sorted(cfg.steps for cfg in runs) == steps
+    status = capsys.readouterr().out.splitlines()
+    assert len(status) == 1
+    fields = dict(field.split("=") for field in status[0].split())
+    assert fields["status"] == "completed" and int(fields["oracle_steps"]) == steps[-1]
+    estimate = float(fields["oracle_error"])
+    assert fields["oracle_error"] == f"{estimate:.16e}"  # 17 significant digits
+    lines = (out / "convergence.csv").read_text().splitlines()[1:]
+    assert len(lines) == halvings + 1
+    assert estimate <= 0.01 * float(lines[-1].split(",")[1])
+
+
+# RK4 at dt = 1e-2 is far more accurate than any oracle up to 8192 steps:
+# every error would measure the oracle
+COHERENT_RK4_ORACLE = """
+[potential]
+expression = x^2/2
+
+[initial]
+kind = coefficients
+alpha_re = -0.125, 0.5, -0.5
+
+[stepper]
+integrator = rk4
+dt = 1e-2
+steps = 100
+
+[grid]
+xmin = -12.0
+xmax = 12.0
+points = 256
+
+[converge]
+scenario = oracle
+"""
+
+
+def test_converge_exits_2_when_no_oracle_up_to_the_cap_resolves_the_error(tmp_path, capsys):
+    config = write_config(tmp_path / "conv.cfg", COHERENT_RK4_ORACLE)
+    out = tmp_path / "out"
+    assert run_cli("converge", "--config", config, "--halvings", "1", "--out", str(out)) == 2
+    assert_one_error_line(capsys, "up to 8192 steps")
+    assert not (out / "convergence.csv").exists()
 
 
 # x^2/2 + 0.5*x^4 blows up under RK4 at dt = 0.2 within a few steps; the
@@ -764,9 +829,14 @@ def test_a_nan_horner_sum_exits_2_without_warnings(tmp_path, capsys, command):
     config = write_config(tmp_path / "nan.cfg", NAN_HORNER)
     out = tmp_path / "out"
     assert run_cli(command, "--config", config, "--out", str(out)) == 2
-    assert_one_error_line(capsys, "grid values must be finite")
-    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
-    assert written == (["coefficients.csv"] if command == "run" else [])
+    assert_one_error_line(capsys, "Re S is not finite")
+    # the snapshot at t = 0 is finite; the one after the step is not, and
+    # only its row and the rows after it are missing
+    name = "observables.csv" if command == "run" else "compare.csv"
+    written = sorted(p.name for p in out.iterdir())
+    assert written == (["coefficients.csv", name] if command == "run" else [name])
+    rows = (out / name).read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0]
 
 
 POLE = """

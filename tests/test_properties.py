@@ -1,6 +1,7 @@
 """Property tests: the fused stepper, the compiled potential and the
-reconstruction kernel reproduce their textbook references bit for bit, and
-the potential printer round-trips."""
+reconstruction kernel reproduce their textbook references bit for bit, the
+potential printer round-trips, and the oracle's error estimate tracks its
+error."""
 
 import math
 import random
@@ -21,15 +22,22 @@ from conftest import (  # noqa: E402
 )
 from tdse import (  # noqa: E402
     CoefficientState,
+    GaussianPacket,
+    OracleConfig,
     PhysicalParams,
     PotentialModel,
     StepperConfig,
     eval_taylor_coefficients,
     evaluate_on_grid,
     format_potential,
+    gaussian_coefficients,
+    l2_distance,
     observables,
+    oracle_error_estimate,
     parse_potential,
     propagate,
+    split_step_evolve,
+    state_on_oracle_grid,
 )
 from tdse.potential import BinOp, Call, Const, Neg, Power, TimeVar, eval_profile  # noqa: E402
 from tdse.reconstruction import observables_kernel  # noqa: E402
@@ -328,3 +336,27 @@ def test_the_kernel_keeps_its_window_on_later_states():
         ref_values, ref_xs, ref_obs = reference_reconstruct(state, -9.0, 11.0, 777, params)
         assert _bits(values) == _bits(ref_values) and _bits(xs) == _bits(ref_xs)
         assert _bits(list(vars(obs).values())) == _bits(list(vars(ref_obs).values()))
+
+
+# ---------------------------------------------------------------------------
+# (e) the oracle's error estimate against a much finer run
+
+DRIVEN = parse_potential("x^2/2 + 0.5*sin(2*t)*x + 0.1*cos(t)^2*x^2")
+
+
+def _final_grid(initial, cfg):
+    start = state_on_oracle_grid(initial, cfg)
+    return split_step_evolve(start, DRIVEN, PhysicalParams(), cfg, {cfg.steps})[cfg.steps]
+
+
+@settings(max_examples=8)
+@given(st.floats(-0.5, 0.5), st.floats(0.9, 1.1), st.floats(-0.5, 0.5))
+def test_the_estimate_at_256_steps_is_within_2x_of_the_error(x0, sigma, k0):
+    # the driven well over a unit horizon on 256 points, as converge's
+    # oracle fallback runs it; a 2048-step run stands in for the exact grid
+    initial = gaussian_coefficients(GaussianPacket(x0, sigma, k0))
+    cfg = OracleConfig(-10.0, 10.0, 256, dt=1.0 / 256, steps=256)
+    estimate = oracle_error_estimate(initial, DRIVEN, PhysicalParams(), cfg)
+    fine = OracleConfig(-10.0, 10.0, 256, dt=1.0 / 2048, steps=2048)
+    error = l2_distance(_final_grid(initial, fine), _final_grid(initial, cfg))
+    assert 0.5 * error <= estimate <= 2.0 * error
