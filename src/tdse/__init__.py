@@ -15,10 +15,7 @@ from .initialization import (
 from .integrators import (
     StepperConfig,
     Trajectory,
-    detect_blowup,
-    euler_step,
     propagate,
-    rk4_step,
 )
 from .oracle import (
     ComparisonReport,
@@ -39,9 +36,7 @@ from .potential import (
     PotentialSyntaxError,
     XInDenominatorError,
     XInsideFunctionError,
-    eval_potential_at,
     eval_taylor_coefficients,
-    format_potential,
     parse_potential,
 )
 from .reconstruction import (
@@ -52,7 +47,6 @@ from .reconstruction import (
     evaluate_at,
     evaluate_on_grid,
     norm_squared,
-    normalizability_check,
     observables,
 )
 from .state import (

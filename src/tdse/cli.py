@@ -4,9 +4,11 @@ deterministic CSV artifacts.
 Each command is straight-line code that raises on failure; `main` maps
 the exception to an exit code through one table, `_EXIT_CODES`, and
 prints it as one `error:` line on stderr.  Exit codes: 0 success,
-2 config, validation or reconstruction error, or an output that cannot
-be written, 3 propagation aborted by blow-up detection (partial outputs
-are still written), 4 potential-DSL error.  All numbers are written with
+2 config, validation or reconstruction error (a series past quadratic
+closure that is not negligible at its window's edges included; the rows
+before it are kept), or an output that cannot be written, 3 propagation
+aborted by blow-up detection (partial outputs are still written), 4
+potential-DSL error.  All numbers are written with
 17 significant digits so identical inputs give byte-identical files; the
 only standard output is one final status line.
 """
@@ -28,6 +30,7 @@ from .oracle import (
     OracleConfig,
     compare_methods,
     oracle_error_estimate,
+    series_edge_guard,
 )
 from .potential import PotentialError
 # evaluate_on_grid and observables are not called here, but perfbench/tracing.py
@@ -64,11 +67,11 @@ def _error(message) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _write_csv(path: str, header: str, lines) -> None:
+    """header, then lines, each already formatted and ending in a newline."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+        handle.writelines(lines)
 
 
 def _resolve_out(args_out, cfg: RunConfig):
@@ -135,7 +138,7 @@ def _cmd_run(args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     coeff_rows = (
-        (_fmt(snap.time), str(n), _fmt(alpha.real), _fmt(alpha.imag))
+        f"{snap.time:.16e},{n},{alpha.real:.16e},{alpha.imag:.16e}\n"
         for snap in trajectory.snapshots
         for n, alpha in enumerate(snap.alphas.tolist())
     )
@@ -144,23 +147,19 @@ def _cmd_run(args) -> int:
     # reconstruction can fail on non-normalizable states; keep whatever rows
     # were healthy
     xs, observe = observables_kernel(cfg.grid.xmin, cfg.grid.xmax, cfg.grid.points, cfg.params)
+    guard = series_edge_guard(cfg.initial, cfg.potential)
     reconstruction_error = None
     obs_rows = []
     for snap in trajectory.snapshots:
         try:
             values, obs = observe(snap)
-        except (ExponentOverflow, ZeroNorm) as exc:
+            guard(values, snap.time)
+        except (ExponentOverflow, ZeroNorm, EdgeLeakage) as exc:
             reconstruction_error = exc
             break
         obs_rows.append(
-            (
-                _fmt(snap.time),
-                _fmt(obs.norm2),
-                _fmt(obs.mean_x),
-                _fmt(obs.mean_x2),
-                _fmt(obs.mean_p_re),
-                _fmt(obs.mean_p_im),
-            )
+            f"{snap.time:.16e},{obs.norm2:.16e},{obs.mean_x:.16e},{obs.mean_x2:.16e},"
+            f"{obs.mean_p_re:.16e},{obs.mean_p_im:.16e}\n"
         )
     _write_csv(
         os.path.join(out_dir, "observables.csv"),
@@ -172,7 +171,7 @@ def _cmd_run(args) -> int:
         # ones; Python's abs of a Python complex matches numpy's scalar abs,
         # which numpy's array abs does not in the last bit
         wf_rows = (
-            (_fmt(x), _fmt(v.real), _fmt(v.imag), _fmt(abs(v) ** 2))
+            f"{x:.16e},{v.real:.16e},{v.imag:.16e},{abs(v) ** 2:.16e}\n"
             for x, v in zip(xs.tolist(), values.tolist())
         )
         _write_csv(
@@ -254,7 +253,8 @@ def _cmd_converge(args) -> int:
     oracle_steps = ADAPTIVE_MIN_STEPS if adaptive else None
     # one oracle run serves every level: the horizon, and so the oracle
     # config and its captured steps, is the same float at every level; the
-    # memo also hands each S-step run on to the estimate at 2S
+    # memo also hands each S-step run on to the estimate at 2S, and each
+    # level's series trajectory, which does not depend on S, on to the next S
     oracle_memo = {}
     best = math.inf
     report = ""
@@ -284,7 +284,7 @@ def _cmd_converge(args) -> int:
     for i, (dt, err) in enumerate(zip(dts, errors)):
         # a ratio exists only against a nonzero error of a previous level
         ratio = _fmt(errors[i - 1] / err) if i > 0 and err != 0.0 else ""
-        rows.append((_fmt(dt), _fmt(err), ratio))
+        rows.append(f"{dt:.16e},{err:.16e},{ratio}\n")
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "convergence.csv"), "dt,error,ratio", rows)
     return _finish(status, None, report)
@@ -298,7 +298,7 @@ def _cmd_compare(args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     rows = [
-        (_fmt(t), _fmt(l2), _fmt(dx), _fmt(dn))
+        f"{t:.16e},{l2:.16e},{dx:.16e},{dn:.16e}\n"
         for t, l2, dx, dn in zip(report.times, report.l2, report.d_mean_x, report.d_norm)
     ]
     _write_csv(os.path.join(out_dir, "compare.csv"), "t,l2_distance,d_mean_x,d_norm", rows)
@@ -329,7 +329,7 @@ def _read_samples(path: str):
 def _cmd_fit(args) -> int:
     result = fit_log_polynomial(_read_samples(args.samples), args.degree)
     rows = [
-        (str(n), _fmt(alpha.real), _fmt(alpha.imag))
+        f"{n},{alpha.real:.16e},{alpha.imag:.16e}\n"
         for n, alpha in enumerate(result.state.alphas)
     ]
     parent = os.path.dirname(args.out)

@@ -85,7 +85,6 @@ class OracleOptions:
 @dataclass
 class RunConfig:
     params: PhysicalParams
-    potential_text: str
     potential: PotentialModel
     initial: CoefficientState
     stepper: StepperConfig
@@ -252,8 +251,7 @@ def load_config(path: str) -> RunConfig:
 
     if "potential" not in sections:
         raise ConfigError("missing required section [potential]")
-    potential_text = sections["potential"].require("expression").strip()
-    potential = parse_potential(potential_text)
+    potential = parse_potential(sections["potential"].require("expression").strip())
 
     if "initial" not in sections:
         raise ConfigError("missing required section [initial]")
@@ -318,7 +316,6 @@ def load_config(path: str) -> RunConfig:
 
     return RunConfig(
         params=params,
-        potential_text=potential_text,
         potential=potential,
         initial=initial,
         stepper=stepper,

@@ -22,14 +22,7 @@ from .potential import PotentialModel, eval_taylor_coefficients
 from .state import CoefficientState, PhysicalParams, velocity_kernel
 from .state import coefficient_velocity  # noqa: F401  (re-exported: the kernel for one state)
 
-__all__ = [
-    "StepperConfig",
-    "Trajectory",
-    "euler_step",
-    "rk4_step",
-    "propagate",
-    "detect_blowup",
-]
+__all__ = ["StepperConfig", "Trajectory", "propagate"]
 
 INTEGRATORS = ("euler", "rk4")
 
@@ -68,9 +61,6 @@ class Trajectory:
     def final(self) -> CoefficientState:
         return self.snapshots[-1]
 
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.snapshots])
-
 
 def _make_step(
     integrator: str,
@@ -80,8 +70,7 @@ def _make_step(
     dt: float,
 ):
     """step(alphas, t) -> the alphas one dt later, for states shaped like
-    initial; the single stepping path behind propagate and the one-step
-    helpers."""
+    initial."""
     order = initial.truncation_order
     forcing, velocity = velocity_kernel(order, params)
     if potential.is_static:
@@ -115,37 +104,10 @@ def _make_step(
     return step
 
 
-def euler_step(
-    state: CoefficientState,
-    potential: PotentialModel,
-    params: PhysicalParams,
-    dt: float,
-) -> CoefficientState:
-    """One forward Euler step, potential sampled at the step's left endpoint."""
-    step = _make_step("euler", state, potential, params, dt)
-    return CoefficientState(step(state.alphas, state.time), state.time + dt)
-
-
-def rk4_step(
-    state: CoefficientState,
-    potential: PotentialModel,
-    params: PhysicalParams,
-    dt: float,
-) -> CoefficientState:
-    """One classical Runge-Kutta step over the same velocity field."""
-    step = _make_step("rk4", state, potential, params, dt)
-    return CoefficientState(step(state.alphas, state.time), state.time + dt)
-
-
 def _blown_up(alphas: np.ndarray, threshold: float) -> bool:
     # the max of |alpha| is NaN when any entry is, and inf when any is
     # infinite, so one comparison covers non-finite and oversized entries
     return not np.abs(alphas).max() <= threshold
-
-
-def detect_blowup(state: CoefficientState, threshold: float) -> bool:
-    """True iff any coefficient is non-finite or exceeds threshold in magnitude."""
-    return _blown_up(state.alphas, threshold)
 
 
 def propagate(

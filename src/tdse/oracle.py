@@ -9,7 +9,8 @@ is what makes it a usable cross-check.
 
 Periodic boundaries mean a packet reaching the window edge wraps around;
 the EdgeLeakage guard turns that failure mode into an error instead of a
-silent corruption.
+silent corruption.  The same guard catches a truncated series that breaks
+down: its reconstruction grows without bound towards the window edges.
 """
 
 import math
@@ -17,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .initialization import is_closed_system
 from .integrators import StepperConfig, propagate
 from .potential import PotentialModel, eval_taylor_coefficients
 from .reconstruction import (
@@ -40,6 +42,7 @@ __all__ = [
     "l2_distance",
     "compare_methods",
     "oracle_error_estimate",
+    "series_edge_guard",
 ]
 
 _EDGE_FRACTION = 1e-6
@@ -94,14 +97,25 @@ def state_on_oracle_grid(state: CoefficientState, cfg: OracleConfig) -> WaveGrid
     return WaveGrid(cfg.xmin, cfg.dx, evaluate_at(state, oracle_grid_xs(cfg)), state.time)
 
 
-def _check_edges(values: np.ndarray, time: float):
+def _check_edges(values: np.ndarray, time: float, label: str = ""):
     peak = float(np.max(np.abs(values)))
     edge = float(max(abs(values[0]), abs(values[-1])))
     if peak == 0.0 or edge > _EDGE_FRACTION * peak:
         raise EdgeLeakage(
-            f"edge magnitude {edge:.3e} exceeds {_EDGE_FRACTION:.0e} of peak "
+            f"{label}edge magnitude {edge:.3e} exceeds {_EDGE_FRACTION:.0e} of peak "
             f"{peak:.3e} at t = {time:.6g}"
         )
+
+
+def series_edge_guard(initial: CoefficientState, potential: PotentialModel):
+    """guard(values, time), which raises EdgeLeakage when a series
+    reconstruction is not negligible at its window's edges.  A closed
+    system's series is exact and cannot diverge, so its guard checks
+    nothing: an exact packet near the edges is not a series failure."""
+    support = np.flatnonzero(initial.alphas)
+    if is_closed_system(int(support[-1]) if support.size else 0, potential.degree):
+        return lambda values, time: None
+    return lambda values, time: _check_edges(values, time, "series ")
 
 
 def split_step_evolve(
@@ -182,9 +196,9 @@ class ComparisonReport:
     d_mean_x is the <x> difference (series minus oracle); d_norm compares
     relative norm drift, i.e. norm2(t)/norm2(0) of the series
     reconstruction minus the same ratio for the (unitary) oracle.
-    reconstruction_error is the ExponentOverflow or ZeroNorm raised at the
-    first snapshot that could not be compared, which ends the rows, or None
-    when every snapshot was compared.
+    reconstruction_error is the ExponentOverflow, ZeroNorm or series
+    EdgeLeakage raised at the first snapshot that could not be compared,
+    which ends the rows, or None when every snapshot was compared.
     """
 
     times: np.ndarray
@@ -203,17 +217,26 @@ def _oracle_index(time: float, t0: float, oracle_dt: float):
     return int(round(j))
 
 
+def _memoized(memo, key: tuple, compute):
+    """compute(), looked up in memo (a dict or None) under key."""
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 def _oracle_grids(initial, potential, params, oracle_cfg, capture, memo) -> dict:
-    """split_step_evolve from initial's grid, looked up in memo (a dict or
-    None) under everything that determines the result."""
+    """split_step_evolve from initial's grid, memoized under everything that
+    determines the result."""
     key = (initial.alphas.tobytes(), initial.time, repr(potential), params, oracle_cfg, capture)
-    by_index = memo.get(key) if memo is not None else None
-    if by_index is None:
-        start = state_on_oracle_grid(initial, oracle_cfg)
-        by_index = split_step_evolve(start, potential, params, oracle_cfg, capture)
-        if memo is not None:
-            memo[key] = by_index
-    return by_index
+    return _memoized(
+        memo,
+        key,
+        lambda: split_step_evolve(
+            state_on_oracle_grid(initial, oracle_cfg), potential, params, oracle_cfg, capture
+        ),
+    )
 
 
 def compare_methods(
@@ -235,13 +258,16 @@ def compare_methods(
     compared snapshot.
 
     A snapshot whose series or oracle grid cannot be reconstructed
-    (ExponentOverflow or ZeroNorm) ends the rows: the report keeps the rows
-    before it and carries the exception as reconstruction_error.
+    (ExponentOverflow or ZeroNorm), or whose series grid fails
+    series_edge_guard, ends the rows: the report keeps the rows before it
+    and carries the exception as reconstruction_error.
 
     memo, a dict the caller owns, keeps the oracle grids of each run keyed
     by everything that determines them (initial state, potential, params,
     oracle_cfg and the captured step indices), so calls that differ only in
-    the stepper reuse one oracle run.
+    the stepper reuse one oracle run, and each series trajectory keyed by
+    the initial state, potential, params and stepper_cfg, so calls that
+    differ only in the oracle reuse one propagation.
     """
     horizon_s = stepper_cfg.dt * stepper_cfg.steps
     horizon_o = oracle_cfg.dt * oracle_cfg.steps
@@ -258,7 +284,10 @@ def compare_methods(
         if _oracle_index(time, t0, oracle_cfg.dt) is None:
             raise ValueError(f"snapshot time {time!r} does not land on the oracle step grid")
 
-    trajectory = propagate(initial, potential, params, stepper_cfg)
+    key = (initial.alphas.tobytes(), initial.time, repr(potential), params, stepper_cfg)
+    trajectory = _memoized(
+        memo, key, lambda: propagate(initial, potential, params, stepper_cfg)
+    )
     # every recorded snapshot is on the grid; only the unrecorded last
     # healthy state of an aborted run can miss it, and is left out
     compared = []
@@ -270,6 +299,7 @@ def compare_methods(
     capture = frozenset(j for _, j in compared)
     by_index = _oracle_grids(initial, potential, params, oracle_cfg, capture, memo)
 
+    guard = series_edge_guard(initial, potential)
     times, l2s, dxs, dnorms = [], [], [], []
     series_norm0 = oracle_norm0 = None
     reconstruction_error = None
@@ -280,7 +310,8 @@ def compare_methods(
             obs_s = observables(series_grid, params)
             obs_o = observables(oracle_grid, params)
             l2 = l2_distance(oracle_grid, series_grid)
-        except (ExponentOverflow, ZeroNorm) as exc:
+            guard(series_grid.values, snap.time)
+        except (ExponentOverflow, ZeroNorm, EdgeLeakage) as exc:
             reconstruction_error = exc
             break
         if series_norm0 is None:

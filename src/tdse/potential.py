@@ -44,10 +44,7 @@ __all__ = [
     "Call",
     "PotentialModel",
     "parse_potential",
-    "eval_profile",
     "eval_taylor_coefficients",
-    "eval_potential_at",
-    "format_potential",
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp")
@@ -467,11 +464,6 @@ def _compile(node):
     raise TypeError(f"not a TimeProfile node: {node!r}")
 
 
-def eval_profile(node, t: float) -> float:
-    """Evaluate a TimeProfile tree at time t."""
-    return _compile(node)[0](t)
-
-
 def eval_taylor_coefficients(model: PotentialModel, t: float, max_degree: int) -> np.ndarray:
     """Coefficients V_0..V_max at time t; degrees absent from the model are 0."""
     if max_degree < 0:
@@ -481,61 +473,3 @@ def eval_taylor_coefficients(model: PotentialModel, t: float, max_degree: int) -
         if d <= max_degree:
             out[d] = fn(t)
     return out
-
-
-def eval_potential_at(model: PotentialModel, x: float, t: float) -> float:
-    """Resummed potential value sum_n V_n(t) * x**n."""
-    return float(sum(fn(t) * x**d for d, fn in model._profiles))
-
-
-# ---------------------------------------------------------------------------
-# pretty printer; parse(format_potential(parse(text))) reproduces the model
-
-
-def _prec(node) -> float:
-    if isinstance(node, BinOp):
-        return 1.0 if node.op in "+-" else 2.0
-    if isinstance(node, Neg):
-        return 2.5
-    if isinstance(node, Power):
-        return 3.0
-    return 4.0  # Const, TimeVar, Call
-
-
-def _fmt(node, required: float) -> str:
-    if isinstance(node, Const):
-        text = repr(node.value)
-    elif isinstance(node, TimeVar):
-        text = "t"
-    elif isinstance(node, Neg):
-        text = "-" + _fmt(node.operand, 3.0)
-    elif isinstance(node, BinOp):
-        prec = _prec(node)
-        text = f"{_fmt(node.left, prec)} {node.op} {_fmt(node.right, prec + 0.01)}"
-    elif isinstance(node, Power):
-        text = f"{_fmt(node.base, 4.0)}^{node.exponent}"
-    elif isinstance(node, Call):
-        return f"{node.fn}({_fmt(node.arg, 0.0)})"
-    else:
-        raise TypeError(f"not a TimeProfile node: {node!r}")
-    if _prec(node) < required:
-        return f"({text})"
-    return text
-
-
-def format_potential(model: PotentialModel) -> str:
-    """Canonical text form of a model; the empty model prints as '0'."""
-    if not model.terms:
-        return "0"
-    parts = []
-    for d in sorted(model.terms):
-        coeff = model.terms[d]
-        if d == 0:
-            parts.append(_fmt(coeff, 2.0))
-        else:
-            xpow = "x" if d == 1 else f"x^{d}"
-            if _is_const(coeff, 1.0):
-                parts.append(xpow)
-            else:
-                parts.append(f"{_fmt(coeff, 2.0)} * {xpow}")
-    return " + ".join(parts)

@@ -23,7 +23,6 @@ __all__ = [
     "observables_kernel",
     "norm_squared",
     "observables",
-    "normalizability_check",
 ]
 
 # just under the double-precision exp ceiling (exp(710) overflows)
@@ -212,15 +211,3 @@ def observables_kernel(xmin: float, xmax: float, points: int, params: PhysicalPa
         return values, _moments(values, dx, xs, xs_sq, hbar, dpsi)
 
     return xs, observe
-
-
-def normalizability_check(state: CoefficientState, epsilon: float = 1e-12) -> bool:
-    """True iff the leading coefficient above the magnitude floor is of even
-    index n >= 2 with negative real part (so |psi| decays at both infinities)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    above = np.nonzero(np.abs(state.alphas) > epsilon)[0]
-    if len(above) == 0:
-        return False
-    n = int(above[-1])
-    return bool(n >= 2 and n % 2 == 0 and state.alphas[n].real < 0)

@@ -56,8 +56,8 @@ class CoefficientState:
     ``alphas[n]`` multiplies x**n in the exponent; the array always has
     length ``truncation_order + 1``.  A physically meaningful state has
     only finite entries; states produced by a diverging time step may
-    transiently violate this, which is what ``detect_blowup`` in the
-    integrators module is for.
+    transiently violate this, which is what ``propagate``'s blow-up
+    detector in the integrators module is for.
     """
 
     alphas: np.ndarray

@@ -2,8 +2,9 @@
 
 These are the independent oracles the numerical paths are checked
 against; they never call the code under test beyond plain data types
-(reference_run loads the config and propagates with the package; what it
-writes from the snapshots is its own).
+(one_step is propagate over a single step, and reference_run loads the
+config and propagates with the package; what it writes from the
+snapshots is its own).
 """
 
 import cmath
@@ -16,6 +17,7 @@ from tdse import (
     EvaluationError,
     ExponentOverflow,
     Observables,
+    StepperConfig,
     ZeroNorm,
     propagate,
 )
@@ -76,6 +78,12 @@ def max_support_index(alphas, floor: float = 0.0) -> int:
 def write_config(path, body: str) -> str:
     path.write_text(body, encoding="utf-8")
     return str(path)
+
+
+def one_step(state, potential, params, dt: float, integrator: str = "euler"):
+    """The state one step of the given integrator later."""
+    cfg = StepperConfig(dt=dt, steps=1, integrator=integrator)
+    return propagate(state, potential, params, cfg).final
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +250,11 @@ def reference_run(config_path: str):
     """(exit code, {file name: bytes}) of `tdse run` on a config: the CSVs
     built as lists of rows of numpy scalars, with one reference_reconstruct
     call per snapshot, and a blow-up (3) taking precedence over a snapshot
-    that cannot be reconstructed (2)."""
+    that cannot be reconstructed or, past quadratic closure, is not 1e-6 of
+    its peak at the window's edges (2)."""
     cfg = load_config(config_path)
     trajectory = propagate(cfg.initial, cfg.potential, cfg.params, cfg.stepper)
+    closed = max_support_index(cfg.initial.alphas) <= 2 and cfg.potential.degree <= 2
 
     def csv(header, rows):
         text = header + "\n" + "".join(",".join(row) + "\n" for row in rows)
@@ -271,6 +281,10 @@ def reference_run(config_path: str):
             )
         except (ExponentOverflow, ZeroNorm) as exc:
             error = exc
+            break
+        magnitude = np.abs(values)
+        if not closed and max(magnitude[0], magnitude[-1]) > 1e-6 * magnitude.max():
+            error = "series edge leakage"
             break
         rows.append(
             (fmt(snap.time), fmt(obs.norm2), fmt(obs.mean_x), fmt(obs.mean_x2),

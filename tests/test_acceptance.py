@@ -9,7 +9,13 @@ import cmath
 import numpy as np
 import pytest
 
-from conftest import coherent_state_exact, max_support_index, riccati_alpha2, write_config
+from conftest import (
+    coherent_state_exact,
+    max_support_index,
+    one_step,
+    riccati_alpha2,
+    write_config,
+)
 from tdse import (
     CoefficientState,
     GaussianPacket,
@@ -18,7 +24,6 @@ from tdse import (
     PotentialModel,
     StepperConfig,
     compare_methods,
-    euler_step,
     evaluate_on_grid,
     fit_log_polynomial,
     gaussian_coefficients,
@@ -131,7 +136,7 @@ def test_criterion_06_one_step_support_growth():
         degree = int(rng.integers(0, 7))
         coeff = float(rng.standard_normal()) or 1.0
         model = PotentialModel({degree: Const(coeff)})
-        stepped = euler_step(CoefficientState(alphas), model, PARAMS, 1e-3)
+        stepped = one_step(CoefficientState(alphas), model, PARAMS, 1e-3)
         if max_support_index(stepped.alphas) > support_bound_after_step(largest, degree):
             violations += 1
     assert violations == 0

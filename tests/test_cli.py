@@ -357,12 +357,21 @@ def test_converge_sizes_the_oracle_by_its_error_estimate(
 ):
     # the estimate at 256 steps, 1.5e-6, is under 1% of the finest error at
     # 3 halvings (8.7e-4) but not at 6 (1.1e-4); each doubling adds one run
+    # of the oracle and none of the series
+    import tdse.oracle
+
     runs = _count_oracle_runs(monkeypatch)
+    propagated = []
+    real = tdse.oracle.propagate
+    monkeypatch.setattr(
+        "tdse.oracle.propagate", lambda *a: propagated.append(a[3].steps) or real(*a)
+    )
     config = write_config(tmp_path / "conv.cfg", DRIVEN_FALLBACK)
     out = tmp_path / "out"
     argv = ("converge", "--config", config, "--halvings", str(halvings), "--out", str(out))
     assert run_cli(*argv) == 0
     assert sorted(cfg.steps for cfg in runs) == steps
+    assert propagated == [100 * 2**level for level in range(halvings + 1)]
     status = capsys.readouterr().out.splitlines()
     assert len(status) == 1
     fields = dict(field.split("=") for field in status[0].split())
@@ -644,6 +653,21 @@ QUARTIC_N24 = (
     .replace("xmax = 9.0", "xmax = 8.0")
 )
 
+# the same at N = 20: every value stays finite, but by t = 0.5 the series
+# has broken down and |psi| grows to about 4.5e100 at the window's edges
+QUARTIC_N20 = QUARTIC_N24.replace("truncation_order = 24", "truncation_order = 20")
+
+
+@pytest.mark.parametrize("command", ["compare", "run"])
+def test_series_edge_leakage_exits_2_and_keeps_the_rows_before_it(tmp_path, capsys, command):
+    config = write_config(tmp_path / "n20.cfg", QUARTIC_N20)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", config, "--out", str(out)) == 2
+    assert_one_error_line(capsys, "series edge magnitude")
+    kept = (out / ("observables.csv" if command == "run" else "compare.csv")).read_text()
+    assert [float(line.split(",")[0]) for line in kept.splitlines()[1:]] == [0.0, 0.25]
+
+
 # QUARTIC_BLOWUP over 399 steps, with an oracle grid (dt = 0.06) that holds
 # every snapshot time: the t = 0.6 snapshot overflows Re S on [-5, 5] before
 # the series blows up
@@ -678,13 +702,21 @@ def test_the_two_grids_window_has_two_grids():
 
 @pytest.mark.parametrize(
     "name,code",
-    [("free_packet", 0), ("harmonic_coherent", 0), ("two_grids", 0), ("quartic_n24", 2)],
+    [
+        ("free_packet", 0),
+        ("harmonic_coherent", 0),
+        ("two_grids", 0),
+        ("quartic_n24", 2),
+        ("quartic_n20", 2),
+    ],
 )
 def test_run_writes_the_bytes_of_the_per_snapshot_reference(tmp_path, capsys, name, code):
     if name == "two_grids":
         body = TWO_GRIDS
     elif name == "quartic_n24":
         body = QUARTIC_N24
+    elif name == "quartic_n20":
+        body = QUARTIC_N20
     else:
         body = (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
     config = write_config(tmp_path / "run.cfg", body)

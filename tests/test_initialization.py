@@ -4,7 +4,7 @@ support/closure predicates."""
 import numpy as np
 import pytest
 
-from conftest import max_support_index
+from conftest import max_support_index, one_step
 from tdse import (
     CoefficientState,
     DegenerateSystem,
@@ -12,7 +12,6 @@ from tdse import (
     PhysicalParams,
     PotentialModel,
     SampleTooSmall,
-    euler_step,
     evaluate_on_grid,
     fit_log_polynomial,
     gaussian_coefficients,
@@ -122,7 +121,7 @@ def test_support_bound_is_tight():
             alphas = np.zeros(n_max + 1, dtype=complex)
             alphas[a_idx] = 0.3 + 0.1j
             model = PotentialModel({degree: Const(1.0)}) if degree else PotentialModel({})
-            stepped = euler_step(CoefficientState(alphas), model, params, 1e-3)
+            stepped = one_step(CoefficientState(alphas), model, params, 1e-3)
             observed = max_support_index(stepped.alphas)
             assert observed <= bound
             if degree > 0 or a_idx >= 2:

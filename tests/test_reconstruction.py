@@ -15,7 +15,6 @@ from tdse import (
     evaluate_on_grid,
     gaussian_coefficients,
     norm_squared,
-    normalizability_check,
     observables,
     parse_potential,
     propagate,
@@ -86,16 +85,6 @@ def test_observables_zero_norm():
         observables(tiny, PARAMS)
 
 
-def test_normalizability_check_examples():
-    assert normalizability_check(CoefficientState([0, 0, -0.25])) is True
-    assert normalizability_check(CoefficientState([0, 1j, 0])) is False
-    tail = CoefficientState([0, 0, -0.25, 0, 1e-30])
-    assert normalizability_check(tail, epsilon=1e-12) is True
-    assert normalizability_check(CoefficientState([0, 0, 0.25])) is False
-    odd_leader = CoefficientState([0, 0, -0.25, 1.0])
-    assert normalizability_check(odd_leader) is False
-
-
 def test_ehrenfest_relation_free_packet():
     state = gaussian_coefficients(GaussianPacket(0.0, 1.0, 1.0))
     cfg = StepperConfig(dt=1e-4, steps=2000, snapshot_stride=1000)
@@ -104,7 +93,7 @@ def test_ehrenfest_relation_free_packet():
         observables(evaluate_on_grid(s, -15.0, 15.0, 3001), PARAMS)
         for s in traj.snapshots
     ]
-    times = traj.times()
+    times = [s.time for s in traj.snapshots]
     dx_dt = (obs[-1].mean_x - obs[0].mean_x) / (times[-1] - times[0])
     mean_p = obs[1].mean_p_re  # midpoint snapshot
     assert dx_dt == pytest.approx(mean_p / PARAMS.mass, rel=1e-3)
