@@ -28,6 +28,8 @@ from .oracle import (
     ADAPTIVE_TOLERANCE,
     EdgeLeakage,
     OracleConfig,
+    check_alignment,
+    compare_levels,
     compare_methods,
     oracle_error_estimate,
     series_edge_guard,
@@ -106,7 +108,7 @@ def _next_pow2(n: int) -> int:
 def _oracle_config(cfg: RunConfig, stepper: StepperConfig, default_steps=None) -> OracleConfig:
     """The oracle over the stepper's horizon.  Its step count is [oracle]
     steps, else round(horizon / [oracle] dt), else default_steps (converge's
-    fallback passes the count its oracle error estimate settled on), else,
+    fallback passes each count its oracle error estimate tries), else,
     when that is None too (compare), the stepper's own dt and steps.  Its dt
     is [oracle] dt, else horizon / steps."""
     if cfg.grid is None:
@@ -182,41 +184,33 @@ def _cmd_run(args) -> int:
     return _finish(trajectory.status, reconstruction_error)
 
 
-def _converge_levels(cfg: RunConfig, scenario: str, halvings: int, oracle_steps, oracle_memo):
-    """(dts, errors, status) of the dt levels up to the first that does not
-    complete; oracle levels use an oracle of oracle_steps steps by default."""
-    dts, errors = [], []
-    for level in range(halvings + 1):
-        factor = 2**level
-        stepper = replace(
-            cfg.stepper,
-            dt=cfg.stepper.dt / factor,
-            steps=cfg.stepper.steps * factor,
-            snapshot_stride=cfg.stepper.steps * factor,
-        )
-        if scenario == "oracle":
-            oracle_cfg = _oracle_config(cfg, stepper, default_steps=oracle_steps)
-            report = compare_methods(
-                cfg.initial, cfg.potential, cfg.params, stepper, oracle_cfg,
-                memo=oracle_memo,
+def _oracle_errors(cfg: RunConfig, trajectories: list, oracle_cfg: OracleConfig, adaptive: bool):
+    """(errors, status report) of the completed levels against the oracle.
+    When adaptive, its step count S doubles until its error estimate is
+    within ADAPTIVE_TOLERANCE of the finest level's error; each doubling
+    adds one oracle run, as the S-step run's final grid is the coarse grid
+    of the estimate at 2S."""
+    initial, potential, params = cfg.initial, cfg.potential, cfg.params
+    fine, errors = compare_levels(initial, trajectories, potential, params, oracle_cfg)
+    if not adaptive:
+        return errors, ""
+    steps = oracle_cfg.steps
+    coarse_cfg = replace(oracle_cfg, steps=steps // 2, dt=2.0 * oracle_cfg.dt)
+    coarse, _ = compare_levels(initial, [], potential, params, coarse_cfg)
+    best = math.inf
+    while (estimate := oracle_error_estimate(fine, coarse)) > ADAPTIVE_TOLERANCE * errors[-1]:
+        best = min(best, estimate)
+        if steps >= ADAPTIVE_MAX_STEPS:
+            raise ConfigError(
+                f"the oracle's error estimate stays above {ADAPTIVE_TOLERANCE:.0%} of the "
+                f"finest error {errors[-1]:.3e} up to {ADAPTIVE_MAX_STEPS} steps "
+                f"(best {best:.3e}); set [oracle] steps to override"
             )
-            if report.reconstruction_error is not None:
-                raise report.reconstruction_error
-            status = report.stepper_status
-            if status == "completed":
-                err = float(report.l2[-1])
-        else:
-            trajectory = propagate(cfg.initial, cfg.potential, cfg.params, stepper)
-            status = trajectory.status
-            if status == "completed":
-                err = reference_error(
-                    scenario, cfg.potential, cfg.initial, trajectory.final, cfg.params
-                )
-        if status != "completed":
-            break
-        dts.append(stepper.dt)
-        errors.append(err)
-    return dts, errors, status
+        steps *= 2
+        coarse = fine
+        oracle_cfg = _oracle_config(cfg, cfg.stepper, steps)
+        fine, errors = compare_levels(initial, trajectories, potential, params, oracle_cfg)
+    return errors, f" oracle_steps={steps} oracle_error={_fmt(estimate)}"
 
 
 def _cmd_converge(args) -> int:
@@ -247,47 +241,45 @@ def _cmd_converge(args) -> int:
         scenario = requested
 
     # with no [oracle] steps or dt, the oracle's step count S is sized by
-    # its own error estimate: doubled from ADAPTIVE_MIN_STEPS until the
-    # estimate is within ADAPTIVE_TOLERANCE of the finest level's error
+    # its own error estimate, from ADAPTIVE_MIN_STEPS up; the horizon, and so
+    # the oracle config, is the same float at every level
     adaptive = scenario == "oracle" and cfg.oracle.steps is None and cfg.oracle.dt is None
-    oracle_steps = ADAPTIVE_MIN_STEPS if adaptive else None
-    # one oracle run serves every level: the horizon, and so the oracle
-    # config and its captured steps, is the same float at every level; the
-    # memo also hands each S-step run on to the estimate at 2S, and each
-    # level's series trajectory, which does not depend on S, on to the next S
-    oracle_memo = {}
-    best = math.inf
-    report = ""
-    while True:
-        dts, errors, status = _converge_levels(
-            cfg, scenario, args.halvings, oracle_steps, oracle_memo
+    oracle_cfg = None
+    if scenario == "oracle":
+        oracle_cfg = _oracle_config(cfg, cfg.stepper, ADAPTIVE_MIN_STEPS if adaptive else None)
+    trajectories = []
+    for level in range(args.halvings + 1):
+        factor = 2**level
+        stepper = replace(
+            cfg.stepper,
+            dt=cfg.stepper.dt / factor,
+            steps=cfg.stepper.steps * factor,
+            snapshot_stride=cfg.stepper.steps * factor,
         )
-        if not adaptive or not errors:
-            break
-        oracle_cfg = _oracle_config(cfg, cfg.stepper, default_steps=oracle_steps)
-        estimate = oracle_error_estimate(
-            cfg.initial, cfg.potential, cfg.params, oracle_cfg, memo=oracle_memo
-        )
-        if estimate <= ADAPTIVE_TOLERANCE * errors[-1]:
-            report = f" oracle_steps={oracle_steps} oracle_error={_fmt(estimate)}"
-            break
-        best = min(best, estimate)
-        if oracle_steps >= ADAPTIVE_MAX_STEPS:
-            raise ConfigError(
-                f"the oracle's error estimate stays above {ADAPTIVE_TOLERANCE:.0%} of the "
-                f"finest error {errors[-1]:.3e} up to {ADAPTIVE_MAX_STEPS} steps "
-                f"(best {best:.3e}); set [oracle] steps to override"
-            )
-        oracle_steps *= 2
+        if oracle_cfg is not None:
+            check_alignment(cfg.initial.time, stepper, oracle_cfg)
+        trajectory = propagate(cfg.initial, cfg.potential, cfg.params, stepper)
+        if trajectory.status != "completed":
+            break  # a level that blew up is never compared
+        trajectories.append(trajectory)
+
+    errors, report = [], ""
+    if oracle_cfg is None:
+        errors = [
+            reference_error(scenario, cfg.potential, cfg.initial, t.final, cfg.params)
+            for t in trajectories
+        ]
+    elif trajectories:
+        errors, report = _oracle_errors(cfg, trajectories, oracle_cfg, adaptive)
 
     rows = []
-    for i, (dt, err) in enumerate(zip(dts, errors)):
+    for i, err in enumerate(errors):
         # a ratio exists only against a nonzero error of a previous level
         ratio = _fmt(errors[i - 1] / err) if i > 0 and err != 0.0 else ""
-        rows.append(f"{dt:.16e},{err:.16e},{ratio}\n")
+        rows.append(f"{cfg.stepper.dt / 2**i:.16e},{err:.16e},{ratio}\n")
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "convergence.csv"), "dt,error,ratio", rows)
-    return _finish(status, None, report)
+    return _finish(trajectory.status, None, report)
 
 
 def _cmd_compare(args) -> int:

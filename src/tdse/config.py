@@ -227,9 +227,9 @@ def _build_initial(section: _Section) -> CoefficientState:
 def load_config(path: str) -> RunConfig:
     """Parse and validate a config file.
 
-    Raises ConfigError for structural/validation problems and lets
-    potential-DSL errors (PotentialError subclasses) propagate so the CLI
-    can map them to their own exit code.
+    Raises ConfigError for a malformed or incomplete file, the ValueError of
+    the first value the objects it builds reject, and PotentialError for
+    the potential DSL; the CLI maps each to its own exit code.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -242,12 +242,9 @@ def load_config(path: str) -> RunConfig:
         return sections.get(name, _Section(name, {}))
 
     physical = section("physical")
-    try:
-        params = PhysicalParams(
-            hbar=physical.getfloat("hbar", 1.0), mass=physical.getfloat("mass", 1.0)
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    params = PhysicalParams(
+        hbar=physical.getfloat("hbar", 1.0), mass=physical.getfloat("mass", 1.0)
+    )
 
     if "potential" not in sections:
         raise ConfigError("missing required section [potential]")
@@ -255,42 +252,31 @@ def load_config(path: str) -> RunConfig:
 
     if "initial" not in sections:
         raise ConfigError("missing required section [initial]")
-    try:
-        initial = _build_initial(sections["initial"])
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    initial = _build_initial(sections["initial"])
 
     if "stepper" not in sections:
         raise ConfigError("missing required section [stepper]")
     stepper_sec = sections["stepper"]
     stepper_sec.require("dt")
     stepper_sec.require("steps")
-    try:
-        stepper = StepperConfig(
-            dt=stepper_sec.getfloat("dt"),
-            steps=stepper_sec.getint("steps"),
-            integrator=stepper_sec.get("integrator", "euler").strip().lower(),
-            blowup_threshold=stepper_sec.getfloat("blowup_threshold", 1e12),
-            snapshot_stride=stepper_sec.getint("snapshot_stride", 1),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    stepper = StepperConfig(
+        dt=stepper_sec.getfloat("dt"),
+        steps=stepper_sec.getint("steps"),
+        integrator=stepper_sec.get("integrator", "euler").strip().lower(),
+        blowup_threshold=stepper_sec.getfloat("blowup_threshold", 1e12),
+        snapshot_stride=stepper_sec.getint("snapshot_stride", 1),
+    )
 
     grid = None
     if "grid" in sections:
         grid_sec = sections["grid"]
         for key in ("xmin", "xmax", "points"):
             grid_sec.require(key)
-        try:
-            grid = GridSpec(
-                xmin=grid_sec.getfloat("xmin"),
-                xmax=grid_sec.getfloat("xmax"),
-                points=grid_sec.getint("points"),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        grid = GridSpec(
+            xmin=grid_sec.getfloat("xmin"),
+            xmax=grid_sec.getfloat("xmax"),
+            points=grid_sec.getint("points"),
+        )
 
     oracle_sec = section("oracle")
     oracle = OracleOptions(

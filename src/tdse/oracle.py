@@ -14,12 +14,12 @@ down: its reconstruction grows without bound towards the window edges.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .initialization import is_closed_system
-from .integrators import StepperConfig, propagate
+from .integrators import StepperConfig, Trajectory, propagate
 from .potential import PotentialModel, eval_taylor_coefficients
 from .reconstruction import (
     ExponentOverflow,
@@ -40,7 +40,10 @@ __all__ = [
     "state_on_oracle_grid",
     "split_step_evolve",
     "l2_distance",
+    "check_alignment",
+    "compare_trajectory",
     "compare_methods",
+    "compare_levels",
     "oracle_error_estimate",
     "series_edge_guard",
 ]
@@ -217,94 +220,48 @@ def _oracle_index(time: float, t0: float, oracle_dt: float):
     return int(round(j))
 
 
-def _memoized(memo, key: tuple, compute):
-    """compute(), looked up in memo (a dict or None) under key."""
-    if memo is None:
-        return compute()
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
-def _oracle_grids(initial, potential, params, oracle_cfg, capture, memo) -> dict:
-    """split_step_evolve from initial's grid, memoized under everything that
-    determines the result."""
-    key = (initial.alphas.tobytes(), initial.time, repr(potential), params, oracle_cfg, capture)
-    return _memoized(
-        memo,
-        key,
-        lambda: split_step_evolve(
-            state_on_oracle_grid(initial, oracle_cfg), potential, params, oracle_cfg, capture
-        ),
-    )
-
-
-def compare_methods(
-    initial: CoefficientState,
-    potential: PotentialModel,
-    params: PhysicalParams,
-    stepper_cfg: StepperConfig,
-    oracle_cfg: OracleConfig,
-    *,
-    memo: dict | None = None,
-) -> ComparisonReport:
-    """Propagate both methods over the same horizon and compare snapshots.
-
-    The coefficient trajectory's recorded snapshot times must land on the
-    oracle's step grid (the configurations choose compatible dt values);
-    this is checked before any stepping.  When the series blows up, the
-    last healthy state that propagate appends is compared only if it lands
-    on the grid as well, and the oracle runs no further than the last
-    compared snapshot.
-
-    A snapshot whose series or oracle grid cannot be reconstructed
-    (ExponentOverflow or ZeroNorm), or whose series grid fails
-    series_edge_guard, ends the rows: the report keeps the rows before it
-    and carries the exception as reconstruction_error.
-
-    memo, a dict the caller owns, keeps the oracle grids of each run keyed
-    by everything that determines them (initial state, potential, params,
-    oracle_cfg and the captured step indices), so calls that differ only in
-    the stepper reuse one oracle run, and each series trajectory keyed by
-    the initial state, potential, params and stepper_cfg, so calls that
-    differ only in the oracle reuse one propagation.
-    """
+def check_alignment(t0: float, stepper_cfg: StepperConfig, oracle_cfg: OracleConfig):
+    """Raise ValueError, before any stepping, unless the stepper and the
+    oracle share a horizon and every snapshot the stepper records from time
+    t0 lands on the oracle's step grid."""
     horizon_s = stepper_cfg.dt * stepper_cfg.steps
     horizon_o = oracle_cfg.dt * oracle_cfg.steps
     if abs(horizon_s - horizon_o) > 1e-12 * max(1.0, abs(horizon_s)):
-        raise ValueError(
-            f"time horizons differ: stepper {horizon_s!r} vs oracle {horizon_o!r}"
-        )
-    t0 = initial.time
-    recorded = set(range(0, stepper_cfg.steps + 1, stepper_cfg.snapshot_stride))
-    recorded.add(stepper_cfg.steps)
+        raise ValueError(f"time horizons differ: stepper {horizon_s!r} vs oracle {horizon_o!r}")
+    recorded = {*range(0, stepper_cfg.steps + 1, stepper_cfg.snapshot_stride), stepper_cfg.steps}
     for p in sorted(recorded):
         # the same arithmetic as propagate's clock and the index lookup below
         time = t0 + p * stepper_cfg.dt
         if _oracle_index(time, t0, oracle_cfg.dt) is None:
             raise ValueError(f"snapshot time {time!r} does not land on the oracle step grid")
 
-    key = (initial.alphas.tobytes(), initial.time, repr(potential), params, stepper_cfg)
-    trajectory = _memoized(
-        memo, key, lambda: propagate(initial, potential, params, stepper_cfg)
-    )
-    # every recorded snapshot is on the grid; only the unrecorded last
-    # healthy state of an aborted run can miss it, and is left out
-    compared = []
-    for snap in trajectory.snapshots:
-        j = _oracle_index(snap.time, t0, oracle_cfg.dt)
-        if j is not None:
-            compared.append((snap, j))
 
-    capture = frozenset(j for _, j in compared)
-    by_index = _oracle_grids(initial, potential, params, oracle_cfg, capture, memo)
+def compare_trajectory(
+    trajectory: Trajectory,
+    potential: PotentialModel,
+    params: PhysicalParams,
+    oracle_cfg: OracleConfig,
+    grids: dict,
+) -> ComparisonReport:
+    """Compare each snapshot of trajectory that lands on the oracle's step
+    grid with grids, the oracle's {step index: grid} from the trajectory's
+    initial state, which must hold every such index.
 
+    A snapshot whose series or oracle grid cannot be reconstructed
+    (ExponentOverflow or ZeroNorm), or whose series grid fails
+    series_edge_guard, ends the rows: the report keeps the rows before it
+    and carries the exception as reconstruction_error.
+    """
+    initial = trajectory.snapshots[0]
     guard = series_edge_guard(initial, potential)
     times, l2s, dxs, dnorms = [], [], [], []
     series_norm0 = oracle_norm0 = None
     reconstruction_error = None
-    for snap, j in compared:
-        oracle_grid = by_index[j]
+    for snap in trajectory.snapshots:
+        j = _oracle_index(snap.time, initial.time, oracle_cfg.dt)
+        if j is None:
+            continue
+        oracle_grid = grids[j]
         try:
             series_grid = state_on_oracle_grid(snap, oracle_cfg)
             obs_s = observables(series_grid, params)
@@ -326,28 +283,53 @@ def compare_methods(
     )
 
 
-def oracle_error_estimate(
+def compare_methods(
     initial: CoefficientState,
     potential: PotentialModel,
     params: PhysicalParams,
+    stepper_cfg: StepperConfig,
     oracle_cfg: OracleConfig,
-    *,
-    memo: dict | None = None,
-) -> float:
-    """Estimated l2 error of the oracle's final grid: l2(S, S/2) / 3 for an
-    S-step run, from the error ratio 4 of a second-order scheme under step
-    halving.  oracle_cfg.steps must be even and positive.
+) -> ComparisonReport:
+    """Propagate both methods over the same horizon and compare snapshots:
+    check_alignment, propagate, one oracle run up to the last snapshot that
+    lands on its step grid, then compare_trajectory.
 
-    Both runs capture steps 0 and final, as compare_methods does for two
-    snapshots at the ends of the horizon, so with the same memo the S-step
-    run of a comparison serves as the fine run here, and the fine run of
-    one estimate as the coarse run of the next at 2S.
+    When the series blows up, the last healthy state that propagate appends
+    is compared only if it lands on the grid as well.
     """
-    if oracle_cfg.steps < 2 or oracle_cfg.steps % 2:
-        raise ValueError(f"steps must be even and positive, got {oracle_cfg.steps}")
-    coarse_cfg = replace(oracle_cfg, steps=oracle_cfg.steps // 2, dt=2.0 * oracle_cfg.dt)
-    fine, coarse = (
-        _oracle_grids(initial, potential, params, cfg, frozenset((0, cfg.steps)), memo)[cfg.steps]
-        for cfg in (oracle_cfg, coarse_cfg)
-    )
+    check_alignment(initial.time, stepper_cfg, oracle_cfg)
+    trajectory = propagate(initial, potential, params, stepper_cfg)
+    capture = {_oracle_index(s.time, initial.time, oracle_cfg.dt) for s in trajectory.snapshots}
+    start = state_on_oracle_grid(initial, oracle_cfg)
+    grids = split_step_evolve(start, potential, params, oracle_cfg, capture - {None})
+    return compare_trajectory(trajectory, potential, params, oracle_cfg, grids)
+
+
+def compare_levels(
+    initial: CoefficientState,
+    trajectories: list,
+    potential: PotentialModel,
+    params: PhysicalParams,
+    oracle_cfg: OracleConfig,
+) -> tuple:
+    """(final grid, final l2 of each trajectory) against one oracle run from
+    initial that captures steps 0 and oracle_cfg.steps; each trajectory is a
+    completed run from initial over the oracle's horizon that records only
+    its first and last states.  Raises the first reconstruction_error."""
+    start = state_on_oracle_grid(initial, oracle_cfg)
+    grids = split_step_evolve(start, potential, params, oracle_cfg, {0, oracle_cfg.steps})
+    l2s = []
+    for trajectory in trajectories:
+        report = compare_trajectory(trajectory, potential, params, oracle_cfg, grids)
+        if report.reconstruction_error is not None:
+            raise report.reconstruction_error
+        l2s.append(float(report.l2[-1]))
+    return grids[oracle_cfg.steps], l2s
+
+
+def oracle_error_estimate(fine: WaveGrid, coarse: WaveGrid) -> float:
+    """Estimated l2 error of fine, the final grid of an S-step oracle run,
+    from coarse, the final grid of the S/2-step run over the same horizon:
+    l2(fine, coarse) / 3, from the error ratio 4 of a second-order scheme
+    under step halving."""
     return l2_distance(fine, coarse) / 3.0

@@ -299,9 +299,9 @@ def test_converge_runs_the_oracle_once_per_invocation(tmp_path, capsys, monkeypa
     config = write_config(tmp_path / "conv.cfg", DRIVEN_FALLBACK)
     argv = ("converge", "--config", config, "--halvings", "3", "--out", str(tmp_path / "out"))
     assert run_cli(*argv) == 0
-    assert sorted(cfg.steps for cfg in runs) == [128, 256]
+    assert [cfg.steps for cfg in runs] == [256, 128]
     assert run_cli(*argv) == 0  # nothing is kept from one invocation to the next
-    assert sorted(cfg.steps for cfg in runs[2:]) == [128, 256]
+    assert [cfg.steps for cfg in runs[2:]] == [256, 128]
     capsys.readouterr()
 
 
@@ -309,19 +309,32 @@ def test_converge_runs_the_oracle_once_per_invocation(tmp_path, capsys, monkeypa
 def test_converge_reused_oracle_writes_the_bytes_of_independent_runs(
     tmp_path, capsys, monkeypatch, body
 ):
-    import tdse.cli
+    from dataclasses import replace
+
+    from tdse import OracleConfig, compare_methods
+    from tdse.config import load_config
 
     config = write_config(tmp_path / "conv.cfg", body)
-    shared, independent = tmp_path / "shared", tmp_path / "independent"
+    shared = tmp_path / "shared"
     assert run_cli("converge", "--config", config, "--halvings", "3", "--out", str(shared)) == 0
-    real = tdse.cli.compare_methods
-    monkeypatch.setattr("tdse.cli.compare_methods", lambda *a, memo=None: real(*a))
+    assert "oracle_steps=256 " in capsys.readouterr().out
+    # each level compared on its own against its own 256-step oracle run
+    cfg = load_config(config)
+    grid, stepper = cfg.grid, cfg.stepper
+    oracle = OracleConfig(
+        grid.xmin, grid.xmax, max(256, grid.points), stepper.dt * stepper.steps / 256, 256
+    )
     runs = _count_oracle_runs(monkeypatch)
-    assert run_cli("converge", "--config", config, "--halvings", "3", "--out", str(independent)) == 0
-    # one run per level, then the estimate's own 256- and 128-step runs
-    assert sorted(cfg.steps for cfg in runs) == [128] + [256] * 5
-    assert (shared / "convergence.csv").read_bytes() == (independent / "convergence.csv").read_bytes()
-    capsys.readouterr()
+    rows, errors = [], []
+    for level in range(4):
+        dt, steps = stepper.dt / 2**level, stepper.steps * 2**level
+        level_stepper = replace(stepper, dt=dt, steps=steps, snapshot_stride=steps)
+        report = compare_methods(cfg.initial, cfg.potential, cfg.params, level_stepper, oracle)
+        errors.append(float(report.l2[-1]))
+        ratio = f"{errors[-2] / errors[-1]:.16e}" if level else ""
+        rows.append(f"{dt:.16e},{errors[-1]:.16e},{ratio}\n")
+    assert [cfg.steps for cfg in runs] == [256] * 4
+    assert (shared / "convergence.csv").read_text() == "dt,error,ratio\n" + "".join(rows)
 
 
 @pytest.mark.parametrize(
@@ -350,7 +363,7 @@ def test_converge_oracle_steps_come_from_steps_then_dt_then_the_default(
 
 
 @pytest.mark.parametrize(
-    "halvings,steps", [(3, [128, 256]), (6, [128, 256, 512])], ids=["256", "512"]
+    "halvings,steps", [(3, [256, 128]), (6, [256, 128, 512])], ids=["256", "512"]
 )
 def test_converge_sizes_the_oracle_by_its_error_estimate(
     tmp_path, capsys, monkeypatch, halvings, steps
@@ -358,24 +371,24 @@ def test_converge_sizes_the_oracle_by_its_error_estimate(
     # the estimate at 256 steps, 1.5e-6, is under 1% of the finest error at
     # 3 halvings (8.7e-4) but not at 6 (1.1e-4); each doubling adds one run
     # of the oracle and none of the series
-    import tdse.oracle
+    import tdse.cli
 
     runs = _count_oracle_runs(monkeypatch)
     propagated = []
-    real = tdse.oracle.propagate
+    real = tdse.cli.propagate
     monkeypatch.setattr(
-        "tdse.oracle.propagate", lambda *a: propagated.append(a[3].steps) or real(*a)
+        "tdse.cli.propagate", lambda *a: propagated.append(a[3].steps) or real(*a)
     )
     config = write_config(tmp_path / "conv.cfg", DRIVEN_FALLBACK)
     out = tmp_path / "out"
     argv = ("converge", "--config", config, "--halvings", str(halvings), "--out", str(out))
     assert run_cli(*argv) == 0
-    assert sorted(cfg.steps for cfg in runs) == steps
+    assert [cfg.steps for cfg in runs] == steps
     assert propagated == [100 * 2**level for level in range(halvings + 1)]
     status = capsys.readouterr().out.splitlines()
     assert len(status) == 1
     fields = dict(field.split("=") for field in status[0].split())
-    assert fields["status"] == "completed" and int(fields["oracle_steps"]) == steps[-1]
+    assert fields["status"] == "completed" and int(fields["oracle_steps"]) == max(steps)
     estimate = float(fields["oracle_error"])
     assert fields["oracle_error"] == f"{estimate:.16e}"  # 17 significant digits
     lines = (out / "convergence.csv").read_text().splitlines()[1:]
@@ -455,6 +468,26 @@ dt = 0.5
 steps = 400
 blowup_threshold = 1e6
 """
+
+
+# over 256 steps the last healthy state lands on the 256-step oracle grid,
+# where it cannot be reconstructed (Re S reaches about 5e6 on the window)
+QUARTIC_BLOWUP_ON_GRID = QUARTIC_BLOWUP.replace("steps = 400", "steps = 256")
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "converge"])
+def test_a_blowup_exits_3_although_its_last_healthy_state_cannot_be_reconstructed(
+    tmp_path, capsys, command
+):
+    config = write_config(tmp_path / "blowup.cfg", QUARTIC_BLOWUP_ON_GRID)
+    out = tmp_path / "out"
+    argv = [command, "--config", config, "--out", str(out)]
+    if command == "converge":
+        argv[3:3] = ["--halvings", "2"]
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr() == ("status=aborted_blowup\n", "")
+    if command == "converge":  # the level that blew up is never compared
+        assert (out / "convergence.csv").read_text() == "dt,error,ratio\n"
 
 
 @pytest.mark.parametrize(
@@ -666,6 +699,17 @@ def test_series_edge_leakage_exits_2_and_keeps_the_rows_before_it(tmp_path, caps
     assert_one_error_line(capsys, "series edge magnitude")
     kept = (out / ("observables.csv" if command == "run" else "compare.csv")).read_text()
     assert [float(line.split(",")[0]) for line in kept.splitlines()[1:]] == [0.0, 0.25]
+
+
+def test_converge_writes_no_rows_when_a_completed_level_cannot_be_reconstructed(
+    tmp_path, capsys
+):
+    # no level blows up, but the series of the first breaks down by t = 0.5
+    config = write_config(tmp_path / "n20.cfg", QUARTIC_N20)
+    out = tmp_path / "out"
+    assert run_cli("converge", "--config", config, "--halvings", "1", "--out", str(out)) == 2
+    assert_one_error_line(capsys, "series edge magnitude")
+    assert not (out / "convergence.csv").exists()
 
 
 # QUARTIC_BLOWUP over 399 steps, with an oracle grid (dt = 0.06) that holds

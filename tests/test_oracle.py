@@ -211,32 +211,10 @@ def test_the_error_estimate_tracks_the_closed_form_error():
     x0 = 1.0
     init = gaussian_coefficients(GaussianPacket(x0, GROUND_WIDTH, 0.0))
     cfg = OracleConfig(-12.0, 12.0, 512, dt=1.0 / 256, steps=256)
+    half = OracleConfig(-12.0, 12.0, 512, dt=1.0 / 128, steps=128)
     start = state_on_oracle_grid(init, cfg)
     oracle_grid = split_step_evolve(start, HARMONIC, PARAMS, cfg, {256})[256]
+    coarse_grid = split_step_evolve(start, HARMONIC, PARAMS, half, {128})[128]
     error = l2_distance(state_on_oracle_grid(coherent_state_exact(x0, 1.0), cfg), oracle_grid)
-    estimate = oracle_error_estimate(init, HARMONIC, PARAMS, cfg)
+    estimate = oracle_error_estimate(oracle_grid, coarse_grid)
     assert 0.5 * error <= estimate <= 2.0 * error
-
-
-def test_the_error_estimate_shares_oracle_runs_through_the_memo(monkeypatch):
-    import tdse.oracle
-
-    runs = []
-    real = tdse.oracle.split_step_evolve
-    monkeypatch.setattr(
-        "tdse.oracle.split_step_evolve", lambda *a: runs.append(a[3].steps) or real(*a)
-    )
-    init = gaussian_coefficients(GaussianPacket(0.5, 1.0, 0.0))
-    cfg = OracleConfig(-12.0, 12.0, 256, dt=1.0 / 256, steps=256)
-    stepper = StepperConfig(dt=1e-2, steps=100, snapshot_stride=100)
-    memo = {}
-    compare_methods(init, HARMONIC, PARAMS, stepper, cfg, memo=memo)
-    oracle_error_estimate(init, HARMONIC, PARAMS, cfg, memo=memo)
-    doubled = OracleConfig(-12.0, 12.0, 256, dt=1.0 / 512, steps=512)
-    oracle_error_estimate(init, HARMONIC, PARAMS, doubled, memo=memo)
-    # the comparison's run is the first estimate's fine run, whose coarse
-    # run is new; the second estimate adds only its own fine run
-    assert runs == [256, 128, 512]
-    with pytest.raises(ValueError, match="even"):
-        odd = OracleConfig(-12.0, 12.0, 256, dt=1.0 / 255, steps=255)
-        oracle_error_estimate(init, HARMONIC, PARAMS, odd)

@@ -314,7 +314,8 @@ def test_the_estimate_at_256_steps_is_within_2x_of_the_error(x0, sigma, k0):
     # oracle fallback runs it; a 2048-step run stands in for the exact grid
     initial = gaussian_coefficients(GaussianPacket(x0, sigma, k0))
     cfg = OracleConfig(-10.0, 10.0, 256, dt=1.0 / 256, steps=256)
-    estimate = oracle_error_estimate(initial, DRIVEN, PhysicalParams(), cfg)
+    half = OracleConfig(-10.0, 10.0, 256, dt=1.0 / 128, steps=128)
+    estimate = oracle_error_estimate(_final_grid(initial, cfg), _final_grid(initial, half))
     fine = OracleConfig(-10.0, 10.0, 256, dt=1.0 / 2048, steps=2048)
     error = l2_distance(_final_grid(initial, fine), _final_grid(initial, cfg))
     assert 0.5 * error <= estimate <= 2.0 * error
