@@ -33,6 +33,7 @@ from .oracle import (
     compare_methods,
     oracle_error_estimate,
     series_edge_guard,
+    state_on_oracle_grid,
 )
 from .potential import PotentialError
 # evaluate_on_grid and observables are not called here, but perfbench/tracing.py
@@ -190,13 +191,15 @@ def _oracle_errors(cfg: RunConfig, trajectories: list, oracle_cfg: OracleConfig,
     within ADAPTIVE_TOLERANCE of the finest level's error; each doubling
     adds one oracle run, as the S-step run's final grid is the coarse grid
     of the estimate at 2S."""
-    initial, potential, params = cfg.initial, cfg.potential, cfg.params
-    fine, errors = compare_levels(initial, trajectories, potential, params, oracle_cfg)
+    potential, params = cfg.potential, cfg.params
+    # every oracle here shares the window, so it starts from one grid
+    start = state_on_oracle_grid(cfg.initial, oracle_cfg)
+    fine, errors = compare_levels(start, trajectories, potential, params, oracle_cfg)
     if not adaptive:
         return errors, ""
     steps = oracle_cfg.steps
     coarse_cfg = replace(oracle_cfg, steps=steps // 2, dt=2.0 * oracle_cfg.dt)
-    coarse, _ = compare_levels(initial, [], potential, params, coarse_cfg)
+    coarse, _ = compare_levels(start, [], potential, params, coarse_cfg)
     best = math.inf
     while (estimate := oracle_error_estimate(fine, coarse)) > ADAPTIVE_TOLERANCE * errors[-1]:
         best = min(best, estimate)
@@ -209,7 +212,7 @@ def _oracle_errors(cfg: RunConfig, trajectories: list, oracle_cfg: OracleConfig,
         steps *= 2
         coarse = fine
         oracle_cfg = _oracle_config(cfg, cfg.stepper, steps)
-        fine, errors = compare_levels(initial, trajectories, potential, params, oracle_cfg)
+        fine, errors = compare_levels(start, trajectories, potential, params, oracle_cfg)
     return errors, f" oracle_steps={steps} oracle_error={_fmt(estimate)}"
 
 

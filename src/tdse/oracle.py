@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initialization import is_closed_system
-from .integrators import StepperConfig, Trajectory, propagate
-from .potential import PotentialModel, eval_taylor_coefficients
+from .integrators import BLOCK_VALUES, StepperConfig, Trajectory, propagate
+from .potential import PotentialModel, eval_taylor_coefficients, taylor_rows
 from .reconstruction import (
     ExponentOverflow,
     WaveGrid,
@@ -121,6 +121,49 @@ def series_edge_guard(initial: CoefficientState, potential: PotentialModel):
     return lambda values, time: _check_edges(values, time, "series ")
 
 
+def _half_phases(potential, params, cfg, xs, t0, steps):
+    """Yield the half-step phase exp(-i V dt / 2 hbar) on the grid for steps
+    1..steps in turn, V taken at the step's midpoint time t0 + (p - 0.5)*dt.
+
+    A static potential gives one phase.  A time-dependent one is tabulated
+    for a block of at most BLOCK_VALUES grid values at a time: one
+    taylor_rows call, one Horner pass broadcast over the block with the
+    operations of np.polynomial.polynomial.polyval (c[-1] + x*0, then
+    c[-i] + c0*x), and one np.exp.  A block never reaches past the last
+    step, and it ends before a midpoint whose evaluation fails, so the
+    block that starts at that step raises its error after the steps before
+    it have run and been checked.
+    """
+    degree = potential.degree
+    zero = xs * 0
+
+    def phases(rows):
+        # in place, so a block allocates one real and one complex array
+        v = rows[:, -1:] + zero
+        for i in range(2, degree + 2):
+            np.multiply(v, xs, out=v)
+            np.add(rows[:, -i, None], v, out=v)
+        phase = -0.5j * v
+        phase *= cfg.dt
+        phase /= params.hbar
+        return np.exp(phase, out=phase)
+
+    if potential.is_static:
+        if steps:  # with no step to take, nothing is evaluated
+            row = eval_taylor_coefficients(potential, t0 + 0.5 * cfg.dt, degree)
+            phase = phases(row[None])[0]
+            for _ in range(steps):
+                yield phase
+        return
+    block = max(1, BLOCK_VALUES // cfg.points)
+    done = 0
+    while done < steps:
+        mids = [t0 + (p - 0.5) * cfg.dt for p in range(done + 1, min(done + block, steps) + 1)]
+        rows = taylor_rows(potential, mids, degree, group=1)
+        yield from phases(rows)
+        done += len(rows)
+
+
 def split_step_evolve(
     initial: WaveGrid,
     potential: PotentialModel,
@@ -131,8 +174,9 @@ def split_step_evolve(
     """Propagate the grid wavefunction up to the last step index in capture
     (at most cfg.steps), returning {index: grid} in ascending index order.
 
-    Raises EdgeLeakage if the wavefunction stops being negligible at the
-    window edges at any captured step.
+    Each step runs in two preallocated buffers.  Raises EdgeLeakage if the
+    wavefunction stops being negligible at the window edges at any
+    captured step.
     """
     if initial.npoints != cfg.points or not (
         math.isclose(initial.xmin, cfg.xmin, rel_tol=0.0, abs_tol=1e-12)
@@ -140,26 +184,24 @@ def split_step_evolve(
     ):
         raise GridMismatch("initial grid does not match the oracle configuration")
 
-    xs = oracle_grid_xs(cfg)
     k = 2.0 * np.pi * np.fft.fftfreq(cfg.points, d=cfg.dx)
     kinetic_phase = np.exp(-0.5j * params.hbar * k**2 * cfg.dt / params.mass)
-    half_phase = None
 
-    psi = initial.values.copy()
+    psi = np.array(initial.values, dtype=np.complex128)
+    spectrum = np.empty_like(psi)
     t0 = initial.time
     out = {}
     if 0 in capture:
         _check_edges(psi, t0)
         out[0] = WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t0)
-    for p in range(1, min(cfg.steps, max(capture, default=0)) + 1):
-        t_mid = t0 + (p - 0.5) * cfg.dt
-        if half_phase is None or not potential.is_static:
-            vn = eval_taylor_coefficients(potential, t_mid, potential.degree)
-            v_grid = np.polynomial.polynomial.polyval(xs, vn)
-            half_phase = np.exp(-0.5j * v_grid * cfg.dt / params.hbar)
-        psi = half_phase * psi
-        psi = np.fft.ifft(kinetic_phase * np.fft.fft(psi))
-        psi = half_phase * psi
+    last = min(cfg.steps, max(capture, default=0))
+    half_phases = _half_phases(potential, params, cfg, oracle_grid_xs(cfg), t0, last)
+    for p, half_phase in enumerate(half_phases, start=1):
+        np.multiply(half_phase, psi, out=psi)
+        np.fft.fft(psi, out=spectrum)
+        np.multiply(kinetic_phase, spectrum, out=spectrum)
+        np.fft.ifft(spectrum, out=psi)
+        np.multiply(half_phase, psi, out=psi)
         if p in capture:
             t = t0 + p * cfg.dt
             _check_edges(psi, t)
@@ -306,25 +348,29 @@ def compare_methods(
 
 
 def compare_levels(
-    initial: CoefficientState,
+    start: WaveGrid,
     trajectories: list,
     potential: PotentialModel,
     params: PhysicalParams,
     oracle_cfg: OracleConfig,
 ) -> tuple:
     """(final grid, final l2 of each trajectory) against one oracle run from
-    initial that captures steps 0 and oracle_cfg.steps; each trajectory is a
-    completed run from initial over the oracle's horizon that records only
-    its first and last states.  Raises the first reconstruction_error."""
-    start = state_on_oracle_grid(initial, oracle_cfg)
+    start that captures steps 0 and oracle_cfg.steps; each trajectory is a
+    completed run, over the oracle's horizon, from the state start was
+    reconstructed from, and records only its first and last states.
+
+    The levels share their t = 0 snapshot, so it is compared once, before
+    their final ones; the first reconstruction_error is raised.
+    """
     grids = split_step_evolve(start, potential, params, oracle_cfg, {0, oracle_cfg.steps})
-    l2s = []
-    for trajectory in trajectories:
-        report = compare_trajectory(trajectory, potential, params, oracle_cfg, grids)
-        if report.reconstruction_error is not None:
-            raise report.reconstruction_error
-        l2s.append(float(report.l2[-1]))
-    return grids[oracle_cfg.steps], l2s
+    if not trajectories:
+        return grids[oracle_cfg.steps], []
+    initial = trajectories[0].snapshots[0]
+    finals = Trajectory([initial] + [t.final for t in trajectories], "completed")
+    report = compare_trajectory(finals, potential, params, oracle_cfg, grids)
+    if report.reconstruction_error is not None:
+        raise report.reconstruction_error
+    return grids[oracle_cfg.steps], report.l2[1:].tolist()
 
 
 def oracle_error_estimate(fine: WaveGrid, coarse: WaveGrid) -> float:

@@ -18,7 +18,8 @@ be nonnegative integer literals.
 
 The stored coefficient of x^n IS the Taylor coefficient of the potential
 about x = 0 (any 1/n! bookkeeping is already absorbed here), so
-eval_taylor_coefficients feeds the coefficient flow directly.
+taylor_rows, which tabulates them over a sequence of times, feeds the
+coefficient flow directly; eval_taylor_coefficients is its one-time case.
 
 Models are immutable after construction and evaluation is pure.
 """
@@ -45,6 +46,7 @@ __all__ = [
     "PotentialModel",
     "parse_potential",
     "eval_taylor_coefficients",
+    "taylor_rows",
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp")
@@ -464,12 +466,38 @@ def _compile(node):
     raise TypeError(f"not a TimeProfile node: {node!r}")
 
 
-def eval_taylor_coefficients(model: PotentialModel, t: float, max_degree: int) -> np.ndarray:
-    """Coefficients V_0..V_max at time t; degrees absent from the model are 0."""
+def taylor_rows(model: PotentialModel, times, max_degree: int, group: int = 0) -> np.ndarray:
+    """V_0..V_max at each of times, one row per time: a (len(times),
+    max_degree + 1) array whose column d holds the compiled profile of
+    degree d at each time; degrees absent from the model are 0.
+
+    The times are evaluated in order, each one's profiles in the model's
+    order, so the error raised is that of the earliest time that fails.
+    With group > 0, the times come in groups of that many (the stage times
+    of one step), and a time that fails ends the rows after the last whole
+    group before it instead; its error is raised only when the first group
+    holds it.  A caller can so tabulate a block of steps ahead and still
+    raise the error at the step that reaches it, after the steps before.
+    """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    out = np.zeros(max_degree + 1)
-    for d, fn in model._profiles:
-        if d <= max_degree:
-            out[d] = fn(t)
+    kept = [(d, fn) for d, fn in model._profiles if d <= max_degree]
+    values = []
+    for t in times:
+        try:
+            values.append([fn(t) for _, fn in kept])
+        except (ValueError, ArithmeticError):  # EvaluationError, math range and domain errors
+            if not group or len(values) < group:
+                raise
+            del values[len(values) - len(values) % group :]
+            break
+    out = np.zeros((len(values), max_degree + 1))
+    if values and kept:
+        out[:, [d for d, _ in kept]] = values
     return out
+
+
+def eval_taylor_coefficients(model: PotentialModel, t: float, max_degree: int) -> np.ndarray:
+    """Coefficients V_0..V_max at time t; degrees absent from the model are 0.
+    The one-row case of taylor_rows."""
+    return taylor_rows(model, (t,), max_degree)[0]

@@ -18,7 +18,7 @@ infinite system is closed by holding alpha_n = 0 for every n > N.
 
 Unit conventions: alphas[n] carries length^-n, V_n carries
 energy * length^-n.  coefficient_velocity is pure; the functions a
-velocity_kernel returns reuse one scratch buffer, so each caller builds
+velocity_kernel returns reuse scratch buffers, so each caller builds
 its own kernel.
 """
 
@@ -85,12 +85,13 @@ def velocity_kernel(truncation_order: int, params: PhysicalParams):
 
     ``forcing(v_coeffs)`` turns the potential's Taylor coefficients
     V_0..V_M into the term (i/hbar) * V_n over n = 0..N; entries beyond
-    the stored range count as zero.  ``velocity(alphas, forced)`` returns
-    d(alpha_n)/dt for the coefficient array alpha_0..alpha_N.  The ladder
-    and derivative weights are built once here, so a propagation loop
-    computes the forcing once per distinct V row and pays only the
-    arithmetic per stage.  The returned functions share a scratch buffer:
-    use one kernel per thread.
+    the stored range count as zero; a 2-D table of such rows, one per
+    time, gives one forcing row per time.  ``velocity(alphas, forced)``
+    returns d(alpha_n)/dt for the coefficient array alpha_0..alpha_N as a
+    new array.  The ladder and derivative weights are built once here, so
+    a propagation loop computes the forcing once per distinct V row and
+    pays only the arithmetic per stage.  The returned functions share
+    scratch buffers: use one kernel per thread.
     """
     size = truncation_order + 1
     n = np.arange(size)
@@ -101,20 +102,28 @@ def velocity_kernel(truncation_order: int, params: PhysicalParams):
     # alpha_{n+2}, zero above the truncation order; the top two slots stay zero
     shifted = np.zeros(size, dtype=np.complex128)
     no_quad = np.zeros(size, dtype=np.complex128)
+    kinetic = np.empty(size, dtype=np.complex128)  # the ladder term, then kinetic + quad
 
     def forcing(v_coeffs) -> np.ndarray:
         v = np.asarray(v_coeffs, dtype=np.float64)
-        if len(v) != size:
-            pot = np.zeros(size)
-            m = min(len(v), size)
-            pot[:m] = v[:m]
+        if v.shape[-1] != size:
+            pot = np.zeros(v.shape[:-1] + (size,))
+            m = min(v.shape[-1], size)
+            pot[..., :m] = v[..., :m]
             v = pot
         return forcing_scale * v
+
+    def combine(quad, forced):
+        # kinetic_scale * (kinetic + quad) - forced, allocating only the result
+        np.add(kinetic, quad, out=kinetic)
+        out = kinetic_scale * kinetic
+        out -= forced
+        return out
 
     def velocity(a: np.ndarray, forced: np.ndarray) -> np.ndarray:
         # ladder term (n+2)(n+1) * alpha_{n+2}
         shifted[: size - 2] = a[2:]
-        kinetic = ladder * shifted
+        np.multiply(ladder, shifted, out=kinetic)
 
         # Cauchy square of the derivative series c_j = (j+1) * alpha_{j+1};
         # trailing zeros are trimmed first so the summation order (and thus
@@ -124,7 +133,7 @@ def velocity_kernel(truncation_order: int, params: PhysicalParams):
         if c[-1] == 0:
             nonzero = np.nonzero(c)[0]
             if not len(nonzero):
-                return kinetic_scale * (kinetic + no_quad) - forced
+                return combine(no_quad, forced)
             c = c[: nonzero[-1] + 1]
         full = np.convolve(c, c)
         if len(full) >= size:
@@ -132,7 +141,7 @@ def velocity_kernel(truncation_order: int, params: PhysicalParams):
         else:
             quad = np.zeros(size, dtype=np.complex128)
             quad[: len(full)] = full
-        return kinetic_scale * (kinetic + quad) - forced
+        return combine(quad, forced)
 
     return forcing, velocity
 

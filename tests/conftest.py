@@ -14,10 +14,12 @@ import numpy as np
 
 from tdse import (
     CoefficientState,
+    EdgeLeakage,
     EvaluationError,
     ExponentOverflow,
     Observables,
     StepperConfig,
+    WaveGrid,
     ZeroNorm,
     propagate,
 )
@@ -87,7 +89,8 @@ def one_step(state, potential, params, dt: float, integrator: str = "euler"):
 
 
 # ---------------------------------------------------------------------------
-# textbook references for the compiled potential and the fused stepper
+# textbook references for the compiled potential, the fused stepper and the
+# blocked oracle
 
 
 def tree_eval_profile(node, t: float) -> float:
@@ -191,6 +194,46 @@ def reference_propagate(initial, model, params, cfg):
             if p == cfg.steps or p % cfg.snapshot_stride == 0:
                 snapshots.append(state)
     return snapshots, "completed"
+
+
+def reference_split_step(initial, model, params, cfg, capture):
+    """split_step_evolve as first written: the potential walked as a tree
+    and summed with np.polynomial.polynomial.polyval at every step's
+    midpoint time (once for a static potential), and every Strang step
+    allocating its own arrays.  Returns {index: WaveGrid}, raising
+    EdgeLeakage with the package's message at the first captured step that
+    is not negligible at the window's edges."""
+    xs = cfg.xmin + cfg.dx * np.arange(cfg.points)
+    k = 2.0 * np.pi * np.fft.fftfreq(cfg.points, d=cfg.dx)
+    kinetic_phase = np.exp(-0.5j * params.hbar * k**2 * cfg.dt / params.mass)
+    static = not any(mentions_t(node) for node in model.terms.values())
+
+    def checked(values, time):
+        peak = float(np.max(np.abs(values)))
+        edge = float(max(abs(values[0]), abs(values[-1])))
+        if peak == 0.0 or edge > 1e-6 * peak:
+            raise EdgeLeakage(
+                f"edge magnitude {edge:.3e} exceeds 1e-06 of peak {peak:.3e} at t = {time:.6g}"
+            )
+        return WaveGrid(cfg.xmin, cfg.dx, values.copy(), time)
+
+    psi = initial.values.copy()
+    t0 = initial.time
+    out = {}
+    if 0 in capture:
+        out[0] = checked(psi, t0)
+    half_phase = None
+    for p in range(1, min(cfg.steps, max(capture, default=0)) + 1):
+        if half_phase is None or not static:
+            vn = _tree_taylor(model, t0 + (p - 0.5) * cfg.dt, model.degree)
+            v_grid = np.polynomial.polynomial.polyval(xs, vn)
+            half_phase = np.exp(-0.5j * v_grid * cfg.dt / params.hbar)
+        psi = half_phase * psi
+        psi = np.fft.ifft(kinetic_phase * np.fft.fft(psi))
+        psi = half_phase * psi
+        if p in capture:
+            out[p] = checked(psi, t0 + p * cfg.dt)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -934,7 +934,7 @@ points = 256
 """
 
 
-@pytest.mark.parametrize("command", ["converge", "compare"])
+@pytest.mark.parametrize("command", ["run", "converge", "compare"])
 def test_a_pole_in_the_potential_exits_4(tmp_path, capsys, command):
     config = write_config(tmp_path / "pole.cfg", POLE)
     argv = [command, "--config", config, "--out", str(tmp_path / "out")]
@@ -942,6 +942,60 @@ def test_a_pole_in_the_potential_exits_4(tmp_path, capsys, command):
         argv[3:3] = ["--halvings", "1"]
     assert run_cli(*argv) == 4
     assert_one_error_line(capsys, "division by zero at t = 0.05")
+
+
+# the pole at t = 0.2 is two steps past the horizon: no stage or oracle
+# midpoint reaches it, so no tabulated block may evaluate it
+POLE_PAST_THE_HORIZON = (
+    POLE.replace("x^2/(t-0.05)", "x/(t - 0.2)")
+    .replace("dt = 1e-2", "dt = 0.1")
+    .replace("steps = 10", "steps = 1")
+)
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "converge"])
+def test_a_pole_past_the_horizon_is_never_evaluated(tmp_path, capsys, command):
+    config = write_config(tmp_path / "pole.cfg", POLE_PAST_THE_HORIZON)
+    argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+    if command == "converge":
+        argv[3:3] = ["--halvings", "3"]
+    assert run_cli(*argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("status=completed") and err == ""
+
+
+# Euler on the harmonic well blows up at step 75 (t = 37.5); the pole at
+# t = 100, step 200, lies in the same tabulated block of steps
+BLOWUP_BEFORE_A_POLE = COHERENT_EULER_BLOWUP.replace(
+    "expression = x^2/2", "expression = x^2/2 + x/(t - 100)"
+) + "\n[grid]\nxmin = -10.0\nxmax = 10.0\npoints = 256\n"
+
+
+# The rows kept: run's coefficients up to the last healthy state, t = 37;
+# compare's up to t = 21, after which the series cannot be reconstructed;
+# none from converge, whose only level blew up
+@pytest.mark.parametrize(
+    "command, name, rows, last",
+    [
+        ("run", "coefficients.csv", 3 * 75, 37.0),
+        ("compare", "compare.csv", 43, 21.0),
+        ("converge", "convergence.csv", 0, None),
+    ],
+)
+def test_a_blowup_before_a_pole_in_the_same_block_exits_3_with_its_rows(
+    tmp_path, capsys, command, name, rows, last
+):
+    config = write_config(tmp_path / "blowup.cfg", BLOWUP_BEFORE_A_POLE)
+    out = tmp_path / "out"
+    argv = [command, "--config", config, "--out", str(out)]
+    if command == "converge":
+        argv[3:3] = ["--halvings", "2"]
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr() == ("status=aborted_blowup\n", "")
+    lines = (out / name).read_text().splitlines()
+    assert len(lines) == 1 + rows
+    if rows:
+        assert float(lines[-1].split(",")[0]) == last
 
 
 def test_compare_edge_leakage_exits_2(tmp_path, capsys):

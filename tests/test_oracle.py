@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import coherent_state_exact
+from conftest import coherent_state_exact, reference_split_step
 from tdse import (
     CoefficientState,
     EdgeLeakage,
+    EvaluationError,
     GaussianPacket,
     GridMismatch,
     OracleConfig,
@@ -24,7 +25,9 @@ from tdse import (
     split_step_evolve,
     state_on_oracle_grid,
 )
+from tdse.integrators import BLOCK_VALUES
 from tdse.oracle import oracle_grid_xs
+from tdse.potential import BinOp, Const
 
 PARAMS = PhysicalParams()
 FREE = PotentialModel({})
@@ -48,6 +51,10 @@ def test_zero_steps_is_identity():
     start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0, 1, 0)), cfg)
     snaps = split_step_evolve(start, FREE, PARAMS, cfg, {0})
     assert len(snaps) == 1
+    assert np.array_equal(snaps[0].values, start.values)
+    # with no step to take, not even a static potential is evaluated
+    unevaluable = PotentialModel({2: BinOp("/", Const(1.0), Const(0.0))})
+    snaps = split_step_evolve(start, unevaluable, PARAMS, cfg, {0})
     assert np.array_equal(snaps[0].values, start.values)
 
 
@@ -193,9 +200,9 @@ def test_oracle_stops_at_the_last_captured_step(monkeypatch):
     import tdse.oracle
 
     calls = []
-    real = tdse.oracle.eval_taylor_coefficients
+    real = tdse.oracle.taylor_rows
     monkeypatch.setattr(
-        "tdse.oracle.eval_taylor_coefficients", lambda *a: calls.append(a[1]) or real(*a)
+        "tdse.oracle.taylor_rows", lambda *a, **k: calls.extend(a[1]) or real(*a, **k)
     )
     driven = parse_potential("x^2/2 + 0.5*sin(2*t)*x")
     cfg = OracleConfig(-15.0, 15.0, 512, dt=0.01, steps=10)
@@ -218,3 +225,91 @@ def test_the_error_estimate_tracks_the_closed_form_error():
     error = l2_distance(state_on_oracle_grid(coherent_state_exact(x0, 1.0), cfg), oracle_grid)
     estimate = oracle_error_estimate(oracle_grid, coarse_grid)
     assert 0.5 * error <= estimate <= 2.0 * error
+
+
+# ---------------------------------------------------------------------------
+# the blocked oracle against the loop as first written, bit for bit
+
+DRIVEN = parse_potential("x^2/2 + 0.5*sin(2*t)*x + 0.1*cos(t)^2*x^2")
+QUARTIC = parse_potential("x^2/2 + 0.01*x^4")
+BLOCK = BLOCK_VALUES // 256  # steps per tabulated block at 256 points
+
+
+def _evolve_outcome(evolve, start, potential, cfg, capture):
+    """[(index, time, bytes of the grid)], or the exception's type and message."""
+    try:
+        grids = evolve(start, potential, PARAMS, cfg, capture)
+    except (EdgeLeakage, EvaluationError) as exc:
+        return ("raise", type(exc), str(exc))
+    return [(p, grid.time, grid.values.tobytes()) for p, grid in grids.items()]
+
+
+def _assert_bitwise_reference(start, potential, cfg, capture):
+    expected = _evolve_outcome(reference_split_step, start, potential, cfg, capture)
+    assert _evolve_outcome(split_step_evolve, start, potential, cfg, capture) == expected
+    return expected
+
+
+@pytest.mark.parametrize("potential", [QUARTIC, DRIVEN], ids=["static", "driven"])
+@pytest.mark.parametrize(
+    "steps, capture",
+    [
+        (BLOCK - 1, {0, BLOCK - 1}),  # inside the first block
+        (BLOCK, {BLOCK}),  # on the last step of a block
+        (2 * BLOCK + 5, {1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 3}),
+        (3 * BLOCK + 1, set(range(0, 3 * BLOCK + 2, 7))),
+    ],
+    ids=["inside", "edge", "edges", "every-7th"],
+)
+@pytest.mark.parametrize("t0", [0.0, 0.3])
+def test_split_step_evolve_is_bitwise_the_reference(potential, steps, capture, t0):
+    cfg = OracleConfig(-10.0, 10.0, 256, dt=0.01, steps=steps)
+    packet = gaussian_coefficients(GaussianPacket(0.5, 1.0, 0.3))
+    start = state_on_oracle_grid(CoefficientState(packet.alphas, t0), cfg)
+    grids = _assert_bitwise_reference(start, potential, cfg, capture)
+    assert [p for p, _, _ in grids] == sorted(c for c in capture if c <= steps)
+
+
+def test_a_block_of_eight_rows_at_1024_points_is_bitwise_the_reference():
+    cfg = OracleConfig(-10.0, 10.0, 1024, dt=0.01, steps=3 * (BLOCK_VALUES // 1024) + 2)
+    start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0.5, 1.0, 0.3)), cfg)
+    _assert_bitwise_reference(start, DRIVEN, cfg, set(range(cfg.steps + 1)))
+
+
+# a packet running at the right edge under a weak drive: with every step
+# captured it leaks at step 32 (the last of the first block) or 37 (inside
+# the second)
+@pytest.mark.parametrize("x0, leaks_at", [(2.0, 32), (1.5, 37)])
+@pytest.mark.parametrize("every", [1, 5])
+def test_edge_leakage_is_raised_at_the_reference_capture(x0, leaks_at, every):
+    cfg = OracleConfig(-8.0, 8.0, 256, dt=0.01, steps=100)
+    start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(x0, 0.5, 5.0)), cfg)
+    capture = set(range(0, 101, every))
+    outcome = _assert_bitwise_reference(start, parse_potential("0.1*sin(t)*x"), cfg, capture)
+    assert outcome[:2] == ("raise", EdgeLeakage)
+    if every == 1:
+        assert outcome[2].endswith(f"at t = {leaks_at * cfg.dt:.6g}")
+
+
+# a pole at the midpoint of step BLOCK + 8, in the second block: the steps
+# before it run and are checked, so an edge leakage earlier in the same
+# block (at step 37) wins
+@pytest.mark.parametrize(
+    "packet, error",
+    [
+        (GaussianPacket(0.0, 0.5, 0.0), EvaluationError),
+        (GaussianPacket(1.5, 0.5, 5.0), EdgeLeakage),
+    ],
+    ids=["pole", "leak-first"],
+)
+def test_a_pole_inside_a_block_is_raised_by_the_step_that_reaches_it(packet, error):
+    cfg = OracleConfig(-8.0, 8.0, 256, dt=0.01, steps=100)
+    pole = (BLOCK + 8 - 0.5) * cfg.dt
+    potential = parse_potential(f"0.1*sin(t)*x + 0.01*x^2/(t - {pole!r})")
+    start = state_on_oracle_grid(gaussian_coefficients(packet), cfg)
+    outcome = _assert_bitwise_reference(start, potential, cfg, set(range(101)))
+    assert outcome[:2] == ("raise", error)
+    if error is EvaluationError:
+        assert outcome[2] == f"division by zero at t = {pole}"
+    else:
+        assert outcome[2].endswith("at t = 0.37")

@@ -5,6 +5,8 @@ the oracle's error estimate tracks its error."""
 import math
 import random
 import struct
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +39,8 @@ from tdse import (  # noqa: E402
     split_step_evolve,
     state_on_oracle_grid,
 )
+import tdse.integrators  # noqa: E402
+from tdse.integrators import BLOCK_VALUES  # noqa: E402
 from tdse.potential import BinOp, Call, Const, Neg, Power, TimeVar  # noqa: E402
 from tdse.reconstruction import observables_kernel  # noqa: E402
 
@@ -105,7 +109,7 @@ def propagation_cases(draw):
     for n in range(support + 1):
         alphas[n] = complex(draw(parts), draw(parts)) * 0.5**n
     alphas[2] = complex(-abs(alphas[2].real) - 0.1, alphas[2].imag)
-    initial = CoefficientState(alphas, draw(st.sampled_from([0.0, 0.25, -1.0])))
+    initial = CoefficientState(alphas, draw(st.sampled_from([0.0, -0.0, 0.25, -1.0])))
     model = draw(potentials(order + 2))
     params = PhysicalParams(draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0)))
     cfg = StepperConfig(
@@ -133,9 +137,30 @@ BLOWUP = (
 )
 
 
+# driven runs longer than one tabulated block, which holds
+# BLOCK_VALUES // (stages * (N + 1)) steps: 2730 Euler steps at N = 2, 130
+# RK4 steps at N = 20
+DRIVEN_EULER_LONG = (
+    CoefficientState([-0.25, 0.1 + 0.2j, -0.5], -0.0),
+    parse_potential("x^2/2 + 0.5*sin(2*t)*x + 0.1*cos(t)^2*x^2"),
+    PhysicalParams(),
+    StepperConfig(dt=1e-3, steps=2 * (BLOCK_VALUES // 3) + 7, snapshot_stride=997),
+)
+DRIVEN_RK4_LONG = (
+    CoefficientState(np.r_[-0.25, 0.1, -0.5, np.zeros(18)].astype(complex), 0.25),
+    parse_potential("x^2/2 + 0.3*cos(2*t)*x + 0.01*sin(t)*x^4"),
+    PhysicalParams(),
+    StepperConfig(
+        dt=1e-3, steps=2 * (BLOCK_VALUES // 63) + 11, integrator="rk4", snapshot_stride=50
+    ),
+)
+
+
 @given(propagation_cases())
 @example(BLOWUP)
 @example((BLOWUP[0], BLOWUP[1], BLOWUP[2], StepperConfig(dt=2.0, steps=9, blowup_threshold=1e3)))
+@example(DRIVEN_EULER_LONG)
+@example(DRIVEN_RK4_LONG)
 def test_propagate_is_bitwise_the_textbook_stepper(case):
     initial, model, params, cfg = case
     expected = _trajectory_outcome(reference_propagate, initial, model, params, cfg)
@@ -155,6 +180,50 @@ def _trajectory_outcome(run, *args):
     except (ArithmeticError, ValueError) as exc:
         return ("raise", type(exc), str(exc))
     return status, [(_bits(s.alphas), _bits(s.time)) for s in snapshots]
+
+
+@st.composite
+def blocked_cases(draw):
+    """A propagation case over up to 60 steps with a tabulated block of
+    BLOCK_VALUES or far fewer values, and half the time a pole at one of
+    the stage times the stepper passes (or the first one past its last
+    step, which it must never evaluate)."""
+    initial, model, params, cfg = draw(propagation_cases())
+    cfg = replace(cfg, steps=draw(st.integers(1, 60)))
+    if draw(st.booleans()):
+        p = draw(st.integers(0, cfg.steps))
+        start = initial.time + p * cfg.dt if p else initial.time
+        pole = draw(st.sampled_from([start, start + 0.5 * cfg.dt, start + cfg.dt]))
+        term = BinOp("/", Const(0.1), BinOp("-", TimeVar(), Const(pole)))
+        degree = draw(st.integers(0, initial.truncation_order))
+        terms = dict(model.terms)
+        terms[degree] = BinOp("+", terms[degree], term) if degree in terms else term
+        model = PotentialModel(terms)
+    return initial, model, params, cfg, draw(st.sampled_from([1, 16, 64, 256, BLOCK_VALUES]))
+
+
+# the first step's stage time is initial.time itself: at t0 = -0.0, not the
+# 0.0 that t0 + 0*dt would give, and a pole there says so
+SIGNED_ZERO_POLE = (
+    CoefficientState([-0.25, 0.1, -0.5], -0.0),
+    PotentialModel({1: BinOp("/", Const(0.1), BinOp("-", TimeVar(), Const(-0.0)))}),
+    PhysicalParams(),
+    StepperConfig(dt=0.1, steps=3),
+    BLOCK_VALUES,
+)
+
+
+@given(blocked_cases())
+@example(SIGNED_ZERO_POLE)
+@example(SIGNED_ZERO_POLE[:3] + (StepperConfig(dt=0.1, steps=3, integrator="rk4"), 16))
+def test_tabulated_blocks_keep_the_bits_and_the_order_of_failures(case):
+    # a blow-up before a pole ends the run as at the textbook stepper, and
+    # a pole before a blow-up raises the same error at the same stage time
+    initial, model, params, cfg, block_values = case
+    expected = _trajectory_outcome(reference_propagate, initial, model, params, cfg)
+    with mock.patch.object(tdse.integrators, "BLOCK_VALUES", block_values):
+        actual = _trajectory_outcome(_propagate, initial, model, params, cfg)
+    assert actual == expected
 
 
 def test_blowup_examples_do_blow_up():
