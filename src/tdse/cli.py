@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .config import ConfigError, RunConfig, load_config
 from .initialization import fit_log_polynomial
@@ -198,7 +197,7 @@ def _oracle_errors(cfg: RunConfig, trajectories: list, oracle_cfg: OracleConfig,
     if not adaptive:
         return errors, ""
     steps = oracle_cfg.steps
-    coarse_cfg = replace(oracle_cfg, steps=steps // 2, dt=2.0 * oracle_cfg.dt)
+    coarse_cfg = oracle_cfg.replace(steps=steps // 2, dt=2.0 * oracle_cfg.dt)
     coarse, _ = compare_levels(start, [], potential, params, coarse_cfg)
     best = math.inf
     while (estimate := oracle_error_estimate(fine, coarse)) > ADAPTIVE_TOLERANCE * errors[-1]:
@@ -253,8 +252,7 @@ def _cmd_converge(args) -> int:
     trajectories = []
     for level in range(args.halvings + 1):
         factor = 2**level
-        stepper = replace(
-            cfg.stepper,
+        stepper = cfg.stepper.replace(
             dt=cfg.stepper.dt / factor,
             steps=cfg.stepper.steps * factor,
             snapshot_stride=cfg.stepper.steps * factor,

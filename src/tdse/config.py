@@ -41,13 +41,14 @@ linear, harmonic_ground, harmonic_coherent, oracle) and
 
 import configparser
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .initialization import GaussianPacket, gaussian_coefficients
 from .integrators import StepperConfig
 from .potential import PotentialModel, parse_potential
+from .records import Frozen, Record
 from .scenarios import SCENARIOS
 from .state import CoefficientState, PhysicalParams
 
@@ -58,21 +59,18 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    xmin: float
-    xmax: float
-    points: int
+class GridSpec(Frozen):
+    __slots__ = ("xmin", "xmax", "points")
 
-    def __post_init__(self):
-        if not self.xmax > self.xmin:
-            raise ValueError(f"grid xmax must exceed xmin, got [{self.xmin}, {self.xmax}]")
-        if self.points < 8:
-            raise ValueError(f"grid points must be at least 8, got {self.points}")
+    def __init__(self, xmin: float, xmax: float, points: int):
+        if not xmax > xmin:
+            raise ValueError(f"grid xmax must exceed xmin, got [{xmin}, {xmax}]")
+        if points < 8:
+            raise ValueError(f"grid points must be at least 8, got {points}")
+        self._set(xmin, xmax, points)
 
 
-@dataclass(frozen=True)
-class OracleOptions:
+class OracleOptions(NamedTuple):
     """Raw [oracle] overrides; unset fields fall back to command defaults."""
 
     xmin: float | None = None
@@ -82,17 +80,17 @@ class OracleOptions:
     steps: int | None = None
 
 
-@dataclass
-class RunConfig:
-    params: PhysicalParams
-    potential: PotentialModel
-    initial: CoefficientState
-    stepper: StepperConfig
-    grid: GridSpec | None
-    output_dir: str | None
-    oracle: OracleOptions
-    converge_scenario: str
-    allow_oracle_fallback: bool
+class RunConfig(Record):
+    __slots__ = ("params", "potential", "initial", "stepper", "grid", "output_dir", "oracle",
+                 "converge_scenario", "allow_oracle_fallback")
+
+    def __init__(
+        self, params: PhysicalParams, potential: PotentialModel, initial: CoefficientState,
+        stepper: StepperConfig, grid: GridSpec | None, output_dir: str | None,
+        oracle: OracleOptions, converge_scenario: str, allow_oracle_fallback: bool,
+    ):
+        self._set(params, potential, initial, stepper, grid, output_dir, oracle,
+                  converge_scenario, allow_oracle_fallback)
 
 
 _SCHEMA = {
@@ -286,6 +284,11 @@ def load_config(path: str) -> RunConfig:
         dt=oracle_sec.getfloat("dt"),
         steps=oracle_sec.getint("steps"),
     )
+    # the oracle divides its horizon by either
+    if oracle.steps is not None and oracle.steps < 1:
+        raise ConfigError(f"oracle.steps must be at least 1, got {oracle.steps}")
+    if oracle.dt is not None and not (math.isfinite(oracle.dt) and oracle.dt > 0):
+        raise ConfigError(f"oracle.dt must be positive and finite, got {oracle.dt!r}")
 
     converge_sec = section("converge")
     scenario = converge_sec.get("scenario", "auto").strip().lower()

@@ -14,10 +14,11 @@ log-polynomial form, hence the magnitude floor.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .records import Frozen
 from .state import CoefficientState
 
 __all__ = [
@@ -40,17 +41,15 @@ class DegenerateSystem(ValueError):
     """Rank-deficient fit system, e.g. from duplicated x positions."""
 
 
-@dataclass(frozen=True)
-class GaussianPacket:
-    center: float = 0.0
-    width: float = 1.0
-    wavenumber: float = 0.0
+class GaussianPacket(Frozen):
+    __slots__ = ("center", "width", "wavenumber")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.width) and self.width > 0):
-            raise ValueError(f"width must be positive and finite, got {self.width!r}")
-        if not (math.isfinite(self.center) and math.isfinite(self.wavenumber)):
+    def __init__(self, center: float = 0.0, width: float = 1.0, wavenumber: float = 0.0):
+        if not (math.isfinite(width) and width > 0):
+            raise ValueError(f"width must be positive and finite, got {width!r}")
+        if not (math.isfinite(center) and math.isfinite(wavenumber)):
             raise ValueError("center and wavenumber must be finite")
+        self._set(center, width, wavenumber)
 
 
 def gaussian_coefficients(packet: GaussianPacket, truncation_order: int = 2) -> CoefficientState:
@@ -70,8 +69,7 @@ def gaussian_coefficients(packet: GaussianPacket, truncation_order: int = 2) -> 
     return CoefficientState(alphas, time=0.0)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     state: CoefficientState
     residual: float  # rms of the least-squares residual over the samples
 

@@ -14,11 +14,10 @@ Explicit stepping of this quadratic flow can diverge for large dt, so
 blow-up is reported as a trajectory status rather than an exception.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .potential import PotentialModel, eval_taylor_coefficients, taylor_rows
+from .records import Frozen, Record
 from .state import CoefficientState, PhysicalParams, velocity_kernel
 from .state import coefficient_velocity  # noqa: F401  (re-exported: the kernel for one state)
 
@@ -31,35 +30,33 @@ INTEGRATORS = ("euler", "rk4")
 BLOCK_VALUES = 8192
 
 
-@dataclass(frozen=True)
-class StepperConfig:
-    dt: float
-    steps: int
-    integrator: str = "euler"
-    blowup_threshold: float = 1e12
-    snapshot_stride: int = 1
+class StepperConfig(Frozen):
+    __slots__ = ("dt", "steps", "integrator", "blowup_threshold", "snapshot_stride")
 
-    def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps!r}")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(
-                f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
-            )
-        if not (np.isfinite(self.blowup_threshold) and self.blowup_threshold > 0):
+    def __init__(
+        self, dt: float, steps: int, integrator: str = "euler",
+        blowup_threshold: float = 1e12, snapshot_stride: int = 1,
+    ):
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        if steps < 1:
+            raise ValueError(f"steps must be at least 1, got {steps!r}")
+        if integrator not in INTEGRATORS:
+            raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
+        if not (np.isfinite(blowup_threshold) and blowup_threshold > 0):
             raise ValueError("blowup_threshold must be positive and finite")
-        if self.snapshot_stride < 1:
+        if snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
+        self._set(dt, steps, integrator, blowup_threshold, snapshot_stride)
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Time-ordered snapshots; first snapshot is the initial state."""
 
-    snapshots: list
-    status: str  # 'completed' | 'aborted_blowup'
+    __slots__ = ("snapshots", "status")
+
+    def __init__(self, snapshots: list, status: str):  # 'completed' | 'aborted_blowup'
+        self._set(snapshots, status)
 
     @property
     def final(self) -> CoefficientState:

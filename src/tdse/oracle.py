@@ -14,13 +14,14 @@ down: its reconstruction grows without bound towards the window edges.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .initialization import is_closed_system
 from .integrators import BLOCK_VALUES, StepperConfig, Trajectory, propagate
 from .potential import PotentialModel, eval_taylor_coefficients, taylor_rows
+from .records import Frozen
 from .reconstruction import (
     ExponentOverflow,
     WaveGrid,
@@ -67,23 +68,19 @@ class GridMismatch(ValueError):
     """Grids disagree in window, spacing or size."""
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    xmin: float
-    xmax: float
-    points: int
-    dt: float
-    steps: int
+class OracleConfig(Frozen):
+    __slots__ = ("xmin", "xmax", "points", "dt", "steps")
 
-    def __post_init__(self):
-        if not self.xmax > self.xmin:
-            raise ValueError(f"xmax must exceed xmin, got [{self.xmin}, {self.xmax}]")
-        if self.points < 256 or self.points & (self.points - 1):
-            raise ValueError(f"points must be a power of two >= 256, got {self.points}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be nonnegative, got {self.steps}")
+    def __init__(self, xmin: float, xmax: float, points: int, dt: float, steps: int):
+        if not xmax > xmin:
+            raise ValueError(f"xmax must exceed xmin, got [{xmin}, {xmax}]")
+        if points < 256 or points & (points - 1):
+            raise ValueError(f"points must be a power of two >= 256, got {points}")
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        if steps < 0:
+            raise ValueError(f"steps must be nonnegative, got {steps}")
+        self._set(xmin, xmax, points, dt, steps)
 
     @property
     def dx(self) -> float:
@@ -234,8 +231,7 @@ def l2_distance(a: WaveGrid, b: WaveGrid) -> float:
     return float(np.sqrt(np.trapezoid(np.abs(va - vb) ** 2, dx=a.dx)))
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Per-snapshot agreement between the series method and the oracle.
 
     d_mean_x is the <x> difference (series minus oracle); d_norm compares
@@ -287,7 +283,9 @@ def compare_trajectory(
 ) -> ComparisonReport:
     """Compare each snapshot of trajectory that lands on the oracle's step
     grid with grids, the oracle's {step index: grid} from the trajectory's
-    initial state, which must hold every such index.
+    initial state reconstructed on the oracle grid, which must hold every
+    such index.  grids[0] so doubles as the initial state's series grid, and
+    each grid's observables are computed once per call.
 
     A snapshot whose series or oracle grid cannot be reconstructed
     (ExponentOverflow or ZeroNorm), or whose series grid fails
@@ -299,15 +297,18 @@ def compare_trajectory(
     times, l2s, dxs, dnorms = [], [], [], []
     series_norm0 = oracle_norm0 = None
     reconstruction_error = None
+    oracle_obs = {}  # step index -> observables: compare_levels' finals share one grid
     for snap in trajectory.snapshots:
         j = _oracle_index(snap.time, initial.time, oracle_cfg.dt)
         if j is None:
             continue
         oracle_grid = grids[j]
         try:
-            series_grid = state_on_oracle_grid(snap, oracle_cfg)
+            series_grid = oracle_grid if snap is initial else state_on_oracle_grid(snap, oracle_cfg)
             obs_s = observables(series_grid, params)
-            obs_o = observables(oracle_grid, params)
+            if j not in oracle_obs:
+                oracle_obs[j] = obs_s if snap is initial else observables(oracle_grid, params)
+            obs_o = oracle_obs[j]
             l2 = l2_distance(oracle_grid, series_grid)
             guard(series_grid.values, snap.time)
         except (ExponentOverflow, ZeroNorm, EdgeLeakage) as exc:

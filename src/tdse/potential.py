@@ -26,9 +26,11 @@ Models are immutable after construction and evaluation is pure.
 
 import math
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+from .records import Frozen
 
 __all__ = [
     "PotentialError",
@@ -81,39 +83,35 @@ class EvaluationError(PotentialError):
 
 
 # ---------------------------------------------------------------------------
-# time-profile expression trees
+# time-profile expression trees: tuples, but no two node classes share a
+# field layout (count, and a float, str or node first), so nodes of
+# different classes never compare equal
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class TimeVar:
+class TimeVar(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "TimeProfile"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # '+', '-', '*', '/'
     left: "TimeProfile"
     right: "TimeProfile"
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(NamedTuple):
     base: "TimeProfile"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str  # 'sin', 'cos', 'exp'
     arg: "TimeProfile"
 
@@ -237,28 +235,27 @@ def _poly_pow(p, exponent: int):
     return out
 
 
-@dataclass(frozen=True)
-class PotentialModel:
+class PotentialModel(Frozen):
     """Polynomial-in-x potential; terms maps degree -> TimeProfile.
 
     Each profile is compiled once, at construction, into a closure over
-    math functions; is_static is True when no profile mentions t.
+    math functions; is_static is True when no profile mentions t.  A copy
+    or pickle compiles its terms again.
     """
 
-    terms: dict
-    is_static: bool = field(init=False, repr=False, compare=False)
-    _profiles: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("terms", "_profiles", "_static")
 
-    def __post_init__(self):
-        for d in self.terms:
+    def __init__(self, terms: dict):
+        for d in terms:
             if not isinstance(d, int) or d < 0:
                 raise ValueError(f"term degrees must be nonnegative integers, got {d!r}")
-        compiled = [(d, _compile(node)) for d, node in self.terms.items()]
-        object.__setattr__(self, "_profiles", tuple((d, fn) for d, (fn, _) in compiled))
-        object.__setattr__(self, "is_static", all(static for _, (_, static) in compiled))
+        compiled = [(d, _compile(node)) for d, node in terms.items()]
+        profiles = tuple((d, fn) for d, (fn, _) in compiled)
+        self._set(terms, profiles, all(static for _, (_, static) in compiled))
 
-    def __reduce__(self):  # the compiled closures do not pickle; recompile
-        return (PotentialModel, (self.terms,))
+    @property
+    def is_static(self) -> bool:
+        return self._static
 
     @property
     def degree(self) -> int:
@@ -272,8 +269,7 @@ _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'number' | 'ident' | 'op' | 'end'
     text: str
     pos: int  # 1-based character position

@@ -7,10 +7,11 @@ by rescaling coefficients.  Quadrature is composite trapezoid.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .records import Record
 from .state import CoefficientState, PhysicalParams
 
 __all__ = [
@@ -46,20 +47,17 @@ def _check_samples(dx, values: np.ndarray) -> None:
         raise ValueError("grid values must be finite")
 
 
-@dataclass
-class WaveGrid:
+class WaveGrid(Record):
     """Complex samples psi(xmin + j*dx), j = 0..M-1, at one time instant."""
 
-    xmin: float
-    dx: float
-    values: np.ndarray
-    time: float = 0.0
+    __slots__ = ("xmin", "dx", "values", "time")
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 1 or len(self.values) < 8:
+    def __init__(self, xmin: float, dx: float, values, time: float = 0.0):
+        values = np.asarray(values, dtype=np.complex128)
+        if values.ndim != 1 or len(values) < 8:
             raise ValueError("values must be a 1-D sequence of at least 8 samples")
-        _check_samples(self.dx, self.values)
+        _check_samples(dx, values)
+        self.xmin, self.dx, self.values, self.time = xmin, dx, values, time
 
     @property
     def npoints(self) -> int:
@@ -147,8 +145,7 @@ def norm_squared(grid: WaveGrid) -> float:
     return n2
 
 
-@dataclass(frozen=True)
-class Observables:
+class Observables(NamedTuple):
     norm2: float
     mean_x: float
     mean_x2: float

@@ -23,9 +23,10 @@ its own kernel.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
+
+from .records import Frozen, Record
 
 __all__ = [
     "PhysicalParams",
@@ -35,22 +36,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(Frozen):
     """hbar and particle mass, in any consistent unit system."""
 
-    hbar: float = 1.0
-    mass: float = 1.0
+    __slots__ = ("hbar", "mass")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise ValueError(f"mass must be positive and finite, got {self.mass!r}")
+    def __init__(self, hbar: float = 1.0, mass: float = 1.0):
+        if not (math.isfinite(hbar) and hbar > 0):
+            raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
+        if not (math.isfinite(mass) and mass > 0):
+            raise ValueError(f"mass must be positive and finite, got {mass!r}")
+        self._set(hbar, mass)
 
 
-@dataclass
-class CoefficientState:
+class CoefficientState(Record):
     """Complex coefficient vector alpha_0..alpha_N at one time instant.
 
     ``alphas[n]`` multiplies x**n in the exponent; the array always has
@@ -60,23 +59,22 @@ class CoefficientState:
     detector in the integrators module is for.
     """
 
-    alphas: np.ndarray
-    time: float = 0.0
-    truncation_order: int = field(default=-1)
+    __slots__ = ("alphas", "time", "truncation_order")
 
-    def __post_init__(self):
-        self.alphas = np.array(self.alphas, dtype=np.complex128)
-        if self.alphas.ndim != 1:
+    def __init__(self, alphas, time: float = 0.0, truncation_order: int = -1):
+        alphas = np.array(alphas, dtype=np.complex128)
+        if alphas.ndim != 1:
             raise ValueError("alphas must be a one-dimensional sequence")
-        if self.truncation_order == -1:
-            self.truncation_order = len(self.alphas) - 1
-        if len(self.alphas) != self.truncation_order + 1:
+        if truncation_order == -1:
+            truncation_order = len(alphas) - 1
+        if len(alphas) != truncation_order + 1:
             raise ValueError(
-                f"alphas has length {len(self.alphas)}, expected "
-                f"truncation_order + 1 = {self.truncation_order + 1}"
+                f"alphas has length {len(alphas)}, expected "
+                f"truncation_order + 1 = {truncation_order + 1}"
             )
-        if self.truncation_order < 2:
+        if truncation_order < 2:
             raise ValueError("truncation_order must be at least 2")
+        self.alphas, self.time, self.truncation_order = alphas, time, truncation_order
 
 
 def velocity_kernel(truncation_order: int, params: PhysicalParams):

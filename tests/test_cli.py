@@ -309,8 +309,6 @@ def test_converge_runs_the_oracle_once_per_invocation(tmp_path, capsys, monkeypa
 def test_converge_reused_oracle_writes_the_bytes_of_independent_runs(
     tmp_path, capsys, monkeypatch, body
 ):
-    from dataclasses import replace
-
     from tdse import OracleConfig, compare_methods
     from tdse.config import load_config
 
@@ -328,7 +326,7 @@ def test_converge_reused_oracle_writes_the_bytes_of_independent_runs(
     rows, errors = [], []
     for level in range(4):
         dt, steps = stepper.dt / 2**level, stepper.steps * 2**level
-        level_stepper = replace(stepper, dt=dt, steps=steps, snapshot_stride=steps)
+        level_stepper = stepper.replace(dt=dt, steps=steps, snapshot_stride=steps)
         report = compare_methods(cfg.initial, cfg.potential, cfg.params, level_stepper, oracle)
         errors.append(float(report.l2[-1]))
         ratio = f"{errors[-2] / errors[-1]:.16e}" if level else ""
@@ -589,6 +587,28 @@ steps = 2000
     lines = (out / "compare.csv").read_text().splitlines()
     assert len(lines) == 1 + 5
     assert float(lines[-1].split(",")[1]) <= 1e-4
+
+
+@pytest.mark.parametrize("command", ["compare", "converge"])
+@pytest.mark.parametrize(
+    "override,message",
+    [
+        ("steps = 0", "oracle.steps must be at least 1, got 0"),
+        ("dt = 0", "oracle.dt must be positive and finite, got 0.0"),
+    ],
+    ids=["steps", "dt"],
+)
+def test_a_zero_oracle_step_count_or_dt_exits_2(tmp_path, capsys, command, override, message):
+    # the oracle divides its horizon by either: a ZeroDivisionError traceback
+    # before the config checked them
+    body = HARMONIC_GAUSSIAN.replace("dt = 1e-3", "dt = 1e-2").replace("steps = 200", "steps = 10")
+    config = write_config(tmp_path / "zero.cfg", body + f"\n[oracle]\n{override}\n")
+    argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+    if command == "converge":
+        argv[1:1] = ["--halvings", "1"]
+    assert run_cli(*argv) == 2
+    assert_one_error_line(capsys, message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_command(tmp_path, capsys):
