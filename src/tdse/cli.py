@@ -3,13 +3,14 @@ deterministic CSV artifacts.
 
 Each command is straight-line code that raises on failure; `main` maps
 the exception to an exit code through one table, `_EXIT_CODES`, and
-prints it as one `error:` line on stderr.  Exit codes: 0 success,
-2 config, validation or reconstruction error (a series past quadratic
-closure that is not negligible at its window's edges included; the rows
-before it are kept), or an output that cannot be written, 3 propagation
-aborted by blow-up detection (partial outputs are still written), 4
-potential-DSL error.  All numbers are written with
-17 significant digits so identical inputs give byte-identical files; the
+prints it as one `error:` line on stderr.  Exit codes: 0 success, 2 a
+config or validation error, an output that cannot be written, or a
+snapshot that cannot be reconstructed or compared (run and compare keep
+the rows before it): an exponent overflow, a vanishing norm, or a series
+past quadratic closure or compare's oracle not negligible at its window's
+edges; 3 propagation aborted by blow-up detection (partial outputs are
+still written); 4 potential-DSL error.  All numbers are written with 17
+significant digits so identical inputs give byte-identical files; the
 only standard output is one final status line.
 """
 
@@ -28,10 +29,11 @@ from .oracle import (
     EdgeLeakage,
     OracleConfig,
     check_alignment,
-    compare_levels,
     compare_methods,
+    compare_snapshots,
     oracle_error_estimate,
     series_edge_guard,
+    split_step_evolve,
     state_on_oracle_grid,
 )
 from .potential import PotentialError
@@ -39,10 +41,10 @@ from .potential import PotentialError
 # wraps them under tdse.cli's names
 from .reconstruction import (  # noqa: F401
     ExponentOverflow,
+    Window,
     ZeroNorm,
     evaluate_on_grid,
     observables,
-    observables_kernel,
 )
 from .scenarios import detect_scenario, reference_error
 
@@ -117,7 +119,7 @@ def _oracle_config(cfg: RunConfig, stepper: StepperConfig, default_steps=None) -
     opts = cfg.oracle
     xmin = opts.xmin if opts.xmin is not None else cfg.grid.xmin
     xmax = opts.xmax if opts.xmax is not None else cfg.grid.xmax
-    points = opts.points or _next_pow2(max(256, cfg.grid.points))
+    points = opts.points if opts.points is not None else _next_pow2(max(256, cfg.grid.points))
     if opts.steps is None and opts.dt is None and default_steps is None:
         dt, steps = stepper.dt, stepper.steps
     else:
@@ -148,13 +150,14 @@ def _cmd_run(args) -> int:
 
     # reconstruction can fail on non-normalizable states; keep whatever rows
     # were healthy
-    xs, observe = observables_kernel(cfg.grid.xmin, cfg.grid.xmax, cfg.grid.points, cfg.params)
+    window = Window.inclusive(cfg.grid.xmin, cfg.grid.xmax, cfg.grid.points, cfg.params)
     guard = series_edge_guard(cfg.initial, cfg.potential)
     reconstruction_error = None
     obs_rows = []
     for snap in trajectory.snapshots:
         try:
-            values, obs = observe(snap)
+            values = window.sample(snap)
+            obs = window.moments(values)
             guard(values, snap.time)
         except (ExponentOverflow, ZeroNorm, EdgeLeakage) as exc:
             reconstruction_error = exc
@@ -174,7 +177,7 @@ def _cmd_run(args) -> int:
         # which numpy's array abs does not in the last bit
         wf_rows = (
             f"{x:.16e},{v.real:.16e},{v.imag:.16e},{abs(v) ** 2:.16e}\n"
-            for x, v in zip(xs.tolist(), values.tolist())
+            for x, v in zip(window.xs.tolist(), values.tolist())
         )
         _write_csv(
             os.path.join(out_dir, "wavefunction_final.csv"),
@@ -193,12 +196,24 @@ def _oracle_errors(cfg: RunConfig, trajectories: list, oracle_cfg: OracleConfig,
     potential, params = cfg.potential, cfg.params
     # every oracle here shares the window, so it starts from one grid
     start = state_on_oracle_grid(cfg.initial, oracle_cfg)
-    fine, errors = compare_levels(start, trajectories, potential, params, oracle_cfg)
+    window = Window(oracle_cfg.xmin, oracle_cfg.dx, oracle_cfg.points, params)
+
+    def oracle_run(oracle_cfg, levels):
+        """The oracle's final grid, and the final l2 of each of levels
+        against it; the levels share their t = 0 snapshot, compared once."""
+        grids = dict(split_step_evolve(start, potential, params, oracle_cfg, {0, oracle_cfg.steps}))
+        final = grids[oracle_cfg.steps]
+        pairs = [(cfg.initial, grids[0])] + [(t.final, final) for t in levels]
+        report = compare_snapshots(pairs, potential, window)
+        if report.reconstruction_error is not None:
+            raise report.reconstruction_error
+        return final, report.l2[1:].tolist()
+
+    fine, errors = oracle_run(oracle_cfg, trajectories)
     if not adaptive:
         return errors, ""
     steps = oracle_cfg.steps
-    coarse_cfg = oracle_cfg.replace(steps=steps // 2, dt=2.0 * oracle_cfg.dt)
-    coarse, _ = compare_levels(start, [], potential, params, coarse_cfg)
+    coarse, _ = oracle_run(oracle_cfg.replace(steps=steps // 2, dt=2.0 * oracle_cfg.dt), [])
     best = math.inf
     while (estimate := oracle_error_estimate(fine, coarse)) > ADAPTIVE_TOLERANCE * errors[-1]:
         best = min(best, estimate)
@@ -211,7 +226,7 @@ def _oracle_errors(cfg: RunConfig, trajectories: list, oracle_cfg: OracleConfig,
         steps *= 2
         coarse = fine
         oracle_cfg = _oracle_config(cfg, cfg.stepper, steps)
-        fine, errors = compare_levels(start, trajectories, potential, params, oracle_cfg)
+        fine, errors = oracle_run(oracle_cfg, trajectories)
     return errors, f" oracle_steps={steps} oracle_error={_fmt(estimate)}"
 
 

@@ -19,12 +19,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .initialization import is_closed_system
-from .integrators import BLOCK_VALUES, StepperConfig, Trajectory, propagate
+from .integrators import BLOCK_VALUES, StepperConfig, propagate
 from .potential import PotentialModel, eval_taylor_coefficients, taylor_rows
 from .records import Frozen
-from .reconstruction import (
+# observables is not called here, but perfbench/tracing.py wraps it under
+# tdse.oracle's name
+from .reconstruction import (  # noqa: F401
     ExponentOverflow,
     WaveGrid,
+    Window,
     ZeroNorm,
     evaluate_at,
     norm_squared,
@@ -37,14 +40,12 @@ __all__ = [
     "EdgeLeakage",
     "GridMismatch",
     "ComparisonReport",
-    "oracle_grid_xs",
     "state_on_oracle_grid",
     "split_step_evolve",
     "l2_distance",
     "check_alignment",
-    "compare_trajectory",
+    "compare_snapshots",
     "compare_methods",
-    "compare_levels",
     "oracle_error_estimate",
     "series_edge_guard",
 ]
@@ -87,14 +88,11 @@ class OracleConfig(Frozen):
         return (self.xmax - self.xmin) / self.points
 
 
-def oracle_grid_xs(cfg: OracleConfig) -> np.ndarray:
-    """Periodic grid positions xmin + j*dx, j = 0..points-1 (xmax excluded)."""
-    return cfg.xmin + cfg.dx * np.arange(cfg.points)
-
-
 def state_on_oracle_grid(state: CoefficientState, cfg: OracleConfig) -> WaveGrid:
-    """Reconstruct a coefficient state on the oracle's periodic grid."""
-    return WaveGrid(cfg.xmin, cfg.dx, evaluate_at(state, oracle_grid_xs(cfg)), state.time)
+    """Reconstruct a coefficient state on the oracle's periodic grid, at
+    xmin + j*dx for j = 0..points-1 (xmax excluded)."""
+    xs = cfg.xmin + cfg.dx * np.arange(cfg.points)
+    return WaveGrid(cfg.xmin, cfg.dx, evaluate_at(state, xs), state.time)
 
 
 def _check_edges(values: np.ndarray, time: float, label: str = ""):
@@ -118,7 +116,7 @@ def series_edge_guard(initial: CoefficientState, potential: PotentialModel):
     return lambda values, time: _check_edges(values, time, "series ")
 
 
-def _half_phases(potential, params, cfg, xs, t0, steps):
+def _half_phases(potential, params, cfg, t0, steps):
     """Yield the half-step phase exp(-i V dt / 2 hbar) on the grid for steps
     1..steps in turn, V taken at the step's midpoint time t0 + (p - 0.5)*dt.
 
@@ -132,6 +130,7 @@ def _half_phases(potential, params, cfg, xs, t0, steps):
     it have run and been checked.
     """
     degree = potential.degree
+    xs = cfg.xmin + cfg.dx * np.arange(cfg.points)
     zero = xs * 0
 
     def phases(rows):
@@ -167,13 +166,14 @@ def split_step_evolve(
     params: PhysicalParams,
     cfg: OracleConfig,
     capture: set,
-) -> dict:
+):
     """Propagate the grid wavefunction up to the last step index in capture
-    (at most cfg.steps), returning {index: grid} in ascending index order.
+    (at most cfg.steps), yielding (index, grid) at each captured step as it
+    is reached, in ascending index order; dict(...) collects them.
 
-    Each step runs in two preallocated buffers.  Raises EdgeLeakage if the
-    wavefunction stops being negligible at the window edges at any
-    captured step.
+    Each step runs in two preallocated buffers.  Raises EdgeLeakage, in
+    place of the next pair, when the wavefunction stops being negligible at
+    the window edges at a captured step.
     """
     if initial.npoints != cfg.points or not (
         math.isclose(initial.xmin, cfg.xmin, rel_tol=0.0, abs_tol=1e-12)
@@ -187,12 +187,11 @@ def split_step_evolve(
     psi = np.array(initial.values, dtype=np.complex128)
     spectrum = np.empty_like(psi)
     t0 = initial.time
-    out = {}
     if 0 in capture:
         _check_edges(psi, t0)
-        out[0] = WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t0)
+        yield 0, WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t0)
     last = min(cfg.steps, max(capture, default=0))
-    half_phases = _half_phases(potential, params, cfg, oracle_grid_xs(cfg), t0, last)
+    half_phases = _half_phases(potential, params, cfg, t0, last)
     for p, half_phase in enumerate(half_phases, start=1):
         np.multiply(half_phase, psi, out=psi)
         np.fft.fft(psi, out=spectrum)
@@ -202,8 +201,7 @@ def split_step_evolve(
         if p in capture:
             t = t0 + p * cfg.dt
             _check_edges(psi, t)
-            out[p] = WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t)
-    return out
+            yield p, WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t)
 
 
 def l2_distance(a: WaveGrid, b: WaveGrid) -> float:
@@ -220,15 +218,19 @@ def l2_distance(a: WaveGrid, b: WaveGrid) -> float:
         or not math.isclose(a.dx, b.dx, rel_tol=1e-12)
     ):
         raise GridMismatch("grids disagree in window, spacing or size")
-    na, nb = norm_squared(a), norm_squared(b)
+    return _l2(a.values, norm_squared(a), b.values, norm_squared(b), a.dx)
+
+
+def _l2(a, na, b, nb, dx) -> float:
+    """l2_distance of the values a and b, of norms^2 na and nb."""
     if na <= 0.0 or nb <= 0.0:
         raise GridMismatch("cannot normalize a zero grid")
-    va = a.values / np.sqrt(na)
-    vb = b.values / np.sqrt(nb)
-    inner = complex(np.trapezoid(np.conj(va) * vb, dx=a.dx))
+    va = a / np.sqrt(na)
+    vb = b / np.sqrt(nb)
+    inner = complex(np.trapezoid(np.conj(va) * vb, dx=dx))
     if abs(inner) > 0.0:
         vb = vb * (np.conj(inner) / abs(inner))
-    return float(np.sqrt(np.trapezoid(np.abs(va - vb) ** 2, dx=a.dx)))
+    return float(np.sqrt(np.trapezoid(np.abs(va - vb) ** 2, dx=dx)))
 
 
 class ComparisonReport(NamedTuple):
@@ -237,9 +239,8 @@ class ComparisonReport(NamedTuple):
     d_mean_x is the <x> difference (series minus oracle); d_norm compares
     relative norm drift, i.e. norm2(t)/norm2(0) of the series
     reconstruction minus the same ratio for the (unitary) oracle.
-    reconstruction_error is the ExponentOverflow, ZeroNorm or series
-    EdgeLeakage raised at the first snapshot that could not be compared,
-    which ends the rows, or None when every snapshot was compared.
+    reconstruction_error is the exception that ended the rows (see
+    compare_snapshots), or None when every snapshot was compared.
     """
 
     times: np.ndarray
@@ -274,56 +275,42 @@ def check_alignment(t0: float, stepper_cfg: StepperConfig, oracle_cfg: OracleCon
             raise ValueError(f"snapshot time {time!r} does not land on the oracle step grid")
 
 
-def compare_trajectory(
-    trajectory: Trajectory,
-    potential: PotentialModel,
-    params: PhysicalParams,
-    oracle_cfg: OracleConfig,
-    grids: dict,
-) -> ComparisonReport:
-    """Compare each snapshot of trajectory that lands on the oracle's step
-    grid with grids, the oracle's {step index: grid} from the trajectory's
-    initial state reconstructed on the oracle grid, which must hold every
-    such index.  grids[0] so doubles as the initial state's series grid, and
-    each grid's observables are computed once per call.
+def compare_snapshots(pairs, potential: PotentialModel, window: Window, status="completed"):
+    """The ComparisonReport, with stepper_status status, of each (series
+    state, oracle grid) of pairs in turn, both sampled on window.
 
-    A snapshot whose series or oracle grid cannot be reconstructed
-    (ExponentOverflow or ZeroNorm), or whose series grid fails
-    series_edge_guard, ends the rows: the report keeps the rows before it
-    and carries the exception as reconstruction_error.
+    The first pair is the start: its grid is its state on the window, so
+    that state is not reconstructed again, and norms are relative to it.
+    Pairs that share an oracle grid come one after another; its moments,
+    which give the norms, are taken once.  A state that cannot be
+    reconstructed (ExponentOverflow or ZeroNorm) or fails
+    series_edge_guard, or an EdgeLeakage raised while pairs is iterated,
+    ends the rows: the report keeps the rows before it and carries the
+    exception as reconstruction_error.
     """
-    initial = trajectory.snapshots[0]
-    guard = series_edge_guard(initial, potential)
-    times, l2s, dxs, dnorms = [], [], [], []
-    series_norm0 = oracle_norm0 = None
-    reconstruction_error = None
-    oracle_obs = {}  # step index -> observables: compare_levels' finals share one grid
-    for snap in trajectory.snapshots:
-        j = _oracle_index(snap.time, initial.time, oracle_cfg.dt)
-        if j is None:
-            continue
-        oracle_grid = grids[j]
-        try:
-            series_grid = oracle_grid if snap is initial else state_on_oracle_grid(snap, oracle_cfg)
-            obs_s = observables(series_grid, params)
-            if j not in oracle_obs:
-                oracle_obs[j] = obs_s if snap is initial else observables(oracle_grid, params)
-            obs_o = oracle_obs[j]
-            l2 = l2_distance(oracle_grid, series_grid)
-            guard(series_grid.values, snap.time)
-        except (ExponentOverflow, ZeroNorm, EdgeLeakage) as exc:
-            reconstruction_error = exc
-            break
-        if series_norm0 is None:
-            series_norm0, oracle_norm0 = obs_s.norm2, obs_o.norm2
-        times.append(snap.time)
-        l2s.append(l2)
-        dxs.append(obs_s.mean_x - obs_o.mean_x)
-        dnorms.append(obs_s.norm2 / series_norm0 - obs_o.norm2 / oracle_norm0)
-    return ComparisonReport(
-        np.array(times), np.array(l2s), np.array(dxs), np.array(dnorms),
-        trajectory.status, reconstruction_error,
-    )
+    rows = []
+    guard = grid_seen = reconstruction_error = None
+    try:
+        for state, grid in pairs:
+            if guard is None:  # the start
+                guard = series_edge_guard(state, potential)
+                values = grid.values
+                obs_s = obs_o = window.moments(values)
+                norm0 = obs_s.norm2
+            else:
+                values = window.sample(state)
+                obs_s = window.moments(values)
+                if grid is not grid_seen:
+                    obs_o = window.moments(grid.values)
+            grid_seen = grid
+            l2 = _l2(grid.values, obs_o.norm2, values, obs_s.norm2, window.dx)
+            guard(values, state.time)
+            rows.append((state.time, l2, obs_s.mean_x - obs_o.mean_x,
+                         obs_s.norm2 / norm0 - obs_o.norm2 / norm0))
+    except (ExponentOverflow, ZeroNorm, EdgeLeakage) as exc:
+        reconstruction_error = exc
+    columns = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    return ComparisonReport(*columns, status, reconstruction_error)
 
 
 def compare_methods(
@@ -334,44 +321,32 @@ def compare_methods(
     oracle_cfg: OracleConfig,
 ) -> ComparisonReport:
     """Propagate both methods over the same horizon and compare snapshots:
-    check_alignment, propagate, one oracle run up to the last snapshot that
-    lands on its step grid, then compare_trajectory.
+    check_alignment, propagate, then compare_snapshots of each snapshot
+    that lands on the oracle's step grid with the oracle's grid at that
+    step, the oracle run step by step as the comparison reaches it.
 
     When the series blows up, the last healthy state that propagate appends
     is compared only if it lands on the grid as well.
     """
     check_alignment(initial.time, stepper_cfg, oracle_cfg)
     trajectory = propagate(initial, potential, params, stepper_cfg)
-    capture = {_oracle_index(s.time, initial.time, oracle_cfg.dt) for s in trajectory.snapshots}
+    on_grid = [
+        (j, snap)
+        for snap in trajectory.snapshots
+        if (j := _oracle_index(snap.time, initial.time, oracle_cfg.dt)) is not None
+    ]
     start = state_on_oracle_grid(initial, oracle_cfg)
-    grids = split_step_evolve(start, potential, params, oracle_cfg, capture - {None})
-    return compare_trajectory(trajectory, potential, params, oracle_cfg, grids)
+    grids = split_step_evolve(start, potential, params, oracle_cfg, {j for j, _ in on_grid})
 
+    def pairs():
+        p = grid = None
+        for j, snap in on_grid:
+            while p != j:  # snapshots can share a step
+                p, grid = next(grids)
+            yield snap, grid
 
-def compare_levels(
-    start: WaveGrid,
-    trajectories: list,
-    potential: PotentialModel,
-    params: PhysicalParams,
-    oracle_cfg: OracleConfig,
-) -> tuple:
-    """(final grid, final l2 of each trajectory) against one oracle run from
-    start that captures steps 0 and oracle_cfg.steps; each trajectory is a
-    completed run, over the oracle's horizon, from the state start was
-    reconstructed from, and records only its first and last states.
-
-    The levels share their t = 0 snapshot, so it is compared once, before
-    their final ones; the first reconstruction_error is raised.
-    """
-    grids = split_step_evolve(start, potential, params, oracle_cfg, {0, oracle_cfg.steps})
-    if not trajectories:
-        return grids[oracle_cfg.steps], []
-    initial = trajectories[0].snapshots[0]
-    finals = Trajectory([initial] + [t.final for t in trajectories], "completed")
-    report = compare_trajectory(finals, potential, params, oracle_cfg, grids)
-    if report.reconstruction_error is not None:
-        raise report.reconstruction_error
-    return grids[oracle_cfg.steps], report.l2[1:].tolist()
+    window = Window(oracle_cfg.xmin, oracle_cfg.dx, oracle_cfg.points, params)
+    return compare_snapshots(pairs(), potential, window, trajectory.status)
 
 
 def oracle_error_estimate(fine: WaveGrid, coarse: WaveGrid) -> float:

@@ -21,7 +21,7 @@ __all__ = [
     "ZeroNorm",
     "evaluate_at",
     "evaluate_on_grid",
-    "observables_kernel",
+    "Window",
     "norm_squared",
     "observables",
 ]
@@ -90,26 +90,15 @@ def evaluate_at(state: CoefficientState, xs: np.ndarray) -> np.ndarray:
     return np.exp(s)
 
 
-def _check_window(xmin: float, xmax: float, points: int) -> None:
-    if not xmax > xmin:
-        raise ValueError(f"xmax must exceed xmin, got [{xmin}, {xmax}]")
-    if points < 8:
-        raise ValueError(f"points must be at least 8, got {points}")
-
-
 def evaluate_on_grid(
     state: CoefficientState, xmin: float, xmax: float, points: int
 ) -> WaveGrid:
-    """Sample the wavefunction on a uniform inclusive grid [xmin, xmax].
-
-    The values are taken at np.linspace(xmin, xmax, points); the returned
-    grid's positions (WaveGrid.xs), where moments are taken, are
-    xmin + j*dx with dx = (xmax - xmin) / (points - 1).  The two grids can
-    differ in the last bit at some points."""
-    _check_window(xmin, xmax, points)
-    xs = np.linspace(xmin, xmax, points)
-    values = evaluate_at(state, xs)
-    return WaveGrid(xmin=xmin, dx=(xmax - xmin) / (points - 1), values=values, time=state.time)
+    """Sample the wavefunction on Window.inclusive(xmin, xmax, points): the
+    values at its linspace points, in a grid whose positions (WaveGrid.xs)
+    are its moment positions xmin + j*dx.  The two can differ in the last
+    bit at some points."""
+    window = Window.inclusive(xmin, xmax, points, PhysicalParams())  # hbar enters only moments
+    return WaveGrid(xmin, window.dx, window.sample(state), state.time)
 
 
 def _finite(name: str, *values) -> None:
@@ -153,58 +142,63 @@ class Observables(NamedTuple):
     mean_p_im: float  # diagnostic; near zero for well-resolved states
 
 
-def _moments(values, dx, xs, xs_sq, hbar, dpsi) -> Observables:
-    """The body of observables: xs are the positions xmin + j*dx, xs_sq
-    their squares, dpsi a scratch buffer of the values' length."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        density = np.abs(values) ** 2
-        n2 = float(_trapezoid(density, dx))
-        _finite("norm^2", n2)
-        if n2 <= 1e-300:
-            raise ZeroNorm("norm^2 vanishes on this window")
-        mean_x = float(_trapezoid(xs * density, dx)) / n2
-        mean_x2 = float(_trapezoid(xs_sq * density, dx)) / n2
-        p_int = np.conj(values) * (-1j * hbar) * _gradient(values, dx, dpsi)
-        mean_p = complex(_trapezoid(p_int, dx)) / n2
-    _finite("an observable", mean_x, mean_x2, mean_p.real, mean_p.imag)
-    return Observables(n2, mean_x, mean_x2, mean_p.real, mean_p.imag)
+class Window:
+    """Where a command samples its states and takes their moments, built
+    once per window: the sample positions, the moment positions
+    xs = xmin + j*dx and their squares, hbar and one scratch buffer (use one
+    window per thread).  The plain constructor samples at xs, as the
+    oracle's periodic grid does; `inclusive` is evaluate_on_grid's window."""
+
+    __slots__ = ("samples", "dx", "xs", "xs_sq", "hbar", "_dpsi")
+
+    def __init__(self, xmin: float, dx: float, points: int, params: PhysicalParams, samples=None):
+        self.dx = dx
+        self.xs = xmin + dx * np.arange(points)
+        self.samples = self.xs if samples is None else samples
+        self.xs_sq = self.xs**2
+        self.hbar = params.hbar
+        self._dpsi = np.empty(points, dtype=np.complex128)
+
+    @classmethod
+    def inclusive(cls, xmin: float, xmax: float, points: int, params: PhysicalParams) -> "Window":
+        """Samples at np.linspace(xmin, xmax, points), moments at xmin + j*dx
+        with dx = (xmax - xmin) / (points - 1)."""
+        if not xmax > xmin:
+            raise ValueError(f"xmax must exceed xmin, got [{xmin}, {xmax}]")
+        if points < 8:
+            raise ValueError(f"points must be at least 8, got {points}")
+        samples = np.linspace(xmin, xmax, points)
+        return cls(xmin, (xmax - xmin) / (points - 1), points, params, samples)
+
+    def sample(self, state: CoefficientState) -> np.ndarray:
+        """exp(S) at the sample positions, checked as WaveGrid checks them."""
+        values = evaluate_at(state, self.samples)
+        _check_samples(self.dx, values)
+        return values
+
+    def moments(self, values: np.ndarray) -> Observables:
+        """norm^2 and normalized <x>, <x^2>, <p> of values on this window.
+
+        <p> uses -i*hbar*d/dx with central differences in the interior and
+        one-sided differences at the ends; its residual imaginary part is
+        reported as a discretization diagnostic.  Raises ExponentOverflow
+        when any of them is not finite, ZeroNorm when the norm vanishes.
+        """
+        dx = self.dx
+        with np.errstate(over="ignore", invalid="ignore"):
+            density = np.abs(values) ** 2
+            n2 = float(_trapezoid(density, dx))
+            _finite("norm^2", n2)
+            if n2 <= 1e-300:
+                raise ZeroNorm("norm^2 vanishes on this window")
+            mean_x = float(_trapezoid(self.xs * density, dx)) / n2
+            mean_x2 = float(_trapezoid(self.xs_sq * density, dx)) / n2
+            p_int = np.conj(values) * (-1j * self.hbar) * _gradient(values, dx, self._dpsi)
+            mean_p = complex(_trapezoid(p_int, dx)) / n2
+        _finite("an observable", mean_x, mean_x2, mean_p.real, mean_p.imag)
+        return Observables(n2, mean_x, mean_x2, mean_p.real, mean_p.imag)
 
 
 def observables(grid: WaveGrid, params: PhysicalParams) -> Observables:
-    """norm^2 and normalized <x>, <x^2>, <p> over the grid window.
-
-    <p> uses -i*hbar*d/dx with central differences in the interior and
-    one-sided differences at the ends; its residual imaginary part is
-    reported as a discretization diagnostic.  Raises ExponentOverflow when
-    any of them is not finite, ZeroNorm when the norm vanishes.
-    """
-    xs = grid.xs
-    dpsi = np.empty_like(grid.values)
-    return _moments(grid.values, grid.dx, xs, xs**2, params.hbar, dpsi)
-
-
-def observables_kernel(xmin: float, xmax: float, points: int, params: PhysicalParams):
-    """(xs, observe) for many states on one window: evaluate_on_grid
-    followed by observables, with everything that depends only on the
-    window built once here.
-
-    ``xs`` are the positions xmin + j*dx (WaveGrid.xs).  ``observe(state)``
-    returns ``(values, Observables)``, the samples at the linspace points
-    and their moments, bitwise what the two calls give, and raises the
-    same exceptions with the same messages in the same order.  observe
-    reuses one scratch buffer: use one kernel per thread.
-    """
-    _check_window(xmin, xmax, points)
-    sample_xs = np.linspace(xmin, xmax, points)
-    dx = (xmax - xmin) / (points - 1)
-    xs = xmin + dx * np.arange(points)
-    xs_sq = xs**2
-    dpsi = np.empty(points, dtype=np.complex128)
-    hbar = params.hbar
-
-    def observe(state: CoefficientState):
-        values = evaluate_at(state, sample_xs)
-        _check_samples(dx, values)
-        return values, _moments(values, dx, xs, xs_sq, hbar, dpsi)
-
-    return xs, observe
+    """Window.moments of the grid's values, on the grid's positions."""
+    return Window(grid.xmin, grid.dx, grid.npoints, params).moments(grid.values)

@@ -2,9 +2,11 @@
 
 These are the independent oracles the numerical paths are checked
 against; they never call the code under test beyond plain data types
-(one_step is propagate over a single step, and reference_run loads the
-config and propagates with the package; what it writes from the
-snapshots is its own).
+(one_step is propagate over a single step; reference_run and
+reference_compare load the config and propagate with the package, and
+reference_compare also resolves its oracle config with the command's rules
+and compares single grids with the package's textbook functions; what they
+write from the snapshots is their own).
 """
 
 import cmath
@@ -21,8 +23,12 @@ from tdse import (
     StepperConfig,
     WaveGrid,
     ZeroNorm,
+    l2_distance,
+    observables,
     propagate,
+    state_on_oracle_grid,
 )
+from tdse.cli import _oracle_config
 from tdse.config import load_config
 from tdse.potential import BinOp, Call, Const, Neg, Power, TimeVar
 
@@ -339,6 +345,50 @@ def reference_run(config_path: str):
             "x,psi_re,psi_im,prob_density",
             [(fmt(x), fmt(v.real), fmt(v.imag), fmt(abs(v) ** 2)) for x, v in zip(xs, values)],
         )
+    if trajectory.status != "completed":
+        return 3, files
+    return (2 if error is not None else 0), files
+
+
+def reference_compare(config_path: str):
+    """(exit code, {file name: bytes}) of `tdse compare` on a config, one
+    snapshot at a time: for each snapshot on the oracle's step grid,
+    reference_split_step from the start to its step, state_on_oracle_grid,
+    observables of both grids and l2_distance.  The first snapshot that
+    cannot be compared ends the rows: an oracle grid that leaks at the
+    window's edges, then a series grid that cannot be reconstructed or,
+    past quadratic closure, is not 1e-6 of its peak at the window's edges;
+    a blow-up (3) takes precedence over it (2)."""
+    cfg = load_config(config_path)
+    oracle_cfg = _oracle_config(cfg, cfg.stepper)
+    trajectory = propagate(cfg.initial, cfg.potential, cfg.params, cfg.stepper)
+    closed = max_support_index(cfg.initial.alphas) <= 2 and cfg.potential.degree <= 2
+    start = state_on_oracle_grid(cfg.initial, oracle_cfg)
+    error, rows, norms0 = None, [], None
+    for snap in trajectory.snapshots:
+        j = (snap.time - cfg.initial.time) / oracle_cfg.dt
+        if abs(j - round(j)) > 1e-6 * max(1.0, abs(j)):
+            continue
+        j = round(j)
+        try:
+            oracle = reference_split_step(start, cfg.potential, cfg.params, oracle_cfg, {j})[j]
+            series = state_on_oracle_grid(snap, oracle_cfg)
+            obs_s, obs_o = observables(series, cfg.params), observables(oracle, cfg.params)
+            l2 = l2_distance(oracle, series)
+        except (EdgeLeakage, ExponentOverflow, ZeroNorm) as exc:
+            error = exc
+            break
+        magnitude = np.abs(series.values)
+        if not closed and max(magnitude[0], magnitude[-1]) > 1e-6 * magnitude.max():
+            error = "series edge leakage"
+            break
+        norms0 = norms0 or (obs_s.norm2, obs_o.norm2)
+        d_norm = obs_s.norm2 / norms0[0] - obs_o.norm2 / norms0[1]
+        rows.append((snap.time, l2, obs_s.mean_x - obs_o.mean_x, d_norm))
+    text = "t,l2_distance,d_mean_x,d_norm\n" + "".join(
+        ",".join(f"{value:.16e}" for value in row) + "\n" for row in rows
+    )
+    files = {"compare.csv": text.encode("utf-8")}
     if trajectory.status != "completed":
         return 3, files
     return (2 if error is not None else 0), files

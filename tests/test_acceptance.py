@@ -116,7 +116,7 @@ def test_criterion_05_coherent_state_rotation():
     oracle_cfg = OracleConfig(-12.0, 12.0, 1024, dt=np.pi / steps, steps=steps)
     packet = gaussian_coefficients(GaussianPacket(1.0, GROUND_WIDTH, 0.0))
     start = state_on_oracle_grid(packet, oracle_cfg)
-    snaps = split_step_evolve(start, HARMONIC, PARAMS, oracle_cfg, {steps})
+    snaps = dict(split_step_evolve(start, HARMONIC, PARAMS, oracle_cfg, {steps}))
     assert observables(snaps[steps], PARAMS).mean_x == pytest.approx(-1.0, abs=1e-3)
     _report(5, "coherent alpha_1 rotation and oracle <x>(pi) = -1")
 
@@ -147,19 +147,20 @@ def test_criterion_07_oracle_quality_gates():
     packet = gaussian_coefficients(GaussianPacket(1.0, GROUND_WIDTH, 0.0))
     drift_cfg = OracleConfig(-12.0, 12.0, 1024, dt=1e-4, steps=10**4)
     start = state_on_oracle_grid(packet, drift_cfg)
-    snaps = split_step_evolve(start, HARMONIC, PARAMS, drift_cfg, {0, 10**4})
+    snaps = dict(split_step_evolve(start, HARMONIC, PARAMS, drift_cfg, {0, 10**4}))
     drift = abs(norm_squared(snaps[10**4]) - norm_squared(snaps[0])) / norm_squared(snaps[0])
     assert drift <= 1e-10
 
     spread_cfg = OracleConfig(-25.0, 25.0, 1024, dt=1e-3, steps=2000)
     start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0, 1, 0)), spread_cfg)
-    final = split_step_evolve(start, FREE, PARAMS, spread_cfg, {2000})[2000]
+    final = dict(split_step_evolve(start, FREE, PARAMS, spread_cfg, {2000}))[2000]
     assert observables(final, PARAMS).mean_x2 == pytest.approx(2.0, abs=1e-3)
 
     errors = []
     for steps in (50, 100, 200):
         cfg = OracleConfig(-12.0, 12.0, 1024, dt=1.0 / steps, steps=steps)
-        run = split_step_evolve(state_on_oracle_grid(packet, cfg), HARMONIC, PARAMS, cfg, {steps})
+        start = state_on_oracle_grid(packet, cfg)
+        run = dict(split_step_evolve(start, HARMONIC, PARAMS, cfg, {steps}))
         reference = state_on_oracle_grid(coherent_state_exact(1.0, 1.0), cfg)
         errors.append(l2_distance(reference, run[steps]))
     for coarse, fine in zip(errors, errors[1:]):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import reference_run, write_config
+from conftest import reference_compare, reference_run, write_config
 from tdse.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -284,13 +284,16 @@ def test_converge_oracle_fallback(tmp_path, capsys):
 
 
 def _count_oracle_runs(monkeypatch):
+    """The oracle configs of the split-step runs, in order: compare runs the
+    oracle through tdse.oracle, converge through tdse.cli."""
     import tdse.oracle
 
     runs = []
     real = tdse.oracle.split_step_evolve
-    monkeypatch.setattr(
-        "tdse.oracle.split_step_evolve", lambda *a: runs.append(a[3]) or real(*a)
-    )
+    for module in ("tdse.oracle", "tdse.cli"):
+        monkeypatch.setattr(
+            f"{module}.split_step_evolve", lambda *a: runs.append(a[3]) or real(*a)
+        )
     return runs
 
 
@@ -611,6 +614,18 @@ def test_a_zero_oracle_step_count_or_dt_exits_2(tmp_path, capsys, command, overr
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["compare", "converge"])
+def test_zero_oracle_points_exits_2(tmp_path, capsys, command):
+    # 0 is a value set in the config, so the oracle's own check rejects it
+    config = write_config(tmp_path / "zero.cfg", DRIVEN_FALLBACK + "\n[oracle]\npoints = 0\n")
+    argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+    if command == "converge":
+        argv[1:1] = ["--halvings", "1"]
+    assert run_cli(*argv) == 2
+    assert_one_error_line(capsys, "points must be a power of two >= 256, got 0")
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_command(tmp_path, capsys):
     config = write_config(
         tmp_path / "cmp.cfg",
@@ -793,13 +808,11 @@ def test_run_writes_the_bytes_of_the_per_snapshot_reference(tmp_path, capsys, na
 
 
 def test_run_builds_the_observables_kernel_once(tmp_path, capsys, monkeypatch):
-    import tdse.cli
+    from tdse.reconstruction import Window
 
     builds = []
-    real = tdse.cli.observables_kernel
-    monkeypatch.setattr(
-        "tdse.cli.observables_kernel", lambda *a: builds.append(a) or real(*a)
-    )
+    real = Window.__init__
+    monkeypatch.setattr(Window, "__init__", lambda *a: builds.append(a) or real(*a))
     config = write_config(tmp_path / "run.cfg", HARMONIC_GAUSSIAN)
     assert run_cli("run", "--config", config, "--out", str(tmp_path / "out")) == 0
     capsys.readouterr()
@@ -1016,6 +1029,80 @@ def test_a_blowup_before_a_pole_in_the_same_block_exits_3_with_its_rows(
     assert len(lines) == 1 + rows
     if rows:
         assert float(lines[-1].split(",")[0]) == last
+
+
+# a closed free packet running into the edge of [-6, 6]: the oracle's grid
+# leaks past 1e-6 of its peak at t = 0.3
+ORACLE_LEAK = """
+[potential]
+expression = 0
+
+[initial]
+kind = gaussian
+sigma = 0.5
+k0 = 8.0
+
+[stepper]
+integrator = rk4
+dt = 0.01
+steps = 100
+snapshot_stride = 10
+
+[grid]
+xmin = -6.0
+xmax = 6.0
+points = 256
+"""
+
+# the same packet blows up between t = 0.5 and 0.6, where |alpha_0| passes 12
+ORACLE_LEAK_THEN_BLOWUP = ORACLE_LEAK.replace(
+    "snapshot_stride = 10", "snapshot_stride = 10\nblowup_threshold = 12"
+)
+
+
+@pytest.mark.parametrize(
+    "body, code", [(ORACLE_LEAK, 2), (ORACLE_LEAK_THEN_BLOWUP, 3)], ids=["leak", "blowup"]
+)
+def test_compare_keeps_the_rows_before_an_oracle_edge_leakage(tmp_path, capsys, body, code):
+    config = write_config(tmp_path / "leak.cfg", body)
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", config, "--out", str(out)) == code
+    if code == 3:
+        assert capsys.readouterr() == ("status=aborted_blowup\n", "")
+    else:
+        assert_one_error_line(capsys, "edge magnitude 8.612e-05 exceeds 1e-06 of peak 9.259e-01 at t = 0.3")
+    lines = (out / "compare.csv").read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.1, 0.2]
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [
+        ("free_packet", 0),
+        ("harmonic_coherent", 0),
+        ("driven", 0),
+        ("blowup", 3),
+        ("quartic_n20", 2),
+        ("oracle_leak", 2),
+        ("oracle_leak_then_blowup", 3),
+    ],
+)
+def test_compare_writes_the_bytes_of_the_per_snapshot_reference(tmp_path, capsys, name, code):
+    bodies = {
+        "driven": DRIVEN_FALLBACK,
+        "blowup": BLOWUP_BEFORE_A_POLE,
+        "quartic_n20": QUARTIC_N20,
+        "oracle_leak": ORACLE_LEAK,
+        "oracle_leak_then_blowup": ORACLE_LEAK_THEN_BLOWUP,
+    }
+    body = bodies.get(name) or (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
+    config = write_config(tmp_path / "cmp.cfg", body)
+    expected_code, expected = reference_compare(config)
+    assert expected_code == code
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", config, "--out", str(out)) == code
+    capsys.readouterr()
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == expected
 
 
 def test_compare_edge_leakage_exits_2(tmp_path, capsys):

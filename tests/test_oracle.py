@@ -26,7 +26,7 @@ from tdse import (
     state_on_oracle_grid,
 )
 from tdse.integrators import BLOCK_VALUES
-from tdse.oracle import oracle_grid_xs
+from tdse.reconstruction import Window
 from tdse.potential import BinOp, Const
 
 PARAMS = PhysicalParams()
@@ -49,12 +49,12 @@ def test_oracle_config_validation():
 def test_zero_steps_is_identity():
     cfg = OracleConfig(-15.0, 15.0, 512, dt=0.1, steps=0)
     start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0, 1, 0)), cfg)
-    snaps = split_step_evolve(start, FREE, PARAMS, cfg, {0})
+    snaps = dict(split_step_evolve(start, FREE, PARAMS, cfg, {0}))
     assert len(snaps) == 1
     assert np.array_equal(snaps[0].values, start.values)
     # with no step to take, not even a static potential is evaluated
     unevaluable = PotentialModel({2: BinOp("/", Const(1.0), Const(0.0))})
-    snaps = split_step_evolve(start, unevaluable, PARAMS, cfg, {0})
+    snaps = dict(split_step_evolve(start, unevaluable, PARAMS, cfg, {0}))
     assert np.array_equal(snaps[0].values, start.values)
 
 
@@ -62,7 +62,7 @@ def test_free_gaussian_spreading_law():
     # <x^2>(t) = sigma^2 * (1 + (hbar t / 2 m sigma^2)^2) -> 2.0 at t = 2
     cfg = OracleConfig(-25.0, 25.0, 1024, dt=1e-3, steps=2000)
     start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0, 1, 0)), cfg)
-    snaps = split_step_evolve(start, FREE, PARAMS, cfg, {2000})
+    snaps = dict(split_step_evolve(start, FREE, PARAMS, cfg, {2000}))
     assert observables(snaps[2000], PARAMS).mean_x2 == pytest.approx(2.0, abs=1e-3)
 
 
@@ -71,7 +71,7 @@ def test_harmonic_coherent_oscillation():
     cfg = OracleConfig(-12.0, 12.0, 1024, dt=np.pi / steps, steps=steps)
     packet = gaussian_coefficients(GaussianPacket(1.0, GROUND_WIDTH, 0.0))
     start = state_on_oracle_grid(packet, cfg)
-    snaps = split_step_evolve(start, HARMONIC, PARAMS, cfg, {steps})
+    snaps = dict(split_step_evolve(start, HARMONIC, PARAMS, cfg, {steps}))
     assert observables(snaps[steps], PARAMS).mean_x == pytest.approx(-1.0, abs=1e-3)
 
 
@@ -79,7 +79,7 @@ def test_unitarity_norm_drift():
     cfg = OracleConfig(-12.0, 12.0, 1024, dt=1e-4, steps=10**4)
     packet = gaussian_coefficients(GaussianPacket(1.0, GROUND_WIDTH, 0.0))
     start = state_on_oracle_grid(packet, cfg)
-    snaps = split_step_evolve(start, HARMONIC, PARAMS, cfg, {0, 10**4})
+    snaps = dict(split_step_evolve(start, HARMONIC, PARAMS, cfg, {0, 10**4}))
     drift = abs(norm_squared(snaps[10**4]) - norm_squared(snaps[0])) / norm_squared(snaps[0])
     assert drift <= 1e-10
 
@@ -92,7 +92,7 @@ def test_second_order_convergence():
     for steps in (50, 100, 200):
         cfg = OracleConfig(-12.0, 12.0, 1024, dt=1.0 / steps, steps=steps)
         start = state_on_oracle_grid(packet, cfg)
-        snaps = split_step_evolve(start, HARMONIC, PARAMS, cfg, {steps})
+        snaps = dict(split_step_evolve(start, HARMONIC, PARAMS, cfg, {steps}))
         reference = state_on_oracle_grid(coherent_state_exact(1.0, 1.0), cfg)
         errors.append(l2_distance(reference, snaps[steps]))
     for coarse, fine in zip(errors, errors[1:]):
@@ -104,7 +104,7 @@ def test_edge_leakage_detected():
     packet = gaussian_coefficients(GaussianPacket(6.0, 1.0, 0.0))
     start = state_on_oracle_grid(packet, cfg)
     with pytest.raises(EdgeLeakage):
-        split_step_evolve(start, FREE, PARAMS, cfg, set(range(cfg.steps + 1)))
+        dict(split_step_evolve(start, FREE, PARAMS, cfg, set(range(cfg.steps + 1))))
 
 
 def test_l2_distance_identity_and_phase():
@@ -117,7 +117,7 @@ def test_l2_distance_identity_and_phase():
 
 def test_l2_distance_orthogonal_states():
     cfg = OracleConfig(-10.0, 10.0, 512, dt=0.1, steps=1)
-    xs = oracle_grid_xs(cfg)
+    xs = Window(cfg.xmin, cfg.dx, cfg.points, PARAMS).xs
     even = WaveGrid(cfg.xmin, cfg.dx, np.exp(-(xs**2) / 2).astype(complex))
     odd = WaveGrid(cfg.xmin, cfg.dx, (xs * np.exp(-(xs**2) / 2)).astype(complex))
     assert l2_distance(even, odd) == pytest.approx(np.sqrt(2.0), abs=1e-9)
@@ -177,7 +177,7 @@ def test_cross_validation_transitivity():
     closed_grid = state_on_oracle_grid(coherent_state_exact(x0, 1.0), cfg)
 
     start = state_on_oracle_grid(init, cfg)
-    oracle_grid = split_step_evolve(start, HARMONIC, PARAMS, cfg, {1024})[1024]
+    oracle_grid = dict(split_step_evolve(start, HARMONIC, PARAMS, cfg, {1024}))[1024]
 
     assert l2_distance(series_grid, closed_grid) <= 1e-8
     assert l2_distance(closed_grid, oracle_grid) <= 1e-5
@@ -207,10 +207,11 @@ def test_oracle_stops_at_the_last_captured_step(monkeypatch):
     driven = parse_potential("x^2/2 + 0.5*sin(2*t)*x")
     cfg = OracleConfig(-15.0, 15.0, 512, dt=0.01, steps=10)
     start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0, 1, 0)), cfg)
-    grids = split_step_evolve(start, driven, PARAMS, cfg, {0, 3})
+    grids = dict(split_step_evolve(start, driven, PARAMS, cfg, {0, 3}))
     assert sorted(grids) == [0, 3]
     assert len(calls) == 3  # one potential evaluation per step taken
-    full = split_step_evolve(start, driven, PARAMS, OracleConfig(-15.0, 15.0, 512, 0.01, 3), {3})
+    short = OracleConfig(-15.0, 15.0, 512, 0.01, 3)
+    full = dict(split_step_evolve(start, driven, PARAMS, short, {3}))
     assert np.array_equal(grids[3].values, full[3].values)
 
 
@@ -220,8 +221,8 @@ def test_the_error_estimate_tracks_the_closed_form_error():
     cfg = OracleConfig(-12.0, 12.0, 512, dt=1.0 / 256, steps=256)
     half = OracleConfig(-12.0, 12.0, 512, dt=1.0 / 128, steps=128)
     start = state_on_oracle_grid(init, cfg)
-    oracle_grid = split_step_evolve(start, HARMONIC, PARAMS, cfg, {256})[256]
-    coarse_grid = split_step_evolve(start, HARMONIC, PARAMS, half, {128})[128]
+    oracle_grid = dict(split_step_evolve(start, HARMONIC, PARAMS, cfg, {256}))[256]
+    coarse_grid = dict(split_step_evolve(start, HARMONIC, PARAMS, half, {128}))[128]
     error = l2_distance(state_on_oracle_grid(coherent_state_exact(x0, 1.0), cfg), oracle_grid)
     estimate = oracle_error_estimate(oracle_grid, coarse_grid)
     assert 0.5 * error <= estimate <= 2.0 * error
@@ -238,7 +239,7 @@ BLOCK = BLOCK_VALUES // 256  # steps per tabulated block at 256 points
 def _evolve_outcome(evolve, start, potential, cfg, capture):
     """[(index, time, bytes of the grid)], or the exception's type and message."""
     try:
-        grids = evolve(start, potential, PARAMS, cfg, capture)
+        grids = dict(evolve(start, potential, PARAMS, cfg, capture))
     except (EdgeLeakage, EvaluationError) as exc:
         return ("raise", type(exc), str(exc))
     return [(p, grid.time, grid.values.tobytes()) for p, grid in grids.items()]

@@ -41,7 +41,7 @@ from tdse import (  # noqa: E402
 import tdse.integrators  # noqa: E402
 from tdse.integrators import BLOCK_VALUES  # noqa: E402
 from tdse.potential import BinOp, Call, Const, Neg, Power, TimeVar  # noqa: E402
-from tdse.reconstruction import observables_kernel  # noqa: E402
+from tdse.reconstruction import Window  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -325,15 +325,31 @@ def _reconstruction_outcome(fn):
     return ("ok", _bits(values), _bits(xs), _bits(moments))
 
 
-def _kernel(state, xmin, xmax, points, params):
-    xs, observe = observables_kernel(xmin, xmax, points, params)
-    values, obs = observe(state)
-    return values, xs, obs
+def _window(xmin, xmax, points, params, periodic):
+    """run's window, or the oracle's periodic one on [xmin, xmax)."""
+    if periodic:
+        return Window(xmin, (xmax - xmin) / points, points, params)
+    return Window.inclusive(xmin, xmax, points, params)
 
 
-def _one_grid(state, xmin, xmax, points, params):
-    grid = evaluate_on_grid(state, xmin, xmax, points)
+def _kernel(window, state):
+    values = window.sample(state)
+    return values, window.xs, window.moments(values)
+
+
+def _one_grid(state, xmin, xmax, points, params, periodic):
+    """evaluate_on_grid, or state_on_oracle_grid, followed by observables."""
+    if periodic:
+        grid = state_on_oracle_grid(state, OracleConfig(xmin, xmax, points, 1.0, 1))
+    else:
+        grid = evaluate_on_grid(state, xmin, xmax, points)
     return grid.values, grid.xs, observables(grid, params)
+
+
+def _reference(state, xmin, xmax, points, params, periodic):
+    if periodic:
+        return _one_grid(state, xmin, xmax, points, params, periodic)
+    return reference_reconstruct(state, xmin, xmax, points, params)
 
 
 @settings(max_examples=300)
@@ -341,27 +357,34 @@ def _one_grid(state, xmin, xmax, points, params):
 @example((CoefficientState([0.0, 0.0, 1.0]), -40.0, 40.0, 101), 1.0)
 @example((CoefficientState([0.0, 0.0, -0.25]), -7.3, 9.1, 1001), 1.0)
 def test_observables_kernel_is_bitwise_the_reference(case, hbar):
-    state, xmin, xmax, points = case
+    state, xmin, xmax, window_points = case
     params = PhysicalParams(hbar=hbar)
-    expected = _reconstruction_outcome(
-        lambda: reference_reconstruct(state, xmin, xmax, points, params)
-    )
-    assert _reconstruction_outcome(lambda: _kernel(state, xmin, xmax, points, params)) == expected
-    assert _reconstruction_outcome(lambda: _one_grid(state, xmin, xmax, points, params)) == expected
-    if expected[0] == "ok":  # nothing non-finite is returned without raising
-        values, _, obs = _kernel(state, xmin, xmax, points, params)
-        assert np.isfinite(values).all() and all(map(math.isfinite, obs))
+    for periodic in (False, True):
+        # the oracle's grid sizes are powers of two from 256
+        points = max(256, 1 << (window_points - 1).bit_length()) if periodic else window_points
+        window = _window(xmin, xmax, points, params, periodic)
+        expected = _reconstruction_outcome(
+            lambda: _reference(state, xmin, xmax, points, params, periodic)
+        )
+        assert _reconstruction_outcome(lambda: _kernel(window, state)) == expected
+        assert _reconstruction_outcome(
+            lambda: _one_grid(state, xmin, xmax, points, params, periodic)
+        ) == expected
+        if expected[0] == "ok":  # nothing non-finite is returned without raising
+            values, _, obs = _kernel(window, state)
+            assert np.isfinite(values).all() and all(map(math.isfinite, obs))
 
 
 def test_the_kernel_keeps_its_window_on_later_states():
     params = PhysicalParams()
-    xs, observe = observables_kernel(-9.0, 11.0, 777, params)
-    for a1 in (0.5, -1.0, 2.0):
-        state = CoefficientState([-0.2, a1, -0.3 + 0.1j])
-        values, obs = observe(state)
-        ref_values, ref_xs, ref_obs = reference_reconstruct(state, -9.0, 11.0, 777, params)
-        assert _bits(values) == _bits(ref_values) and _bits(xs) == _bits(ref_xs)
-        assert _bits(list(obs)) == _bits(list(ref_obs))
+    for periodic, points in ((False, 777), (True, 1024)):
+        window = _window(-9.0, 11.0, points, params, periodic)
+        for a1 in (0.5, -1.0, 2.0):
+            state = CoefficientState([-0.2, a1, -0.3 + 0.1j])
+            values, xs, obs = _kernel(window, state)
+            ref_values, ref_xs, ref_obs = _reference(state, -9.0, 11.0, points, params, periodic)
+            assert _bits(values) == _bits(ref_values) and _bits(xs) == _bits(ref_xs)
+            assert _bits(list(obs)) == _bits(list(ref_obs))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +395,7 @@ DRIVEN = parse_potential("x^2/2 + 0.5*sin(2*t)*x + 0.1*cos(t)^2*x^2")
 
 def _final_grid(initial, cfg):
     start = state_on_oracle_grid(initial, cfg)
-    return split_step_evolve(start, DRIVEN, PhysicalParams(), cfg, {cfg.steps})[cfg.steps]
+    return dict(split_step_evolve(start, DRIVEN, PhysicalParams(), cfg, {cfg.steps}))[cfg.steps]
 
 
 @settings(max_examples=8)
