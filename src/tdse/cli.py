@@ -107,19 +107,26 @@ def _next_pow2(n: int) -> int:
     return power
 
 
+def _has_oracle_window(cfg: RunConfig) -> bool:
+    """Whether [oracle] or else [grid] sets each of xmin, xmax and points."""
+    opts = cfg.oracle
+    return cfg.grid is not None or None not in (opts.xmin, opts.xmax, opts.points)
+
+
 def _oracle_config(cfg: RunConfig, stepper: StepperConfig, default_steps=None) -> OracleConfig:
-    """The oracle over the stepper's horizon.  Its step count is [oracle]
-    steps, else round(horizon / [oracle] dt), else default_steps (converge's
-    fallback passes each count its oracle error estimate tries), else,
-    when that is None too (compare), the stepper's own dt and steps.  Its dt
-    is [oracle] dt, else horizon / steps."""
-    if cfg.grid is None:
+    """The oracle over the stepper's horizon.  Its window takes each of
+    xmin, xmax and points from [oracle], else from [grid].  Its step count
+    is [oracle] steps, else round(horizon / [oracle] dt), else default_steps
+    (converge's fallback passes each count its oracle error estimate tries),
+    else, when that is None too (compare), the stepper's own dt and steps.
+    Its dt is [oracle] dt, else horizon / steps."""
+    if not _has_oracle_window(cfg):
         raise ConfigError("the oracle needs a [grid] section (or [oracle] overrides)")
     horizon = stepper.dt * stepper.steps
-    opts = cfg.oracle
-    xmin = opts.xmin if opts.xmin is not None else cfg.grid.xmin
-    xmax = opts.xmax if opts.xmax is not None else cfg.grid.xmax
-    points = opts.points if opts.points is not None else _next_pow2(max(256, cfg.grid.points))
+    opts, grid = cfg.oracle, cfg.grid
+    xmin = opts.xmin if opts.xmin is not None else grid.xmin
+    xmax = opts.xmax if opts.xmax is not None else grid.xmax
+    points = opts.points if opts.points is not None else _next_pow2(max(256, grid.points))
     if opts.steps is None and opts.dt is None and default_steps is None:
         dt, steps = stepper.dt, stepper.steps
     else:
@@ -240,7 +247,7 @@ def _cmd_converge(args) -> int:
     if requested == "auto":
         scenario = detected
         if scenario is None:
-            if cfg.allow_oracle_fallback and cfg.grid is not None:
+            if cfg.allow_oracle_fallback and _has_oracle_window(cfg):
                 scenario = "oracle"
             else:
                 raise ConfigError(

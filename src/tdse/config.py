@@ -1,45 +1,24 @@
 """Run configuration: '[section]' headers with 'key = value' pairs.
 
 UTF-8 text, '#' starts a comment, whitespace around keys and values is
-ignored, unknown sections and keys are rejected.  Example:
+ignored, unknown sections and keys are rejected.  README.md shows every
+section.  _SCHEMA is the one table of the keys: each is read by its kind (a
+number, an integer, true/false, comma-separated numbers or text), and a
+value it cannot read is an error naming the key.
 
-    [physical]
-    hbar = 1.0
-    mass = 1.0
-
-    [potential]
-    expression = x^2/2
-
-    [initial]
-    kind = gaussian          # or 'coefficients'
-    x0 = 0.0
-    sigma = 1.0
-    k0 = 0.0
-    truncation_order = 2
-
-    [stepper]
-    integrator = euler       # or 'rk4'
-    dt = 1e-3
-    steps = 1000
-    snapshot_stride = 100
-    blowup_threshold = 1e12
-
-    [grid]
-    xmin = -12.0
-    xmax = 12.0
-    points = 1201
-
-    [output]
-    directory = out
-
-The optional [oracle] section (xmin, xmax, points, dt, steps) overrides
-the grid solver used by 'compare' and by oracle-fallback convergence
-studies; the optional [converge] section holds 'scenario' (auto, free,
-linear, harmonic_ground, harmonic_coherent, oracle) and
-'allow_oracle_fallback' (true/false).
+[potential], [initial] and [stepper] are required; [grid] is required by
+'run' and, when present, needs all of xmin, xmax and points.  A key left
+out of [physical] or [stepper] takes the default of PhysicalParams or
+StepperConfig; those of [initial] (x0 = 0, sigma = 1, k0 = 0, and
+truncation_order = 2 or the number of coefficients less one) are stated in
+_build_initial; [converge] defaults to scenario = auto and
+allow_oracle_fallback = true.  The oracle of 'compare' and 'converge' takes
+each of xmin, xmax and points from [oracle] when set there, else from
+[grid] (points rounded up to a power of two, at least 256).
 """
 
 import configparser
+import functools
 import math
 from typing import NamedTuple
 
@@ -67,6 +46,8 @@ class GridSpec(Frozen):
             raise ValueError(f"grid xmax must exceed xmin, got [{xmin}, {xmax}]")
         if points < 8:
             raise ValueError(f"grid points must be at least 8, got {points}")
+        if not math.isfinite(xmax - xmin):
+            raise ValueError(f"grid bounds and their span must be finite, got [{xmin}, {xmax}]")
         self._set(xmin, xmax, points)
 
 
@@ -93,73 +74,75 @@ class RunConfig(Record):
                   converge_scenario, allow_oracle_fallback)
 
 
+def _switch(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
+        raise ValueError(raw)
+    return lowered in ("true", "yes", "on", "1")
+
+
+# a key's kind: how its text is converted, and what an error says it expects;
+# a word is matched case-insensitively
+_NUMBER = (float, "a number")
+_INTEGER = (int, "an integer")
+_SWITCH = (_switch, "true/false")
+_NUMBERS = (lambda raw: [float(part) for part in raw.split(",")], "comma-separated numbers")
+_TEXT = (str, "text")
+_WORD = (str.lower, "text")
+
+# every section, and each of its keys in the order load_config converts them
 _SCHEMA = {
-    "physical": {"hbar", "mass"},
-    "potential": {"expression"},
-    "initial": {"kind", "x0", "sigma", "k0", "alpha_re", "alpha_im", "truncation_order"},
-    "stepper": {"integrator", "dt", "steps", "snapshot_stride", "blowup_threshold"},
-    "grid": {"xmin", "xmax", "points"},
-    "output": {"directory"},
-    "oracle": {"xmin", "xmax", "points", "dt", "steps"},
-    "converge": {"scenario", "allow_oracle_fallback"},
+    "physical": {"hbar": _NUMBER, "mass": _NUMBER},
+    "potential": {"expression": _TEXT},
+    "initial": {
+        "kind": _WORD, "x0": _NUMBER, "sigma": _NUMBER, "k0": _NUMBER,
+        "alpha_re": _NUMBERS, "alpha_im": _NUMBERS, "truncation_order": _INTEGER,
+    },
+    "stepper": {
+        "dt": _NUMBER, "steps": _INTEGER, "integrator": _WORD,
+        "blowup_threshold": _NUMBER, "snapshot_stride": _INTEGER,
+    },
+    "grid": {"xmin": _NUMBER, "xmax": _NUMBER, "points": _INTEGER},
+    "output": {"directory": _TEXT},
+    "oracle": {
+        "xmin": _NUMBER, "xmax": _NUMBER, "points": _INTEGER, "dt": _NUMBER, "steps": _INTEGER,
+    },
+    "converge": {"scenario": _WORD, "allow_oracle_fallback": _SWITCH},
 }
 
 _SCENARIO_NAMES = ("auto", *SCENARIOS, "oracle")
 
+_REQUIRED = object()
 
-class _Section:
-    def __init__(self, name: str, values: dict):
-        self.name = name
-        self.values = values
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
+def _value(sections: dict, name: str, key: str, default=None):
+    """The value of key in section name, converted by its kind in _SCHEMA;
+    default when the file does not set it, which _REQUIRED makes an error."""
+    raw = sections.get(name, {}).get(key)
+    if raw is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {name}.{key}")
+        return default
+    convert, expected = _SCHEMA[name][key]
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ConfigError(f"{name}.{key}: expected {expected}, got {raw!r}") from None
 
-    def _convert(self, key, conv, kind, default):
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return conv(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: expected {kind}, got {raw!r}") from None
 
-    def getfloat(self, key, default=None):
-        return self._convert(key, float, "a number", default)
-
-    def getint(self, key, default=None):
-        return self._convert(key, int, "an integer", default)
-
-    def getbool(self, key, default=None):
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"{self.name}.{key}: expected true/false, got {raw!r}")
-
-    def getfloatlist(self, key, default=None):
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return [float(part) for part in raw.split(",")]
-        except ValueError:
-            raise ConfigError(
-                f"{self.name}.{key}: expected comma-separated numbers, got {raw!r}"
-            ) from None
-
-    def require(self, key: str) -> str:
-        raw = self.values.get(key)
-        if raw is None:
-            raise ConfigError(f"missing required key {self.name}.{key}")
-        return raw
+def _given(sections: dict, name: str, required=()) -> dict:
+    """The keys of section name that the file sets, converted in _SCHEMA's
+    order once each key of required is known to be set: keyword arguments
+    for a constructor that holds the defaults of the others."""
+    raw = sections.get(name, {})
+    for key in required:
+        if key not in raw:
+            _value(sections, name, key, _REQUIRED)  # reports it missing
+    return {key: _value(sections, name, key) for key in _SCHEMA[name] if key in raw}
 
 
 def _read_sections(text: str) -> dict:
+    """{section: {key: raw text}} of a config file's text."""
     cp = configparser.ConfigParser(
         delimiters=("=",),
         comment_prefixes=("#",),
@@ -181,36 +164,34 @@ def _read_sections(text: str) -> dict:
         for key in cp[name]:
             if key not in _SCHEMA[name]:
                 raise ConfigError(f"unknown key '{key}' in section '{name}'")
-        sections[name] = _Section(name, dict(cp[name]))
+        sections[name] = dict(cp[name])
     return sections
 
 
-def _build_initial(section: _Section) -> CoefficientState:
-    kind = section.require("kind").strip().lower()
+def _build_initial(sections: dict) -> CoefficientState:
+    raw = sections["initial"]
+    value = functools.partial(_value, sections, "initial")
+    kind = value("kind", _REQUIRED)
     if kind == "gaussian":
         for key in ("alpha_re", "alpha_im"):
-            if section.get(key) is not None:
+            if key in raw:
                 raise ConfigError(f"initial.{key} is only valid with kind = coefficients")
         packet = GaussianPacket(
-            center=section.getfloat("x0", 0.0),
-            width=section.getfloat("sigma", 1.0),
-            wavenumber=section.getfloat("k0", 0.0),
+            center=value("x0", 0.0), width=value("sigma", 1.0), wavenumber=value("k0", 0.0)
         )
-        return gaussian_coefficients(packet, section.getint("truncation_order", 2))
+        return gaussian_coefficients(packet, value("truncation_order", 2))
     if kind == "coefficients":
         for key in ("x0", "sigma", "k0"):
-            if section.get(key) is not None:
+            if key in raw:
                 raise ConfigError(f"initial.{key} is only valid with kind = gaussian")
-        re_part = section.getfloatlist("alpha_re")
-        if re_part is None:
-            raise ConfigError("missing required key initial.alpha_re")
-        im_part = section.getfloatlist("alpha_im", [0.0] * len(re_part))
+        re_part = value("alpha_re", _REQUIRED)
+        im_part = value("alpha_im", [0.0] * len(re_part))
         if len(im_part) != len(re_part):
             raise ConfigError("initial.alpha_re and initial.alpha_im differ in length")
         alphas = np.array(re_part, dtype=np.complex128) + 1j * np.array(im_part)
         if not np.all(np.isfinite(alphas)):
             raise ConfigError("initial coefficients must be finite")
-        order = section.getint("truncation_order", max(len(alphas) - 1, 2))
+        order = value("truncation_order", max(len(alphas) - 1, 2))
         if order < len(alphas) - 1:
             raise ConfigError(
                 f"initial.truncation_order = {order} cannot hold "
@@ -235,82 +216,44 @@ def load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     sections = _read_sections(text)
-
-    def section(name):
-        return sections.get(name, _Section(name, {}))
-
-    physical = section("physical")
-    params = PhysicalParams(
-        hbar=physical.getfloat("hbar", 1.0), mass=physical.getfloat("mass", 1.0)
-    )
+    params = PhysicalParams(**_given(sections, "physical"))
 
     if "potential" not in sections:
         raise ConfigError("missing required section [potential]")
-    potential = parse_potential(sections["potential"].require("expression").strip())
+    potential = parse_potential(_value(sections, "potential", "expression", _REQUIRED))
 
     if "initial" not in sections:
         raise ConfigError("missing required section [initial]")
-    initial = _build_initial(sections["initial"])
+    initial = _build_initial(sections)
 
     if "stepper" not in sections:
         raise ConfigError("missing required section [stepper]")
-    stepper_sec = sections["stepper"]
-    stepper_sec.require("dt")
-    stepper_sec.require("steps")
-    stepper = StepperConfig(
-        dt=stepper_sec.getfloat("dt"),
-        steps=stepper_sec.getint("steps"),
-        integrator=stepper_sec.get("integrator", "euler").strip().lower(),
-        blowup_threshold=stepper_sec.getfloat("blowup_threshold", 1e12),
-        snapshot_stride=stepper_sec.getint("snapshot_stride", 1),
-    )
+    stepper = StepperConfig(**_given(sections, "stepper", required=("dt", "steps")))
 
     grid = None
     if "grid" in sections:
-        grid_sec = sections["grid"]
-        for key in ("xmin", "xmax", "points"):
-            grid_sec.require(key)
-        grid = GridSpec(
-            xmin=grid_sec.getfloat("xmin"),
-            xmax=grid_sec.getfloat("xmax"),
-            points=grid_sec.getint("points"),
-        )
+        grid = GridSpec(**_given(sections, "grid", required=("xmin", "xmax", "points")))
 
-    oracle_sec = section("oracle")
-    oracle = OracleOptions(
-        xmin=oracle_sec.getfloat("xmin"),
-        xmax=oracle_sec.getfloat("xmax"),
-        points=oracle_sec.getint("points"),
-        dt=oracle_sec.getfloat("dt"),
-        steps=oracle_sec.getint("steps"),
-    )
+    oracle = OracleOptions(**_given(sections, "oracle"))
     # the oracle divides its horizon by either
     if oracle.steps is not None and oracle.steps < 1:
         raise ConfigError(f"oracle.steps must be at least 1, got {oracle.steps}")
     if oracle.dt is not None and not (math.isfinite(oracle.dt) and oracle.dt > 0):
         raise ConfigError(f"oracle.dt must be positive and finite, got {oracle.dt!r}")
 
-    converge_sec = section("converge")
-    scenario = converge_sec.get("scenario", "auto").strip().lower()
+    scenario = _value(sections, "converge", "scenario", "auto")
     if scenario not in _SCENARIO_NAMES:
         raise ConfigError(
             f"converge.scenario must be one of {', '.join(_SCENARIO_NAMES)}, got {scenario!r}"
         )
-    allow_fallback = converge_sec.getbool("allow_oracle_fallback", True)
-
-    output_dir = section("output").get("directory")
-
-    if not math.isfinite(initial.time):
-        raise ConfigError("initial time must be finite")
-
     return RunConfig(
         params=params,
         potential=potential,
         initial=initial,
         stepper=stepper,
         grid=grid,
-        output_dir=output_dir,
+        output_dir=_value(sections, "output", "directory"),
         oracle=oracle,
         converge_scenario=scenario,
-        allow_oracle_fallback=allow_fallback,
+        allow_oracle_fallback=_value(sections, "converge", "allow_oracle_fallback", True),
     )

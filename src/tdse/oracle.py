@@ -81,6 +81,8 @@ class OracleConfig(Frozen):
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
         if steps < 0:
             raise ValueError(f"steps must be nonnegative, got {steps}")
+        if not math.isfinite(xmax - xmin):
+            raise ValueError(f"bounds and their span must be finite, got [{xmin}, {xmax}]")
         self._set(xmin, xmax, points, dt, steps)
 
     @property

@@ -167,6 +167,8 @@ class Window:
             raise ValueError(f"xmax must exceed xmin, got [{xmin}, {xmax}]")
         if points < 8:
             raise ValueError(f"points must be at least 8, got {points}")
+        if not math.isfinite(xmax - xmin):
+            raise ValueError(f"bounds and their span must be finite, got [{xmin}, {xmax}]")
         samples = np.linspace(xmin, xmax, points)
         return cls(xmin, (xmax - xmin) / (points - 1), points, params, samples)
 

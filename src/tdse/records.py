@@ -5,9 +5,12 @@ generates from its annotations costs about a millisecond.
 A record lists its fields in __slots__, in the order of its __init__
 parameters (a slot whose name starts with '_' holds derived state), and
 __init__ validates and sets them.  Record gives a Name(field=value, ...)
-repr, field-wise equality, pickling through __init__, and replace(), a
-copy that __init__ validates again.  Frozen adds immutability and hashing.
+repr, field-wise equality (np.array_equal for an array field), pickling
+through __init__, and replace(), a copy that __init__ validates again.
+Frozen adds immutability and hashing.
 """
+
+import numpy as np
 
 
 class Record:
@@ -35,7 +38,10 @@ class Record:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._asdict() == other._asdict()
+        return all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in zip(self._asdict().values(), other._asdict().values())
+        )
 
 
 class Frozen(Record):

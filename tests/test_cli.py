@@ -1115,3 +1115,225 @@ def test_compare_edge_leakage_exits_2(tmp_path, capsys):
     config = write_config(tmp_path / "edge.cfg", body)
     assert run_cli("compare", "--config", config, "--out", str(tmp_path / "out")) == 2
     assert_one_error_line(capsys, "edge magnitude")
+
+
+# every config error, one per case: the sections of a valid config, edited by
+# "section.key=value" (set), "-section.key" (delete), "-section" (drop the
+# section), "+section" (add it empty) or lines appended as they are
+_VALID = {
+    "physical": {"hbar": "1.0", "mass": "1.0"},
+    "potential": {"expression": "x^2/2"},
+    "initial": {"kind": "gaussian", "x0": "0.0", "sigma": "1.0", "k0": "0.0"},
+    "stepper": {"integrator": "euler", "dt": "1e-2", "steps": "10", "snapshot_stride": "5"},
+    "grid": {"xmin": "-10.0", "xmax": "10.0", "points": "256"},
+}
+_COEFFICIENTS = ("-initial", "+initial", "initial.kind=coefficients",
+                 "initial.alpha_re=-0.125, 0.5, -0.5")
+
+
+def _edited_config(edits) -> str:
+    sections = {name: dict(keys) for name, keys in _VALID.items()}
+    appended = "".join(edit for edit in edits if "\n" in edit)
+    for edit in (edit for edit in edits if "\n" not in edit):
+        if edit[0] in "+-" and "." not in edit:
+            if edit[0] == "+":
+                sections[edit[1:]] = {}
+            else:
+                del sections[edit[1:]]
+            continue
+        name, _, rest = edit.lstrip("-").partition(".")
+        key, _, value = rest.partition("=")
+        if edit[0] == "-":
+            del sections[name][key]
+        else:
+            sections.setdefault(name, {})[key] = value
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    ) + appended
+
+
+def _expected(section, key, word):
+    return f"{section}.{key}: expected {word}, got 'x'"
+
+
+_NOT_A_VALUE = [
+    ((f"{section}.{key}=x",), 2, _expected(section, key, word))
+    for section, key, word in [
+        ("physical", "hbar", "a number"),
+        ("physical", "mass", "a number"),
+        ("initial", "x0", "a number"),
+        ("initial", "sigma", "a number"),
+        ("initial", "k0", "a number"),
+        ("initial", "truncation_order", "an integer"),
+        ("stepper", "dt", "a number"),
+        ("stepper", "steps", "an integer"),
+        ("stepper", "blowup_threshold", "a number"),
+        ("stepper", "snapshot_stride", "an integer"),
+        ("grid", "xmin", "a number"),
+        ("grid", "xmax", "a number"),
+        ("grid", "points", "an integer"),
+        ("oracle", "xmin", "a number"),
+        ("oracle", "xmax", "a number"),
+        ("oracle", "points", "an integer"),
+        ("oracle", "dt", "a number"),
+        ("oracle", "steps", "an integer"),
+        ("converge", "allow_oracle_fallback", "true/false"),
+    ]
+] + [
+    ((*_COEFFICIENTS, f"initial.{key}=x"), 2, _expected("initial", key, word))
+    for key, word in [
+        ("alpha_re", "comma-separated numbers"),
+        ("alpha_im", "comma-separated numbers"),
+        ("truncation_order", "an integer"),
+    ]
+]
+
+# (edits, exit code, the error line after "error: "; a tuple of fragments
+# for configparser's own text)
+_CONFIG_ERRORS = _NOT_A_VALUE + [
+    (("+extra",), 2, "unknown section 'extra'"),
+    (("initial.width=1",), 2, "unknown key 'width' in section 'initial'"),
+    (("+DEFAULT", "DEFAULT.hbar=1"), 2, "unknown section 'DEFAULT'"),
+    (("[grid]\n",), 2, ("config parse error:", "section 'grid' already exists")),
+    (("points = 128\n",), 2,
+     ("config parse error:", "option 'points' in section 'grid' already exists")),
+    (("-potential",), 2, "missing required section [potential]"),
+    (("-initial",), 2, "missing required section [initial]"),
+    (("-stepper",), 2, "missing required section [stepper]"),
+    (("-potential.expression",), 2, "missing required key potential.expression"),
+    (("-initial.kind",), 2, "missing required key initial.kind"),
+    ((*_COEFFICIENTS, "-initial.alpha_re"), 2, "missing required key initial.alpha_re"),
+    (("-stepper.dt",), 2, "missing required key stepper.dt"),
+    (("-stepper.steps",), 2, "missing required key stepper.steps"),
+    (("-grid.xmin",), 2, "missing required key grid.xmin"),
+    (("-grid.xmax",), 2, "missing required key grid.xmax"),
+    (("-grid.points",), 2, "missing required key grid.points"),
+    (("initial.alpha_re=1",), 2, "initial.alpha_re is only valid with kind = coefficients"),
+    (("initial.alpha_im=1",), 2, "initial.alpha_im is only valid with kind = coefficients"),
+    ((*_COEFFICIENTS, "initial.x0=0"), 2, "initial.x0 is only valid with kind = gaussian"),
+    ((*_COEFFICIENTS, "initial.sigma=1"), 2, "initial.sigma is only valid with kind = gaussian"),
+    ((*_COEFFICIENTS, "initial.k0=0"), 2, "initial.k0 is only valid with kind = gaussian"),
+    ((*_COEFFICIENTS, "initial.alpha_im=0, 0"), 2,
+     "initial.alpha_re and initial.alpha_im differ in length"),
+    ((*_COEFFICIENTS, "initial.alpha_re=nan, 0.5, -0.5"), 2, "initial coefficients must be finite"),
+    ((*_COEFFICIENTS, "initial.truncation_order=1"), 2,
+     "initial.truncation_order = 1 cannot hold 3 coefficients"),
+    (("initial.kind=plane",), 2, "initial.kind must be 'gaussian' or 'coefficients', got 'plane'"),
+    (("converge.scenario=bogus",), 2,
+     "converge.scenario must be one of auto, free, linear, harmonic_ground, "
+     "harmonic_coherent, oracle, got 'bogus'"),
+    (("oracle.steps=0",), 2, "oracle.steps must be at least 1, got 0"),
+    (("oracle.dt=-1",), 2, "oracle.dt must be positive and finite, got -1.0"),
+    # several errors: the first one checked is reported
+    (("stepper.dt=x", "-stepper.steps"), 2, "missing required key stepper.steps"),
+    (("potential.expression=x^^2", "-initial"), 4,
+     "exponent must be a nonnegative integer literal, found '^' (position 3)"),
+    (("physical.hbar=-1", "stepper.dt=x"), 2, "hbar must be positive and finite, got -1.0"),
+    (("-potential", "stepper.dt=x"), 2, "missing required section [potential]"),
+    (("physical.hbar=-1", "physical.mass=x"), 2, _expected("physical", "mass", "a number")),
+    (("initial.sigma=-1", "initial.truncation_order=x"), 2,
+     "width must be positive and finite, got -1.0"),
+    (("initial.alpha_re=x",), 2, "initial.alpha_re is only valid with kind = coefficients"),
+    (("initial.kind=plane", "initial.x0=x"), 2,
+     "initial.kind must be 'gaussian' or 'coefficients', got 'plane'"),
+    ((*_COEFFICIENTS, "initial.alpha_re=x", "initial.truncation_order=x"), 2,
+     _expected("initial", "alpha_re", "comma-separated numbers")),
+    (("stepper.dt=-1", "stepper.steps=x"), 2, _expected("stepper", "steps", "an integer")),
+    (("stepper.dt=-1", "grid.points=x"), 2, "dt must be positive and finite, got -1.0"),
+    (("grid.xmin=x", "-grid.points"), 2, "missing required key grid.points"),
+    (("grid.points=4", "oracle.steps=x"), 2, "grid points must be at least 8, got 4"),
+    (("oracle.steps=0", "oracle.dt=x"), 2, _expected("oracle", "dt", "a number")),
+    (("oracle.steps=0", "converge.scenario=bogus"), 2, "oracle.steps must be at least 1, got 0"),
+    (("converge.scenario=bogus", "converge.allow_oracle_fallback=x"), 2,
+     "converge.scenario must be one of auto, free, linear, harmonic_ground, "
+     "harmonic_coherent, oracle, got 'bogus'"),
+]
+
+
+@pytest.mark.parametrize(
+    "edits,code,expected",
+    _CONFIG_ERRORS,
+    ids=[" ".join(edit.strip() for edit in edits) for edits, _, _ in _CONFIG_ERRORS],
+)
+def test_each_config_error_exits_with_its_code_and_one_error_line(
+    tmp_path, capsys, edits, code, expected
+):
+    config = write_config(tmp_path / "bad.cfg", _edited_config(edits))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", config, "--out", str(out)) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    [line] = captured.err.splitlines()
+    if isinstance(expected, tuple):
+        assert line.startswith("error: ") and all(part in line for part in expected)
+    else:
+        assert line == f"error: {expected}"
+
+
+def test_an_unreadable_config_exits_2_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)) == 2
+    assert_one_error_line(capsys, "cannot read config:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [("-10.0", "inf"), ("-inf", "10.0"), ("-1e308", "1e308")],
+    ids=["inf", "-inf", "overflowing span"],
+)
+# run has no oracle
+@pytest.mark.parametrize(
+    "command,section",
+    [("run", "grid"), ("compare", "grid"), ("compare", "oracle"), ("converge", "grid"),
+     ("converge", "oracle")],
+)
+def test_a_non_finite_window_exits_2_and_writes_nothing(tmp_path, capsys, command, section, bounds):
+    edits = (f"{section}.xmin={bounds[0]}", f"{section}.xmax={bounds[1]}")
+    config = write_config(tmp_path / "window.cfg", _edited_config(edits))
+    out = tmp_path / "out"
+    argv = [command, "--config", config, "--out", str(out)]
+    if command == "converge":
+        argv[1:1] = ["--halvings", "1"]
+    assert run_cli(*argv) == 2
+    xmin, xmax = (float(bound) for bound in bounds)
+    assert_one_error_line(capsys, f"bounds and their span must be finite, got [{xmin}, {xmax}]")
+    assert not out.exists()
+
+
+# CUBIC_FALLBACK with its window given in [oracle] alone
+CUBIC_ORACLE_WINDOW = CUBIC_FALLBACK.split("[grid]")[0] + """[oracle]
+xmin = -14.0
+xmax = 14.0
+points = 1024
+"""
+
+
+@pytest.mark.parametrize("scenario", ["auto", "oracle"])
+def test_an_oracle_window_without_a_grid_writes_the_bytes_of_the_grid_window(
+    tmp_path, capsys, scenario
+):
+    body = f"\n[converge]\nscenario = {scenario}\n"
+    by_grid = write_config(tmp_path / "grid.cfg", CUBIC_FALLBACK + body)
+    by_oracle = write_config(tmp_path / "oracle.cfg", CUBIC_ORACLE_WINDOW + body)
+    for config, out in ((by_grid, tmp_path / "a"), (by_oracle, tmp_path / "b")):
+        assert run_cli("compare", "--config", config, "--out", str(out)) == 0
+        assert run_cli("converge", "--halvings", "1", "--config", config, "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("compare.csv", "convergence.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["compare", "converge"])
+def test_an_oracle_window_set_in_neither_section_exits_2(tmp_path, capsys, command):
+    config = write_config(
+        tmp_path / "partial.cfg", CUBIC_ORACLE_WINDOW.replace("points = 1024\n", "")
+    )
+    argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+    if command == "converge":
+        argv[1:1] = ["--halvings", "1"]
+    assert run_cli(*argv) == 2
+    fragment = "the oracle needs a [grid] section" if command == "compare" else "lacks a [grid]"
+    assert_one_error_line(capsys, fragment)
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,7 @@
 """Tests for wavefunction reconstruction, quadrature, and observables."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from tdse import (
     parse_potential,
     propagate,
 )
+from tdse.reconstruction import Window
 
 PARAMS = PhysicalParams()
 
@@ -47,6 +50,17 @@ def test_evaluate_window_validation():
         evaluate_on_grid(state, 1.0, -1.0, 100)
     with pytest.raises(ValueError):
         evaluate_on_grid(state, -1.0, 1.0, 4)
+
+
+@pytest.mark.parametrize(
+    "xmin,xmax", [(-1.0, np.inf), (-np.inf, 1.0), (-1e308, 1e308)], ids=["inf", "-inf", "span"]
+)
+def test_a_window_with_a_non_finite_bound_or_span_is_rejected(xmin, xmax):
+    message = f"bounds and their span must be finite, got [{xmin}, {xmax}]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Window.inclusive(xmin, xmax, 9, PARAMS)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_on_grid(CoefficientState([0, 0, -0.25]), xmin, xmax, 9)
 
 
 def test_norm_squared_gaussian():

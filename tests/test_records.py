@@ -93,6 +93,25 @@ def test_mutable_records_compare_by_field_and_do_not_hash():
             hash(record)
 
 
+def test_records_holding_equal_but_distinct_arrays_compare_equal():
+    def state(alpha_2=-0.5):
+        return CoefficientState([0.0, 0.5, alpha_2])
+
+    def grid(value=1.0):
+        return WaveGrid(-1.0, 0.25, np.full(9, value, dtype=complex))
+
+    assert state() == state() and state() != state(-0.25)
+    # arrays of another length, as of another truncation order, differ
+    assert state() != CoefficientState([0.0, 0.5, -0.5, 0.0])
+    assert grid() == grid() and grid() != grid(2.0)
+    assert Trajectory([state()], "completed") == Trajectory([state()], "completed")
+    assert Trajectory([state()], "completed") != Trajectory([state(-0.25)], "completed")
+    assert FitResult(state(), 0.25) == FitResult(state(), 0.25)
+    assert FitResult(state(), 0.25) != FitResult(state(-0.25), 0.25)
+    path = str(ROOT / "configs" / "harmonic_coherent.cfg")
+    assert load_config(path) == load_config(path)
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_a_formerly_frozen_type_rejects_assignment(name):
     record = FROZEN[name]()
@@ -138,10 +157,18 @@ INVALID = [
     (OracleConfig(-8.0, 8.0, 256, 0.01, 100), {"points": 384}, "points must be a power of two"),
     (OracleConfig(-8.0, 8.0, 256, 0.01, 100), {"dt": 0.0}, "dt must be positive and finite"),
     (OracleConfig(-8.0, 8.0, 256, 0.01, 100), {"steps": -1}, "steps must be nonnegative"),
+    (OracleConfig(-8.0, 8.0, 256, 0.01, 100), {"xmin": -math.inf},
+     "bounds and their span must be finite, got [-inf, 8.0]"),
+    (OracleConfig(-8.0, 8.0, 256, 0.01, 100), {"xmin": -1e308, "xmax": 1e308},
+     "bounds and their span must be finite, got [-1e+308, 1e+308]"),
     (GaussianPacket(), {"width": 0.0}, "width must be positive and finite, got 0.0"),
     (GaussianPacket(), {"center": math.nan}, "center and wavenumber must be finite"),
     (GridSpec(-1.0, 1.0, 8), {"xmin": 1.0}, "grid xmax must exceed xmin, got [1.0, 1.0]"),
     (GridSpec(-1.0, 1.0, 8), {"points": 4}, "grid points must be at least 8, got 4"),
+    (GridSpec(-1.0, 1.0, 8), {"xmax": math.inf},
+     "grid bounds and their span must be finite, got [-1.0, inf]"),
+    (GridSpec(-1.0, 1.0, 8), {"xmin": -1e308, "xmax": 1e308},
+     "grid bounds and their span must be finite, got [-1e+308, 1e+308]"),
     (_STATE, {"alphas": [[0.0, 1.0, 2.0]]}, "alphas must be a one-dimensional sequence"),
     (_STATE, {"truncation_order": 4}, "alphas has length 3, expected truncation_order + 1 = 5"),
     (_STATE, {"alphas": [0.0, 1.0], "truncation_order": 1}, "truncation_order must be at least 2"),
