@@ -1283,7 +1283,7 @@ def test_an_unreadable_config_exits_2_with_one_error_line(tmp_path, capsys):
     [("-10.0", "inf"), ("-inf", "10.0"), ("-1e308", "1e308")],
     ids=["inf", "-inf", "overflowing span"],
 )
-# run has no oracle
+# run builds no oracle, so its [oracle] bounds are never read
 @pytest.mark.parametrize(
     "command,section",
     [("run", "grid"), ("compare", "grid"), ("compare", "oracle"), ("converge", "grid"),
