@@ -26,15 +26,14 @@ from .oracle import (
     ADAPTIVE_MAX_STEPS,
     ADAPTIVE_MIN_STEPS,
     ADAPTIVE_TOLERANCE,
+    SNAPSHOT_FAILURES,
     EdgeLeakage,
     OracleConfig,
     check_alignment,
     compare_methods,
-    compare_snapshots,
+    compare_with_oracle,
     oracle_error_estimate,
     series_edge_guard,
-    split_step_evolve,
-    state_on_oracle_grid,
 )
 from .potential import PotentialError
 # evaluate_on_grid and observables are not called here, but perfbench/tracing.py
@@ -42,7 +41,6 @@ from .potential import PotentialError
 from .reconstruction import (  # noqa: F401
     ExponentOverflow,
     Window,
-    ZeroNorm,
     evaluate_on_grid,
     observables,
 )
@@ -166,7 +164,7 @@ def _cmd_run(args) -> int:
             values = window.sample(snap)
             obs = window.moments(values)
             guard(values, snap.time)
-        except (ExponentOverflow, ZeroNorm, EdgeLeakage) as exc:
+        except SNAPSHOT_FAILURES as exc:
             reconstruction_error = exc
             break
         obs_rows.append(
@@ -194,33 +192,27 @@ def _cmd_run(args) -> int:
     return _finish(trajectory.status, reconstruction_error)
 
 
-def _oracle_errors(cfg: RunConfig, trajectories: list, oracle_cfg: OracleConfig, adaptive: bool):
-    """(errors, status report) of the completed levels against the oracle.
-    When adaptive, its step count S doubles until its error estimate is
-    within ADAPTIVE_TOLERANCE of the finest level's error; each doubling
-    adds one oracle run, as the S-step run's final grid is the coarse grid
-    of the estimate at 2S."""
-    potential, params = cfg.potential, cfg.params
-    # every oracle here shares the window, so it starts from one grid
-    start = state_on_oracle_grid(cfg.initial, oracle_cfg)
-    window = Window(oracle_cfg.xmin, oracle_cfg.dx, oracle_cfg.points, params)
+def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig, adaptive: bool):
+    """(errors, status report) of the completed levels' final states
+    against the oracle.  When adaptive, its step count S doubles until its
+    error estimate is within ADAPTIVE_TOLERANCE of the finest level's error;
+    each doubling adds one oracle run, as the S-step run's final grid is the
+    coarse grid of the estimate at 2S."""
 
     def oracle_run(oracle_cfg, levels):
-        """The oracle's final grid, and the final l2 of each of levels
-        against it; the levels share their t = 0 snapshot, compared once."""
-        grids = dict(split_step_evolve(start, potential, params, oracle_cfg, {0, oracle_cfg.steps}))
-        final = grids[oracle_cfg.steps]
-        pairs = [(cfg.initial, grids[0])] + [(t.final, final) for t in levels]
-        report = compare_snapshots(pairs, potential, window)
+        """The oracle's final grid, and the l2 of each of levels, final
+        states, against it."""
+        states = [cfg.initial, *levels]
+        report, final = compare_with_oracle(states, cfg.potential, cfg.params, oracle_cfg)
         if report.reconstruction_error is not None:
             raise report.reconstruction_error
         return final, report.l2[1:].tolist()
 
-    fine, errors = oracle_run(oracle_cfg, trajectories)
+    fine, errors = oracle_run(oracle_cfg, finals)
     if not adaptive:
         return errors, ""
     steps = oracle_cfg.steps
-    coarse, _ = oracle_run(oracle_cfg.replace(steps=steps // 2, dt=2.0 * oracle_cfg.dt), [])
+    coarse, _ = oracle_run(_oracle_config(cfg, cfg.stepper, steps // 2), finals[-1:])
     best = math.inf
     while (estimate := oracle_error_estimate(fine, coarse)) > ADAPTIVE_TOLERANCE * errors[-1]:
         best = min(best, estimate)
@@ -232,8 +224,7 @@ def _oracle_errors(cfg: RunConfig, trajectories: list, oracle_cfg: OracleConfig,
             )
         steps *= 2
         coarse = fine
-        oracle_cfg = _oracle_config(cfg, cfg.stepper, steps)
-        fine, errors = oracle_run(oracle_cfg, trajectories)
+        fine, errors = oracle_run(_oracle_config(cfg, cfg.stepper, steps), finals)
     return errors, f" oracle_steps={steps} oracle_error={_fmt(estimate)}"
 
 
@@ -265,12 +256,15 @@ def _cmd_converge(args) -> int:
         scenario = requested
 
     # with no [oracle] steps or dt, the oracle's step count S is sized by
-    # its own error estimate, from ADAPTIVE_MIN_STEPS up; the horizon, and so
-    # the oracle config, is the same float at every level
+    # its own error estimate, from ADAPTIVE_MIN_STEPS up; level k's horizon
+    # (dt/2^k)*(steps*2^k) and final time are level 0's, bit for bit, so one
+    # oracle config per S and one alignment check serve every level
     adaptive = scenario == "oracle" and cfg.oracle.steps is None and cfg.oracle.dt is None
     oracle_cfg = None
     if scenario == "oracle":
         oracle_cfg = _oracle_config(cfg, cfg.stepper, ADAPTIVE_MIN_STEPS if adaptive else None)
+        level_0 = cfg.stepper.replace(snapshot_stride=cfg.stepper.steps)
+        check_alignment(cfg.initial.time, level_0, oracle_cfg)
     trajectories = []
     for level in range(args.halvings + 1):
         factor = 2**level
@@ -279,8 +273,6 @@ def _cmd_converge(args) -> int:
             steps=cfg.stepper.steps * factor,
             snapshot_stride=cfg.stepper.steps * factor,
         )
-        if oracle_cfg is not None:
-            check_alignment(cfg.initial.time, stepper, oracle_cfg)
         trajectory = propagate(cfg.initial, cfg.potential, cfg.params, stepper)
         if trajectory.status != "completed":
             break  # a level that blew up is never compared
@@ -293,7 +285,7 @@ def _cmd_converge(args) -> int:
             for t in trajectories
         ]
     elif trajectories:
-        errors, report = _oracle_errors(cfg, trajectories, oracle_cfg, adaptive)
+        errors, report = _oracle_errors(cfg, [t.final for t in trajectories], oracle_cfg, adaptive)
 
     rows = []
     for i, err in enumerate(errors):

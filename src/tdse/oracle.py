@@ -29,6 +29,7 @@ from .reconstruction import (  # noqa: F401
     WaveGrid,
     Window,
     ZeroNorm,
+    _trapezoid,
     evaluate_at,
     norm_squared,
     observables,
@@ -45,9 +46,11 @@ __all__ = [
     "l2_distance",
     "check_alignment",
     "compare_snapshots",
+    "compare_with_oracle",
     "compare_methods",
     "oracle_error_estimate",
     "series_edge_guard",
+    "SNAPSHOT_FAILURES",
 ]
 
 _EDGE_FRACTION = 1e-6
@@ -67,6 +70,12 @@ class EdgeLeakage(RuntimeError):
 
 class GridMismatch(ValueError):
     """Grids disagree in window, spacing or size."""
+
+
+# the failures that end the rows of a comparison or of a run, which keep the
+# rows before them: a state that cannot be reconstructed, or a grid that is
+# not negligible at its window's edges
+SNAPSHOT_FAILURES = (ExponentOverflow, ZeroNorm, EdgeLeakage)
 
 
 class OracleConfig(Frozen):
@@ -229,10 +238,10 @@ def _l2(a, na, b, nb, dx) -> float:
         raise GridMismatch("cannot normalize a zero grid")
     va = a / np.sqrt(na)
     vb = b / np.sqrt(nb)
-    inner = complex(np.trapezoid(np.conj(va) * vb, dx=dx))
+    inner = complex(_trapezoid(np.conj(va) * vb, dx))
     if abs(inner) > 0.0:
         vb = vb * (np.conj(inner) / abs(inner))
-    return float(np.sqrt(np.trapezoid(np.abs(va - vb) ** 2, dx=dx)))
+    return float(np.sqrt(_trapezoid(np.abs(va - vb) ** 2, dx)))
 
 
 class ComparisonReport(NamedTuple):
@@ -309,10 +318,49 @@ def compare_snapshots(pairs, potential: PotentialModel, window: Window, status="
             guard(values, state.time)
             rows.append((state.time, l2, obs_s.mean_x - obs_o.mean_x,
                          obs_s.norm2 / norm0 - obs_o.norm2 / norm0))
-    except (ExponentOverflow, ZeroNorm, EdgeLeakage) as exc:
+    except SNAPSHOT_FAILURES as exc:
         reconstruction_error = exc
     columns = np.array(rows, dtype=np.float64).reshape(-1, 4).T
     return ComparisonReport(*columns, status, reconstruction_error)
+
+
+def compare_with_oracle(
+    states: list,
+    potential: PotentialModel,
+    params: PhysicalParams,
+    cfg: OracleConfig,
+    status: str = "completed",
+):
+    """(report, grid): compare_snapshots, with stepper_status status, of
+    each of states that lands on the oracle's step grid (the first being
+    the start) with the oracle's grid at that step, and the oracle's grid
+    at the last step reached.
+
+    The oracle starts from the first state on its grid and runs step by
+    step as the comparison reaches each state, up to the last one, so an
+    EdgeLeakage it raises ends the rows and keeps the ones before it.  A
+    state off the step grid, such as the last healthy state of a blow-up,
+    is skipped.
+    """
+    t0 = states[0].time
+    on_grid = [
+        (j, state) for state in states if (j := _oracle_index(state.time, t0, cfg.dt)) is not None
+    ]
+    start = state_on_oracle_grid(states[0], cfg)
+    grids = split_step_evolve(start, potential, params, cfg, {j for j, _ in on_grid})
+    reached = None
+
+    def pairs():
+        nonlocal reached
+        p = None
+        for j, state in on_grid:
+            while p != j:  # states can share a step
+                p, reached = next(grids)
+            yield state, reached
+
+    window = Window(cfg.xmin, cfg.dx, cfg.points, params)
+    report = compare_snapshots(pairs(), potential, window, status)
+    return report, reached
 
 
 def compare_methods(
@@ -323,32 +371,13 @@ def compare_methods(
     oracle_cfg: OracleConfig,
 ) -> ComparisonReport:
     """Propagate both methods over the same horizon and compare snapshots:
-    check_alignment, propagate, then compare_snapshots of each snapshot
-    that lands on the oracle's step grid with the oracle's grid at that
-    step, the oracle run step by step as the comparison reaches it.
-
-    When the series blows up, the last healthy state that propagate appends
-    is compared only if it lands on the grid as well.
-    """
+    check_alignment, propagate, then compare_with_oracle of the snapshots."""
     check_alignment(initial.time, stepper_cfg, oracle_cfg)
     trajectory = propagate(initial, potential, params, stepper_cfg)
-    on_grid = [
-        (j, snap)
-        for snap in trajectory.snapshots
-        if (j := _oracle_index(snap.time, initial.time, oracle_cfg.dt)) is not None
-    ]
-    start = state_on_oracle_grid(initial, oracle_cfg)
-    grids = split_step_evolve(start, potential, params, oracle_cfg, {j for j, _ in on_grid})
-
-    def pairs():
-        p = grid = None
-        for j, snap in on_grid:
-            while p != j:  # snapshots can share a step
-                p, grid = next(grids)
-            yield snap, grid
-
-    window = Window(oracle_cfg.xmin, oracle_cfg.dx, oracle_cfg.points, params)
-    return compare_snapshots(pairs(), potential, window, trajectory.status)
+    report, _ = compare_with_oracle(
+        trajectory.snapshots, potential, params, oracle_cfg, trajectory.status
+    )
+    return report
 
 
 def oracle_error_estimate(fine: WaveGrid, coarse: WaveGrid) -> float:

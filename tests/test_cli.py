@@ -284,16 +284,13 @@ def test_converge_oracle_fallback(tmp_path, capsys):
 
 
 def _count_oracle_runs(monkeypatch):
-    """The oracle configs of the split-step runs, in order: compare runs the
-    oracle through tdse.oracle, converge through tdse.cli."""
+    """The oracle configs of the split-step runs, in order: compare and
+    converge both run the oracle through tdse.oracle."""
     import tdse.oracle
 
     runs = []
     real = tdse.oracle.split_step_evolve
-    for module in ("tdse.oracle", "tdse.cli"):
-        monkeypatch.setattr(
-            f"{module}.split_step_evolve", lambda *a: runs.append(a[3]) or real(*a)
-        )
+    monkeypatch.setattr("tdse.oracle.split_step_evolve", lambda *a: runs.append(a[3]) or real(*a))
     return runs
 
 
