@@ -45,7 +45,6 @@ __all__ = [
     "split_step_evolve",
     "l2_distance",
     "check_alignment",
-    "compare_snapshots",
     "compare_with_oracle",
     "compare_methods",
     "oracle_error_estimate",
@@ -251,7 +250,7 @@ class ComparisonReport(NamedTuple):
     relative norm drift, i.e. norm2(t)/norm2(0) of the series
     reconstruction minus the same ratio for the (unitary) oracle.
     reconstruction_error is the exception that ended the rows (see
-    compare_snapshots), or None when every snapshot was compared.
+    compare_with_oracle), or None when every snapshot was compared.
     """
 
     times: np.ndarray
@@ -286,34 +285,45 @@ def check_alignment(t0: float, stepper_cfg: StepperConfig, oracle_cfg: OracleCon
             raise ValueError(f"snapshot time {time!r} does not land on the oracle step grid")
 
 
-def compare_snapshots(pairs, potential: PotentialModel, window: Window, status="completed"):
-    """The ComparisonReport, with stepper_status status, of each (series
-    state, oracle grid) of pairs in turn, both sampled on window.
+def compare_with_oracle(states: list, potential: PotentialModel, params: PhysicalParams,
+                        cfg: OracleConfig, status: str = "completed"):
+    """(report, grid): the ComparisonReport, with stepper_status status, of
+    each of states that lands on the oracle's step grid against the
+    oracle's grid at that step, both sampled on the oracle's window, and
+    the oracle's grid at the last step reached.
 
-    The first pair is the start: its grid is its state on the window, so
-    that state is not reconstructed again, and norms are relative to it.
-    Pairs that share an oracle grid come one after another; its moments,
-    which give the norms, are taken once.  A state that cannot be
-    reconstructed (ExponentOverflow or ZeroNorm) or fails
-    series_edge_guard, or an EdgeLeakage raised while pairs is iterated,
-    ends the rows: the report keeps the rows before it and carries the
-    exception as reconstruction_error.
+    The first state is the start: the oracle starts from its grid, which is
+    not reconstructed again, and norms are relative to it.  The oracle then
+    runs step by step as the comparison reaches each state; states that
+    share a step share its grid, whose moments are taken once.  A state off
+    the step grid, such as the last healthy state of a blow-up, is skipped.
+    One of SNAPSHOT_FAILURES ends the rows: a state that cannot be
+    reconstructed or fails series_edge_guard, or an oracle grid that leaks
+    at the window's edges.  The report keeps the rows before it and carries
+    the exception as reconstruction_error.
     """
+    t0 = states[0].time
+    on_grid = [(j, s) for s in states if (j := _oracle_index(s.time, t0, cfg.dt)) is not None]
+    start = state_on_oracle_grid(states[0], cfg)
+    grids = split_step_evolve(start, potential, params, cfg, {j for j, _ in on_grid})
+    window = Window(cfg.xmin, cfg.dx, cfg.points, params)
+    guard = series_edge_guard(states[0], potential)
     rows = []
-    guard = grid_seen = reconstruction_error = None
+    p = grid = norm0 = reconstruction_error = None
     try:
-        for state, grid in pairs:
-            if guard is None:  # the start
-                guard = series_edge_guard(state, potential)
+        for j, state in on_grid:
+            shared = p == j
+            while p != j:
+                p, grid = next(grids)
+            if norm0 is None:  # the start
                 values = grid.values
                 obs_s = obs_o = window.moments(values)
                 norm0 = obs_s.norm2
             else:
                 values = window.sample(state)
                 obs_s = window.moments(values)
-                if grid is not grid_seen:
+                if not shared:
                     obs_o = window.moments(grid.values)
-            grid_seen = grid
             l2 = _l2(grid.values, obs_o.norm2, values, obs_s.norm2, window.dx)
             guard(values, state.time)
             rows.append((state.time, l2, obs_s.mean_x - obs_o.mean_x,
@@ -321,46 +331,7 @@ def compare_snapshots(pairs, potential: PotentialModel, window: Window, status="
     except SNAPSHOT_FAILURES as exc:
         reconstruction_error = exc
     columns = np.array(rows, dtype=np.float64).reshape(-1, 4).T
-    return ComparisonReport(*columns, status, reconstruction_error)
-
-
-def compare_with_oracle(
-    states: list,
-    potential: PotentialModel,
-    params: PhysicalParams,
-    cfg: OracleConfig,
-    status: str = "completed",
-):
-    """(report, grid): compare_snapshots, with stepper_status status, of
-    each of states that lands on the oracle's step grid (the first being
-    the start) with the oracle's grid at that step, and the oracle's grid
-    at the last step reached.
-
-    The oracle starts from the first state on its grid and runs step by
-    step as the comparison reaches each state, up to the last one, so an
-    EdgeLeakage it raises ends the rows and keeps the ones before it.  A
-    state off the step grid, such as the last healthy state of a blow-up,
-    is skipped.
-    """
-    t0 = states[0].time
-    on_grid = [
-        (j, state) for state in states if (j := _oracle_index(state.time, t0, cfg.dt)) is not None
-    ]
-    start = state_on_oracle_grid(states[0], cfg)
-    grids = split_step_evolve(start, potential, params, cfg, {j for j, _ in on_grid})
-    reached = None
-
-    def pairs():
-        nonlocal reached
-        p = None
-        for j, state in on_grid:
-            while p != j:  # states can share a step
-                p, reached = next(grids)
-            yield state, reached
-
-    window = Window(cfg.xmin, cfg.dx, cfg.points, params)
-    report = compare_snapshots(pairs(), potential, window, status)
-    return report, reached
+    return ComparisonReport(*columns, status, reconstruction_error), grid
 
 
 def compare_methods(
