@@ -156,7 +156,7 @@ def _cmd_run(args) -> int:
     # reconstruction can fail on non-normalizable states; keep whatever rows
     # were healthy
     window = Window.inclusive(cfg.grid.xmin, cfg.grid.xmax, cfg.grid.points, cfg.params)
-    guard = series_edge_guard(cfg.initial, cfg.potential)
+    guard = series_edge_guard(cfg.initial, cfg.potential, window)
     reconstruction_error = None
     obs_rows = []
     for snap in trajectory.snapshots:

@@ -154,7 +154,9 @@ def _read_sections(text: str) -> dict:
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from None
+        # configparser's text can span several lines; the error is one
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"config parse error: {message}") from None
     if cp.defaults():
         raise ConfigError("unknown section 'DEFAULT'")
     sections = {}
@@ -213,7 +215,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     sections = _read_sections(text)
     params = PhysicalParams(**_given(sections, "physical"))

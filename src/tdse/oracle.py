@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _EDGE_FRACTION = 1e-6
+_WINDOW_FRACTION = 1e-5  # run's test of a closed system's window; see series_edge_guard
 
 # A run at S steps with no configured step count is trusted when its
 # estimated error is at most ADAPTIVE_TOLERANCE of the error it measures;
@@ -106,24 +107,45 @@ def state_on_oracle_grid(state: CoefficientState, cfg: OracleConfig) -> WaveGrid
 
 
 def _check_edges(values: np.ndarray, time: float, label: str = ""):
-    peak = float(np.max(np.abs(values)))
     edge = float(max(abs(values[0]), abs(values[-1])))
-    if peak == 0.0 or edge > _EDGE_FRACTION * peak:
+    _edge_test(float(np.max(np.abs(values))), edge, time, label)
+
+
+def _edge_test(peak: float, edge: float, time: float, label: str, fraction=_EDGE_FRACTION):
+    """Raise EdgeLeakage when the magnitude at the edges exceeds fraction of its peak."""
+    if peak == 0.0 or edge > fraction * peak:
         raise EdgeLeakage(
-            f"{label}edge magnitude {edge:.3e} exceeds {_EDGE_FRACTION:.0e} of peak "
+            f"{label}edge magnitude {edge:.3e} exceeds {fraction:.0e} of peak "
             f"{peak:.3e} at t = {time:.6g}"
         )
 
 
-def series_edge_guard(initial: CoefficientState, potential: PotentialModel):
+def series_edge_guard(initial: CoefficientState, potential: PotentialModel, window=None):
     """guard(values, time), which raises EdgeLeakage when a series
     reconstruction is not negligible at its window's edges.  A closed
     system's series is exact and cannot diverge, so its guard checks
-    nothing: an exact packet near the edges is not a series failure."""
+    nothing: an exact packet near the edges is not a series failure.
+
+    Given run's window, a closed system's guard tests that window instead,
+    on the |psi|^2 that window.moments(values) has just computed: |psi| at
+    either edge may reach f = _WINDOW_FRACTION = 1e-5 of its peak.  The
+    edge density is then f^2 = 1e-10 of the peak, and the tail it cuts off
+    moves <x> of a packet of width s by about f^2 * s / sqrt(2 pi), 4e-11 s.
+    The oracle's 1e-6, a bias of 4e-13 s, would stop packets that their
+    window holds to far better than the moments' own accuracy.
+    """
     support = np.flatnonzero(initial.alphas)
-    if is_closed_system(int(support[-1]) if support.size else 0, potential.degree):
+    if not is_closed_system(int(support[-1]) if support.size else 0, potential.degree):
+        return lambda values, time: _check_edges(values, time, "series ")
+    if window is None:
         return lambda values, time: None
-    return lambda values, time: _check_edges(values, time, "series ")
+
+    def window_guard(values, time):
+        density = window.density
+        peak, edge = density.max(), max(density[0], density[-1])
+        _edge_test(math.sqrt(peak), math.sqrt(edge), time, "window ", _WINDOW_FRACTION)
+
+    return window_guard
 
 
 def _half_phases(potential, params, cfg, t0, steps):

@@ -147,9 +147,10 @@ class Window:
     once per window: the sample positions, the moment positions
     xs = xmin + j*dx and their squares, hbar and one scratch buffer (use one
     window per thread).  The plain constructor samples at xs, as the
-    oracle's periodic grid does; `inclusive` is evaluate_on_grid's window."""
+    oracle's periodic grid does; `inclusive` is evaluate_on_grid's window.
+    density holds the |psi|^2 of the last `moments` call."""
 
-    __slots__ = ("samples", "dx", "xs", "xs_sq", "hbar", "_dpsi")
+    __slots__ = ("samples", "dx", "xs", "xs_sq", "hbar", "_dpsi", "density")
 
     def __init__(self, xmin: float, dx: float, points: int, params: PhysicalParams, samples=None):
         self.dx = dx
@@ -188,7 +189,7 @@ class Window:
         """
         dx = self.dx
         with np.errstate(over="ignore", invalid="ignore"):
-            density = np.abs(values) ** 2
+            density = self.density = np.abs(values) ** 2
             n2 = float(_trapezoid(density, dx))
             _finite("norm^2", n2)
             if n2 <= 1e-300:

@@ -784,11 +784,14 @@ def test_the_two_grids_window_has_two_grids():
         ("two_grids", 0),
         ("quartic_n24", 2),
         ("quartic_n20", 2),
+        ("oracle_leak", 2),
     ],
 )
 def test_run_writes_the_bytes_of_the_per_snapshot_reference(tmp_path, capsys, name, code):
     if name == "two_grids":
         body = TWO_GRIDS
+    elif name == "oracle_leak":
+        body = ORACLE_LEAK
     elif name == "quartic_n24":
         body = QUARTIC_N24
     elif name == "quartic_n20":
@@ -1072,6 +1075,19 @@ def test_compare_keeps_the_rows_before_an_oracle_edge_leakage(tmp_path, capsys, 
     assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.1, 0.2]
 
 
+def test_run_stops_where_a_closed_packet_leaves_its_window(tmp_path, capsys):
+    # its series is exact, so only the window's edges can fail it
+    config = write_config(tmp_path / "leak.cfg", ORACLE_LEAK)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", config, "--out", str(out)) == 2
+    assert_one_error_line(
+        capsys, "window edge magnitude 6.730e-05 exceeds 1e-05 of peak 9.256e-01 at t = 0.3"
+    )
+    lines = (out / "observables.csv").read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.1, 0.2]
+    assert not (out / "wavefunction_final.csv").exists()
+
+
 @pytest.mark.parametrize(
     "name, code",
     [
@@ -1195,6 +1211,8 @@ _CONFIG_ERRORS = _NOT_A_VALUE + [
     (("[grid]\n",), 2, ("config parse error:", "section 'grid' already exists")),
     (("points = 128\n",), 2,
      ("config parse error:", "option 'points' in section 'grid' already exists")),
+    (("points\n",), 2, "config parse error: Source contains parsing errors: '<string>' "
+     "[line 20]: 'points\\n'"),
     (("-potential",), 2, "missing required section [potential]"),
     (("-initial",), 2, "missing required section [initial]"),
     (("-stepper",), 2, "missing required section [stepper]"),
@@ -1272,6 +1290,27 @@ def test_an_unreadable_config_exits_2_with_one_error_line(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("run", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)) == 2
     assert_one_error_line(capsys, "cannot read config:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content,expected",
+    [
+        (b"[potential]\n# \xff\nexpression = 0\n",
+         "cannot read config: 'utf-8' codec can't decode byte 0xff in position 14: "
+         "invalid start byte"),
+        (b"expression = 0\n[potential]\n",
+         "config parse error: File contains no section headers. file: '<string>', line: 1 "
+         "'expression = 0\\n'"),
+    ],
+    ids=["not utf-8", "no section header"],
+)
+def test_an_unreadable_config_text_exits_2_with_one_error_line(tmp_path, capsys, content, expected):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(content)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: {expected}\n")
     assert not out.exists()
 
 

@@ -1,10 +1,15 @@
 """Property tests: the fused stepper, the compiled potential and the
-reconstruction kernel reproduce their textbook references bit for bit, and
-the oracle's error estimate tracks its error."""
+reconstruction kernel reproduce their textbook references bit for bit, the
+oracle's error estimate tracks its error, and `run` writes no row of a
+packet that has left its window."""
 
+import contextlib
+import io
 import math
+import os
 import random
 import struct
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -39,6 +44,7 @@ from tdse import (  # noqa: E402
     state_on_oracle_grid,
 )
 import tdse.integrators  # noqa: E402
+from tdse.cli import main  # noqa: E402
 from tdse.integrators import BLOCK_VALUES  # noqa: E402
 from tdse.potential import BinOp, Call, Const, Neg, Power, TimeVar  # noqa: E402
 from tdse.reconstruction import Window  # noqa: E402
@@ -410,3 +416,44 @@ def test_the_estimate_at_256_steps_is_within_2x_of_the_error(x0, sigma, k0):
     fine = OracleConfig(-10.0, 10.0, 256, dt=1.0 / 2048, steps=2048)
     error = l2_distance(_final_grid(initial, fine), _final_grid(initial, cfg))
     assert 0.5 * error <= estimate <= 2.0 * error
+
+
+# ---------------------------------------------------------------------------
+# `run` on a closed free packet: its series is exact, so only the window can
+# fail it
+
+
+@settings(max_examples=60)
+@given(
+    st.floats(-15.0, -2.0),  # xmin
+    st.floats(2.0, 15.0),  # xmax
+    st.floats(0.0, 1.0),  # where x0 lies in the window
+    st.floats(0.5, 1.5),  # sigma
+    st.floats(-8.0, 8.0),  # k0
+    st.floats(0.5, 2.0),  # mass
+    st.floats(0.2, 1.0),  # dx / sigma
+)
+def test_run_writes_no_row_whose_window_loses_the_packet(xmin, xmax, where, sigma, k0, mass, ratio):
+    x0 = xmin + where * (xmax - xmin)
+    points = max(8, math.ceil((xmax - xmin) / (ratio * sigma)) + 1)
+    body = (
+        f"[physical]\nmass = {mass!r}\n[potential]\nexpression = 0\n"
+        f"[initial]\nkind = gaussian\nx0 = {x0!r}\nsigma = {sigma!r}\nk0 = {k0!r}\n"
+        "[stepper]\nintegrator = rk4\ndt = 0.01\nsteps = 100\nsnapshot_stride = 10\n"
+        f"[grid]\nxmin = {xmin!r}\nxmax = {xmax!r}\npoints = {points}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.cfg")
+        with open(config, "w", encoding="utf-8") as handle:
+            handle.write(body)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", config, "--out", os.path.join(tmp, "out")])
+        with open(os.path.join(tmp, "out", "observables.csv"), encoding="utf-8") as handle:
+            rows = [[float(f) for f in line.split(",")] for line in handle.read().splitlines()[1:]]
+    for t, _, mean_x, *_ in rows:
+        assert abs(mean_x - (x0 + k0 * t / mass)) <= 1e-6
+    if len(rows) < 11:  # the snapshots at t = 0, 0.1, ..., 1
+        assert code == 2 and err.getvalue().startswith("error: window edge magnitude ")
+    else:
+        assert code == 0
