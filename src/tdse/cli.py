@@ -6,12 +6,15 @@ the exception to an exit code through one table, `_EXIT_CODES`, and
 prints it as one `error:` line on stderr.  Exit codes: 0 success, 2 a
 config or validation error, an output that cannot be written, or a
 snapshot that cannot be reconstructed or compared (run and compare keep
-the rows before it): an exponent overflow, a vanishing norm, or a series
-past quadratic closure or compare's oracle not negligible at its window's
-edges; 3 propagation aborted by blow-up detection (partial outputs are
-still written); 4 potential-DSL error.  All numbers are written with 17
-significant digits so identical inputs give byte-identical files; the
-only standard output is one final status line.
+the rows before it): an exponent overflow, a vanishing norm, or a grid
+not negligible at its window's edges (a series past quadratic closure,
+compare's oracle, or in run any packet, at 1e-5 of its peak when closed);
+3 propagation aborted by blow-up detection (partial outputs are still
+written); 4 potential-DSL error.  compare and converge drive the oracle
+through tdse.oracle.compare_with_oracle, from the config _oracle_config
+resolves.  All numbers are written with 17 significant digits so
+identical inputs give byte-identical files; the only standard output is
+one final status line.
 """
 
 import argparse
@@ -200,8 +203,7 @@ def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig, adapt
     coarse grid of the estimate at 2S."""
 
     def oracle_run(oracle_cfg, levels):
-        """The oracle's final grid, and the l2 of each of levels, final
-        states, against it."""
+        """The oracle's final grid, and the l2 of each final state of levels."""
         states = [cfg.initial, *levels]
         report, final = compare_with_oracle(states, cfg.potential, cfg.params, oracle_cfg)
         if report.reconstruction_error is not None:

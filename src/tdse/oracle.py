@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 _EDGE_FRACTION = 1e-6
-_WINDOW_FRACTION = 1e-5  # run's test of a closed system's window; see series_edge_guard
+_WINDOW_FRACTION = 1e-5  # see series_edge_guard
 
 # A run at S steps with no configured step count is trusted when its
 # estimated error is at most ADAPTIVE_TOLERANCE of the error it measures;
@@ -72,9 +72,8 @@ class GridMismatch(ValueError):
     """Grids disagree in window, spacing or size."""
 
 
-# the failures that end the rows of a comparison or of a run, which keep the
-# rows before them: a state that cannot be reconstructed, or a grid that is
-# not negligible at its window's edges
+# what ends the rows of a comparison or a run, keeping the rows before it: a
+# state that cannot be reconstructed, or a grid not negligible at its edges
 SNAPSHOT_FAILURES = (ExponentOverflow, ZeroNorm, EdgeLeakage)
 
 
@@ -127,25 +126,20 @@ def series_edge_guard(initial: CoefficientState, potential: PotentialModel, wind
     nothing: an exact packet near the edges is not a series failure.
 
     Given run's window, a closed system's guard tests that window instead,
-    on the |psi|^2 that window.moments(values) has just computed: |psi| at
-    either edge may reach f = _WINDOW_FRACTION = 1e-5 of its peak.  The
-    edge density is then f^2 = 1e-10 of the peak, and the tail it cuts off
-    moves <x> of a packet of width s by about f^2 * s / sqrt(2 pi), 4e-11 s.
-    The oracle's 1e-6, a bias of 4e-13 s, would stop packets that their
-    window holds to far better than the moments' own accuracy.
+    on the |psi|^2 of window.moments(values): |psi| at an edge may reach
+    f = _WINDOW_FRACTION = 1e-5 of its peak.  The tail past the edge then
+    moves <x> of a packet of width s by about f^2 s / sqrt(2 pi) = 4e-11 s;
+    the oracle's 1e-6 would stop packets their window holds to 4e-13 s.
     """
     support = np.flatnonzero(initial.alphas)
     if not is_closed_system(int(support[-1]) if support.size else 0, potential.degree):
         return lambda values, time: _check_edges(values, time, "series ")
     if window is None:
         return lambda values, time: None
-
-    def window_guard(values, time):
-        density = window.density
-        peak, edge = density.max(), max(density[0], density[-1])
-        _edge_test(math.sqrt(peak), math.sqrt(edge), time, "window ", _WINDOW_FRACTION)
-
-    return window_guard
+    return lambda values, time: _edge_test(
+        math.sqrt(window.density.max()), math.sqrt(max(window.density[0], window.density[-1])),
+        time, "window ", _WINDOW_FRACTION,
+    )
 
 
 def _half_phases(potential, params, cfg, t0, steps):
@@ -310,19 +304,17 @@ def check_alignment(t0: float, stepper_cfg: StepperConfig, oracle_cfg: OracleCon
 def compare_with_oracle(states: list, potential: PotentialModel, params: PhysicalParams,
                         cfg: OracleConfig, status: str = "completed"):
     """(report, grid): the ComparisonReport, with stepper_status status, of
-    each of states that lands on the oracle's step grid against the
-    oracle's grid at that step, both sampled on the oracle's window, and
-    the oracle's grid at the last step reached.
+    each of states on the oracle's step grid against the oracle's grid at
+    its step, both sampled on the oracle's window, and the last grid reached.
 
     The first state is the start: the oracle starts from its grid, which is
-    not reconstructed again, and norms are relative to it.  The oracle then
-    runs step by step as the comparison reaches each state; states that
-    share a step share its grid, whose moments are taken once.  A state off
-    the step grid, such as the last healthy state of a blow-up, is skipped.
-    One of SNAPSHOT_FAILURES ends the rows: a state that cannot be
-    reconstructed or fails series_edge_guard, or an oracle grid that leaks
-    at the window's edges.  The report keeps the rows before it and carries
-    the exception as reconstruction_error.
+    also its series grid, and norms are relative to it.  The oracle runs
+    step by step as the comparison reaches each state, and the moments of a
+    grid that states share are taken once.  A state off the step grid, such
+    as the last healthy state of a blow-up, is skipped.  One of
+    SNAPSHOT_FAILURES ends the rows (a state that cannot be reconstructed or
+    fails series_edge_guard, or an oracle grid that leaks at its edges): the
+    report keeps the rows before it and carries it as reconstruction_error.
     """
     t0 = states[0].time
     on_grid = [(j, s) for s in states if (j := _oracle_index(s.time, t0, cfg.dt)) is not None]
@@ -367,10 +359,8 @@ def compare_methods(
     check_alignment, propagate, then compare_with_oracle of the snapshots."""
     check_alignment(initial.time, stepper_cfg, oracle_cfg)
     trajectory = propagate(initial, potential, params, stepper_cfg)
-    report, _ = compare_with_oracle(
-        trajectory.snapshots, potential, params, oracle_cfg, trajectory.status
-    )
-    return report
+    snapshots, status = trajectory.snapshots, trajectory.status
+    return compare_with_oracle(snapshots, potential, params, oracle_cfg, status)[0]
 
 
 def oracle_error_estimate(fine: WaveGrid, coarse: WaveGrid) -> float:

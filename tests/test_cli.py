@@ -295,11 +295,17 @@ def _count_oracle_runs(monkeypatch):
 
 
 def test_converge_runs_the_oracle_once_per_invocation(tmp_path, capsys, monkeypatch):
+    import tdse.cli
+
     runs = _count_oracle_runs(monkeypatch)
+    checks = []
+    real = tdse.cli.check_alignment
+    monkeypatch.setattr("tdse.cli.check_alignment", lambda *a: checks.append(a) or real(*a))
     config = write_config(tmp_path / "conv.cfg", DRIVEN_FALLBACK)
     argv = ("converge", "--config", config, "--halvings", "3", "--out", str(tmp_path / "out"))
     assert run_cli(*argv) == 0
     assert [cfg.steps for cfg in runs] == [256, 128]
+    assert len(checks) == 1  # every level's horizon and final time are level 0's
     assert run_cli(*argv) == 0  # nothing is kept from one invocation to the next
     assert [cfg.steps for cfg in runs[2:]] == [256, 128]
     capsys.readouterr()

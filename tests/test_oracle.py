@@ -22,6 +22,7 @@ from tdse import (
     observables,
     oracle_error_estimate,
     parse_potential,
+    propagate,
     split_step_evolve,
     state_on_oracle_grid,
 )
@@ -314,3 +315,21 @@ def test_a_pole_inside_a_block_is_raised_by_the_step_that_reaches_it(packet, err
         assert outcome[2] == f"division by zero at t = {pole}"
     else:
         assert outcome[2].endswith("at t = 0.37")
+
+
+def test_compare_with_oracle_returns_the_last_grid_reached_before_a_leak():
+    # a closed packet running into the edge of [-6, 6]: the oracle's grid
+    # leaks past 1e-6 of its peak at t = 0.3, and the off-grid state is skipped
+    from tdse.oracle import compare_with_oracle
+
+    init = gaussian_coefficients(GaussianPacket(0.0, 0.5, 8.0))
+    stepper = StepperConfig(dt=0.01, steps=100, snapshot_stride=10, integrator="rk4")
+    states = propagate(init, FREE, PARAMS, stepper).snapshots
+    off_grid = CoefficientState(states[1].alphas, time=0.105)
+    cfg = OracleConfig(-6.0, 6.0, 256, dt=0.01, steps=100)
+    report, grid = compare_with_oracle([states[0], off_grid, *states[1:]], FREE, PARAMS, cfg)
+    assert report.times.tolist() == [0.0, 0.1, 0.2]
+    assert isinstance(report.reconstruction_error, EdgeLeakage)
+    start = state_on_oracle_grid(init, cfg)
+    expected = dict(split_step_evolve(start, FREE, PARAMS, cfg, {20}))[20]
+    assert grid.time == expected.time and np.array_equal(grid.values, expected.values)
