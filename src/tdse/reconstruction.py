@@ -109,9 +109,9 @@ def _finite(name: str, *values) -> None:
         )
 
 
-# np.trapezoid(y, dx=dx) and np.gradient(f, dx) (edge_order=1) for 1-D
-# arrays, written out with the same operations in the same order, so the
-# results are bitwise numpy's without the cost of their Python wrappers
+# np.trapezoid with dx and np.gradient with edge_order=1 for 1-D arrays,
+# written out with the same operations in the same order, so the results
+# are bitwise numpy's without the cost of their Python wrappers
 
 
 def _trapezoid(y: np.ndarray, dx):
