@@ -68,10 +68,6 @@ def _fmt(value: float) -> str:
     return f"{value:.16e}"
 
 
-def _error(message) -> None:
-    print(f"error: {message}", file=sys.stderr)
-
-
 def _write_csv(path: str, header: str, lines) -> None:
     """header, then lines, each already formatted and ending in a newline."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -87,16 +83,15 @@ def _resolve_out(args_out, cfg: RunConfig):
 
 
 def _finish(status: str, reconstruction_error, report: str = "") -> int:
-    """The status line and exit code of a command that keeps the rows
-    before a failure: a blow-up abort (exit 3) takes precedence over a
-    snapshot that could not be reconstructed (exit 2).  report is appended
-    to the status line of a completed run."""
+    """The status line and exit code of a command that keeps the rows before
+    a failure, once they are written: a blow-up abort (exit 3) takes
+    precedence over a snapshot that could not be reconstructed, raised for
+    main.  report is appended to the status line of a completed run."""
     if status != "completed":
         print(f"status={status}")
         return EXIT_BLOWUP
     if reconstruction_error is not None:
-        _error(reconstruction_error)
-        return EXIT_CONFIG
+        raise reconstruction_error
     print(f"status={status}{report}")
     return EXIT_OK
 
@@ -166,7 +161,7 @@ def _cmd_run(args) -> int:
         try:
             values = window.sample(snap)
             obs = window.moments(values)
-            guard(values, snap.time)
+            guard(window.density, snap.time)
         except SNAPSHOT_FAILURES as exc:
             reconstruction_error = exc
             break
@@ -389,7 +384,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
-        _error(exc)
+        print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 

@@ -41,6 +41,9 @@ class DegenerateSystem(ValueError):
     """Rank-deficient fit system, e.g. from duplicated x positions."""
 
 
+MAGNITUDE_FLOOR = 1e-12  # a sample |psi| at or under it is a node or an underflow
+
+
 class GaussianPacket(Frozen):
     __slots__ = ("center", "width", "wavenumber")
 
@@ -81,13 +84,14 @@ def _unwrap_ascending(phase: np.ndarray) -> np.ndarray:
     return np.concatenate(([phase[0]], phase[0] + np.cumsum(folded)))
 
 
-def fit_log_polynomial(samples, degree: int, magnitude_floor: float = 1e-12) -> FitResult:
+def fit_log_polynomial(samples, degree: int) -> FitResult:
     """Least-squares polynomial fit of log|psi| + i*phase over the samples.
 
     ``samples`` is a sequence of (x, psi) pairs with distinct x sorted
-    ascending (re-sorted defensively here).  Raises SampleTooSmall when any
-    |psi| falls under the floor and DegenerateSystem when the fit matrix is
-    rank-deficient.
+    ascending (re-sorted defensively here).  Raises ValueError when an x or
+    a psi is not finite or a power x^degree overflows, SampleTooSmall when
+    any |psi| falls under MAGNITUDE_FLOOR and DegenerateSystem when the fit
+    matrix is rank-deficient.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -96,18 +100,25 @@ def fit_log_polynomial(samples, degree: int, magnitude_floor: float = 1e-12) -> 
     psis = np.array([p[1] for p in pairs], dtype=np.complex128)
     if xs.size == 0:
         raise DegenerateSystem("no samples given")
+    finite = np.isfinite(xs) & np.isfinite(psis)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise ValueError(f"sample x = {xs[j]}, psi = {psis[j]} is not finite")
 
     magnitudes = np.abs(psis)
-    small = magnitudes <= magnitude_floor
+    small = magnitudes <= MAGNITUDE_FLOOR
     if np.any(small):
         j = int(np.argmax(small))
         raise SampleTooSmall(
             f"|psi| = {magnitudes[j]:.3e} at x = {xs[j]} is under the floor "
-            f"{magnitude_floor:.3e}"
+            f"{MAGNITUDE_FLOOR:.3e}"
         )
 
     y = np.log(magnitudes) + 1j * _unwrap_ascending(np.angle(psis))
-    vander = np.vander(xs, degree + 1, increasing=True)
+    with np.errstate(over="ignore"):
+        vander = np.vander(xs, degree + 1, increasing=True)
+    if not np.isfinite(vander).all():
+        raise ValueError(f"x^{degree} overflows at |x| = {np.max(np.abs(xs))}; rescale x")
     coeffs, _, rank, _ = np.linalg.lstsq(vander, y, rcond=None)
     if rank < degree + 1:
         raise DegenerateSystem(

@@ -8,7 +8,8 @@ convergence studies are the accuracy control.
 
 Both run on plain coefficient arrays through one velocity kernel built
 per propagation; a static potential is evaluated once, a time-dependent
-one once per distinct stage time, tabulated a block of steps ahead.
+one once per distinct stage time, tabulated a block of steps ahead by
+tdse.potential.step_blocks.
 
 Explicit stepping of this quadratic flow can diverge for large dt, so
 blow-up is reported as a trajectory status rather than an exception.
@@ -16,18 +17,15 @@ blow-up is reported as a trajectory status rather than an exception.
 
 import numpy as np
 
-from .potential import PotentialModel, eval_taylor_coefficients, taylor_rows
+from .potential import PotentialModel, eval_taylor_coefficients, step_blocks
 from .records import Frozen, Record
 from .state import CoefficientState, PhysicalParams, velocity_kernel
-from .state import coefficient_velocity  # noqa: F401  (re-exported: the kernel for one state)
+# not called here: perfbench/tracing.py wraps it under tdse.integrators' name
+from .state import coefficient_velocity  # noqa: F401
 
 __all__ = ["StepperConfig", "Trajectory", "propagate"]
 
 INTEGRATORS = ("euler", "rk4")
-
-# a time-dependent potential is tabulated for this many complex values of
-# forcing or phase at a time (128 KiB), per block of steps
-BLOCK_VALUES = 8192
 
 
 class StepperConfig(Frozen):
@@ -66,15 +64,11 @@ class Trajectory(Record):
 def _stage_forcings(integrator, initial, potential, forcing, dt, steps):
     """Yield, for steps 1..steps in turn, the step's forcing rows
     (i/hbar) * V_n at its stage times: t, and for RK4 then t + dt/2 and
-    t + dt, t being initial.time for the first step and t0 + p*dt after p
-    steps.
+    t + dt, t being initial.time for the first step and t0 + (p-1)*dt for
+    step p.
 
     A static potential is evaluated once.  A time-dependent one is
-    tabulated a block of steps at a time, with one taylor_rows call and one
-    multiply; a block never reaches past the last step, and it ends before
-    a step with a stage time whose evaluation fails, so the block that
-    starts at that step raises its error after the steps before it have
-    run.
+    tabulated by step_blocks, with one multiply per block.
     """
     order = initial.truncation_order
     stages = 1 if integrator == "euler" else 3
@@ -85,16 +79,14 @@ def _stage_forcings(integrator, initial, potential, forcing, dt, steps):
         for _ in range(steps):
             yield table
         return
-    block = max(1, BLOCK_VALUES // (stages * (order + 1)))
     half = 0.5 * dt
-    done = 0
-    while done < steps:
-        starts = [t0 + p * dt if p else t0 for p in range(done, min(done + block, steps))]
-        times = starts if stages == 1 else [u for t in starts for u in (t, t + half, t + dt)]
-        rows = taylor_rows(potential, times, order, group=stages)
-        count = len(rows) // stages
-        yield from forcing(rows).reshape(count, stages, order + 1)
-        done += count
+
+    def times(p):
+        t = t0 + (p - 1) * dt if p > 1 else t0  # t0 itself keeps a -0.0
+        return (t,) if stages == 1 else (t, t + half, t + dt)
+
+    for rows in step_blocks(potential, times, steps, stages * (order + 1), order):
+        yield from forcing(rows).reshape(-1, stages, order + 1)
 
 
 def _make_step(integrator: str, velocity, dt: float):

@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .initialization import is_closed_system
-from .integrators import BLOCK_VALUES, StepperConfig, propagate
-from .potential import PotentialModel, eval_taylor_coefficients, taylor_rows
+from .integrators import StepperConfig, propagate
+from .potential import PotentialModel, eval_taylor_coefficients, step_blocks
 from .records import Frozen
 # observables is not called here, but perfbench/tracing.py wraps it under
 # tdse.oracle's name
@@ -105,13 +105,11 @@ def state_on_oracle_grid(state: CoefficientState, cfg: OracleConfig) -> WaveGrid
     return WaveGrid(cfg.xmin, cfg.dx, evaluate_at(state, xs), state.time)
 
 
-def _check_edges(values: np.ndarray, time: float, label: str = ""):
-    edge = float(max(abs(values[0]), abs(values[-1])))
-    _edge_test(float(np.max(np.abs(values))), edge, time, label)
-
-
-def _edge_test(peak: float, edge: float, time: float, label: str, fraction=_EDGE_FRACTION):
-    """Raise EdgeLeakage when the magnitude at the edges exceeds fraction of its peak."""
+def _edge_test(magnitude: np.ndarray, time: float, label: str = "", fraction=_EDGE_FRACTION):
+    """Raise EdgeLeakage when |psi| at either edge of its window exceeds
+    fraction of its peak, magnitude being |psi| on the window."""
+    peak = float(magnitude.max())
+    edge = float(max(magnitude[0], magnitude[-1]))
     if peak == 0.0 or edge > fraction * peak:
         raise EdgeLeakage(
             f"{label}edge magnitude {edge:.3e} exceeds {fraction:.0e} of peak "
@@ -120,26 +118,25 @@ def _edge_test(peak: float, edge: float, time: float, label: str, fraction=_EDGE
 
 
 def series_edge_guard(initial: CoefficientState, potential: PotentialModel, window=None):
-    """guard(values, time), which raises EdgeLeakage when a series
-    reconstruction is not negligible at its window's edges.  A closed
-    system's series is exact and cannot diverge, so its guard checks
-    nothing: an exact packet near the edges is not a series failure.
+    """guard(density, time), which raises EdgeLeakage when a series
+    reconstruction, of |psi|^2 density on its window, is not negligible at
+    the window's edges.  A closed system's series is exact and cannot
+    diverge, so its guard checks nothing: an exact packet near the edges is
+    not a series failure.  The density comes from a window.moments call that
+    succeeded; its square root gives back |psi| to the bit where not subnormal.
 
-    Given run's window, a closed system's guard tests that window instead,
-    on the |psi|^2 of window.moments(values): |psi| at an edge may reach
-    f = _WINDOW_FRACTION = 1e-5 of its peak.  The tail past the edge then
-    moves <x> of a packet of width s by about f^2 s / sqrt(2 pi) = 4e-11 s;
-    the oracle's 1e-6 would stop packets their window holds to 4e-13 s.
+    Given run's window, a closed system's guard tests that window instead:
+    |psi| at an edge may reach f = _WINDOW_FRACTION = 1e-5 of its peak.  The
+    tail past the edge then moves <x> of a packet of width s by about
+    f^2 s / sqrt(2 pi) = 4e-11 s; the oracle's 1e-6 would stop packets
+    their window holds to 4e-13 s.
     """
     support = np.flatnonzero(initial.alphas)
     if not is_closed_system(int(support[-1]) if support.size else 0, potential.degree):
-        return lambda values, time: _check_edges(values, time, "series ")
+        return lambda density, time: _edge_test(np.sqrt(density), time, "series ")
     if window is None:
-        return lambda values, time: None
-    return lambda values, time: _edge_test(
-        math.sqrt(window.density.max()), math.sqrt(max(window.density[0], window.density[-1])),
-        time, "window ", _WINDOW_FRACTION,
-    )
+        return lambda density, time: None
+    return lambda density, time: _edge_test(np.sqrt(density), time, "window ", _WINDOW_FRACTION)
 
 
 def _half_phases(potential, params, cfg, t0, steps):
@@ -147,13 +144,10 @@ def _half_phases(potential, params, cfg, t0, steps):
     1..steps in turn, V taken at the step's midpoint time t0 + (p - 0.5)*dt.
 
     A static potential gives one phase.  A time-dependent one is tabulated
-    for a block of at most BLOCK_VALUES grid values at a time: one
-    taylor_rows call, one Horner pass broadcast over the block with the
-    operations of np.polynomial.polynomial.polyval (c[-1] + x*0, then
-    c[-i] + c0*x), and one np.exp.  A block never reaches past the last
-    step, and it ends before a midpoint whose evaluation fails, so the
-    block that starts at that step raises its error after the steps before
-    it have run and been checked.
+    by step_blocks, cfg.points values per step, with one Horner pass
+    broadcast over each block with the operations of
+    np.polynomial.polynomial.polyval (c[-1] + x*0, then c[-i] + c0*x) and
+    one np.exp.
     """
     degree = potential.degree
     xs = cfg.xmin + cfg.dx * np.arange(cfg.points)
@@ -177,13 +171,12 @@ def _half_phases(potential, params, cfg, t0, steps):
             for _ in range(steps):
                 yield phase
         return
-    block = max(1, BLOCK_VALUES // cfg.points)
-    done = 0
-    while done < steps:
-        mids = [t0 + (p - 0.5) * cfg.dt for p in range(done + 1, min(done + block, steps) + 1)]
-        rows = taylor_rows(potential, mids, degree, group=1)
+
+    def midpoint(p):
+        return (t0 + (p - 0.5) * cfg.dt,)
+
+    for rows in step_blocks(potential, midpoint, steps, cfg.points, degree):
         yield from phases(rows)
-        done += len(rows)
 
 
 def split_step_evolve(
@@ -214,7 +207,7 @@ def split_step_evolve(
     spectrum = np.empty_like(psi)
     t0 = initial.time
     if 0 in capture:
-        _check_edges(psi, t0)
+        _edge_test(np.abs(psi), t0)
         yield 0, WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t0)
     last = min(cfg.steps, max(capture, default=0))
     half_phases = _half_phases(potential, params, cfg, t0, last)
@@ -226,7 +219,7 @@ def split_step_evolve(
         np.multiply(half_phase, psi, out=psi)
         if p in capture:
             t = t0 + p * cfg.dt
-            _check_edges(psi, t)
+            _edge_test(np.abs(psi), t)
             yield p, WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t)
 
 
@@ -329,17 +322,15 @@ def compare_with_oracle(states: list, potential: PotentialModel, params: Physica
             shared = p == j
             while p != j:
                 p, grid = next(grids)
+            values = grid.values if norm0 is None else window.sample(state)
+            obs_s = window.moments(values)
+            density = window.density  # before the oracle grid's moments replace it
             if norm0 is None:  # the start
-                values = grid.values
-                obs_s = obs_o = window.moments(values)
-                norm0 = obs_s.norm2
-            else:
-                values = window.sample(state)
-                obs_s = window.moments(values)
-                if not shared:
-                    obs_o = window.moments(grid.values)
+                obs_o, norm0 = obs_s, obs_s.norm2
+            elif not shared:
+                obs_o = window.moments(grid.values)
             l2 = _l2(grid.values, obs_o.norm2, values, obs_s.norm2, window.dx)
-            guard(values, state.time)
+            guard(density, state.time)
             rows.append((state.time, l2, obs_s.mean_x - obs_o.mean_x,
                          obs_s.norm2 / norm0 - obs_o.norm2 / norm0))
     except SNAPSHOT_FAILURES as exc:

@@ -19,7 +19,8 @@ be nonnegative integer literals.
 The stored coefficient of x^n IS the Taylor coefficient of the potential
 about x = 0 (any 1/n! bookkeeping is already absorbed here), so
 taylor_rows, which tabulates them over a sequence of times, feeds the
-coefficient flow directly; eval_taylor_coefficients is its one-time case.
+coefficient flow directly; eval_taylor_coefficients is its one-time case,
+and step_blocks tabulates a time-dependent potential a block of steps ahead.
 
 Models are immutable after construction and evaluation is pure.
 """
@@ -49,6 +50,7 @@ __all__ = [
     "parse_potential",
     "eval_taylor_coefficients",
     "taylor_rows",
+    "step_blocks",
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp")
@@ -462,35 +464,45 @@ def _compile(node):
     raise TypeError(f"not a TimeProfile node: {node!r}")
 
 
-def taylor_rows(model: PotentialModel, times, max_degree: int, group: int = 0) -> np.ndarray:
+def taylor_rows(model: PotentialModel, times, max_degree: int) -> np.ndarray:
     """V_0..V_max at each of times, one row per time: a (len(times),
     max_degree + 1) array whose column d holds the compiled profile of
     degree d at each time; degrees absent from the model are 0.
 
     The times are evaluated in order, each one's profiles in the model's
     order, so the error raised is that of the earliest time that fails.
-    With group > 0, the times come in groups of that many (the stage times
-    of one step), and a time that fails ends the rows after the last whole
-    group before it instead; its error is raised only when the first group
-    holds it.  A caller can so tabulate a block of steps ahead and still
-    raise the error at the step that reaches it, after the steps before.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     kept = [(d, fn) for d, fn in model._profiles if d <= max_degree]
-    values = []
-    for t in times:
-        try:
-            values.append([fn(t) for _, fn in kept])
-        except (ValueError, ArithmeticError):  # EvaluationError, math range and domain errors
-            if not group or len(values) < group:
-                raise
-            del values[len(values) - len(values) % group :]
-            break
+    values = [[fn(t) for _, fn in kept] for t in times]
     out = np.zeros((len(values), max_degree + 1))
     if values and kept:
         out[:, [d for d, _ in kept]] = values
     return out
+
+
+# a time-dependent potential is tabulated for this many values built from
+# its rows (128 KiB of complex forcing or phase) at a time, per block of steps
+BLOCK_VALUES = 8192
+
+
+def step_blocks(model: PotentialModel, step_times, steps: int, width: int, max_degree: int):
+    """Yield the taylor_rows of the times step_times(p) of steps p = 1..steps,
+    a block of max(1, BLOCK_VALUES // width) steps at a time, width being the
+    values a caller builds from one step's rows; no block reaches past the
+    last step.  A block whose evaluation raises is tabulated again step by
+    step (the profiles are pure), so the error is raised at the step that
+    holds it, after the steps before it have been yielded."""
+    block = max(1, BLOCK_VALUES // width)
+    for first in range(1, steps + 1, block):
+        span = range(first, min(first + block, steps + 1))
+        try:
+            rows = taylor_rows(model, [t for p in span for t in step_times(p)], max_degree)
+        except (ValueError, ArithmeticError):  # EvaluationError, math range and domain errors
+            yield from (taylor_rows(model, step_times(p), max_degree) for p in span)
+        else:
+            yield rows
 
 
 def eval_taylor_coefficients(model: PotentialModel, t: float, max_degree: int) -> np.ndarray:

@@ -14,23 +14,13 @@ import math
 
 import numpy as np
 
-from tdse import (
-    CoefficientState,
-    EdgeLeakage,
-    EvaluationError,
-    ExponentOverflow,
-    Observables,
-    StepperConfig,
-    WaveGrid,
-    ZeroNorm,
-    l2_distance,
-    observables,
-    propagate,
-    state_on_oracle_grid,
-)
 from tdse.cli import _oracle_config
 from tdse.config import load_config
-from tdse.potential import BinOp, Call, Const, Neg, Power, TimeVar
+from tdse.integrators import StepperConfig, propagate
+from tdse.oracle import EdgeLeakage, l2_distance, state_on_oracle_grid
+from tdse.potential import BinOp, Call, Const, EvaluationError, Neg, Power, TimeVar
+from tdse.reconstruction import ExponentOverflow, Observables, WaveGrid, ZeroNorm, observables
+from tdse.state import CoefficientState
 
 try:
     from hypothesis import HealthCheck, settings

@@ -16,28 +16,24 @@ from conftest import (
     riccati_alpha2,
     write_config,
 )
-from tdse import (
-    CoefficientState,
+from tdse.cli import main as cli_main
+from tdse.initialization import (
     GaussianPacket,
-    OracleConfig,
-    PhysicalParams,
-    PotentialModel,
-    StepperConfig,
-    compare_methods,
-    evaluate_on_grid,
     fit_log_polynomial,
     gaussian_coefficients,
-    l2_distance,
-    norm_squared,
-    observables,
-    parse_potential,
-    propagate,
-    split_step_evolve,
-    state_on_oracle_grid,
     support_bound_after_step,
 )
-from tdse.cli import main as cli_main
-from tdse.potential import Const
+from tdse.integrators import StepperConfig, propagate
+from tdse.oracle import (
+    OracleConfig,
+    compare_methods,
+    l2_distance,
+    split_step_evolve,
+    state_on_oracle_grid,
+)
+from tdse.potential import Const, PotentialModel, parse_potential
+from tdse.reconstruction import evaluate_on_grid, norm_squared, observables
+from tdse.state import CoefficientState, PhysicalParams
 
 PARAMS = PhysicalParams()
 FREE = PotentialModel({})

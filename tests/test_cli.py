@@ -315,7 +315,7 @@ def test_converge_runs_the_oracle_once_per_invocation(tmp_path, capsys, monkeypa
 def test_converge_reused_oracle_writes_the_bytes_of_independent_runs(
     tmp_path, capsys, monkeypatch, body
 ):
-    from tdse import OracleConfig, compare_methods
+    from tdse.oracle import OracleConfig, compare_methods
     from tdse.config import load_config
 
     config = write_config(tmp_path / "conv.cfg", body)
@@ -853,6 +853,27 @@ def test_fit_command_bad_header(tmp_path):
     assert run_cli("fit", "--samples", str(samples), "--degree", "2", "--out", str(tmp_path / "f.csv")) == 2
 
 
+@pytest.mark.parametrize(
+    "row, fragment",
+    [
+        ("0,nan,0", "psi = (nan+0j) is not finite"),
+        ("0,inf,0", "psi = (inf+0j) is not finite"),
+        ("nan,1,0", "x = nan, psi = (1+0j) is not finite"),
+        ("1e200,1,0", "x^2 overflows at |x| = 1e+200"),
+    ],
+    ids=["nan-psi", "inf-psi", "nan-x", "x-overflows"],
+)
+def test_fit_rejects_a_sample_it_cannot_fit(tmp_path, capsys, row, fragment):
+    # one bad row among three finite ones: no nan coefficients, no numpy
+    # warning and no LAPACK failure, but one error line and no output file
+    samples = tmp_path / "samples.csv"
+    samples.write_text(f"x,psi_re,psi_im\n-1,0.6,0\n{row}\n1,0.6,0\n2,0.1,0\n", encoding="utf-8")
+    out = tmp_path / "fit.csv"
+    assert run_cli("fit", "--samples", str(samples), "--degree", "2", "--out", str(out)) == 2
+    assert_one_error_line(capsys, fragment)
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path):
     assert run_cli("run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)) == 2
 
@@ -1035,6 +1056,35 @@ def test_a_blowup_before_a_pole_in_the_same_block_exits_3_with_its_rows(
     assert len(lines) == 1 + rows
     if rows:
         assert float(lines[-1].split(",")[0]) == last
+
+
+# a start state whose |psi|^2 leaves the double range on the oracle's window,
+# above (Re S up to 400) or below (up to -400): |psi| itself is in range
+OUT_OF_RANGE_START = """
+[potential]
+expression = x^2/2
+[initial]
+kind = coefficients
+alpha_re = {alpha0}, 0, -0.5
+[stepper]
+dt = 0.01
+steps = 10
+[grid]
+xmin = -8.0
+xmax = 8.0
+points = 256
+"""
+
+
+@pytest.mark.parametrize("alpha0, fragment", [(400, "norm^2 is not finite"), (-400, "norm^2 vanishes")])
+def test_compare_reports_a_start_grid_out_of_the_double_range_once(
+    tmp_path, capsys, alpha0, fragment
+):
+    # the oracle's edge test reads |psi|, so it neither overflows nor takes
+    # an underflowed |psi|^2 for a leak; the start's moments report the state
+    config = write_config(tmp_path / "run.cfg", OUT_OF_RANGE_START.format(alpha0=alpha0))
+    assert run_cli("compare", "--config", config, "--out", str(tmp_path / "out")) == 2
+    assert_one_error_line(capsys, fragment)
 
 
 # a closed free packet running into the edge of [-6, 6]: the oracle's grid

@@ -5,20 +5,18 @@ import numpy as np
 import pytest
 
 from conftest import max_support_index, one_step
-from tdse import (
-    CoefficientState,
+from tdse.initialization import (
     DegenerateSystem,
     GaussianPacket,
-    PhysicalParams,
-    PotentialModel,
     SampleTooSmall,
-    evaluate_on_grid,
     fit_log_polynomial,
     gaussian_coefficients,
     is_closed_system,
     support_bound_after_step,
 )
-from tdse.potential import Const
+from tdse.potential import Const, PotentialModel
+from tdse.reconstruction import evaluate_on_grid
+from tdse.state import CoefficientState, PhysicalParams
 
 
 def test_gaussian_coefficients_examples():
@@ -64,6 +62,21 @@ def test_fit_constant_samples():
 def test_fit_zero_sample_rejected():
     samples = [(-1.0, 0.5), (0.0, 0.0), (1.0, 0.5)]
     with pytest.raises(SampleTooSmall):
+        fit_log_polynomial(samples, degree=2)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0.0, complex("nan")), "is not finite"),
+        ((0.0, complex("inf")), "is not finite"),
+        ((float("-inf"), 1.0), "is not finite"),
+        ((1e200, 1.0), "overflows"),
+    ],
+)
+def test_fit_rejects_non_finite_samples_and_overflowing_powers(bad, message):
+    samples = [(-1.0, 0.6), bad, (1.0, 0.6), (2.0, 0.1)]
+    with pytest.raises(ValueError, match=message):
         fit_log_polynomial(samples, degree=2)
 
 

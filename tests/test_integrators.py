@@ -6,16 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import max_support_index, one_step, reference_propagate, riccati_alpha2
-from tdse import (
-    CoefficientState,
-    PhysicalParams,
-    PotentialModel,
-    StepperConfig,
-    parse_potential,
-    propagate,
-)
-from tdse.integrators import _blown_up
-from tdse.potential import Const
+from tdse.integrators import StepperConfig, _blown_up, propagate
+from tdse.potential import Const, PotentialModel, parse_potential
+from tdse.state import CoefficientState, PhysicalParams
 
 PARAMS = PhysicalParams()
 FREE = PotentialModel({})

@@ -4,31 +4,28 @@ import numpy as np
 import pytest
 
 from conftest import coherent_state_exact, reference_split_step
-from tdse import (
-    CoefficientState,
+from tdse.initialization import GaussianPacket, gaussian_coefficients
+from tdse.integrators import StepperConfig, propagate
+from tdse.oracle import (
     EdgeLeakage,
-    EvaluationError,
-    GaussianPacket,
     GridMismatch,
     OracleConfig,
-    PhysicalParams,
-    PotentialModel,
-    StepperConfig,
-    WaveGrid,
     compare_methods,
-    gaussian_coefficients,
     l2_distance,
-    norm_squared,
-    observables,
     oracle_error_estimate,
-    parse_potential,
-    propagate,
     split_step_evolve,
     state_on_oracle_grid,
 )
-from tdse.integrators import BLOCK_VALUES
-from tdse.reconstruction import Window
-from tdse.potential import BinOp, Const
+from tdse.potential import (
+    BLOCK_VALUES,
+    BinOp,
+    Const,
+    EvaluationError,
+    PotentialModel,
+    parse_potential,
+)
+from tdse.reconstruction import WaveGrid, Window, norm_squared, observables
+from tdse.state import CoefficientState, PhysicalParams
 
 PARAMS = PhysicalParams()
 FREE = PotentialModel({})
@@ -170,8 +167,6 @@ def test_cross_validation_transitivity():
     cfg = OracleConfig(-12.0, 12.0, 1024, dt=1.0 / 1024, steps=1024)
 
     stepper = StepperConfig(dt=1e-3, steps=1000, integrator="rk4", snapshot_stride=1000)
-    from tdse import propagate
-
     series_final = propagate(init, HARMONIC, PARAMS, stepper).final
     series_grid = state_on_oracle_grid(series_final, cfg)
 
@@ -198,12 +193,12 @@ def test_compare_rejects_off_grid_snapshots_before_stepping(monkeypatch):
 
 
 def test_oracle_stops_at_the_last_captured_step(monkeypatch):
-    import tdse.oracle
+    import tdse.potential
 
     calls = []
-    real = tdse.oracle.taylor_rows
+    real = tdse.potential.taylor_rows
     monkeypatch.setattr(
-        "tdse.oracle.taylor_rows", lambda *a, **k: calls.extend(a[1]) or real(*a, **k)
+        "tdse.potential.taylor_rows", lambda *a, **k: calls.extend(a[1]) or real(*a, **k)
     )
     driven = parse_potential("x^2/2 + 0.5*sin(2*t)*x")
     cfg = OracleConfig(-15.0, 15.0, 512, dt=0.01, steps=10)
@@ -278,12 +273,21 @@ def test_a_block_of_eight_rows_at_1024_points_is_bitwise_the_reference():
     _assert_bitwise_reference(start, DRIVEN, cfg, set(range(cfg.steps + 1)))
 
 
+# the oracle's tabulated blocks at 256 points: one step each (the path that
+# tabulates a failing block again step by step), and BLOCK steps each
+BLOCK_SIZES = pytest.mark.parametrize("block_values", [256, 8192], ids=["1-step", "32-step"])
+
+
 # a packet running at the right edge under a weak drive: with every step
 # captured it leaks at step 32 (the last of the first block) or 37 (inside
 # the second)
 @pytest.mark.parametrize("x0, leaks_at", [(2.0, 32), (1.5, 37)])
 @pytest.mark.parametrize("every", [1, 5])
-def test_edge_leakage_is_raised_at_the_reference_capture(x0, leaks_at, every):
+@BLOCK_SIZES
+def test_edge_leakage_is_raised_at_the_reference_capture(
+    monkeypatch, x0, leaks_at, every, block_values
+):
+    monkeypatch.setattr("tdse.potential.BLOCK_VALUES", block_values)
     cfg = OracleConfig(-8.0, 8.0, 256, dt=0.01, steps=100)
     start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(x0, 0.5, 5.0)), cfg)
     capture = set(range(0, 101, every))
@@ -304,7 +308,11 @@ def test_edge_leakage_is_raised_at_the_reference_capture(x0, leaks_at, every):
     ],
     ids=["pole", "leak-first"],
 )
-def test_a_pole_inside_a_block_is_raised_by_the_step_that_reaches_it(packet, error):
+@BLOCK_SIZES
+def test_a_pole_inside_a_block_is_raised_by_the_step_that_reaches_it(
+    monkeypatch, packet, error, block_values
+):
+    monkeypatch.setattr("tdse.potential.BLOCK_VALUES", block_values)
     cfg = OracleConfig(-8.0, 8.0, 256, dt=0.01, steps=100)
     pole = (BLOCK + 8 - 0.5) * cfg.dt
     potential = parse_potential(f"0.1*sin(t)*x + 0.01*x^2/(t - {pole!r})")

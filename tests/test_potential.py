@@ -6,7 +6,8 @@ import pickle
 import numpy as np
 import pytest
 
-from tdse import (
+from tdse.potential import (
+    Const,
     EvaluationError,
     NonIntegerPowerError,
     PotentialModel,
@@ -15,8 +16,9 @@ from tdse import (
     XInsideFunctionError,
     eval_taylor_coefficients,
     parse_potential,
+    step_blocks,
+    taylor_rows,
 )
-from tdse.potential import Const
 
 
 def test_parse_quadratic():
@@ -103,6 +105,31 @@ def test_division_by_zero_at_evaluation():
         eval_taylor_coefficients(model, 1.0, 1)
     with pytest.raises(EvaluationError):
         _potential_at(model, 2.0, 1.0)
+
+
+def _step_times(p):
+    return (float(p), p + 0.5)
+
+
+@pytest.mark.parametrize(
+    "pole, spans",
+    [(8.0, [range(1, 5), range(5, 8)]), (6.5, [range(1, 5), range(5, 6)])],
+    ids=["past-the-end", "at-step-6"],
+)
+def test_step_blocks_tabulate_ahead_and_raise_at_the_failing_step(monkeypatch, pole, spans):
+    # 2 values per step and BLOCK_VALUES = 8: blocks of steps 1..4 and 5..7.
+    # A pole at step 8 is never evaluated; one at step 6 fails the second
+    # block, which is tabulated again step by step: step 5, then the error
+    monkeypatch.setattr("tdse.potential.BLOCK_VALUES", 8)
+    model = parse_potential(f"x/(t - {pole})")
+    blocks = step_blocks(model, _step_times, 7, 2, 1)
+    for span in spans:
+        expected = taylor_rows(model, [t for p in span for t in _step_times(p)], 1)
+        assert np.array_equal(next(blocks), expected)
+    if pole < 8.0:
+        with pytest.raises(EvaluationError, match="at t = 6.5"):
+            next(blocks)
+    assert next(blocks, None) is None
 
 
 def test_degree_bookkeeping():

@@ -25,29 +25,31 @@ from conftest import (  # noqa: E402
     reference_reconstruct,
     tree_eval_profile,
 )
-from tdse import (  # noqa: E402
-    CoefficientState,
-    GaussianPacket,
+import tdse.potential  # noqa: E402
+from tdse.cli import main  # noqa: E402
+from tdse.initialization import GaussianPacket, gaussian_coefficients  # noqa: E402
+from tdse.integrators import StepperConfig, propagate  # noqa: E402
+from tdse.oracle import (  # noqa: E402
     OracleConfig,
-    PhysicalParams,
-    PotentialModel,
-    StepperConfig,
-    eval_taylor_coefficients,
-    evaluate_on_grid,
-    gaussian_coefficients,
     l2_distance,
-    observables,
     oracle_error_estimate,
-    parse_potential,
-    propagate,
     split_step_evolve,
     state_on_oracle_grid,
 )
-import tdse.integrators  # noqa: E402
-from tdse.cli import main  # noqa: E402
-from tdse.integrators import BLOCK_VALUES  # noqa: E402
-from tdse.potential import BinOp, Call, Const, Neg, Power, TimeVar  # noqa: E402
-from tdse.reconstruction import Window  # noqa: E402
+from tdse.potential import (  # noqa: E402
+    BLOCK_VALUES,
+    BinOp,
+    Call,
+    Const,
+    Neg,
+    PotentialModel,
+    Power,
+    TimeVar,
+    eval_taylor_coefficients,
+    parse_potential,
+)
+from tdse.reconstruction import Window, evaluate_on_grid, observables  # noqa: E402
+from tdse.state import CoefficientState, PhysicalParams  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -226,7 +228,7 @@ def test_tabulated_blocks_keep_the_bits_and_the_order_of_failures(case):
     # a pole before a blow-up raises the same error at the same stage time
     initial, model, params, cfg, block_values = case
     expected = _trajectory_outcome(reference_propagate, initial, model, params, cfg)
-    with mock.patch.object(tdse.integrators, "BLOCK_VALUES", block_values):
+    with mock.patch.object(tdse.potential, "BLOCK_VALUES", block_values):
         actual = _trajectory_outcome(_propagate, initial, model, params, cfg)
     assert actual == expected
 

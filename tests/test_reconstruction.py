@@ -5,23 +5,19 @@ import re
 import numpy as np
 import pytest
 
-from tdse import (
-    CoefficientState,
+from tdse.initialization import GaussianPacket, gaussian_coefficients
+from tdse.integrators import StepperConfig, propagate
+from tdse.potential import PotentialModel, parse_potential
+from tdse.reconstruction import (
     ExponentOverflow,
-    GaussianPacket,
-    PhysicalParams,
-    PotentialModel,
-    StepperConfig,
     WaveGrid,
+    Window,
     ZeroNorm,
     evaluate_on_grid,
-    gaussian_coefficients,
     norm_squared,
     observables,
-    parse_potential,
-    propagate,
 )
-from tdse.reconstruction import Window
+from tdse.state import CoefficientState, PhysicalParams
 
 PARAMS = PhysicalParams()
 

@@ -13,22 +13,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdse import (
-    CoefficientState,
-    FitResult,
-    GaussianPacket,
-    Observables,
-    OracleConfig,
-    PhysicalParams,
+from tdse.config import GridSpec, OracleOptions, RunConfig, load_config
+from tdse.initialization import FitResult, GaussianPacket
+from tdse.integrators import StepperConfig, Trajectory
+from tdse.oracle import ComparisonReport, OracleConfig
+from tdse.potential import (
+    BinOp,
+    Call,
+    Const,
+    Neg,
     PotentialModel,
-    StepperConfig,
-    Trajectory,
-    WaveGrid,
+    Power,
+    TimeVar,
+    _Token,
     parse_potential,
 )
-from tdse.config import GridSpec, OracleOptions, RunConfig, load_config
-from tdse.oracle import ComparisonReport
-from tdse.potential import BinOp, Call, Const, Neg, Power, TimeVar, _Token
+from tdse.reconstruction import Observables, WaveGrid
+from tdse.state import CoefficientState, PhysicalParams
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_convolution, max_support_index
-from tdse import (
-    CoefficientState,
-    PhysicalParams,
-    coefficient_velocity,
-)
+from tdse.state import CoefficientState, PhysicalParams, coefficient_velocity
 
 
 def velocity(alphas, v_coeffs=(0.0,), hbar=1.0, mass=1.0, order=None):
