@@ -153,7 +153,7 @@ def _cmd_run(args) -> int:
 
     # reconstruction can fail on non-normalizable states; keep whatever rows
     # were healthy
-    window = Window.inclusive(cfg.grid.xmin, cfg.grid.xmax, cfg.grid.points, cfg.params)
+    window = Window.inclusive(cfg.grid.xmin, cfg.grid.xmax, cfg.grid.points)
     guard = series_edge_guard(cfg.initial, cfg.potential, window)
     reconstruction_error = None
     obs_rows = []
@@ -161,13 +161,14 @@ def _cmd_run(args) -> int:
         try:
             values = window.sample(snap)
             obs = window.moments(values)
+            p = window.mean_p(snap, cfg.params.hbar, obs.norm2)
             guard(window.density, snap.time)
         except SNAPSHOT_FAILURES as exc:
             reconstruction_error = exc
             break
         obs_rows.append(
             f"{snap.time:.16e},{obs.norm2:.16e},{obs.mean_x:.16e},{obs.mean_x2:.16e},"
-            f"{obs.mean_p_re:.16e},{obs.mean_p_im:.16e}\n"
+            f"{p.real:.16e},{p.imag:.16e}\n"
         )
     _write_csv(
         os.path.join(out_dir, "observables.csv"),

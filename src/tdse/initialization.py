@@ -38,7 +38,7 @@ class SampleTooSmall(ValueError):
 
 
 class DegenerateSystem(ValueError):
-    """Rank-deficient fit system, e.g. from duplicated x positions."""
+    """Rank-deficient fit system, from duplicated or badly scaled x."""
 
 
 MAGNITUDE_FLOOR = 1e-12  # a sample |psi| at or under it is a node or an underflow
@@ -91,7 +91,7 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
     ascending (re-sorted defensively here).  Raises ValueError when an x or
     a psi is not finite or a power x^degree overflows, SampleTooSmall when
     any |psi| falls under MAGNITUDE_FLOOR and DegenerateSystem when the fit
-    matrix is rank-deficient.
+    matrix is rank-deficient: too few distinct x, or x too badly scaled.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -120,11 +120,10 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
     if not np.isfinite(vander).all():
         raise ValueError(f"x^{degree} overflows at |x| = {np.max(np.abs(xs))}; rescale x")
     coeffs, _, rank, _ = np.linalg.lstsq(vander, y, rcond=None)
-    if rank < degree + 1:
-        raise DegenerateSystem(
-            f"fit matrix has rank {rank} < {degree + 1}; "
-            "need degree+1 samples with distinct x"
-        )
+    if rank < degree + 1:  # lstsq drops singular values under its rcond
+        cause = ("need degree+1 samples with distinct x" if np.unique(xs).size <= degree
+                 else "the x are distinct but too badly scaled; rescale x")
+        raise DegenerateSystem(f"fit matrix has rank {rank} < {degree + 1}; {cause}")
     residual = float(np.sqrt(np.mean(np.abs(vander @ coeffs - y) ** 2)))
 
     order = max(degree, 2)

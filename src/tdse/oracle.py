@@ -313,7 +313,7 @@ def compare_with_oracle(states: list, potential: PotentialModel, params: Physica
     on_grid = [(j, s) for s in states if (j := _oracle_index(s.time, t0, cfg.dt)) is not None]
     start = state_on_oracle_grid(states[0], cfg)
     grids = split_step_evolve(start, potential, params, cfg, {j for j, _ in on_grid})
-    window = Window(cfg.xmin, cfg.dx, cfg.points, params)
+    window = Window(cfg.xmin, cfg.dx, cfg.points)
     guard = series_edge_guard(states[0], potential)
     rows = []
     p = grid = norm0 = reconstruction_error = None

@@ -3,7 +3,8 @@
 The exponential prefactor is fixed to one: psi(x) = exp(S(x)) with the
 real part of alpha_0 carrying the log-amplitude.  Physical normalization
 happens at analysis time (expectation values divide by the norm), never
-by rescaling coefficients.  Quadrature is composite trapezoid.
+by rescaling coefficients.  Quadrature is composite trapezoid.  <p> takes
+psi' = S' psi from the coefficients; no samples are differentiated.
 """
 
 import math
@@ -12,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .records import Record
-from .state import CoefficientState, PhysicalParams
+from .state import CoefficientState
 
 __all__ = [
     "WaveGrid",
@@ -72,17 +73,21 @@ class WaveGrid(Record):
         return self.xmin + self.dx * np.arange(self.npoints)
 
 
+def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    s = np.full(xs.shape, coeffs[-1], dtype=np.complex128)
+    for coeff in coeffs[-2::-1]:
+        s = s * xs + coeff
+    return s
+
+
 def evaluate_at(state: CoefficientState, xs: np.ndarray) -> np.ndarray:
     """exp(S(x)) at arbitrary positions, S by Horner's rule."""
     xs = np.asarray(xs, dtype=np.float64)
-    a = state.alphas
-    s = np.full(xs.shape, a[-1], dtype=np.complex128)
     # a sum that overflows is rejected by the Re S guard below when its real
     # part is inf or NaN (np.max is then NaN, which fails every comparison),
     # else by the finite-sample check of the caller
     with np.errstate(over="ignore", invalid="ignore"):
-        for coeff in a[-2::-1]:
-            s = s * xs + coeff
+        s = _horner(state.alphas, xs)
     peak = float(np.max(s.real))
     if not peak <= _EXP_CUTOFF:
         reach = "is not finite" if math.isnan(peak) else f"reaches {peak:.1f} > {_EXP_CUTOFF:.0f}"
@@ -97,7 +102,7 @@ def evaluate_on_grid(
     values at its linspace points, in a grid whose positions (WaveGrid.xs)
     are its moment positions xmin + j*dx.  The two can differ in the last
     bit at some points."""
-    window = Window.inclusive(xmin, xmax, points, PhysicalParams())  # hbar enters only moments
+    window = Window.inclusive(xmin, xmax, points)
     return WaveGrid(xmin, window.dx, window.sample(state), state.time)
 
 
@@ -109,20 +114,11 @@ def _finite(name: str, *values) -> None:
         )
 
 
-# np.trapezoid with dx and np.gradient with edge_order=1 for 1-D arrays,
-# written out with the same operations in the same order, so the results
-# are bitwise numpy's without the cost of their Python wrappers
-
-
+# np.trapezoid with dx for 1-D arrays, written out with the same operations
+# in the same order, so the result is bitwise numpy's without the cost of
+# its Python wrapper
 def _trapezoid(y: np.ndarray, dx):
     return (dx * (y[1:] + y[:-1]) / 2.0).sum()
-
-
-def _gradient(f: np.ndarray, dx, out: np.ndarray) -> np.ndarray:
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    out[0] = (f[1] - f[0]) / dx
-    out[-1] = (f[-1] - f[-2]) / dx
-    return out
 
 
 def norm_squared(grid: WaveGrid) -> float:
@@ -138,30 +134,25 @@ class Observables(NamedTuple):
     norm2: float
     mean_x: float
     mean_x2: float
-    mean_p_re: float
-    mean_p_im: float  # diagnostic; near zero for well-resolved states
 
 
 class Window:
-    """Where a command samples its states and takes their moments, built
-    once per window: the sample positions, the moment positions
-    xs = xmin + j*dx and their squares, hbar and one scratch buffer (use one
-    window per thread).  The plain constructor samples at xs, as the
-    oracle's periodic grid does; `inclusive` is evaluate_on_grid's window.
-    density holds the |psi|^2 of the last `moments` call."""
+    """Where a command samples its states and takes their moments, built once
+    per window: the sample positions, and the moment positions xs = xmin + j*dx
+    and their squares.  The plain constructor samples at xs, as the oracle's
+    periodic grid does; `inclusive` is evaluate_on_grid's window.  density
+    holds the |psi|^2 of the last `moments` call (one window per thread)."""
 
-    __slots__ = ("samples", "dx", "xs", "xs_sq", "hbar", "_dpsi", "density")
+    __slots__ = ("samples", "dx", "xs", "xs_sq", "density")
 
-    def __init__(self, xmin: float, dx: float, points: int, params: PhysicalParams, samples=None):
+    def __init__(self, xmin: float, dx: float, points: int, samples=None):
         self.dx = dx
         self.xs = xmin + dx * np.arange(points)
         self.samples = self.xs if samples is None else samples
         self.xs_sq = self.xs**2
-        self.hbar = params.hbar
-        self._dpsi = np.empty(points, dtype=np.complex128)
 
     @classmethod
-    def inclusive(cls, xmin: float, xmax: float, points: int, params: PhysicalParams) -> "Window":
+    def inclusive(cls, xmin: float, xmax: float, points: int) -> "Window":
         """Samples at np.linspace(xmin, xmax, points), moments at xmin + j*dx
         with dx = (xmax - xmin) / (points - 1)."""
         if not xmax > xmin:
@@ -171,7 +162,7 @@ class Window:
         if not math.isfinite(xmax - xmin):
             raise ValueError(f"bounds and their span must be finite, got [{xmin}, {xmax}]")
         samples = np.linspace(xmin, xmax, points)
-        return cls(xmin, (xmax - xmin) / (points - 1), points, params, samples)
+        return cls(xmin, (xmax - xmin) / (points - 1), points, samples)
 
     def sample(self, state: CoefficientState) -> np.ndarray:
         """exp(S) at the sample positions, checked as WaveGrid checks them."""
@@ -180,13 +171,8 @@ class Window:
         return values
 
     def moments(self, values: np.ndarray) -> Observables:
-        """norm^2 and normalized <x>, <x^2>, <p> of values on this window.
-
-        <p> uses -i*hbar*d/dx with central differences in the interior and
-        one-sided differences at the ends; its residual imaginary part is
-        reported as a discretization diagnostic.  Raises ExponentOverflow
-        when any of them is not finite, ZeroNorm when the norm vanishes.
-        """
+        """norm^2 and normalized <x>, <x^2> of values on this window; raises
+        ExponentOverflow when one is not finite, ZeroNorm when the norm vanishes."""
         dx = self.dx
         with np.errstate(over="ignore", invalid="ignore"):
             density = self.density = np.abs(values) ** 2
@@ -196,12 +182,24 @@ class Window:
                 raise ZeroNorm("norm^2 vanishes on this window")
             mean_x = float(_trapezoid(self.xs * density, dx)) / n2
             mean_x2 = float(_trapezoid(self.xs_sq * density, dx)) / n2
-            p_int = np.conj(values) * (-1j * self.hbar) * _gradient(values, dx, self._dpsi)
-            mean_p = complex(_trapezoid(p_int, dx)) / n2
-        _finite("an observable", mean_x, mean_x2, mean_p.real, mean_p.imag)
-        return Observables(n2, mean_x, mean_x2, mean_p.real, mean_p.imag)
+        _finite("an observable", mean_x, mean_x2)
+        return Observables(n2, mean_x, mean_x2)
+
+    def mean_p(self, state: CoefficientState, hbar: float, norm2: float) -> complex:
+        """<p> = -i*hbar * integral of S'|psi|^2 / norm2 of the state whose
+        values the last `moments` call took, norm2 being their norm^2.  Im <p>
+        is the edge term -(hbar/2)(|psi(xmax)|^2 - |psi(xmin)|^2) / norm2, up
+        to quadrature.  Raises ExponentOverflow when <p> is not finite."""
+        a = state.alphas
+        with np.errstate(over="ignore", invalid="ignore"):
+            ds = _horner(np.arange(1, len(a)) * a[1:], self.samples)  # psi' = S' psi
+            ds[self.density == 0.0] = 0.0  # S' may overflow where |psi|^2 underflows
+            p_re = hbar * float(_trapezoid(ds.imag * self.density, self.dx)) / norm2
+            p_im = -hbar * float(_trapezoid(ds.real * self.density, self.dx)) / norm2
+        _finite("an observable", p_re, p_im)
+        return complex(p_re, p_im)
 
 
-def observables(grid: WaveGrid, params: PhysicalParams) -> Observables:
+def observables(grid: WaveGrid) -> Observables:
     """Window.moments of the grid's values, on the grid's positions."""
-    return Window(grid.xmin, grid.dx, grid.npoints, params).moments(grid.values)
+    return Window(grid.xmin, grid.dx, grid.npoints).moments(grid.values)

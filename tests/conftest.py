@@ -11,6 +11,7 @@ write from the snapshots is their own).
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from tdse.config import load_config
 from tdse.integrators import StepperConfig, propagate
 from tdse.oracle import EdgeLeakage, l2_distance, state_on_oracle_grid
 from tdse.potential import BinOp, Call, Const, EvaluationError, Neg, Power, TimeVar
-from tdse.reconstruction import ExponentOverflow, Observables, WaveGrid, ZeroNorm, observables
+from tdse.reconstruction import ExponentOverflow, WaveGrid, ZeroNorm, observables
 from tdse.state import CoefficientState
 
 try:
@@ -236,20 +237,35 @@ def reference_split_step(initial, model, params, cfg, capture):
 # textbook reconstruction, and `tdse run`'s outputs built from it
 
 
+class RunObservables(NamedTuple):  # the columns of a `run` row after t
+    norm2: float
+    mean_x: float
+    mean_x2: float
+    mean_p_re: float
+    mean_p_im: float
+
+
 def reference_reconstruct(state, xmin, xmax, points, params):
-    """evaluate_on_grid followed by observables, written the plain way:
-    the window is rebuilt and checked on every call, |psi|^2 is computed
-    once for the norm and again for the moments, and the quadrature and the
-    derivative are np.trapezoid and np.gradient.  Returns (values, xs,
-    Observables), xs being the positions xmin + j*dx of the moments."""
+    """evaluate_on_grid followed by the window's moments and <p>, written the
+    plain way: the window is rebuilt and checked on every call, |psi|^2 is
+    computed once for the norm and again for the moments, S and S' are
+    Horner sums at the sample points, and the quadrature is np.trapezoid.
+    <p> = -i*hbar * integral of S'|psi|^2 / norm^2, as psi' = S' psi; where
+    |psi|^2 underflows to 0, S' counts as 0.  Returns (values, xs,
+    RunObservables), xs being the positions xmin + j*dx of the moments."""
     if not xmax > xmin:
         raise ValueError(f"xmax must exceed xmin, got [{xmin}, {xmax}]")
     if points < 8:
         raise ValueError(f"points must be at least 8, got {points}")
     samples = np.linspace(xmin, xmax, points)
-    s = np.full(samples.shape, state.alphas[-1], dtype=np.complex128)
-    for coeff in state.alphas[-2::-1]:
-        s = s * samples + coeff
+
+    def horner(coeffs):
+        s = np.full(samples.shape, coeffs[-1], dtype=np.complex128)
+        for coeff in coeffs[-2::-1]:
+            s = s * samples + coeff
+        return s
+
+    s = horner(state.alphas)
     peak = float(np.max(s.real))
     if not peak <= 700.0:
         reach = "is not finite" if math.isnan(peak) else f"reaches {peak:.1f} > 700"
@@ -278,11 +294,14 @@ def reference_reconstruct(state, xmin, xmax, points, params):
         density = np.abs(values) ** 2
         mean_x = float(np.trapezoid(xs * density, dx=dx)) / n2
         mean_x2 = float(np.trapezoid(xs**2 * density, dx=dx)) / n2
-        dpsi = np.gradient(values, dx)
-        p_int = np.conj(values) * (-1j * params.hbar) * dpsi
-        mean_p = complex(np.trapezoid(p_int, dx=dx)) / n2
-    finite("an observable", mean_x, mean_x2, mean_p.real, mean_p.imag)
-    return values, xs, Observables(n2, mean_x, mean_x2, mean_p.real, mean_p.imag)
+    finite("an observable", mean_x, mean_x2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ds = horner(np.arange(1, len(state.alphas)) * state.alphas[1:])
+        ds = np.where(density > 0.0, ds, 0.0)
+        mean_p_re = params.hbar * float(np.trapezoid(ds.imag * density, dx=dx)) / n2
+        mean_p_im = -params.hbar * float(np.trapezoid(ds.real * density, dx=dx)) / n2
+    finite("an observable", mean_p_re, mean_p_im)
+    return values, xs, RunObservables(n2, mean_x, mean_x2, mean_p_re, mean_p_im)
 
 
 def reference_run(config_path: str):
@@ -365,7 +384,7 @@ def reference_compare(config_path: str):
         try:
             oracle = reference_split_step(start, cfg.potential, cfg.params, oracle_cfg, {j})[j]
             series = state_on_oracle_grid(snap, oracle_cfg)
-            obs_s, obs_o = observables(series, cfg.params), observables(oracle, cfg.params)
+            obs_s, obs_o = observables(series), observables(oracle)
             l2 = l2_distance(oracle, series)
         except (EdgeLeakage, ExponentOverflow, ZeroNorm) as exc:
             error = exc

@@ -113,7 +113,7 @@ def test_criterion_05_coherent_state_rotation():
     packet = gaussian_coefficients(GaussianPacket(1.0, GROUND_WIDTH, 0.0))
     start = state_on_oracle_grid(packet, oracle_cfg)
     snaps = dict(split_step_evolve(start, HARMONIC, PARAMS, oracle_cfg, {steps}))
-    assert observables(snaps[steps], PARAMS).mean_x == pytest.approx(-1.0, abs=1e-3)
+    assert observables(snaps[steps]).mean_x == pytest.approx(-1.0, abs=1e-3)
     _report(5, "coherent alpha_1 rotation and oracle <x>(pi) = -1")
 
 
@@ -150,7 +150,7 @@ def test_criterion_07_oracle_quality_gates():
     spread_cfg = OracleConfig(-25.0, 25.0, 1024, dt=1e-3, steps=2000)
     start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0, 1, 0)), spread_cfg)
     final = dict(split_step_evolve(start, FREE, PARAMS, spread_cfg, {2000}))[2000]
-    assert observables(final, PARAMS).mean_x2 == pytest.approx(2.0, abs=1e-3)
+    assert observables(final).mean_x2 == pytest.approx(2.0, abs=1e-3)
 
     errors = []
     for steps in (50, 100, 200):

@@ -860,8 +860,9 @@ def test_fit_command_bad_header(tmp_path):
         ("0,inf,0", "psi = (inf+0j) is not finite"),
         ("nan,1,0", "x = nan, psi = (1+0j) is not finite"),
         ("1e200,1,0", "x^2 overflows at |x| = 1e+200"),
+        ("1e100,1,0", "rank 1 < 3; the x are distinct but too badly scaled; rescale x"),
     ],
-    ids=["nan-psi", "inf-psi", "nan-x", "x-overflows"],
+    ids=["nan-psi", "inf-psi", "nan-x", "x-overflows", "x-badly-scaled"],
 )
 def test_fit_rejects_a_sample_it_cannot_fit(tmp_path, capsys, row, fragment):
     # one bad row among three finite ones: no nan coefficients, no numpy

@@ -1,6 +1,8 @@
 """Tests for Gaussian coefficients, log-polynomial fitting, and the
 support/closure predicates."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,8 @@ def test_fit_rejects_non_finite_samples_and_overflowing_powers(bad, message):
 
 def test_fit_duplicated_x_rejected():
     samples = [(0.0, 1.0), (0.0, 1.0), (1.0, 0.5)]
-    with pytest.raises(DegenerateSystem):
+    message = "fit matrix has rank 2 < 3; need degree+1 samples with distinct x"
+    with pytest.raises(DegenerateSystem, match=f"^{re.escape(message)}$"):
         fit_log_polynomial(samples, degree=2)
 
 

@@ -61,7 +61,7 @@ def test_free_gaussian_spreading_law():
     cfg = OracleConfig(-25.0, 25.0, 1024, dt=1e-3, steps=2000)
     start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0, 1, 0)), cfg)
     snaps = dict(split_step_evolve(start, FREE, PARAMS, cfg, {2000}))
-    assert observables(snaps[2000], PARAMS).mean_x2 == pytest.approx(2.0, abs=1e-3)
+    assert observables(snaps[2000]).mean_x2 == pytest.approx(2.0, abs=1e-3)
 
 
 def test_harmonic_coherent_oscillation():
@@ -70,7 +70,7 @@ def test_harmonic_coherent_oscillation():
     packet = gaussian_coefficients(GaussianPacket(1.0, GROUND_WIDTH, 0.0))
     start = state_on_oracle_grid(packet, cfg)
     snaps = dict(split_step_evolve(start, HARMONIC, PARAMS, cfg, {steps}))
-    assert observables(snaps[steps], PARAMS).mean_x == pytest.approx(-1.0, abs=1e-3)
+    assert observables(snaps[steps]).mean_x == pytest.approx(-1.0, abs=1e-3)
 
 
 def test_unitarity_norm_drift():
@@ -115,7 +115,7 @@ def test_l2_distance_identity_and_phase():
 
 def test_l2_distance_orthogonal_states():
     cfg = OracleConfig(-10.0, 10.0, 512, dt=0.1, steps=1)
-    xs = Window(cfg.xmin, cfg.dx, cfg.points, PARAMS).xs
+    xs = Window(cfg.xmin, cfg.dx, cfg.points).xs
     even = WaveGrid(cfg.xmin, cfg.dx, np.exp(-(xs**2) / 2).astype(complex))
     odd = WaveGrid(cfg.xmin, cfg.dx, (xs * np.exp(-(xs**2) / 2)).astype(complex))
     assert l2_distance(even, odd) == pytest.approx(np.sqrt(2.0), abs=1e-9)

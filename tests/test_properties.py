@@ -20,6 +20,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
+    RunObservables,
     mentions_t,
     reference_propagate,
     reference_reconstruct,
@@ -333,25 +334,32 @@ def _reconstruction_outcome(fn):
     return ("ok", _bits(values), _bits(xs), _bits(moments))
 
 
-def _window(xmin, xmax, points, params, periodic):
+def _window(xmin, xmax, points, periodic):
     """run's window, or the oracle's periodic one on [xmin, xmax)."""
     if periodic:
-        return Window(xmin, (xmax - xmin) / points, points, params)
-    return Window.inclusive(xmin, xmax, points, params)
+        return Window(xmin, (xmax - xmin) / points, points)
+    return Window.inclusive(xmin, xmax, points)
 
 
-def _kernel(window, state):
+def _kernel(window, state, params):
     values = window.sample(state)
-    return values, window.xs, window.moments(values)
+    moments = window.moments(values)
+    p = window.mean_p(state, params.hbar, moments.norm2)
+    return values, window.xs, RunObservables(*moments, p.real, p.imag)
 
 
 def _one_grid(state, xmin, xmax, points, params, periodic):
-    """evaluate_on_grid, or state_on_oracle_grid, followed by observables."""
+    """evaluate_on_grid, or state_on_oracle_grid, followed by observables;
+    <p> from the state, through a window that took the grid's values."""
     if periodic:
         grid = state_on_oracle_grid(state, OracleConfig(xmin, xmax, points, 1.0, 1))
     else:
         grid = evaluate_on_grid(state, xmin, xmax, points)
-    return grid.values, grid.xs, observables(grid, params)
+    moments = observables(grid)
+    window = _window(xmin, xmax, points, periodic)
+    window.moments(grid.values)
+    p = window.mean_p(state, params.hbar, moments.norm2)
+    return grid.values, grid.xs, RunObservables(*moments, p.real, p.imag)
 
 
 def _reference(state, xmin, xmax, points, params, periodic):
@@ -370,26 +378,26 @@ def test_observables_kernel_is_bitwise_the_reference(case, hbar):
     for periodic in (False, True):
         # the oracle's grid sizes are powers of two from 256
         points = max(256, 1 << (window_points - 1).bit_length()) if periodic else window_points
-        window = _window(xmin, xmax, points, params, periodic)
+        window = _window(xmin, xmax, points, periodic)
         expected = _reconstruction_outcome(
             lambda: _reference(state, xmin, xmax, points, params, periodic)
         )
-        assert _reconstruction_outcome(lambda: _kernel(window, state)) == expected
+        assert _reconstruction_outcome(lambda: _kernel(window, state, params)) == expected
         assert _reconstruction_outcome(
             lambda: _one_grid(state, xmin, xmax, points, params, periodic)
         ) == expected
         if expected[0] == "ok":  # nothing non-finite is returned without raising
-            values, _, obs = _kernel(window, state)
+            values, _, obs = _kernel(window, state, params)
             assert np.isfinite(values).all() and all(map(math.isfinite, obs))
 
 
 def test_the_kernel_keeps_its_window_on_later_states():
     params = PhysicalParams()
     for periodic, points in ((False, 777), (True, 1024)):
-        window = _window(-9.0, 11.0, points, params, periodic)
+        window = _window(-9.0, 11.0, points, periodic)
         for a1 in (0.5, -1.0, 2.0):
             state = CoefficientState([-0.2, a1, -0.3 + 0.1j])
-            values, xs, obs = _kernel(window, state)
+            values, xs, obs = _kernel(window, state, params)
             ref_values, ref_xs, ref_obs = _reference(state, -9.0, 11.0, points, params, periodic)
             assert _bits(values) == _bits(ref_values) and _bits(xs) == _bits(ref_xs)
             assert _bits(list(obs)) == _bits(list(ref_obs))
@@ -459,3 +467,32 @@ def test_run_writes_no_row_whose_window_loses_the_packet(xmin, xmax, where, sigm
         assert code == 2 and err.getvalue().startswith("error: window edge magnitude ")
     else:
         assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# <p> of an exact free packet: no stepper, so no dt error enters
+
+
+@settings(max_examples=200)
+@given(
+    st.floats(-5.0, 5.0),  # x0
+    st.floats(0.3, 3.0),  # sigma
+    st.floats(-10.0, 10.0),  # k0
+    st.floats(0.5, 2.0),  # hbar
+    st.floats(0.5, 2.0),  # mass
+    st.floats(0.0, 2.0),  # t
+    st.integers(64, 2001),  # points
+)
+def test_mean_p_of_an_exact_free_packet_is_hbar_k0(x0, sigma, k0, hbar, mass, t, points):
+    a = -1.0 / (4.0 * sigma**2)
+    spread = 1.0 - (2j * hbar / mass) * a * t
+    alpha2 = a / spread
+    alpha1 = (x0 / (2.0 * sigma**2) + 1j * k0) / spread
+    # alpha_0 puts the peak of Re S at 0; <p> divides by the norm
+    state = CoefficientState([alpha1.real**2 / (4.0 * alpha2.real), alpha1, alpha2], t)
+    centre = -alpha1.real / (2.0 * alpha2.real)
+    half = math.sqrt(math.log(1e6) / -alpha2.real)  # |psi| = 1e-6 of its peak
+    window = Window.inclusive(centre - half, centre + half, points)
+    moments = window.moments(window.sample(state))
+    p = window.mean_p(state, hbar, moments.norm2)
+    assert abs(p.real - hbar * k0) <= 1e-9 * max(1.0, hbar * abs(k0))

@@ -54,7 +54,7 @@ def test_evaluate_window_validation():
 def test_a_window_with_a_non_finite_bound_or_span_is_rejected(xmin, xmax):
     message = f"bounds and their span must be finite, got [{xmin}, {xmax}]"
     with pytest.raises(ValueError, match=re.escape(message)):
-        Window.inclusive(xmin, xmax, 9, PARAMS)
+        Window.inclusive(xmin, xmax, 9)
     with pytest.raises(ValueError, match=re.escape(message)):
         evaluate_on_grid(CoefficientState([0, 0, -0.25]), xmin, xmax, 9)
 
@@ -74,38 +74,40 @@ def test_norm_squared_zero_and_scaling():
 
 def test_observables_symmetric_packet():
     grid = evaluate_on_grid(CoefficientState([0, 0, -0.25]), -20.0, 20.0, 4001)
-    obs = observables(grid, PARAMS)
+    obs = observables(grid)
     assert abs(obs.mean_x) <= 1e-9
     assert obs.mean_x2 == pytest.approx(1.0, abs=1e-4)
 
 
+def _moments_and_p(state, xmin, xmax, points):
+    """run's moments and <p> of a state on Window.inclusive(xmin, xmax, points)."""
+    window = Window.inclusive(xmin, xmax, points)
+    moments = window.moments(window.sample(state))
+    return moments, window.mean_p(state, PARAMS.hbar, moments.norm2)
+
+
 def test_observables_momentum_kick():
-    # central differences at dx = 0.01 leave an h^2 error of ~1.6e-4
-    # absolute on <p> = 2, i.e. 8e-5 relative
+    # Im S' = Im alpha_1 = 2 on the whole window, so <p> is 2 up to rounding
     state = gaussian_coefficients(GaussianPacket(0.0, 1.0, 2.0))
-    grid = evaluate_on_grid(state, -20.0, 20.0, 4001)
-    obs = observables(grid, PARAMS)
-    assert obs.mean_p_re == pytest.approx(2.0, rel=1e-4)
-    assert abs(obs.mean_p_im) <= 1e-6
+    _, p = _moments_and_p(state, -20.0, 20.0, 4001)
+    assert p.real == pytest.approx(2.0, rel=1e-12)
+    assert abs(p.imag) <= 1e-6
 
 
 def test_observables_zero_norm():
     tiny = WaveGrid(-1.0, 0.25, np.full(9, 1e-200 + 0j))
     with pytest.raises(ZeroNorm):
-        observables(tiny, PARAMS)
+        observables(tiny)
 
 
 def test_ehrenfest_relation_free_packet():
     state = gaussian_coefficients(GaussianPacket(0.0, 1.0, 1.0))
     cfg = StepperConfig(dt=1e-4, steps=2000, snapshot_stride=1000)
     traj = propagate(state, PotentialModel({}), PARAMS, cfg)
-    obs = [
-        observables(evaluate_on_grid(s, -15.0, 15.0, 3001), PARAMS)
-        for s in traj.snapshots
-    ]
+    obs = [_moments_and_p(s, -15.0, 15.0, 3001) for s in traj.snapshots]
     times = [s.time for s in traj.snapshots]
-    dx_dt = (obs[-1].mean_x - obs[0].mean_x) / (times[-1] - times[0])
-    mean_p = obs[1].mean_p_re  # midpoint snapshot
+    dx_dt = (obs[-1][0].mean_x - obs[0][0].mean_x) / (times[-1] - times[0])
+    mean_p = obs[1][1].real  # midpoint snapshot
     assert dx_dt == pytest.approx(mean_p / PARAMS.mass, rel=1e-3)
 
 
