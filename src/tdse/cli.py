@@ -162,7 +162,7 @@ def _cmd_run(args) -> int:
             values = window.sample(snap)
             obs = window.moments(values)
             p = window.mean_p(snap, cfg.params.hbar, obs.norm2)
-            guard(window.density, snap.time)
+            guard(window.magnitude, snap.time)
         except SNAPSHOT_FAILURES as exc:
             reconstruction_error = exc
             break

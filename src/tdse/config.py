@@ -27,6 +27,7 @@ import numpy as np
 from .initialization import GaussianPacket, gaussian_coefficients
 from .integrators import StepperConfig
 from .potential import PotentialModel, parse_potential
+from .reconstruction import check_bounds
 from .records import Frozen, Record
 from .scenarios import SCENARIOS
 from .state import CoefficientState, PhysicalParams
@@ -42,12 +43,9 @@ class GridSpec(Frozen):
     __slots__ = ("xmin", "xmax", "points")
 
     def __init__(self, xmin: float, xmax: float, points: int):
-        if not xmax > xmin:
-            raise ValueError(f"grid xmax must exceed xmin, got [{xmin}, {xmax}]")
+        check_bounds(xmin, xmax, "grid ")
         if points < 8:
             raise ValueError(f"grid points must be at least 8, got {points}")
-        if not math.isfinite(xmax - xmin):
-            raise ValueError(f"grid bounds and their span must be finite, got [{xmin}, {xmax}]")
         self._set(xmin, xmax, points)
 
 

@@ -13,7 +13,6 @@ silent corruption.  The same guard catches a truncated series that breaks
 down: its reconstruction grows without bound towards the window edges.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +29,7 @@ from .reconstruction import (  # noqa: F401
     Window,
     ZeroNorm,
     _trapezoid,
+    check_bounds,
     evaluate_at,
     norm_squared,
     observables,
@@ -81,16 +81,13 @@ class OracleConfig(Frozen):
     __slots__ = ("xmin", "xmax", "points", "dt", "steps")
 
     def __init__(self, xmin: float, xmax: float, points: int, dt: float, steps: int):
-        if not xmax > xmin:
-            raise ValueError(f"xmax must exceed xmin, got [{xmin}, {xmax}]")
+        check_bounds(xmin, xmax)
         if points < 256 or points & (points - 1):
             raise ValueError(f"points must be a power of two >= 256, got {points}")
         if not (np.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
         if steps < 0:
             raise ValueError(f"steps must be nonnegative, got {steps}")
-        if not math.isfinite(xmax - xmin):
-            raise ValueError(f"bounds and their span must be finite, got [{xmin}, {xmax}]")
         self._set(xmin, xmax, points, dt, steps)
 
     @property
@@ -118,12 +115,11 @@ def _edge_test(magnitude: np.ndarray, time: float, label: str = "", fraction=_ED
 
 
 def series_edge_guard(initial: CoefficientState, potential: PotentialModel, window=None):
-    """guard(density, time), which raises EdgeLeakage when a series
-    reconstruction, of |psi|^2 density on its window, is not negligible at
+    """guard(magnitude, time), which raises EdgeLeakage when a series
+    reconstruction, of |psi| magnitude on its window, is not negligible at
     the window's edges.  A closed system's series is exact and cannot
     diverge, so its guard checks nothing: an exact packet near the edges is
-    not a series failure.  The density comes from a window.moments call that
-    succeeded; its square root gives back |psi| to the bit where not subnormal.
+    not a series failure.
 
     Given run's window, a closed system's guard tests that window instead:
     |psi| at an edge may reach f = _WINDOW_FRACTION = 1e-5 of its peak.  The
@@ -133,10 +129,10 @@ def series_edge_guard(initial: CoefficientState, potential: PotentialModel, wind
     """
     support = np.flatnonzero(initial.alphas)
     if not is_closed_system(int(support[-1]) if support.size else 0, potential.degree):
-        return lambda density, time: _edge_test(np.sqrt(density), time, "series ")
+        return lambda magnitude, time: _edge_test(magnitude, time, "series ")
     if window is None:
-        return lambda density, time: None
-    return lambda density, time: _edge_test(np.sqrt(density), time, "window ", _WINDOW_FRACTION)
+        return lambda magnitude, time: None
+    return lambda magnitude, time: _edge_test(magnitude, time, "window ", _WINDOW_FRACTION)
 
 
 def _half_phases(potential, params, cfg, t0, steps):
@@ -194,10 +190,7 @@ def split_step_evolve(
     place of the next pair, when the wavefunction stops being negligible at
     the window edges at a captured step.
     """
-    if initial.npoints != cfg.points or not (
-        math.isclose(initial.xmin, cfg.xmin, rel_tol=0.0, abs_tol=1e-12)
-        and math.isclose(initial.dx, cfg.dx, rel_tol=1e-12)
-    ):
+    if not initial.matches(cfg.xmin, cfg.dx, cfg.points):
         raise GridMismatch("initial grid does not match the oracle configuration")
 
     k = 2.0 * np.pi * np.fft.fftfreq(cfg.points, d=cfg.dx)
@@ -231,11 +224,7 @@ def l2_distance(a: WaveGrid, b: WaveGrid) -> float:
     |a - b|^2 is taken; a global phase difference therefore counts as
     zero distance.
     """
-    if (
-        a.npoints != b.npoints
-        or not math.isclose(a.xmin, b.xmin, rel_tol=0.0, abs_tol=1e-12)
-        or not math.isclose(a.dx, b.dx, rel_tol=1e-12)
-    ):
+    if not a.matches(b.xmin, b.dx, b.npoints):
         raise GridMismatch("grids disagree in window, spacing or size")
     return _l2(a.values, norm_squared(a), b.values, norm_squared(b), a.dx)
 
@@ -324,13 +313,12 @@ def compare_with_oracle(states: list, potential: PotentialModel, params: Physica
                 p, grid = next(grids)
             values = grid.values if norm0 is None else window.sample(state)
             obs_s = window.moments(values)
-            density = window.density  # before the oracle grid's moments replace it
+            guard(window.magnitude, state.time)
             if norm0 is None:  # the start
                 obs_o, norm0 = obs_s, obs_s.norm2
             elif not shared:
                 obs_o = window.moments(grid.values)
             l2 = _l2(grid.values, obs_o.norm2, values, obs_s.norm2, window.dx)
-            guard(density, state.time)
             rows.append((state.time, l2, obs_s.mean_x - obs_o.mean_x,
                          obs_s.norm2 / norm0 - obs_o.norm2 / norm0))
     except SNAPSHOT_FAILURES as exc:

@@ -20,6 +20,7 @@ __all__ = [
     "Observables",
     "ExponentOverflow",
     "ZeroNorm",
+    "check_bounds",
     "evaluate_at",
     "evaluate_on_grid",
     "Window",
@@ -39,6 +40,15 @@ class ExponentOverflow(OverflowError):
 
 class ZeroNorm(ValueError):
     """Norm too small to divide by."""
+
+
+def check_bounds(xmin: float, xmax: float, label: str = "") -> None:
+    """Raise ValueError, its message starting with label, unless xmax > xmin
+    and the span xmax - xmin is finite: the rule of every window."""
+    if not xmax > xmin:
+        raise ValueError(f"{label}xmax must exceed xmin, got [{xmin}, {xmax}]")
+    if not math.isfinite(xmax - xmin):
+        raise ValueError(f"{label}bounds and their span must be finite, got [{xmin}, {xmax}]")
 
 
 def _check_samples(dx, values: np.ndarray) -> None:
@@ -71,6 +81,12 @@ class WaveGrid(Record):
         points the values were sampled at; the two can differ in the last
         bit."""
         return self.xmin + self.dx * np.arange(self.npoints)
+
+    def matches(self, xmin: float, dx: float, points: int) -> bool:
+        """Whether this grid is points samples from xmin in steps of dx, to
+        1e-12 (absolute in xmin, relative in dx)."""
+        same_xmin = math.isclose(self.xmin, xmin, rel_tol=0.0, abs_tol=1e-12)
+        return self.npoints == points and same_xmin and math.isclose(self.dx, dx, rel_tol=1e-12)
 
 
 def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -140,27 +156,25 @@ class Window:
     """Where a command samples its states and takes their moments, built once
     per window: the sample positions, and the moment positions xs = xmin + j*dx
     and their squares.  The plain constructor samples at xs, as the oracle's
-    periodic grid does; `inclusive` is evaluate_on_grid's window.  density
-    holds the |psi|^2 of the last `moments` call (one window per thread)."""
+    periodic grid does; `inclusive` is evaluate_on_grid's window.  magnitude and
+    density hold |psi| and |psi|^2 of the last `moments` call (one per thread)."""
 
-    __slots__ = ("samples", "dx", "xs", "xs_sq", "density")
+    __slots__ = ("samples", "dx", "xs", "xs_sq", "magnitude", "density")
 
     def __init__(self, xmin: float, dx: float, points: int, samples=None):
         self.dx = dx
         self.xs = xmin + dx * np.arange(points)
         self.samples = self.xs if samples is None else samples
-        self.xs_sq = self.xs**2
+        with np.errstate(over="ignore"):  # moments reports an <x^2> that is not finite
+            self.xs_sq = self.xs**2
 
     @classmethod
     def inclusive(cls, xmin: float, xmax: float, points: int) -> "Window":
         """Samples at np.linspace(xmin, xmax, points), moments at xmin + j*dx
         with dx = (xmax - xmin) / (points - 1)."""
-        if not xmax > xmin:
-            raise ValueError(f"xmax must exceed xmin, got [{xmin}, {xmax}]")
+        check_bounds(xmin, xmax)
         if points < 8:
             raise ValueError(f"points must be at least 8, got {points}")
-        if not math.isfinite(xmax - xmin):
-            raise ValueError(f"bounds and their span must be finite, got [{xmin}, {xmax}]")
         samples = np.linspace(xmin, xmax, points)
         return cls(xmin, (xmax - xmin) / (points - 1), points, samples)
 
@@ -175,7 +189,8 @@ class Window:
         ExponentOverflow when one is not finite, ZeroNorm when the norm vanishes."""
         dx = self.dx
         with np.errstate(over="ignore", invalid="ignore"):
-            density = self.density = np.abs(values) ** 2
+            magnitude = self.magnitude = np.abs(values)
+            density = self.density = magnitude**2
             n2 = float(_trapezoid(density, dx))
             _finite("norm^2", n2)
             if n2 <= 1e-300:
@@ -195,7 +210,8 @@ class Window:
             ds = _horner(np.arange(1, len(a)) * a[1:], self.samples)  # psi' = S' psi
             ds[self.density == 0.0] = 0.0  # S' may overflow where |psi|^2 underflows
             p_re = hbar * float(_trapezoid(ds.imag * self.density, self.dx)) / norm2
-            p_im = -hbar * float(_trapezoid(ds.real * self.density, self.dx)) / norm2
+            # + 0.0 turns an edge term that cancels exactly into +0.0, not -0.0
+            p_im = -hbar * float(_trapezoid(ds.real * self.density, self.dx)) / norm2 + 0.0
         _finite("an observable", p_re, p_im)
         return complex(p_re, p_im)
 

@@ -4,7 +4,7 @@ The wavefunction is represented as psi(x, t) = exp(S(x, t)) with
 
     S(x, t) = sum_{n=0}^{N} alphas[n](t) * x**n,
 
-truncated at a fixed order N.  Substituting into
+truncated at a fixed order N = len(alphas) - 1.  Substituting into
 i*hbar*dpsi/dt = -(hbar^2/2m)*d2psi/dx2 + V(x,t)*psi and matching powers
 of x gives one ODE per coefficient:
 
@@ -52,29 +52,26 @@ class PhysicalParams(Frozen):
 class CoefficientState(Record):
     """Complex coefficient vector alpha_0..alpha_N at one time instant.
 
-    ``alphas[n]`` multiplies x**n in the exponent; the array always has
-    length ``truncation_order + 1``.  A physically meaningful state has
-    only finite entries; states produced by a diverging time step may
-    transiently violate this, which is what ``propagate``'s blow-up
-    detector in the integrators module is for.
+    ``alphas[n]`` multiplies x**n in the exponent; the truncation order N
+    is ``len(alphas) - 1``.  A physically meaningful state has only finite
+    entries; states produced by a diverging time step may transiently
+    violate this, which is what ``propagate``'s blow-up detector in the
+    integrators module is for.
     """
 
-    __slots__ = ("alphas", "time", "truncation_order")
+    __slots__ = ("alphas", "time")
 
-    def __init__(self, alphas, time: float = 0.0, truncation_order: int = -1):
+    def __init__(self, alphas, time: float = 0.0):
         alphas = np.array(alphas, dtype=np.complex128)
         if alphas.ndim != 1:
             raise ValueError("alphas must be a one-dimensional sequence")
-        if truncation_order == -1:
-            truncation_order = len(alphas) - 1
-        if len(alphas) != truncation_order + 1:
-            raise ValueError(
-                f"alphas has length {len(alphas)}, expected "
-                f"truncation_order + 1 = {truncation_order + 1}"
-            )
-        if truncation_order < 2:
+        if len(alphas) < 3:
             raise ValueError("truncation_order must be at least 2")
-        self.alphas, self.time, self.truncation_order = alphas, time, truncation_order
+        self.alphas, self.time = alphas, time
+
+    @property
+    def truncation_order(self) -> int:
+        return len(self.alphas) - 1
 
 
 def velocity_kernel(truncation_order: int, params: PhysicalParams):
@@ -82,9 +79,8 @@ def velocity_kernel(truncation_order: int, params: PhysicalParams):
     truncation order N and one set of physical parameters.
 
     ``forcing(v_coeffs)`` turns the potential's Taylor coefficients
-    V_0..V_M into the term (i/hbar) * V_n over n = 0..N; entries beyond
-    the stored range count as zero; a 2-D table of such rows, one per
-    time, gives one forcing row per time.  ``velocity(alphas, forced)``
+    V_0..V_N into the term (i/hbar) * V_n; a 2-D table of such rows, one
+    per time, gives one forcing row per time.  ``velocity(alphas, forced)``
     returns d(alpha_n)/dt for the coefficient array alpha_0..alpha_N as a
     new array.  The ladder and derivative weights are built once here, so
     a propagation loop computes the forcing once per distinct V row and
@@ -102,14 +98,8 @@ def velocity_kernel(truncation_order: int, params: PhysicalParams):
     no_quad = np.zeros(size, dtype=np.complex128)
     kinetic = np.empty(size, dtype=np.complex128)  # the ladder term, then kinetic + quad
 
-    def forcing(v_coeffs) -> np.ndarray:
-        v = np.asarray(v_coeffs, dtype=np.float64)
-        if v.shape[-1] != size:
-            pot = np.zeros(v.shape[:-1] + (size,))
-            m = min(v.shape[-1], size)
-            pot[..., :m] = v[..., :m]
-            v = pot
-        return forcing_scale * v
+    def forcing(v_coeffs: np.ndarray) -> np.ndarray:
+        return forcing_scale * v_coeffs
 
     def combine(quad, forced):
         # kinetic_scale * (kinetic + quad) - forced, allocating only the result
@@ -153,5 +143,7 @@ def coefficient_velocity(
     evaluated at the current time; entries beyond the stored range count
     as zero, as do alpha coefficients above the truncation order.
     """
+    v = np.zeros(len(state.alphas))  # forcing takes full-width rows
+    v[: min(len(v_coeffs), len(v))] = v_coeffs[: len(v)]
     forcing, velocity = velocity_kernel(state.truncation_order, params)
-    return velocity(state.alphas, forcing(v_coeffs))
+    return velocity(state.alphas, forcing(v))

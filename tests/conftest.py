@@ -299,7 +299,8 @@ def reference_reconstruct(state, xmin, xmax, points, params):
         ds = horner(np.arange(1, len(state.alphas)) * state.alphas[1:])
         ds = np.where(density > 0.0, ds, 0.0)
         mean_p_re = params.hbar * float(np.trapezoid(ds.imag * density, dx=dx)) / n2
-        mean_p_im = -params.hbar * float(np.trapezoid(ds.real * density, dx=dx)) / n2
+        # an edge term that cancels exactly is +0.0, not -0.0
+        mean_p_im = -params.hbar * float(np.trapezoid(ds.real * density, dx=dx)) / n2 + 0.0
     finite("an observable", mean_p_re, mean_p_im)
     return values, xs, RunObservables(n2, mean_x, mean_x2, mean_p_re, mean_p_im)
 

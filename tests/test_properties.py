@@ -28,6 +28,7 @@ from conftest import (  # noqa: E402
 )
 import tdse.potential  # noqa: E402
 from tdse.cli import main  # noqa: E402
+from tdse.config import GridSpec  # noqa: E402
 from tdse.initialization import GaussianPacket, gaussian_coefficients  # noqa: E402
 from tdse.integrators import StepperConfig, propagate  # noqa: E402
 from tdse.oracle import (  # noqa: E402
@@ -467,6 +468,38 @@ def test_run_writes_no_row_whose_window_loses_the_packet(xmin, xmax, where, sigm
         assert code == 2 and err.getvalue().startswith("error: window edge magnitude ")
     else:
         assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# one rule for a window's bounds: [grid], the oracle and run's window accept
+# the same (xmin, xmax) and reject the others with the same message
+
+bounds = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308]),
+)
+
+
+def _rejection(build):
+    """The message of the ValueError that build() raises, or None."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(bounds, bounds)
+@example(-1e308, 1e308)
+@example(0.0, 1e200)  # x^2 overflows on this window
+@example(math.nan, 1.0)
+@example(1.0, 1.0)
+def test_every_window_checks_its_bounds_by_one_rule(xmin, xmax):
+    window = _rejection(lambda: Window.inclusive(xmin, xmax, 8))
+    assert _rejection(lambda: OracleConfig(xmin, xmax, 256, 0.01, 1)) == window
+    grid = _rejection(lambda: GridSpec(xmin, xmax, 8))
+    assert grid == (None if window is None else "grid " + window)
+    assert (window is None) == (xmax > xmin and math.isfinite(xmax - xmin))
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,19 @@ def test_observables_zero_norm():
         observables(tiny)
 
 
+@pytest.mark.parametrize(
+    "state, window",
+    [(CoefficientState([0, 0, -0.25]), (-5.0, 5.0, 9)),
+     (gaussian_coefficients(GaussianPacket(0.0, 0.5, 8.0)), (-6.0, 6.0, 256))],
+    ids=["real", "moving"],
+)
+def test_an_edge_term_that_cancels_exactly_is_positive_zero(state, window):
+    # the packets are even about the window's centre, so the edge term
+    # -(hbar/2)(|psi(xmax)|^2 - |psi(xmin)|^2) and its quadrature cancel exactly
+    _, p = _moments_and_p(state, *window)
+    assert f"{p.imag:.16e}" == "0.0000000000000000e+00"
+
+
 def test_ehrenfest_relation_free_packet():
     state = gaussian_coefficients(GaussianPacket(0.0, 1.0, 1.0))
     cfg = StepperConfig(dt=1e-4, steps=2000, snapshot_stride=1000)

@@ -171,8 +171,7 @@ INVALID = [
     (GridSpec(-1.0, 1.0, 8), {"xmin": -1e308, "xmax": 1e308},
      "grid bounds and their span must be finite, got [-1e+308, 1e+308]"),
     (_STATE, {"alphas": [[0.0, 1.0, 2.0]]}, "alphas must be a one-dimensional sequence"),
-    (_STATE, {"truncation_order": 4}, "alphas has length 3, expected truncation_order + 1 = 5"),
-    (_STATE, {"alphas": [0.0, 1.0], "truncation_order": 1}, "truncation_order must be at least 2"),
+    (_STATE, {"alphas": [0.0, 1.0]}, "truncation_order must be at least 2"),
     (_GRID, {"values": np.ones(7)}, "values must be a 1-D sequence of at least 8 samples"),
     (_GRID, {"dx": 0.0}, "dx must be positive and finite, got 0.0"),
     (_GRID, {"values": np.full(9, np.nan)}, "grid values must be finite"),

@@ -7,8 +7,8 @@ from conftest import brute_force_convolution, max_support_index
 from tdse.state import CoefficientState, PhysicalParams, coefficient_velocity
 
 
-def velocity(alphas, v_coeffs=(0.0,), hbar=1.0, mass=1.0, order=None):
-    state = CoefficientState(np.asarray(alphas, dtype=complex), 0.0, order or len(alphas) - 1)
+def velocity(alphas, v_coeffs=(0.0,), hbar=1.0, mass=1.0):
+    state = CoefficientState(np.asarray(alphas, dtype=complex), 0.0)
     return coefficient_velocity(state, v_coeffs, PhysicalParams(hbar, mass))
 
 
@@ -142,8 +142,6 @@ def test_physical_params_validation():
 def test_coefficient_state_validation():
     with pytest.raises(ValueError):
         CoefficientState(np.zeros(2))  # order 1 < 2
-    with pytest.raises(ValueError):
-        CoefficientState(np.zeros(4), 0.0, truncation_order=2)  # length mismatch
     state = CoefficientState([0, 0, -0.25])
     assert state.truncation_order == 2
     assert state.alphas.dtype == np.complex128
