@@ -197,7 +197,7 @@ def _build_initial(sections: dict) -> CoefficientState:
                 f"initial.truncation_order = {order} cannot hold "
                 f"{len(alphas)} coefficients"
             )
-        padded = np.zeros(max(order, 2) + 1, dtype=np.complex128)
+        padded = np.zeros(order + 1, dtype=np.complex128)
         padded[: len(alphas)] = alphas
         return CoefficientState(padded, time=0.0)
     raise ConfigError(f"initial.kind must be 'gaussian' or 'coefficients', got {kind!r}")

@@ -59,8 +59,8 @@ def gaussian_coefficients(packet: GaussianPacket, truncation_order: int = 2) -> 
     """Exact degree-2 coefficients of a Gaussian packet at t = 0.
 
     alpha_2 = -1/(4 sigma^2), alpha_1 = x0/(2 sigma^2) + i k0,
-    alpha_0 = -x0^2/(4 sigma^2) - i k0 x0; zero-padded up to the requested
-    truncation order.
+    alpha_0 = -x0^2/(4 sigma^2) - i k0 x0 (+0.0 for x0 = 0, never -0.0);
+    zero-padded up to the requested truncation order.
     """
     if truncation_order < 2:
         raise ValueError("truncation_order must be at least 2")
@@ -68,7 +68,7 @@ def gaussian_coefficients(packet: GaussianPacket, truncation_order: int = 2) -> 
     alphas = np.zeros(truncation_order + 1, dtype=np.complex128)
     alphas[2] = -1.0 / (4.0 * sigma**2)
     alphas[1] = x0 / (2.0 * sigma**2) + 1j * k0
-    alphas[0] = -(x0**2) / (4.0 * sigma**2) - 1j * k0 * x0
+    alphas[0] = -(x0**2) / (4.0 * sigma**2) - 1j * k0 * x0 + 0.0
     return CoefficientState(alphas, time=0.0)
 
 

@@ -81,7 +81,8 @@ class NonIntegerPowerError(PotentialError):
 
 
 class EvaluationError(PotentialError):
-    """Runtime failure while evaluating a profile (division by zero)."""
+    """A profile cannot be evaluated at some t: a division by zero, an
+    overflow or a math domain error, raised by taylor_rows alone."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,63 +122,45 @@ class Call(NamedTuple):
 TimeProfile = Const | TimeVar | Neg | BinOp | Power | Call
 
 
-def _is_const(node, value=None) -> bool:
-    if not isinstance(node, Const):
-        return False
-    return value is None or node.value == value
+def _is_const(node, value: float) -> bool:
+    return isinstance(node, Const) and node.value == value
 
 
-# smart constructors: fold constants so parsed coefficients stay tidy
+# smart constructors: fold constants so parsed coefficients stay tidy.  A
+# node whose operands are all Const is folded to the value its compiled
+# profile gives; where that evaluation fails (a zero divisor, a power that
+# overflows) the node is kept, and taylor_rows raises the failure at every t
+
+
+def _folded(node):
+    try:
+        return Const(_compile(node)[0](0.0))
+    except (ZeroDivisionError, OverflowError):
+        return node
 
 
 def _neg(a):
-    if isinstance(a, Const):
-        return Const(-a.value)
     if isinstance(a, Neg):
         return a.operand
-    return Neg(a)
+    return _folded(Neg(a)) if isinstance(a, Const) else Neg(a)
 
 
-def _add(a, b):
+# the right operand that leaves each operator's left one as it is
+_UNIT = {"+": 0.0, "-": 0.0, "*": 1.0, "/": 1.0}
+
+
+def _binary(op, a, b):
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+        return _folded(BinOp(op, a, b))
+    if _is_const(b, _UNIT[op]):
         return a
-    return BinOp("+", a, b)
-
-
-def _sub(a, b):
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return _neg(b)
-    return BinOp("-", a, b)
-
-
-def _mul(a, b):
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if op == "*" and (_is_const(a, 0.0) or _is_const(b, 0.0)):
         return Const(0.0)
-    if _is_const(a, 1.0):
+    if op in "+*" and _is_const(a, _UNIT[op]):
         return b
-    if _is_const(b, 1.0):
-        return a
-    return BinOp("*", a, b)
-
-
-def _div(a, b):
-    # never fold away a zero denominator: the obligation is checked at eval
-    if isinstance(b, Const) and b.value != 0.0:
-        if isinstance(a, Const):
-            return Const(a.value / b.value)
-        if b.value == 1.0:
-            return a
-    return BinOp("/", a, b)
+    if op == "-" and _is_const(a, 0.0):
+        return _neg(b)
+    return BinOp(op, a, b)
 
 
 def _pow(base, exponent: int):
@@ -185,9 +168,7 @@ def _pow(base, exponent: int):
         return Const(1.0)
     if exponent == 1:
         return base
-    if isinstance(base, Const):
-        return Const(base.value**exponent)
-    return Power(base, exponent)
+    return _folded(Power(base, exponent)) if isinstance(base, Const) else Power(base, exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -198,22 +179,12 @@ def _prune(p: dict) -> dict:
     return {d: c for d, c in p.items() if not _is_const(c, 0.0)}
 
 
-def _poly_add(p, q):
+def _poly_add(p, q, op: str):
+    """p + q, or p - q for op '-'."""
     out = dict(p)
     for d, c in q.items():
-        out[d] = _add(out[d], c) if d in out else c
+        out[d] = _binary(op, out[d], c) if d in out else (c if op == "+" else _neg(c))
     return _prune(out)
-
-
-def _poly_sub(p, q):
-    out = dict(p)
-    for d, c in q.items():
-        out[d] = _sub(out[d], c) if d in out else _neg(c)
-    return _prune(out)
-
-
-def _poly_neg(p):
-    return {d: _neg(c) for d, c in p.items()}
 
 
 def _poly_mul(p, q):
@@ -221,8 +192,8 @@ def _poly_mul(p, q):
     for d1, c1 in p.items():
         for d2, c2 in q.items():
             d = d1 + d2
-            piece = _mul(c1, c2)
-            out[d] = _add(out[d], piece) if d in out else piece
+            piece = _binary("*", c1, c2)
+            out[d] = _binary("+", out[d], piece) if d in out else piece
     return _prune(out)
 
 
@@ -331,8 +302,7 @@ class _Parser:
         poly = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
-            rhs = self.term()
-            poly = _poly_add(poly, rhs) if op == "+" else _poly_sub(poly, rhs)
+            poly = _poly_add(poly, self.term(), op)
         return poly
 
     def term(self) -> dict:
@@ -348,14 +318,14 @@ class _Parser:
                         f"x may not appear in a denominator (position {tok.pos})"
                     )
                 denom = rhs.get(0, Const(0.0))
-                poly = _prune({d: _div(c, denom) for d, c in poly.items()})
+                poly = _prune({d: _binary("/", c, denom) for d, c in poly.items()})
         return poly
 
     def unary(self) -> dict:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return _poly_neg(self.unary())
+            return {d: _neg(c) for d, c in self.unary().items()}
         return self.factor()
 
     def factor(self) -> dict:
@@ -405,8 +375,9 @@ def parse_potential(text: str) -> PotentialModel:
     """Parse expression text into a PotentialModel.
 
     Raises PotentialSyntaxError, XInsideFunctionError, XInDenominatorError
-    or NonIntegerPowerError; the model itself never fails to evaluate
-    except for division by zero at a particular t.
+    or NonIntegerPowerError.  A model that parses may still fail to evaluate
+    at a particular t (a zero divisor, an overflowing exp or power, the cos
+    of an infinite constant); taylor_rows raises that as EvaluationError.
     """
     if not text or not text.strip():
         raise PotentialSyntaxError("empty expression", 1)
@@ -425,9 +396,9 @@ def parse_potential(text: str) -> PotentialModel:
 def _compile(node):
     """(fn, static) for a TimeProfile tree.
 
-    fn(t) evaluates the tree node by node, left operand before right and
-    the zero-divisor check after both, with the dispatch on node types done
-    once here; static is True when the tree does not mention t.
+    fn(t) evaluates the tree node by node with Python's float arithmetic,
+    left operand before right, with the dispatch on node types done once
+    here; static is True when the tree does not mention t.
     """
     if isinstance(node, Const):
         value = node.value
@@ -446,15 +417,7 @@ def _compile(node):
             return (lambda t: left(t) - right(t)), static
         if node.op == "*":
             return (lambda t: left(t) * right(t)), static
-
-        def divide(t):
-            numerator = left(t)
-            denominator = right(t)
-            if denominator == 0.0:
-                raise EvaluationError(f"division by zero at t = {t}")
-            return numerator / denominator
-
-        return divide, static
+        return (lambda t: left(t) / right(t)), static
     if isinstance(node, Power):
         (base, static), exponent = _compile(node.base), node.exponent
         return (lambda t: base(t) ** exponent), static
@@ -464,18 +427,29 @@ def _compile(node):
     raise TypeError(f"not a TimeProfile node: {node!r}")
 
 
+_REASONS = {ZeroDivisionError: "division by zero", OverflowError: "overflow"}
+
+
 def taylor_rows(model: PotentialModel, times, max_degree: int) -> np.ndarray:
     """V_0..V_max at each of times, one row per time: a (len(times),
     max_degree + 1) array whose column d holds the compiled profile of
     degree d at each time; degrees absent from the model are 0.
 
     The times are evaluated in order, each one's profiles in the model's
-    order, so the error raised is that of the earliest time that fails.
+    order.  The first time at which a profile fails raises EvaluationError
+    "<reason> at t = <t>", the reason being division by zero, overflow or
+    math domain error: the one place an evaluation failure is raised.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     kept = [(d, fn) for d, fn in model._profiles if d <= max_degree]
-    values = [[fn(t) for _, fn in kept] for t in times]
+    values = []
+    for t in times:
+        try:
+            values.append([fn(t) for _, fn in kept])
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:  # all they raise
+            reason = _REASONS.get(type(exc), "math domain error")
+            raise EvaluationError(f"{reason} at t = {t}") from None
     out = np.zeros((len(values), max_degree + 1))
     if values and kept:
         out[:, [d for d, _ in kept]] = values
@@ -491,15 +465,15 @@ def step_blocks(model: PotentialModel, step_times, steps: int, width: int, max_d
     """Yield the taylor_rows of the times step_times(p) of steps p = 1..steps,
     a block of max(1, BLOCK_VALUES // width) steps at a time, width being the
     values a caller builds from one step's rows; no block reaches past the
-    last step.  A block whose evaluation raises is tabulated again step by
-    step (the profiles are pure), so the error is raised at the step that
-    holds it, after the steps before it have been yielded."""
+    last step.  A block whose evaluation raises EvaluationError is tabulated
+    again step by step (the profiles are pure), so the error is raised at the
+    step that holds it, after the steps before it have been yielded."""
     block = max(1, BLOCK_VALUES // width)
     for first in range(1, steps + 1, block):
         span = range(first, min(first + block, steps + 1))
         try:
             rows = taylor_rows(model, [t for p in span for t in step_times(p)], max_degree)
-        except (ValueError, ArithmeticError):  # EvaluationError, math range and domain errors
+        except EvaluationError:
             yield from (taylor_rows(model, step_times(p), max_degree) for p in span)
         else:
             yield rows

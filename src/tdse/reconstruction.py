@@ -43,12 +43,15 @@ class ZeroNorm(ValueError):
 
 
 def check_bounds(xmin: float, xmax: float, label: str = "") -> None:
-    """Raise ValueError, its message starting with label, unless xmax > xmin
-    and the span xmax - xmin is finite: the rule of every window."""
+    """Raise ValueError, its message starting with label, unless xmax > xmin,
+    the span xmax - xmin is finite and so are xmin^2 and xmax^2 (<x^2> takes
+    the squares of the positions): the rule of every window."""
     if not xmax > xmin:
         raise ValueError(f"{label}xmax must exceed xmin, got [{xmin}, {xmax}]")
     if not math.isfinite(xmax - xmin):
         raise ValueError(f"{label}bounds and their span must be finite, got [{xmin}, {xmax}]")
+    if not math.isfinite(max(xmin * xmin, xmax * xmax)):
+        raise ValueError(f"{label}bounds must have finite squares, got [{xmin}, {xmax}]")
 
 
 def _check_samples(dx, values: np.ndarray) -> None:

@@ -91,16 +91,30 @@ def one_step(state, potential, params, dt: float, integrator: str = "euler"):
 
 
 def tree_eval_profile(node, t: float) -> float:
-    """Walk a TimeProfile tree at time t, one node at a time."""
+    """Walk a TimeProfile tree at time t, one node at a time.  Any failure of
+    the walk raises EvaluationError "<reason> at t = <t>", the reason being
+    division by zero, overflow or math domain error."""
+    try:
+        return _walk(node, t)
+    except ZeroDivisionError:
+        reason = "division by zero"
+    except OverflowError:
+        reason = "overflow"
+    except (ArithmeticError, ValueError):
+        reason = "math domain error"
+    raise EvaluationError(f"{reason} at t = {t}")
+
+
+def _walk(node, t: float) -> float:
     if isinstance(node, Const):
         return node.value
     if isinstance(node, TimeVar):
         return t
     if isinstance(node, Neg):
-        return -tree_eval_profile(node.operand, t)
+        return -_walk(node.operand, t)
     if isinstance(node, BinOp):
-        left = tree_eval_profile(node.left, t)
-        right = tree_eval_profile(node.right, t)
+        left = _walk(node.left, t)
+        right = _walk(node.right, t)
         if node.op == "+":
             return left + right
         if node.op == "-":
@@ -108,12 +122,12 @@ def tree_eval_profile(node, t: float) -> float:
         if node.op == "*":
             return left * right
         if right == 0.0:
-            raise EvaluationError(f"division by zero at t = {t}")
+            raise ZeroDivisionError
         return left / right
     if isinstance(node, Power):
-        return tree_eval_profile(node.base, t) ** node.exponent
+        return _walk(node.base, t) ** node.exponent
     if isinstance(node, Call):
-        return getattr(math, node.fn)(tree_eval_profile(node.arg, t))
+        return getattr(math, node.fn)(_walk(node.arg, t))
     raise TypeError(f"not a TimeProfile node: {node!r}")
 
 

@@ -813,6 +813,14 @@ def test_run_writes_the_bytes_of_the_per_snapshot_reference(tmp_path, capsys, na
     assert {path.name: path.read_bytes() for path in out.iterdir()} == expected
 
 
+def test_a_packet_at_the_origin_writes_alpha_0_as_positive_zero(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(CONFIGS / "free_packet.cfg"), "--out", str(out)) == 0
+    capsys.readouterr()
+    rows = (out / "coefficients.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1] == "0.0000000000000000e+00,0,0.0000000000000000e+00,0.0000000000000000e+00"
+
+
 def test_run_builds_the_observables_kernel_once(tmp_path, capsys, monkeypatch):
     from tdse.reconstruction import Window
 
@@ -1003,6 +1011,28 @@ def test_a_pole_in_the_potential_exits_4(tmp_path, capsys, command):
         argv[3:3] = ["--halvings", "1"]
     assert run_cli(*argv) == 4
     assert_one_error_line(capsys, "division by zero at t = 0.05")
+
+
+@pytest.mark.parametrize(
+    "expression, message",
+    [
+        ("exp(800)*x^2", "overflow at t = 0.0"),
+        ("x^2/2 + 10^400", "overflow at t = 0.0"),
+        ("x^2/2 + cos(1e400)*x", "math domain error at t = 0.0"),
+        # exp(800 t) passes the double range past t = 0.887; stage time 0.89
+        ("x^2/2 + exp(800*t)*1e-300*x", "overflow at t = 0.89"),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "compare", "converge"])
+def test_a_potential_that_cannot_be_evaluated_exits_4(tmp_path, capsys, command, expression, message):
+    body = POLE.replace("x^2/(t-0.05)", expression).replace("steps = 10", "steps = 100")
+    config = write_config(tmp_path / "fail.cfg", body)
+    argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+    if command == "converge":
+        argv[3:3] = ["--halvings", "1"]
+    assert run_cli(*argv) == 4
+    captured = capsys.readouterr()
+    assert captured == ("", f"error: {message}\n")
 
 
 # the pole at t = 0.2 is two steps past the horizon: no stage or oracle
@@ -1291,6 +1321,12 @@ _CONFIG_ERRORS = _NOT_A_VALUE + [
     ((*_COEFFICIENTS, "initial.alpha_re=nan, 0.5, -0.5"), 2, "initial coefficients must be finite"),
     ((*_COEFFICIENTS, "initial.truncation_order=1"), 2,
      "initial.truncation_order = 1 cannot hold 3 coefficients"),
+    # a coefficients state takes the minimum order of a gaussian one
+    ((*_COEFFICIENTS, "initial.alpha_re=-0.5", "initial.truncation_order=0"), 2,
+     "truncation_order must be at least 2"),
+    ((*_COEFFICIENTS, "initial.alpha_re=-0.5, 0.0", "initial.truncation_order=1"), 2,
+     "truncation_order must be at least 2"),
+    (("initial.truncation_order=1",), 2, "truncation_order must be at least 2"),
     (("initial.kind=plane",), 2, "initial.kind must be 'gaussian' or 'coefficients', got 'plane'"),
     (("converge.scenario=bogus",), 2,
      "converge.scenario must be one of auto, free, linear, harmonic_ground, "
@@ -1373,8 +1409,8 @@ def test_an_unreadable_config_text_exits_2_with_one_error_line(tmp_path, capsys,
 
 @pytest.mark.parametrize(
     "bounds",
-    [("-10.0", "inf"), ("-inf", "10.0"), ("-1e308", "1e308")],
-    ids=["inf", "-inf", "overflowing span"],
+    [("-10.0", "inf"), ("-inf", "10.0"), ("-1e308", "1e308"), ("0.0", "1e200")],
+    ids=["inf", "-inf", "overflowing span", "overflowing squares"],
 )
 # run builds no oracle, so its [oracle] bounds are never read
 @pytest.mark.parametrize(
@@ -1391,7 +1427,8 @@ def test_a_non_finite_window_exits_2_and_writes_nothing(tmp_path, capsys, comman
         argv[1:1] = ["--halvings", "1"]
     assert run_cli(*argv) == 2
     xmin, xmax = (float(bound) for bound in bounds)
-    assert_one_error_line(capsys, f"bounds and their span must be finite, got [{xmin}, {xmax}]")
+    rule = "must have finite squares" if xmax == 1e200 else "and their span must be finite"
+    assert_one_error_line(capsys, f"bounds {rule}, got [{xmin}, {xmax}]")
     assert not out.exists()
 
 

@@ -33,6 +33,15 @@ def test_gaussian_coefficients_examples():
     )
 
 
+@pytest.mark.parametrize("k0", [0.0, 2.0, -2.0])
+def test_a_packet_at_the_origin_has_alpha_0_of_positive_zero(k0):
+    # -x0^2/(4 sigma^2) is -0.0 at x0 = 0; coefficients.csv writes +0.0
+    alpha0 = gaussian_coefficients(GaussianPacket(0.0, 1.0, k0)).alphas[0]
+    assert str(alpha0.real) == "0.0" and str(alpha0.imag) == "0.0"
+    shifted = gaussian_coefficients(GaussianPacket(0.5, 0.7, k0)).alphas[0]
+    assert shifted == -(0.5**2) / (4.0 * 0.7**2) - 1j * k0 * 0.5
+
+
 def test_gaussian_coefficients_padding():
     state = gaussian_coefficients(GaussianPacket(0, 0.5, 1), truncation_order=6)
     assert state.truncation_order == 6

@@ -43,6 +43,7 @@ from tdse.potential import (  # noqa: E402
     BinOp,
     Call,
     Const,
+    EvaluationError,
     Neg,
     PotentialModel,
     Power,
@@ -244,12 +245,34 @@ def test_blowup_examples_do_blow_up():
 # (b) compiled profiles against the tree walk
 
 
+# a profile that fails at t fails with one EvaluationError naming the reason
+# and t: an overflowing exp or '^', the cos of an infinite constant, a pole
+FAILING_PROFILES = [
+    (Call("exp", BinOp("*", Const(800.0), TimeVar())), 1.0, "overflow at t = 1.0"),
+    (Power(Const(10.0), 400), 0.5, "overflow at t = 0.5"),
+    (Call("cos", Const(math.inf)), 0.0, "math domain error at t = 0.0"),
+    (BinOp("/", Const(1.0), BinOp("-", TimeVar(), Const(0.5))), 0.5, "division by zero at t = 0.5"),
+]
+
+
 @given(profiles, times)
+@example(*FAILING_PROFILES[0][:2])
+@example(*FAILING_PROFILES[1][:2])
+@example(*FAILING_PROFILES[2][:2])
+@example(*FAILING_PROFILES[3][:2])
 def test_compiled_profile_is_the_tree_walk(node, t):
     expected = _outcome(tree_eval_profile, node, t)
     model = PotentialModel({3: node})
     assert _outcome(lambda: float(eval_taylor_coefficients(model, t, 3)[3])) == expected
     assert model.is_static is not mentions_t(node)
+
+
+@pytest.mark.parametrize("node, t, message", FAILING_PROFILES)
+def test_every_failing_profile_raises_one_evaluation_error(node, t, message):
+    expected = ("raise", EvaluationError, message)
+    assert _outcome(tree_eval_profile, node, t) == expected
+    model = PotentialModel({1: node})
+    assert _outcome(lambda: eval_taylor_coefficients(model, t, 1)[1]) == expected
 
 
 @given(times)
@@ -492,6 +515,8 @@ def _rejection(build):
 @given(bounds, bounds)
 @example(-1e308, 1e308)
 @example(0.0, 1e200)  # x^2 overflows on this window
+@example(-1.3407807929942596e154, 1.3407807929942596e154)  # the largest finite squares
+@example(-1.3407807929942597e154, 0.0)
 @example(math.nan, 1.0)
 @example(1.0, 1.0)
 def test_every_window_checks_its_bounds_by_one_rule(xmin, xmax):
@@ -499,7 +524,8 @@ def test_every_window_checks_its_bounds_by_one_rule(xmin, xmax):
     assert _rejection(lambda: OracleConfig(xmin, xmax, 256, 0.01, 1)) == window
     grid = _rejection(lambda: GridSpec(xmin, xmax, 8))
     assert grid == (None if window is None else "grid " + window)
-    assert (window is None) == (xmax > xmin and math.isfinite(xmax - xmin))
+    squares = math.isfinite(xmin * xmin) and math.isfinite(xmax * xmax)
+    assert (window is None) == (xmax > xmin and math.isfinite(xmax - xmin) and squares)
 
 
 # ---------------------------------------------------------------------------

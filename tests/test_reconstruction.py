@@ -49,10 +49,16 @@ def test_evaluate_window_validation():
 
 
 @pytest.mark.parametrize(
-    "xmin,xmax", [(-1.0, np.inf), (-np.inf, 1.0), (-1e308, 1e308)], ids=["inf", "-inf", "span"]
+    "xmin,xmax,rule",
+    [(-1.0, np.inf, "and their span must be finite"),
+     (-np.inf, 1.0, "and their span must be finite"),
+     (-1e308, 1e308, "and their span must be finite"),
+     (0.0, 1e200, "must have finite squares"),
+     (-1e155, -1e154, "must have finite squares")],
+    ids=["inf", "-inf", "span", "squares", "negative squares"],
 )
-def test_a_window_with_a_non_finite_bound_or_span_is_rejected(xmin, xmax):
-    message = f"bounds and their span must be finite, got [{xmin}, {xmax}]"
+def test_a_window_with_a_non_finite_bound_span_or_square_is_rejected(xmin, xmax, rule):
+    message = f"bounds {rule}, got [{xmin}, {xmax}]"
     with pytest.raises(ValueError, match=re.escape(message)):
         Window.inclusive(xmin, xmax, 9)
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -162,6 +162,8 @@ INVALID = [
      "bounds and their span must be finite, got [-inf, 8.0]"),
     (OracleConfig(-8.0, 8.0, 256, 0.01, 100), {"xmin": -1e308, "xmax": 1e308},
      "bounds and their span must be finite, got [-1e+308, 1e+308]"),
+    (OracleConfig(-8.0, 8.0, 256, 0.01, 100), {"xmin": -1e155},
+     "bounds must have finite squares, got [-1e+155, 8.0]"),
     (GaussianPacket(), {"width": 0.0}, "width must be positive and finite, got 0.0"),
     (GaussianPacket(), {"center": math.nan}, "center and wavenumber must be finite"),
     (GridSpec(-1.0, 1.0, 8), {"xmin": 1.0}, "grid xmax must exceed xmin, got [1.0, 1.0]"),
@@ -170,6 +172,8 @@ INVALID = [
      "grid bounds and their span must be finite, got [-1.0, inf]"),
     (GridSpec(-1.0, 1.0, 8), {"xmin": -1e308, "xmax": 1e308},
      "grid bounds and their span must be finite, got [-1e+308, 1e+308]"),
+    (GridSpec(-1.0, 1.0, 8), {"xmax": 1e200},
+     "grid bounds must have finite squares, got [-1.0, 1e+200]"),
     (_STATE, {"alphas": [[0.0, 1.0, 2.0]]}, "alphas must be a one-dimensional sequence"),
     (_STATE, {"alphas": [0.0, 1.0]}, "truncation_order must be at least 2"),
     (_GRID, {"values": np.ones(7)}, "values must be a 1-D sequence of at least 8 samples"),
