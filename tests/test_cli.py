@@ -813,14 +813,6 @@ def test_run_writes_the_bytes_of_the_per_snapshot_reference(tmp_path, capsys, na
     assert {path.name: path.read_bytes() for path in out.iterdir()} == expected
 
 
-def test_a_packet_at_the_origin_writes_alpha_0_as_positive_zero(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert run_cli("run", "--config", str(CONFIGS / "free_packet.cfg"), "--out", str(out)) == 0
-    capsys.readouterr()
-    rows = (out / "coefficients.csv").read_text(encoding="utf-8").splitlines()
-    assert rows[1] == "0.0000000000000000e+00,0,0.0000000000000000e+00,0.0000000000000000e+00"
-
-
 def test_run_builds_the_observables_kernel_once(tmp_path, capsys, monkeypatch):
     from tdse.reconstruction import Window
 
@@ -1024,7 +1016,9 @@ def test_a_pole_in_the_potential_exits_4(tmp_path, capsys, command):
     ],
 )
 @pytest.mark.parametrize("command", ["run", "compare", "converge"])
-def test_a_potential_that_cannot_be_evaluated_exits_4(tmp_path, capsys, command, expression, message):
+def test_a_potential_that_cannot_be_evaluated_exits_4(
+    tmp_path, capsys, command, expression, message
+):
     body = POLE.replace("x^2/(t-0.05)", expression).replace("steps = 10", "steps = 100")
     config = write_config(tmp_path / "fail.cfg", body)
     argv = [command, "--config", config, "--out", str(tmp_path / "out")]

@@ -57,7 +57,7 @@ def test_evaluate_window_validation():
      (-1e155, -1e154, "must have finite squares")],
     ids=["inf", "-inf", "span", "squares", "negative squares"],
 )
-def test_a_window_with_a_non_finite_bound_span_or_square_is_rejected(xmin, xmax, rule):
+def test_a_window_with_a_non_finite_bound_or_span_is_rejected(xmin, xmax, rule):
     message = f"bounds {rule}, got [{xmin}, {xmax}]"
     with pytest.raises(ValueError, match=re.escape(message)):
         Window.inclusive(xmin, xmax, 9)

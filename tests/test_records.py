@@ -162,8 +162,6 @@ INVALID = [
      "bounds and their span must be finite, got [-inf, 8.0]"),
     (OracleConfig(-8.0, 8.0, 256, 0.01, 100), {"xmin": -1e308, "xmax": 1e308},
      "bounds and their span must be finite, got [-1e+308, 1e+308]"),
-    (OracleConfig(-8.0, 8.0, 256, 0.01, 100), {"xmin": -1e155},
-     "bounds must have finite squares, got [-1e+155, 8.0]"),
     (GaussianPacket(), {"width": 0.0}, "width must be positive and finite, got 0.0"),
     (GaussianPacket(), {"center": math.nan}, "center and wavenumber must be finite"),
     (GridSpec(-1.0, 1.0, 8), {"xmin": 1.0}, "grid xmax must exceed xmin, got [1.0, 1.0]"),
@@ -172,14 +170,16 @@ INVALID = [
      "grid bounds and their span must be finite, got [-1.0, inf]"),
     (GridSpec(-1.0, 1.0, 8), {"xmin": -1e308, "xmax": 1e308},
      "grid bounds and their span must be finite, got [-1e+308, 1e+308]"),
-    (GridSpec(-1.0, 1.0, 8), {"xmax": 1e200},
-     "grid bounds must have finite squares, got [-1.0, 1e+200]"),
     (_STATE, {"alphas": [[0.0, 1.0, 2.0]]}, "alphas must be a one-dimensional sequence"),
     (_STATE, {"alphas": [0.0, 1.0]}, "truncation_order must be at least 2"),
     (_GRID, {"values": np.ones(7)}, "values must be a 1-D sequence of at least 8 samples"),
     (_GRID, {"dx": 0.0}, "dx must be positive and finite, got 0.0"),
     (_GRID, {"values": np.full(9, np.nan)}, "grid values must be finite"),
     (parse_potential("x^2"), {"terms": {-1: Const(1.0)}}, "term degrees must be nonnegative"),
+    (OracleConfig(-8.0, 8.0, 256, 0.01, 100), {"xmin": -1e155},
+     "bounds must have finite squares, got [-1e+155, 8.0]"),
+    (GridSpec(-1.0, 1.0, 8), {"xmax": 1e200},
+     "grid bounds must have finite squares, got [-1.0, 1e+200]"),
 ]
 
 
