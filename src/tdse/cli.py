@@ -194,23 +194,26 @@ def _cmd_run(args) -> int:
 def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig, adaptive: bool):
     """(errors, status report) of the completed levels' final states
     against the oracle.  When adaptive, its step count S doubles until its
-    error estimate is within ADAPTIVE_TOLERANCE of the finest level's error;
+    error estimate is within ADAPTIVE_TOLERANCE of the finest level's error.
+    The first estimate's S/2-step run marches in the S-step run's FFT calls;
     each doubling adds one oracle run, as the S-step run's final grid is the
     coarse grid of the estimate at 2S."""
 
-    def oracle_run(oracle_cfg, levels):
-        """The oracle's final grid, and the l2 of each final state of levels."""
-        states = [cfg.initial, *levels]
-        report, final = compare_with_oracle(states, cfg.potential, cfg.params, oracle_cfg)
+    def oracle_run(oracle_cfg, pair=None):
+        """The oracle's final grid, the final grid of pair's run alongside it
+        (None without pair), and the l2 of each of finals."""
+        states = [cfg.initial, *finals]
+        report, final, coarse = compare_with_oracle(
+            states, cfg.potential, cfg.params, oracle_cfg, pair=pair
+        )
         if report.reconstruction_error is not None:
             raise report.reconstruction_error
-        return final, report.l2[1:].tolist()
+        return final, coarse, report.l2[1:].tolist()
 
-    fine, errors = oracle_run(oracle_cfg, finals)
     if not adaptive:
-        return errors, ""
+        return oracle_run(oracle_cfg)[2], ""
     steps = oracle_cfg.steps
-    coarse, _ = oracle_run(_oracle_config(cfg, cfg.stepper, steps // 2), finals[-1:])
+    fine, coarse, errors = oracle_run(oracle_cfg, _oracle_config(cfg, cfg.stepper, steps // 2))
     best = math.inf
     while (estimate := oracle_error_estimate(fine, coarse)) > ADAPTIVE_TOLERANCE * errors[-1]:
         best = min(best, estimate)
@@ -222,7 +225,7 @@ def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig, adapt
             )
         steps *= 2
         coarse = fine
-        fine, errors = oracle_run(_oracle_config(cfg, cfg.stepper, steps), finals)
+        fine, _, errors = oracle_run(_oracle_config(cfg, cfg.stepper, steps))
     return errors, f" oracle_steps={steps} oracle_error={_fmt(estimate)}"
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .initialization import is_closed_system
 from .integrators import StepperConfig, propagate
-from .potential import PotentialModel, eval_taylor_coefficients, step_blocks
+from .potential import EvaluationError, PotentialModel, eval_taylor_coefficients, step_blocks
 from .records import Frozen
 # observables is not called here, but perfbench/tracing.py wraps it under
 # tdse.oracle's name
@@ -135,19 +135,20 @@ def series_edge_guard(initial: CoefficientState, potential: PotentialModel, wind
     return lambda magnitude, time: _edge_test(magnitude, time, "window ", _WINDOW_FRACTION)
 
 
-def _half_phases(potential, params, cfg, t0, steps):
+def _half_phases(potential, params, cfg, t0, steps, width):
     """Yield the half-step phase exp(-i V dt / 2 hbar) on the grid for steps
     1..steps in turn, V taken at the step's midpoint time t0 + (p - 0.5)*dt.
 
     A static potential gives one phase.  A time-dependent one is tabulated
-    by step_blocks, cfg.points values per step, with one Horner pass
-    broadcast over each block with the operations of
-    np.polynomial.polynomial.polyval (c[-1] + x*0, then c[-i] + c0*x) and
-    one np.exp.
+    by step_blocks, width values per step (the values of every row a march
+    steps), with one Horner pass broadcast over each block with the
+    operations of np.polynomial.polynomial.polyval (c[-1] + x*0, then
+    c[-i] + c0*x) and one np.exp.
     """
     degree = potential.degree
     xs = cfg.xmin + cfg.dx * np.arange(cfg.points)
     zero = xs * 0
+    scale = 1.0 / params.hbar
 
     def phases(rows):
         # in place, so a block allocates one real and one complex array
@@ -155,9 +156,15 @@ def _half_phases(potential, params, cfg, t0, steps):
         for i in range(2, degree + 2):
             np.multiply(v, xs, out=v)
             np.add(rows[:, -i, None], v, out=v)
-        phase = -0.5j * v
-        phase *= cfg.dt
-        phase /= params.hbar
+        # -0.5j*v, times dt, over hbar in numpy's complex arithmetic leaves a
+        # real part of +0 and these bits in the imaginary part, its divide
+        # multiplying by 1/hbar
+        v *= -0.5
+        v *= cfg.dt
+        v += 0.0
+        v *= scale
+        phase = np.zeros(v.shape, dtype=np.complex128)
+        phase.imag = v
         return np.exp(phase, out=phase)
 
     if potential.is_static:
@@ -171,7 +178,7 @@ def _half_phases(potential, params, cfg, t0, steps):
     def midpoint(p):
         return (t0 + (p - 0.5) * cfg.dt,)
 
-    for rows in step_blocks(potential, midpoint, steps, cfg.points, degree):
+    for rows in step_blocks(potential, midpoint, steps, width, degree):
         yield from phases(rows)
 
 
@@ -181,39 +188,78 @@ def split_step_evolve(
     params: PhysicalParams,
     cfg: OracleConfig,
     capture: set,
+    pair: OracleConfig | None = None,
 ):
     """Propagate the grid wavefunction up to the last step index in capture
     (at most cfg.steps), yielding (index, grid) at each captured step as it
     is reached, in ascending index order; dict(...) collects them.
 
-    Each step runs in two preallocated buffers.  Raises EdgeLeakage, in
-    place of the next pair, when the wavefunction stops being negligible at
-    the window edges at a captured step.
+    pair, the config of a run over the same window and horizon in half the
+    steps, marches that run from the same start as a second row: on each
+    even step both rows take one np.fft.fft and one np.fft.ifft call, on odd
+    steps the first row steps alone.  The first row then runs to cfg.steps,
+    and its captures are followed by (pair.steps, the second row's final
+    grid), bit for bit what a run of pair alone reaches.  Each row's phases
+    are tabulated a block of BLOCK_VALUES // (2 points) steps at a time.
+
+    Each step runs in preallocated buffers.  Raises EdgeLeakage, in place of
+    the next pair, when the wavefunction stops being negligible at the
+    window edges at a captured step or at the second row's final step.  An
+    EvaluationError of the second row's potential is raised in place of its
+    final grid, so that every failure of the first row comes first.
     """
     if not initial.matches(cfg.xmin, cfg.dx, cfg.points):
         raise GridMismatch("initial grid does not match the oracle configuration")
+    configs = (cfg,) if pair is None else (cfg, pair)
+    if pair is not None and (2 * pair.steps != cfg.steps or not initial.matches(
+            pair.xmin, pair.dx, pair.points)):
+        raise GridMismatch("a paired run must cover the same window in half the steps")
 
     k = 2.0 * np.pi * np.fft.fftfreq(cfg.points, d=cfg.dx)
-    kinetic_phase = np.exp(-0.5j * params.hbar * k**2 * cfg.dt / params.mass)
-
-    psi = np.array(initial.values, dtype=np.complex128)
+    kinetic_phase = np.array(
+        [np.exp(-0.5j * params.hbar * k**2 * c.dt / params.mass) for c in configs]
+    )
+    psi = np.empty((len(configs), cfg.points), dtype=np.complex128)
+    psi[:] = initial.values
     spectrum = np.empty_like(psi)
+    stacked = np.empty_like(psi)  # both rows' half phases on an even step
+    # the rows that step, as views: the first alone, or both
+    views = [(psi[0], spectrum[0], kinetic_phase[0]), (psi, spectrum, kinetic_phase)]
     t0 = initial.time
     if 0 in capture:
-        _edge_test(np.abs(psi), t0)
-        yield 0, WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t0)
-    last = min(cfg.steps, max(capture, default=0))
-    half_phases = _half_phases(potential, params, cfg, t0, last)
+        _edge_test(np.abs(psi[0]), t0)
+        yield 0, WaveGrid(cfg.xmin, cfg.dx, psi[0].copy(), t0)
+    width = len(configs) * cfg.points
+    last = cfg.steps if pair is not None else min(cfg.steps, max(capture, default=0))
+    half_phases = _half_phases(potential, params, cfg, t0, last, width)
+    paired = None if pair is None else _half_phases(potential, params, pair, t0, pair.steps, width)
+    failure = None
     for p, half_phase in enumerate(half_phases, start=1):
-        np.multiply(half_phase, psi, out=psi)
-        np.fft.fft(psi, out=spectrum)
-        np.multiply(kinetic_phase, spectrum, out=spectrum)
-        np.fft.ifft(spectrum, out=psi)
-        np.multiply(half_phase, psi, out=psi)
+        rows, spec, kinetic = views[0]
+        if paired is not None and p % 2 == 0:
+            try:
+                stacked[1] = next(paired)
+            except EvaluationError as exc:  # the second row stops here
+                failure, paired = exc, None
+            else:
+                stacked[0] = half_phase
+                half_phase = stacked
+                rows, spec, kinetic = views[1]
+        np.multiply(half_phase, rows, out=rows)
+        np.fft.fft(rows, out=spec)
+        np.multiply(kinetic, spec, out=spec)
+        np.fft.ifft(spec, out=rows)
+        np.multiply(half_phase, rows, out=rows)
         if p in capture:
             t = t0 + p * cfg.dt
-            _edge_test(np.abs(psi), t)
-            yield p, WaveGrid(cfg.xmin, cfg.dx, psi.copy(), t)
+            _edge_test(np.abs(psi[0]), t)
+            yield p, WaveGrid(cfg.xmin, cfg.dx, psi[0].copy(), t)
+    if pair is not None:
+        if failure is not None:
+            raise failure
+        t = t0 + pair.steps * pair.dt
+        _edge_test(np.abs(psi[1]), t)
+        yield pair.steps, WaveGrid(pair.xmin, pair.dx, psi[1].copy(), t)
 
 
 def l2_distance(a: WaveGrid, b: WaveGrid) -> float:
@@ -284,10 +330,13 @@ def check_alignment(t0: float, stepper_cfg: StepperConfig, oracle_cfg: OracleCon
 
 
 def compare_with_oracle(states: list, potential: PotentialModel, params: PhysicalParams,
-                        cfg: OracleConfig, status: str = "completed"):
-    """(report, grid): the ComparisonReport, with stepper_status status, of
-    each of states on the oracle's step grid against the oracle's grid at
-    its step, both sampled on the oracle's window, and the last grid reached.
+                        cfg: OracleConfig, status: str = "completed",
+                        pair: OracleConfig | None = None):
+    """(report, grid, coarse): the ComparisonReport, with stepper_status
+    status, of each of states on the oracle's step grid against the oracle's
+    grid at its step, both sampled on the oracle's window; the last grid
+    reached; and, given pair (see split_step_evolve), the final grid of the
+    run of half the steps that marches alongside, else None.
 
     The first state is the start: the oracle starts from its grid, which is
     also its series grid, and norms are relative to it.  The oracle runs
@@ -296,35 +345,38 @@ def compare_with_oracle(states: list, potential: PotentialModel, params: Physica
     as the last healthy state of a blow-up, is skipped.  One of
     SNAPSHOT_FAILURES ends the rows (a state that cannot be reconstructed or
     fails series_edge_guard, or an oracle grid that leaks at its edges): the
-    report keeps the rows before it and carries it as reconstruction_error.
+    report keeps the rows before it and carries it as reconstruction_error,
+    and coarse is None.
     """
     t0 = states[0].time
     on_grid = [(j, s) for s in states if (j := _oracle_index(s.time, t0, cfg.dt)) is not None]
     start = state_on_oracle_grid(states[0], cfg)
-    grids = split_step_evolve(start, potential, params, cfg, {j for j, _ in on_grid})
+    grids = split_step_evolve(start, potential, params, cfg, {j for j, _ in on_grid}, pair=pair)
     window = Window(cfg.xmin, cfg.dx, cfg.points)
     guard = series_edge_guard(states[0], potential)
     rows = []
-    p = grid = norm0 = reconstruction_error = None
+    p = grid = coarse = norm0 = reconstruction_error = None
     try:
         for j, state in on_grid:
             shared = p == j
             while p != j:
                 p, grid = next(grids)
             values = grid.values if norm0 is None else window.sample(state)
-            obs_s = window.moments(values)
+            norm2_s, mean_x_s = window.first_moments(values)
             guard(window.magnitude, state.time)
             if norm0 is None:  # the start
-                obs_o, norm0 = obs_s, obs_s.norm2
+                norm0 = norm2_o = norm2_s
+                mean_x_o = mean_x_s
             elif not shared:
-                obs_o = window.moments(grid.values)
-            l2 = _l2(grid.values, obs_o.norm2, values, obs_s.norm2, window.dx)
-            rows.append((state.time, l2, obs_s.mean_x - obs_o.mean_x,
-                         obs_s.norm2 / norm0 - obs_o.norm2 / norm0))
+                norm2_o, mean_x_o = window.first_moments(grid.values)
+            l2 = _l2(grid.values, norm2_o, values, norm2_s, window.dx)
+            rows.append((state.time, l2, mean_x_s - mean_x_o, norm2_s / norm0 - norm2_o / norm0))
+        if pair is not None:
+            _, coarse = next(grids)
     except SNAPSHOT_FAILURES as exc:
         reconstruction_error = exc
     columns = np.array(rows, dtype=np.float64).reshape(-1, 4).T
-    return ComparisonReport(*columns, status, reconstruction_error), grid
+    return ComparisonReport(*columns, status, reconstruction_error), grid, coarse
 
 
 def compare_methods(

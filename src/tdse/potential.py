@@ -129,14 +129,22 @@ def _is_const(node, value: float) -> bool:
 # smart constructors: fold constants so parsed coefficients stay tidy.  A
 # node whose operands are all Const is folded to the value its compiled
 # profile gives; where that evaluation fails (a zero divisor, a power that
-# overflows) the node is kept, and taylor_rows raises the failure at every t
+# overflows, a value past the double range) the node is kept, and
+# taylor_rows raises the failure at every t
 
 
 def _folded(node):
     try:
-        return Const(_compile(node)[0](0.0))
-    except (ZeroDivisionError, OverflowError):
+        value = _compile(node)[0](0.0)
+    except (ZeroDivisionError, OverflowError, ValueError):
         return node
+    return Const(value) if math.isfinite(value) else node
+
+
+def _unevaluable(node) -> bool:
+    """Whether node is t-free and cannot be folded: its failure is the same
+    at every t."""
+    return _compile(node)[1] and not isinstance(_folded(node), Const)
 
 
 def _neg(a):
@@ -154,8 +162,10 @@ def _binary(op, a, b):
         return _folded(BinOp(op, a, b))
     if _is_const(b, _UNIT[op]):
         return a
+    # x*0 -> 0, unless x fails at every t: taylor_rows raises that instead
     if op == "*" and (_is_const(a, 0.0) or _is_const(b, 0.0)):
-        return Const(0.0)
+        if not _unevaluable(b if _is_const(a, 0.0) else a):
+            return Const(0.0)
     if op in "+*" and _is_const(a, _UNIT[op]):
         return b
     if op == "-" and _is_const(a, 0.0):
@@ -345,7 +355,12 @@ class _Parser:
     def atom(self) -> dict:
         tok = self.advance()
         if tok.kind == "number":
-            return {0: Const(float(tok.text))}
+            value = float(tok.text)
+            if math.isinf(value):
+                raise PotentialSyntaxError(
+                    f"number {tok.text!r} overflows the double range", tok.pos
+                )
+            return {0: Const(value)}
         if tok.kind == "ident":
             if tok.text == "x":
                 return {1: Const(1.0)}
@@ -436,23 +451,29 @@ def taylor_rows(model: PotentialModel, times, max_degree: int) -> np.ndarray:
     degree d at each time; degrees absent from the model are 0.
 
     The times are evaluated in order, each one's profiles in the model's
-    order.  The first time at which a profile fails raises EvaluationError
-    "<reason> at t = <t>", the reason being division by zero, overflow or
-    math domain error: the one place an evaluation failure is raised.
+    order.  The first time at which a profile fails, or whose row holds an
+    inf or a nan, raises EvaluationError "<reason> at t = <t>", the reason
+    being division by zero, overflow (also for a value that is not finite)
+    or math domain error: the one place an evaluation failure is raised.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     kept = [(d, fn) for d, fn in model._profiles if d <= max_degree]
-    values = []
+    values, failure = [], None
     for t in times:
         try:
             values.append([fn(t) for _, fn in kept])
         except (ZeroDivisionError, OverflowError, ValueError) as exc:  # all they raise
-            reason = _REASONS.get(type(exc), "math domain error")
-            raise EvaluationError(f"{reason} at t = {t}") from None
+            failure = f"{_REASONS.get(type(exc), 'math domain error')} at t = {t}"
+            break
     out = np.zeros((len(values), max_degree + 1))
     if values and kept:
         out[:, [d for d, _ in kept]] = values
+    finite = np.isfinite(out)
+    if not finite.all():  # once per call; a time before the failure fails first
+        raise EvaluationError(f"overflow at t = {times[int(np.argmin(finite.all(axis=1)))]}")
+    if failure is not None:
+        raise EvaluationError(failure)
     return out
 
 

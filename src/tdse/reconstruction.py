@@ -160,7 +160,8 @@ class Window:
     per window: the sample positions, and the moment positions xs = xmin + j*dx
     and their squares.  The plain constructor samples at xs, as the oracle's
     periodic grid does; `inclusive` is evaluate_on_grid's window.  magnitude and
-    density hold |psi| and |psi|^2 of the last `moments` call (one per thread)."""
+    density hold |psi| and |psi|^2 of the last `moments` or `first_moments`
+    call (one per thread)."""
 
     __slots__ = ("samples", "dx", "xs", "xs_sq", "magnitude", "density")
 
@@ -187,8 +188,8 @@ class Window:
         _check_samples(self.dx, values)
         return values
 
-    def moments(self, values: np.ndarray) -> Observables:
-        """norm^2 and normalized <x>, <x^2> of values on this window; raises
+    def first_moments(self, values: np.ndarray) -> tuple:
+        """(norm^2, normalized <x>) of values on this window; raises
         ExponentOverflow when one is not finite, ZeroNorm when the norm vanishes."""
         dx = self.dx
         with np.errstate(over="ignore", invalid="ignore"):
@@ -199,8 +200,15 @@ class Window:
             if n2 <= 1e-300:
                 raise ZeroNorm("norm^2 vanishes on this window")
             mean_x = float(_trapezoid(self.xs * density, dx)) / n2
-            mean_x2 = float(_trapezoid(self.xs_sq * density, dx)) / n2
-        _finite("an observable", mean_x, mean_x2)
+        _finite("an observable", mean_x)
+        return n2, mean_x
+
+    def moments(self, values: np.ndarray) -> Observables:
+        """first_moments, and normalized <x^2>, of values on this window."""
+        n2, mean_x = self.first_moments(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_x2 = float(_trapezoid(self.xs_sq * self.density, self.dx)) / n2
+        _finite("an observable", mean_x2)
         return Observables(n2, mean_x, mean_x2)
 
     def mean_p(self, state: CoefficientState, hbar: float, norm2: float) -> complex:

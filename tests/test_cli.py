@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import reference_compare, reference_run, write_config
 from tdse.cli import main
+from tdse.oracle import EdgeLeakage
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -285,12 +287,18 @@ def test_converge_oracle_fallback(tmp_path, capsys):
 
 def _count_oracle_runs(monkeypatch):
     """The oracle configs of the split-step runs, in order: compare and
-    converge both run the oracle through tdse.oracle."""
+    converge both run the oracle through tdse.oracle.  A run that marches
+    a paired run of half the steps alongside counts as both, in that order."""
     import tdse.oracle
 
     runs = []
     real = tdse.oracle.split_step_evolve
-    monkeypatch.setattr("tdse.oracle.split_step_evolve", lambda *a: runs.append(a[3]) or real(*a))
+
+    def counted(*a, pair=None):
+        runs.extend(cfg for cfg in (a[3], pair) if cfg is not None)
+        return real(*a, pair=pair)
+
+    monkeypatch.setattr("tdse.oracle.split_step_evolve", counted)
     return runs
 
 
@@ -398,6 +406,39 @@ def test_converge_sizes_the_oracle_by_its_error_estimate(
     lines = (out / "convergence.csv").read_text().splitlines()[1:]
     assert len(lines) == halvings + 1
     assert estimate <= 0.01 * float(lines[-1].split(",")[1])
+
+
+# a linear kick at the midpoints of the 128-step estimate run's steps, which
+# the 256-step run's midpoints miss (cos vanishes there): only the estimate
+# run's packet swings out to the window's edge
+HALF_RUN_LEAK = (
+    DRIVEN_FALLBACK.replace(
+        "0.5*sin(2*t)*x + 0.1*cos(t)^2*x^2", f"10*cos({256 * math.pi!r}*t)^2*x"
+    )
+    .replace("truncation_order = 2", "sigma = 0.7071067811865476\ntruncation_order = 2")
+    .replace("-10.0", "-8.0")
+    .replace("= 10.0", "= 8.0")
+)
+
+
+def test_a_leak_in_the_estimate_run_alone_is_its_own_error(tmp_path, capsys):
+    from tdse.config import load_config
+    from tdse.oracle import OracleConfig, split_step_evolve, state_on_oracle_grid
+
+    config = write_config(tmp_path / "conv.cfg", HALF_RUN_LEAK)
+    argv = ("converge", "--config", config, "--halvings", "1", "--out", str(tmp_path / "out"))
+    assert run_cli(*argv) == 2
+    # the message of the 128-step run made on its own
+    cfg = load_config(config)
+    half = OracleConfig(-8.0, 8.0, 256, 1.0 / 128, 128)
+    start = state_on_oracle_grid(cfg.initial, half)
+    with pytest.raises(EdgeLeakage) as leak:
+        dict(split_step_evolve(start, cfg.potential, cfg.params, half, {128}))
+    assert str(leak.value).endswith("at t = 1")
+    assert capsys.readouterr() == ("", f"error: {leak.value}\n")
+    # the 256-step run alone stays inside its window
+    full = OracleConfig(-8.0, 8.0, 256, 1.0 / 256, 256)
+    dict(split_step_evolve(start, cfg.potential, cfg.params, full, {0, 256}))
 
 
 # RK4 at dt = 1e-2 is far more accurate than any oracle up to 8192 steps:
@@ -1010,7 +1051,12 @@ def test_a_pole_in_the_potential_exits_4(tmp_path, capsys, command):
     [
         ("exp(800)*x^2", "overflow at t = 0.0"),
         ("x^2/2 + 10^400", "overflow at t = 0.0"),
-        ("x^2/2 + cos(1e400)*x", "math domain error at t = 0.0"),
+        # 1e308*10 is kept unfolded, as inf is not a value a potential takes
+        ("x^2/2 + cos(1e308*10)*x", "math domain error at t = 0.0"),
+        ("1e308*10*x^2", "overflow at t = 0.0"),
+        # a factor that fails at every t is not cancelled by a zero factor
+        ("x^2/2 + (1/0)*0*x", "division by zero at t = 0.0"),
+        ("x^2/2 + 0*exp(800)", "overflow at t = 0.0"),
         # exp(800 t) passes the double range past t = 0.887; stage time 0.89
         ("x^2/2 + exp(800*t)*1e-300*x", "overflow at t = 0.89"),
     ],
@@ -1027,6 +1073,18 @@ def test_a_potential_that_cannot_be_evaluated_exits_4(
     assert run_cli(*argv) == 4
     captured = capsys.readouterr()
     assert captured == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "converge"])
+def test_a_number_past_the_double_range_is_a_potential_error(tmp_path, capsys, command):
+    body = POLE.replace("x^2/(t-0.05)", "x^2/2 + 1e400*x^2")
+    config = write_config(tmp_path / "big.cfg", body)
+    argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+    if command == "converge":
+        argv[3:3] = ["--halvings", "1"]
+    assert run_cli(*argv) == 4
+    message = "number '1e400' overflows the double range (position 9)"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # the pole at t = 0.2 is two steps past the horizon: no stage or oracle

@@ -335,9 +335,100 @@ def test_compare_with_oracle_returns_the_last_grid_reached_before_a_leak():
     states = propagate(init, FREE, PARAMS, stepper).snapshots
     off_grid = CoefficientState(states[1].alphas, time=0.105)
     cfg = OracleConfig(-6.0, 6.0, 256, dt=0.01, steps=100)
-    report, grid = compare_with_oracle([states[0], off_grid, *states[1:]], FREE, PARAMS, cfg)
-    assert report.times.tolist() == [0.0, 0.1, 0.2]
+    report, grid, coarse = compare_with_oracle(
+        [states[0], off_grid, *states[1:]], FREE, PARAMS, cfg
+    )
+    assert report.times.tolist() == [0.0, 0.1, 0.2] and coarse is None
     assert isinstance(report.reconstruction_error, EdgeLeakage)
     start = state_on_oracle_grid(init, cfg)
     expected = dict(split_step_evolve(start, FREE, PARAMS, cfg, {20}))[20]
     assert grid.time == expected.time and np.array_equal(grid.values, expected.values)
+
+
+# ---------------------------------------------------------------------------
+# a paired march (a run and a run of half its steps, sharing their FFT calls)
+# against the two runs made apart, bit for bit
+
+
+def _march_outcome(runs):
+    """[(index, time, bytes of the grid)] of each (cfg, pair, capture, params)
+    split_step_evolve of runs in turn, ending at the first exception, as its
+    type and message."""
+    out = []
+    try:
+        for start, potential, params, cfg, capture, pair in runs:
+            for p, grid in split_step_evolve(start, potential, params, cfg, capture, pair=pair):
+                out.append((p, grid.time, grid.values.tobytes()))
+    except (EdgeLeakage, EvaluationError) as exc:
+        out.append(("raise", type(exc), str(exc)))
+    return out
+
+
+def _assert_paired_is_two_runs(start, potential, params, cfg, capture):
+    """The paired march of cfg and its half-step run equals the S-step run
+    over capture then the S/2-step run to its end, and returns the outcome."""
+    pair = OracleConfig(cfg.xmin, cfg.xmax, cfg.points, 2 * cfg.dt, cfg.steps // 2)
+    apart = _march_outcome(
+        [(start, potential, params, cfg, capture, None),
+         (start, potential, params, pair, {pair.steps}, None)]
+    )
+    paired = _march_outcome([(start, potential, params, cfg, capture, pair)])
+    assert paired == apart
+    return paired
+
+
+@pytest.mark.parametrize("potential", [QUARTIC, DRIVEN], ids=["static", "driven"])
+@pytest.mark.parametrize("points", [256, 1024])
+@pytest.mark.parametrize(
+    "params", [PARAMS, PhysicalParams(hbar=0.7, mass=1.3)], ids=["hbar=1", "hbar=0.7"]
+)
+@pytest.mark.parametrize("t0", [0.0, 0.3])
+def test_a_paired_march_is_bitwise_two_runs(potential, points, params, t0):
+    # 2 * 37 steps: the pair's blocks of BLOCK_VALUES // (2 points) steps (16
+    # or 4) end inside the run, and the second row ends on an odd step of its own
+    steps = 74
+    cfg = OracleConfig(-10.0, 10.0, points, dt=0.01, steps=steps)
+    packet = gaussian_coefficients(GaussianPacket(0.5, 1.0, 0.3))
+    start = state_on_oracle_grid(CoefficientState(packet.alphas, t0), cfg)
+    outcome = _assert_paired_is_two_runs(start, potential, params, cfg, {0, 1, 16, 17, 33, steps})
+    assert [entry[0] for entry in outcome] == [0, 1, 16, 17, 33, steps, steps // 2]
+
+
+# a linear kick at the midpoints of the half-step run's steps, t = (2q - 1)*dt,
+# which the full run's midpoints (p - 1/2)*dt miss (cos vanishes there): only
+# the second row runs into the window's edge
+ONLY_THE_HALF_RUN_IS_KICKED = parse_potential(f"10*cos({np.pi / 0.01!r}*t)^2*x")
+
+
+def test_a_leak_in_the_paired_run_alone_is_raised_after_the_full_run():
+    cfg = OracleConfig(-8.0, 8.0, 256, dt=0.01, steps=100)
+    packet = GaussianPacket(0.0, GROUND_WIDTH, 0.0)
+    start = state_on_oracle_grid(gaussian_coefficients(packet), cfg)
+    outcome = _assert_paired_is_two_runs(
+        start, ONLY_THE_HALF_RUN_IS_KICKED, PARAMS, cfg, {0, 50, 100}
+    )
+    assert [entry[0] for entry in outcome[:3]] == [0, 50, 100]
+    assert outcome[3][:2] == ("raise", EdgeLeakage) and outcome[3][2].endswith("at t = 1")
+
+
+@BLOCK_SIZES
+def test_a_potential_failing_in_the_paired_run_alone_fails_after_the_full_run(
+    monkeypatch, block_values
+):
+    # a pole at t = 0.17, the midpoint of the paired run's 9th step and of no
+    # step of the full run: the full run's grids all come first
+    monkeypatch.setattr("tdse.potential.BLOCK_VALUES", block_values)
+    cfg = OracleConfig(-10.0, 10.0, 256, dt=0.01, steps=40)
+    start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0.0, 1.0, 0.0)), cfg)
+    potential = parse_potential(f"x^2/2 + 0.01*x/(t - {0.17!r})")
+    outcome = _assert_paired_is_two_runs(start, potential, PARAMS, cfg, {0, 40})
+    assert [entry[0] for entry in outcome[:2]] == [0, 40]
+    assert outcome[2] == ("raise", EvaluationError, "division by zero at t = 0.17")
+
+
+def test_a_pair_must_halve_the_steps_on_the_same_window():
+    cfg = OracleConfig(-10.0, 10.0, 256, dt=0.01, steps=40)
+    start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0.0, 1.0, 0.0)), cfg)
+    for pair in (OracleConfig(-10.0, 10.0, 256, 0.02, 21), OracleConfig(-9.0, 10.0, 256, 0.02, 20)):
+        with pytest.raises(GridMismatch):
+            dict(split_step_evolve(start, HARMONIC, PARAMS, cfg, {40}, pair=pair))
