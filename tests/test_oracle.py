@@ -351,9 +351,9 @@ def test_compare_with_oracle_returns_the_last_grid_reached_before_a_leak():
 
 
 def _march_outcome(runs):
-    """[(index, time, bytes of the grid)] of each (cfg, pair, capture, params)
-    split_step_evolve of runs in turn, ending at the first exception, as its
-    type and message."""
+    """[(index, time, bytes of the grid)] of the split_step_evolve of each
+    (start, potential, params, cfg, capture, pair) of runs in turn, ending
+    at the first exception, as its type and message."""
     out = []
     try:
         for start, potential, params, cfg, capture, pair in runs:
