@@ -317,7 +317,7 @@ def _read_samples(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             lines = [line.strip() for line in handle if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read samples: {exc}") from None
     if not lines or lines[0] != "x,psi_re,psi_im":
         raise ConfigError("samples CSV must start with header 'x,psi_re,psi_im'")

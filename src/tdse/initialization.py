@@ -1,5 +1,5 @@
 """Initial coefficient vectors: closed-form Gaussian packets, least-squares
-fits of sampled wavefunctions, and support/closure predicates.
+fits of sampled wavefunctions, and the closure predicate.
 
 The Gaussian convention is
 
@@ -28,7 +28,6 @@ __all__ = [
     "DegenerateSystem",
     "gaussian_coefficients",
     "fit_log_polynomial",
-    "support_bound_after_step",
     "is_closed_system",
 ]
 
@@ -130,19 +129,6 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
     alphas = np.zeros(order + 1, dtype=np.complex128)
     alphas[: degree + 1] = coeffs
     return FitResult(CoefficientState(alphas, time=0.0), residual)
-
-
-def support_bound_after_step(A: int, D: int) -> int:
-    """Largest coefficient index one Euler step can populate.
-
-    From support contained in {0..A} under a degree-D potential, the
-    velocity reaches index A-2 through the ladder term, 2A-2 through the
-    quadratic term, and D through the forcing, so post-step support stays
-    within {0..max(A, 2A-2, D)}.
-    """
-    if A < 0 or D < 0:
-        raise ValueError("A and D must be nonnegative")
-    return max(A, 2 * A - 2, D)
 
 
 def is_closed_system(A: int, D: int) -> bool:

@@ -74,6 +74,19 @@ def max_support_index(alphas, floor: float = 0.0) -> int:
     return int(above[-1]) if len(above) else -1
 
 
+def support_bound_after_step(A: int, D: int) -> int:
+    """Largest coefficient index one Euler step can populate.
+
+    From support contained in {0..A} under a degree-D potential, the
+    velocity reaches index A-2 through the ladder term, 2A-2 through the
+    quadratic term, and D through the forcing, so post-step support stays
+    within {0..max(A, 2A-2, D)}.
+    """
+    if A < 0 or D < 0:
+        raise ValueError("A and D must be nonnegative")
+    return max(A, 2 * A - 2, D)
+
+
 def write_config(path, body: str) -> str:
     path.write_text(body, encoding="utf-8")
     return str(path)

@@ -14,6 +14,7 @@ from conftest import (
     max_support_index,
     one_step,
     riccati_alpha2,
+    support_bound_after_step,
     write_config,
 )
 from tdse.cli import main as cli_main
@@ -21,7 +22,6 @@ from tdse.initialization import (
     GaussianPacket,
     fit_log_polynomial,
     gaussian_coefficients,
-    support_bound_after_step,
 )
 from tdse.integrators import StepperConfig, propagate
 from tdse.oracle import (

@@ -894,22 +894,27 @@ def test_fit_command_bad_header(tmp_path):
     assert run_cli("fit", "--samples", str(samples), "--degree", "2", "--out", str(tmp_path / "f.csv")) == 2
 
 
+# one row, put in with %, among three finite ones
+FIT_SAMPLES = b"x,psi_re,psi_im\n-1,0.6,0\n%s\n1,0.6,0\n2,0.1,0\n"
+
+
 @pytest.mark.parametrize(
     "row, fragment",
     [
-        ("0,nan,0", "psi = (nan+0j) is not finite"),
-        ("0,inf,0", "psi = (inf+0j) is not finite"),
-        ("nan,1,0", "x = nan, psi = (1+0j) is not finite"),
-        ("1e200,1,0", "x^2 overflows at |x| = 1e+200"),
-        ("1e100,1,0", "rank 1 < 3; the x are distinct but too badly scaled; rescale x"),
+        (b"0,nan,0", "psi = (nan+0j) is not finite"),
+        (b"0,inf,0", "psi = (inf+0j) is not finite"),
+        (b"nan,1,0", "x = nan, psi = (1+0j) is not finite"),
+        (b"1e200,1,0", "x^2 overflows at |x| = 1e+200"),
+        (b"1e100,1,0", "rank 1 < 3; the x are distinct but too badly scaled; rescale x"),
+        (b"0,\xff,0", "cannot read samples: 'utf-8' codec can't decode byte 0xff in position 27"),
     ],
-    ids=["nan-psi", "inf-psi", "nan-x", "x-overflows", "x-badly-scaled"],
+    ids=["nan-psi", "inf-psi", "nan-x", "x-overflows", "x-badly-scaled", "not-utf-8"],
 )
 def test_fit_rejects_a_sample_it_cannot_fit(tmp_path, capsys, row, fragment):
-    # one bad row among three finite ones: no nan coefficients, no numpy
-    # warning and no LAPACK failure, but one error line and no output file
+    # one bad row: no nan coefficients, no numpy warning, no LAPACK failure
+    # and no codec message alone, but one error line and no output file
     samples = tmp_path / "samples.csv"
-    samples.write_text(f"x,psi_re,psi_im\n-1,0.6,0\n{row}\n1,0.6,0\n2,0.1,0\n", encoding="utf-8")
+    samples.write_bytes(FIT_SAMPLES % row)
     out = tmp_path / "fit.csv"
     assert run_cli("fit", "--samples", str(samples), "--degree", "2", "--out", str(out)) == 2
     assert_one_error_line(capsys, fragment)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import max_support_index, one_step
+from conftest import max_support_index, one_step, support_bound_after_step
 from tdse.initialization import (
     DegenerateSystem,
     GaussianPacket,
@@ -14,7 +14,6 @@ from tdse.initialization import (
     fit_log_polynomial,
     gaussian_coefficients,
     is_closed_system,
-    support_bound_after_step,
 )
 from tdse.potential import Const, PotentialModel
 from tdse.reconstruction import evaluate_on_grid
