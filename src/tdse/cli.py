@@ -1,19 +1,21 @@
 """Batch front-end: run / converge / compare / fit commands with
 deterministic CSV artifacts.
 
-Each command is straight-line code that raises on failure; `main` maps
-the exception to an exit code through one table, `_EXIT_CODES`, and
-prints it as one `error:` line on stderr.  Exit codes: 0 success, 2 a
-config or validation error, an output that cannot be written, or a
-snapshot that cannot be reconstructed or compared (run and compare keep
-the rows before it): an exponent overflow, a vanishing norm, or a grid
-not negligible at its window's edges (a series past quadratic closure,
-compare's oracle, or in run any packet, at 1e-5 of its peak when closed);
-3 propagation aborted by blow-up detection (partial outputs are still
-written); 4 potential-DSL error.  compare and converge drive the oracle
-through tdse.oracle.compare_with_oracle, from the config _oracle_config
-resolves.  All numbers are written with 17 significant digits so
-identical inputs give byte-identical files; the only standard output is
+Each command is straight-line code that raises on failure; `main` alone
+maps an ending to an exit code, through one table, `_EXIT_CODES`, and one
+line: `status=aborted_blowup` on stdout for a blow-up, else `error:` on
+stderr.  Exit codes: 0 success; 2 a config or validation error, an output
+that cannot be written, or a snapshot that cannot be reconstructed or
+compared: an exponent overflow, a vanishing norm, or a grid not negligible
+at its window's edges (a series past quadratic closure, compare's oracle,
+or in run any packet, at 1e-5 of its peak when closed); 3 a blow-up; 4 a
+potential-DSL error.  Every command keeps the rows before a blow-up or a
+potential that fails after the first step, whose code wins over an earlier
+failed snapshot's; run and compare keep those before a failed snapshot (in
+compare also a potential its oracle cannot evaluate).  compare and converge
+drive the oracle through tdse.oracle.compare_with_oracle, from the config
+_oracle_config resolves.  All numbers are written with 17 significant digits
+so identical inputs give byte-identical files; the only standard output is
 one final status line.
 """
 
@@ -24,7 +26,7 @@ import sys
 
 from .config import ConfigError, RunConfig, load_config
 from .initialization import fit_log_polynomial
-from .integrators import StepperConfig, propagate
+from .integrators import BlowUp, StepperConfig, propagate
 from .oracle import (
     ADAPTIVE_MAX_STEPS,
     ADAPTIVE_MIN_STEPS,
@@ -56,6 +58,7 @@ EXIT_DSL = 4
 
 # the first row whose class matches wins: PotentialError is a ValueError
 _EXIT_CODES = (
+    (BlowUp, EXIT_BLOWUP),
     (PotentialError, EXIT_DSL),
     (ValueError, EXIT_CONFIG),
     (ExponentOverflow, EXIT_CONFIG),
@@ -82,17 +85,12 @@ def _resolve_out(args_out, cfg: RunConfig):
     return out
 
 
-def _finish(status: str, reconstruction_error, report: str = "") -> int:
-    """The status line and exit code of a command that keeps the rows before
-    a failure, once they are written: a blow-up abort (exit 3) takes
-    precedence over a snapshot that could not be reconstructed, raised for
-    main.  report is appended to the status line of a completed run."""
-    if status != "completed":
-        print(f"status={status}")
-        return EXIT_BLOWUP
-    if reconstruction_error is not None:
-        raise reconstruction_error
-    print(f"status={status}{report}")
+def _finish(error, report: str = "") -> int:
+    """Once a command's rows are written, raise error, what ended them, for
+    main; else print the completed status line, report appended."""
+    if error is not None:
+        raise error
+    print(f"status=completed{report}")
     return EXIT_OK
 
 
@@ -188,7 +186,7 @@ def _cmd_run(args) -> int:
             "x,psi_re,psi_im,prob_density",
             wf_rows,
         )
-    return _finish(trajectory.status, reconstruction_error)
+    return _finish(trajectory.error or reconstruction_error)
 
 
 def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig, adaptive: bool):
@@ -206,8 +204,8 @@ def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig, adapt
         report, final, coarse = compare_with_oracle(
             states, cfg.potential, cfg.params, oracle_cfg, pair=pair
         )
-        if report.reconstruction_error is not None:
-            raise report.reconstruction_error
+        if report.error is not None:
+            raise report.error
         return final, coarse, report.l2[1:].tolist()
 
     if not adaptive:
@@ -275,8 +273,8 @@ def _cmd_converge(args) -> int:
             snapshot_stride=cfg.stepper.steps * factor,
         )
         trajectory = propagate(cfg.initial, cfg.potential, cfg.params, stepper)
-        if trajectory.status != "completed":
-            break  # a level that blew up is never compared
+        if trajectory.error is not None:
+            break  # a level that stopped is never compared
         trajectories.append(trajectory)
 
     errors, report = [], ""
@@ -295,7 +293,7 @@ def _cmd_converge(args) -> int:
         rows.append(f"{cfg.stepper.dt / 2**i:.16e},{err:.16e},{ratio}\n")
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "convergence.csv"), "dt,error,ratio", rows)
-    return _finish(trajectory.status, None, report)
+    return _finish(trajectory.error, report)
 
 
 def _cmd_compare(args) -> int:
@@ -310,7 +308,7 @@ def _cmd_compare(args) -> int:
         for t, l2, dx, dn in zip(report.times, report.l2, report.d_mean_x, report.d_norm)
     ]
     _write_csv(os.path.join(out_dir, "compare.csv"), "t,l2_distance,d_mean_x,d_norm", rows)
-    return _finish(report.stepper_status, report.reconstruction_error)
+    return _finish(report.error)
 
 
 def _read_samples(path: str):
@@ -344,7 +342,7 @@ def _cmd_fit(args) -> int:
     if parent:
         os.makedirs(parent, exist_ok=True)
     _write_csv(args.out, "n,alpha_re,alpha_im", rows)
-    return _finish("completed", None, f" residual={_fmt(result.residual)}")
+    return _finish(None, f" residual={_fmt(result.residual)}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -388,7 +386,10 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BlowUp):
+            print("status=aborted_blowup")
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 

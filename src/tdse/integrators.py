@@ -11,21 +11,26 @@ per propagation; a static potential is evaluated once, a time-dependent
 one once per distinct stage time, tabulated a block of steps ahead by
 tdse.potential.step_blocks.
 
-Explicit stepping of this quadratic flow can diverge for large dt, so
-blow-up is reported as a trajectory status rather than an exception.
+Explicit stepping of this quadratic flow can diverge for large dt (BlowUp),
+and a potential can fail to evaluate at a later time: either is returned
+as the trajectory's error, with the rows before it, not raised.
 """
 
 import numpy as np
 
-from .potential import PotentialModel, eval_taylor_coefficients, step_blocks
+from .potential import EvaluationError, PotentialModel, eval_taylor_coefficients, step_blocks
 from .records import Frozen, Record
 from .state import CoefficientState, PhysicalParams, velocity_kernel
 # not called here: perfbench/tracing.py wraps it under tdse.integrators' name
 from .state import coefficient_velocity  # noqa: F401
 
-__all__ = ["StepperConfig", "Trajectory", "propagate"]
+__all__ = ["BlowUp", "StepperConfig", "Trajectory", "propagate"]
 
 INTEGRATORS = ("euler", "rk4")
+
+
+class BlowUp(ArithmeticError):
+    """A step left a coefficient above the blow-up threshold, or not finite."""
 
 
 class StepperConfig(Frozen):
@@ -49,12 +54,13 @@ class StepperConfig(Frozen):
 
 
 class Trajectory(Record):
-    """Time-ordered snapshots; first snapshot is the initial state."""
+    """Time-ordered snapshots, the first the initial state; error is what
+    ended the run before its last step, else None."""
 
-    __slots__ = ("snapshots", "status")
+    __slots__ = ("snapshots", "error")
 
-    def __init__(self, snapshots: list, status: str):  # 'completed' | 'aborted_blowup'
-        self._set(snapshots, status)
+    def __init__(self, snapshots: list, error: Exception | None = None):
+        self._set(snapshots, error)
 
     @property
     def final(self) -> CoefficientState:
@@ -131,29 +137,35 @@ def propagate(
     """Apply the configured stepper cfg.steps times from the initial state.
 
     Every snapshot_stride-th state is recorded, plus the initial and final
-    ones.  If a step trips the blow-up detector the diverging state is
-    discarded, the last healthy state becomes the final snapshot, and the
-    trajectory is returned with status 'aborted_blowup'.  Overflow on the
-    way to a blow-up is that status, not a numpy warning.
+    ones.  A step that trips the blow-up detector (BlowUp) or whose potential
+    fails (EvaluationError) ends the run: the last healthy state becomes the
+    final snapshot, and the trajectory carries the exception as its error.
+    Only an EvaluationError before the first step completes is raised.
+    Overflow on the way to a blow-up is that BlowUp, not a numpy warning.
     """
     t0, dt, stride, threshold = initial.time, cfg.dt, cfg.snapshot_stride, cfg.blowup_threshold
     snapshots = [initial]
-    a, t, recorded = initial.alphas, t0, True
+    a, t, recorded, p = initial.alphas, t0, True, 0
     forcing, velocity = velocity_kernel(initial.truncation_order, params)
     step = _make_step(cfg.integrator, velocity, dt)
     forcings = _stage_forcings(cfg.integrator, initial, potential, forcing, dt, cfg.steps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p, forced in enumerate(forcings, start=1):
-            new = step(a, forced)
-            if _blown_up(new, threshold):
-                if not recorded:
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, forced in enumerate(forcings, start=1):
+                new = step(a, forced)
+                if _blown_up(new, threshold):
+                    raise BlowUp(f"blow-up at step {p}, t = {t0 + p * dt}")
+                # anchor the clock at t0 + p*dt: repeated `time += dt` accumulates a
+                # rounding error per step, which pollutes left-endpoint potential
+                # sampling and closed-form comparisons on long runs
+                a, t = new, t0 + p * dt
+                recorded = p == cfg.steps or p % stride == 0
+                if recorded:
                     snapshots.append(CoefficientState(a, t))
-                return Trajectory(snapshots, "aborted_blowup")
-            # anchor the clock at t0 + p*dt: repeated `time += dt` accumulates a
-            # rounding error per step, which pollutes left-endpoint potential
-            # sampling and closed-form comparisons on long runs
-            a, t = new, t0 + p * dt
-            recorded = p == cfg.steps or p % stride == 0
-            if recorded:
-                snapshots.append(CoefficientState(a, t))
-    return Trajectory(snapshots, "completed")
+    except (BlowUp, EvaluationError) as exc:
+        if p == 0:  # the potential failed before step 1: no row to keep
+            raise
+        if not recorded:
+            snapshots.append(CoefficientState(a, t))
+        return Trajectory(snapshots, exc)
+    return Trajectory(snapshots)

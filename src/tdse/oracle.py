@@ -73,8 +73,9 @@ class GridMismatch(ValueError):
 
 
 # what ends the rows of a comparison or a run, keeping the rows before it: a
-# state that cannot be reconstructed, or a grid not negligible at its edges
-SNAPSHOT_FAILURES = (ExponentOverflow, ZeroNorm, EdgeLeakage)
+# state that cannot be reconstructed, a grid not negligible at its edges, or
+# a potential the oracle cannot evaluate at a step's midpoint
+SNAPSHOT_FAILURES = (ExponentOverflow, ZeroNorm, EdgeLeakage, EvaluationError)
 
 
 class OracleConfig(Frozen):
@@ -292,17 +293,16 @@ class ComparisonReport(NamedTuple):
 
     d_mean_x is the <x> difference (series minus oracle); d_norm compares
     relative norm drift, i.e. norm2(t)/norm2(0) of the series
-    reconstruction minus the same ratio for the (unitary) oracle.
-    reconstruction_error is the exception that ended the rows (see
-    compare_with_oracle), or None when every snapshot was compared.
+    reconstruction minus the same ratio for the (unitary) oracle.  error
+    ended the rows (None when every snapshot was compared): one of
+    SNAPSHOT_FAILURES, or, taking precedence, the stepper's own error.
     """
 
     times: np.ndarray
     l2: np.ndarray
     d_mean_x: np.ndarray
     d_norm: np.ndarray
-    stepper_status: str
-    reconstruction_error: Exception | None = None
+    error: Exception | None = None
 
 
 def _oracle_index(time: float, t0: float, oracle_dt: float):
@@ -330,23 +330,22 @@ def check_alignment(t0: float, stepper_cfg: StepperConfig, oracle_cfg: OracleCon
 
 
 def compare_with_oracle(states: list, potential: PotentialModel, params: PhysicalParams,
-                        cfg: OracleConfig, status: str = "completed",
-                        pair: OracleConfig | None = None):
-    """(report, grid, coarse): the ComparisonReport, with stepper_status
-    status, of each of states on the oracle's step grid against the oracle's
-    grid at its step, both sampled on the oracle's window; the last grid
-    reached; and, given pair (see split_step_evolve), the final grid of the
-    run of half the steps that marches alongside, else None.
+                        cfg: OracleConfig, pair: OracleConfig | None = None):
+    """(report, grid, coarse): the ComparisonReport of each of states on the
+    oracle's step grid against the oracle's grid at its step, both sampled
+    on the oracle's window; the last grid reached; and, given pair (see
+    split_step_evolve), the final grid of the run of half the steps that
+    marches alongside, else None.
 
     The first state is the start: the oracle starts from its grid, which is
     also its series grid, and norms are relative to it.  The oracle runs
     step by step as the comparison reaches each state, and the moments of a
     grid that states share are taken once.  A state off the step grid, such
-    as the last healthy state of a blow-up, is skipped.  One of
+    as the last healthy state of a stepper that stopped, is skipped.  One of
     SNAPSHOT_FAILURES ends the rows (a state that cannot be reconstructed or
-    fails series_edge_guard, or an oracle grid that leaks at its edges): the
-    report keeps the rows before it and carries it as reconstruction_error,
-    and coarse is None.
+    fails series_edge_guard, an oracle grid that leaks at its edges, or a
+    potential the oracle cannot evaluate): the report keeps the rows before
+    it and carries it as its error, and coarse is None.
     """
     t0 = states[0].time
     on_grid = [(j, s) for s in states if (j := _oracle_index(s.time, t0, cfg.dt)) is not None]
@@ -355,7 +354,7 @@ def compare_with_oracle(states: list, potential: PotentialModel, params: Physica
     window = Window(cfg.xmin, cfg.dx, cfg.points)
     guard = series_edge_guard(states[0], potential)
     rows = []
-    p = grid = coarse = norm0 = reconstruction_error = None
+    p = grid = coarse = norm0 = error = None
     try:
         for j, state in on_grid:
             shared = p == j
@@ -374,9 +373,9 @@ def compare_with_oracle(states: list, potential: PotentialModel, params: Physica
         if pair is not None:
             _, coarse = next(grids)
     except SNAPSHOT_FAILURES as exc:
-        reconstruction_error = exc
+        error = exc
     columns = np.array(rows, dtype=np.float64).reshape(-1, 4).T
-    return ComparisonReport(*columns, status, reconstruction_error), grid, coarse
+    return ComparisonReport(*columns, error), grid, coarse
 
 
 def compare_methods(
@@ -387,11 +386,12 @@ def compare_methods(
     oracle_cfg: OracleConfig,
 ) -> ComparisonReport:
     """Propagate both methods over the same horizon and compare snapshots:
-    check_alignment, propagate, then compare_with_oracle of the snapshots."""
+    check_alignment, propagate, then compare_with_oracle of the snapshots,
+    whose error is the stepper's when the stepper stopped."""
     check_alignment(initial.time, stepper_cfg, oracle_cfg)
     trajectory = propagate(initial, potential, params, stepper_cfg)
-    snapshots, status = trajectory.snapshots, trajectory.status
-    return compare_with_oracle(snapshots, potential, params, oracle_cfg, status)[0]
+    report = compare_with_oracle(trajectory.snapshots, potential, params, oracle_cfg)[0]
+    return report._replace(error=trajectory.error or report.error)
 
 
 def oracle_error_estimate(fine: WaveGrid, coarse: WaveGrid) -> float:

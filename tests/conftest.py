@@ -17,7 +17,7 @@ import numpy as np
 
 from tdse.cli import _oracle_config
 from tdse.config import load_config
-from tdse.integrators import StepperConfig, propagate
+from tdse.integrators import BlowUp, StepperConfig, propagate
 from tdse.oracle import EdgeLeakage, l2_distance, state_on_oracle_grid
 from tdse.potential import BinOp, Call, Const, EvaluationError, Neg, Power, TimeVar
 from tdse.reconstruction import ExponentOverflow, WaveGrid, ZeroNorm, observables
@@ -187,7 +187,10 @@ def _textbook_velocity(alphas, v, params) -> np.ndarray:
 def reference_propagate(initial, model, params, cfg):
     """Per-stage Euler/RK4 over a tree-walking potential: a fresh
     CoefficientState and potential evaluation for every stage, every state
-    kept.  Returns (snapshots, status) with propagate's snapshot rules."""
+    kept.  Returns (snapshots, error) with propagate's snapshot rules: a
+    step that blows up, or whose potential fails after the first step,
+    ends the run with the last healthy state kept and its BlowUp or
+    EvaluationError as error, None when every step completes."""
 
     def rhs(alphas, t):
         state = CoefficientState(alphas, t)
@@ -207,17 +210,26 @@ def reference_propagate(initial, model, params, cfg):
     state = initial
     with np.errstate(over="ignore", invalid="ignore"):
         for p in range(1, cfg.steps + 1):
-            new = step(state, cfg.dt)
-            new.time = initial.time + p * cfg.dt
-            a = new.alphas
-            if not np.all(np.isfinite(a)) or np.any(np.abs(a) > cfg.blowup_threshold):
+            time = initial.time + p * cfg.dt
+            try:
+                new = step(state, cfg.dt)
+            except EvaluationError as exc:
+                if p == 1:  # no step completed: there is no row to keep
+                    raise
+                error = exc
+            else:
+                a = new.alphas
+                healthy = np.all(np.isfinite(a)) and not np.any(np.abs(a) > cfg.blowup_threshold)
+                error = None if healthy else BlowUp(f"blow-up at step {p}, t = {time}")
+            if error is not None:
                 if snapshots[-1] is not state:
                     snapshots.append(state)
-                return snapshots, "aborted_blowup"
+                return snapshots, error
+            new.time = time
             state = new
             if p == cfg.steps or p % cfg.snapshot_stride == 0:
                 snapshots.append(state)
-    return snapshots, "completed"
+    return snapshots, None
 
 
 def reference_split_step(initial, model, params, cfg, capture):
@@ -335,7 +347,8 @@ def reference_reconstruct(state, xmin, xmax, points, params):
 def reference_run(config_path: str):
     """(exit code, {file name: bytes}) of `tdse run` on a config: the CSVs
     built as lists of rows of numpy scalars, with one reference_reconstruct
-    call per snapshot, and a blow-up (3) taking precedence over a snapshot
+    call per snapshot, and the stepper's error, a blow-up (3) or a potential
+    that fails after the first step (4), taking precedence over a snapshot
     that cannot be reconstructed or is not negligible at the window's edges
     (2): |psi| there must be at most 1e-6 of its peak past quadratic
     closure, else at most 1e-5."""
@@ -384,9 +397,12 @@ def reference_run(config_path: str):
             "x,psi_re,psi_im,prob_density",
             [(fmt(x), fmt(v.real), fmt(v.imag), fmt(abs(v) ** 2)) for x, v in zip(xs, values)],
         )
-    if trajectory.status != "completed":
-        return 3, files
+    if trajectory.error is not None:
+        return _STEPPER_EXIT_CODE[type(trajectory.error)], files
     return (2 if error is not None else 0), files
+
+
+_STEPPER_EXIT_CODE = {BlowUp: 3, EvaluationError: 4}
 
 
 def reference_compare(config_path: str):
@@ -394,10 +410,11 @@ def reference_compare(config_path: str):
     snapshot at a time: for each snapshot on the oracle's step grid,
     reference_split_step from the start to its step, state_on_oracle_grid,
     observables of both grids and l2_distance.  The first snapshot that
-    cannot be compared ends the rows: an oracle grid that leaks at the
-    window's edges, then a series grid that cannot be reconstructed or,
-    past quadratic closure, is not 1e-6 of its peak at the window's edges;
-    a blow-up (3) takes precedence over it (2)."""
+    cannot be compared ends the rows: a potential the oracle cannot evaluate
+    (4), an oracle grid that leaks at the window's edges, then a series grid
+    that cannot be reconstructed or, past quadratic closure, is not 1e-6 of
+    its peak at the window's edges (2); the stepper's error, a blow-up (3)
+    or a potential that fails after the first step (4), takes precedence."""
     cfg = load_config(config_path)
     oracle_cfg = _oracle_config(cfg, cfg.stepper)
     trajectory = propagate(cfg.initial, cfg.potential, cfg.params, cfg.stepper)
@@ -414,7 +431,7 @@ def reference_compare(config_path: str):
             series = state_on_oracle_grid(snap, oracle_cfg)
             obs_s, obs_o = observables(series), observables(oracle)
             l2 = l2_distance(oracle, series)
-        except (EdgeLeakage, ExponentOverflow, ZeroNorm) as exc:
+        except (EdgeLeakage, ExponentOverflow, ZeroNorm, EvaluationError) as exc:
             error = exc
             break
         magnitude = np.abs(series.values)
@@ -428,6 +445,8 @@ def reference_compare(config_path: str):
         ",".join(f"{value:.16e}" for value in row) + "\n" for row in rows
     )
     files = {"compare.csv": text.encode("utf-8")}
-    if trajectory.status != "completed":
-        return 3, files
+    if trajectory.error is not None:
+        return _STEPPER_EXIT_CODE[type(trajectory.error)], files
+    if isinstance(error, EvaluationError):
+        return 4, files
     return (2 if error is not None else 0), files

@@ -49,7 +49,7 @@ def test_criterion_01_harmonic_ground_fixed_point():
     initial = CoefficientState([0, 0, -0.5])
     cfg = StepperConfig(dt=1e-3, steps=10**4, snapshot_stride=1000)
     traj = propagate(initial, HARMONIC, PARAMS, cfg)
-    assert traj.status == "completed"
+    assert traj.error is None
     for snap in traj.snapshots:
         assert snap.alphas[2] == initial.alphas[2]  # bitwise constant
         assert abs(snap.alphas[0] + 0.5j * snap.time) <= 1e-9
@@ -170,7 +170,7 @@ def test_criterion_08_beyond_closure_cross_validation():
     stepper = StepperConfig(dt=1e-4, steps=5000, integrator="rk4", snapshot_stride=5000)
     oracle = OracleConfig(-8.0, 8.0, 1024, dt=0.5 / 2048, steps=2048)
     report = compare_methods(initial, potential, PARAMS, stepper, oracle)
-    assert report.stepper_status == "completed"
+    assert report.error is None
     assert report.l2[-1] <= 1e-2
     _report(8, "quartic-perturbed well agrees with the oracle to 1e-2 at t = 0.5")
 

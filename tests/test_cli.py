@@ -8,6 +8,7 @@ import pytest
 
 from conftest import reference_compare, reference_run, write_config
 from tdse.cli import main
+from tdse.integrators import BlowUp
 from tdse.oracle import EdgeLeakage
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -555,7 +556,7 @@ def test_converge_keeps_the_levels_before_an_abort(tmp_path, capsys, monkeypatch
     def abort_at_the_third_level(initial, potential, params, cfg):
         trajectory = real(initial, potential, params, cfg)
         if cfg.steps == 400:
-            trajectory.status = "aborted_blowup"
+            trajectory.error = BlowUp("blow-up at step 400, t = 1.0")
         return trajectory
 
     monkeypatch.setattr("tdse.cli.propagate", abort_at_the_third_level)
@@ -832,6 +833,7 @@ def test_the_two_grids_window_has_two_grids():
         ("quartic_n24", 2),
         ("quartic_n20", 2),
         ("oracle_leak", 2),
+        ("pole_after_50_steps", 4),
     ],
 )
 def test_run_writes_the_bytes_of_the_per_snapshot_reference(tmp_path, capsys, name, code):
@@ -843,6 +845,8 @@ def test_run_writes_the_bytes_of_the_per_snapshot_reference(tmp_path, capsys, na
         body = QUARTIC_N24
     elif name == "quartic_n20":
         body = QUARTIC_N20
+    elif name == "pole_after_50_steps":
+        body = POLE_AFTER_50_STEPS
     else:
         body = (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
     config = write_config(tmp_path / "run.cfg", body)
@@ -1082,6 +1086,74 @@ def test_a_potential_that_cannot_be_evaluated_exits_4(
     assert captured == ("", f"error: {message}\n")
 
 
+# the pole at t = 0.5 is the stage time of Euler's 51st step: the 50 steps
+# before it are healthy, so the rows of t = 0 to 0.5 are kept
+POLE_AFTER_50_STEPS = POLE.replace("x^2/(t-0.05)", "x^2/2 + 1/(t-0.5)*x").replace(
+    "steps = 10", "steps = 100"
+)
+
+
+@pytest.mark.parametrize(
+    "command, name, rows",
+    [("run", "observables.csv", 51), ("compare", "compare.csv", 51),
+     ("converge", "convergence.csv", 0)],
+)
+def test_a_pole_after_the_first_step_exits_4_with_the_rows_before_it(
+    tmp_path, capsys, command, name, rows
+):
+    config = write_config(tmp_path / "pole.cfg", POLE_AFTER_50_STEPS)
+    out = tmp_path / "out"
+    argv = [command, "--config", config, "--out", str(out)]
+    if command == "converge":  # its only level stops, as a level that blows up
+        argv[3:3] = ["--halvings", "2"]
+    assert run_cli(*argv) == 4
+    assert_one_error_line(capsys, "division by zero at t = 0.5")
+    lines = (out / name).read_text().splitlines()[1:]
+    assert [float(line.split(",")[0]) for line in lines] == [p * 0.01 for p in range(rows)]
+    if command == "run":
+        assert len((out / "coefficients.csv").read_text().splitlines()) == 1 + 51 * 3
+
+
+# a pole at t = 0.005, half of level 0's dt: level 1 reaches it at its
+# second step, so converge writes level 0's row
+def test_converge_keeps_the_levels_before_a_pole(tmp_path, capsys):
+    body = POLE.replace("x^2/(t-0.05)", "x^2/2 + 0.01*x/(t - 0.005)")
+    config = write_config(tmp_path / "pole.cfg", body + "\n[oracle]\nsteps = 1000\n")
+    out = tmp_path / "out"
+    assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 4
+    assert_one_error_line(capsys, "division by zero at t = 0.005")
+    lines = (out / "convergence.csv").read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [1e-2]
+
+
+# a pole at the midpoint of the oracle's 8th step, 7.5 dt, which no Euler
+# stage time p dt reaches: only the oracle fails; [oracle] steps gives
+# converge's oracle the steps of compare's, so both reach it
+ORACLE_POLE = (
+    POLE.replace("x^2/(t-0.05)", f"x^2/2 + 0.01*x/(t - {7.5 * 0.01!r})")
+    .replace("steps = 10", "steps = 20")
+    + "\n[oracle]\nsteps = 20\n"
+)
+
+
+@pytest.mark.parametrize("command", ["compare", "converge"])
+def test_a_pole_only_the_oracle_reaches_ends_compare_rows_and_fails_converge(
+    tmp_path, capsys, command
+):
+    config = write_config(tmp_path / "pole.cfg", ORACLE_POLE)
+    out = tmp_path / "out"
+    argv = [command, "--config", config, "--out", str(out)]
+    if command == "converge":
+        argv[3:3] = ["--halvings", "1"]
+    assert run_cli(*argv) == 4
+    assert_one_error_line(capsys, f"division by zero at t = {7.5 * 0.01!r}")
+    if command == "compare":  # as an oracle edge leak, the rows before it stay
+        lines = (out / "compare.csv").read_text().splitlines()[1:]
+        assert [float(line.split(",")[0]) for line in lines] == [p * 0.01 for p in range(8)]
+    else:
+        assert not (out / "convergence.csv").exists()
+
+
 # the pole at t = 0.2 is two steps past the horizon: no stage or oracle
 # midpoint reaches it, so no tabulated block may evaluate it
 POLE_PAST_THE_HORIZON = (
@@ -1209,6 +1281,30 @@ def test_compare_keeps_the_rows_before_an_oracle_edge_leakage(tmp_path, capsys, 
     assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.1, 0.2]
 
 
+# after ORACLE_LEAK's failed snapshot at t = 0.3 (exit 2 alone), the stepper
+# blows up, or reaches a pole in a term constant in x, which leaves |psi| as it is
+@pytest.mark.parametrize(
+    "body, code, captured",
+    [
+        (ORACLE_LEAK_THEN_BLOWUP, 3, ("status=aborted_blowup\n", "")),
+        (ORACLE_LEAK.replace("expression = 0", "expression = 1/(t - 0.6)"), 4,
+         ("", "error: division by zero at t = 0.6\n")),
+    ],
+    ids=["blowup", "pole"],
+)
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_the_stepper_error_decides_over_an_earlier_failed_snapshot(
+    tmp_path, capsys, command, body, code, captured
+):
+    config = write_config(tmp_path / "late.cfg", body)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", config, "--out", str(out)) == code
+    assert capsys.readouterr() == captured
+    name = "observables.csv" if command == "run" else "compare.csv"
+    lines = (out / name).read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.1, 0.2]
+
+
 def test_run_stops_where_a_closed_packet_leaves_its_window(tmp_path, capsys):
     # its series is exact, so only the window's edges can fail it
     config = write_config(tmp_path / "leak.cfg", ORACLE_LEAK)
@@ -1232,6 +1328,8 @@ def test_run_stops_where_a_closed_packet_leaves_its_window(tmp_path, capsys):
         ("quartic_n20", 2),
         ("oracle_leak", 2),
         ("oracle_leak_then_blowup", 3),
+        ("pole_after_50_steps", 4),
+        ("oracle_pole", 4),
     ],
 )
 def test_compare_writes_the_bytes_of_the_per_snapshot_reference(tmp_path, capsys, name, code):
@@ -1241,6 +1339,8 @@ def test_compare_writes_the_bytes_of_the_per_snapshot_reference(tmp_path, capsys
         "quartic_n20": QUARTIC_N20,
         "oracle_leak": ORACLE_LEAK,
         "oracle_leak_then_blowup": ORACLE_LEAK_THEN_BLOWUP,
+        "pole_after_50_steps": POLE_AFTER_50_STEPS,
+        "oracle_pole": ORACLE_POLE,
     }
     body = bodies.get(name) or (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
     config = write_config(tmp_path / "cmp.cfg", body)

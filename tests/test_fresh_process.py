@@ -16,7 +16,14 @@ from typing import NamedTuple
 
 import pytest
 
-from test_cli import CONFIGS, DRIVEN_FALLBACK, FIT_SAMPLES, HARMONIC_GAUSSIAN, ORACLE_LEAK
+from test_cli import (
+    CONFIGS,
+    DRIVEN_FALLBACK,
+    FIT_SAMPLES,
+    HARMONIC_GAUSSIAN,
+    ORACLE_LEAK,
+    POLE_AFTER_50_STEPS,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HARMONIC = (CONFIGS / "harmonic_coherent.cfg").read_text(encoding="utf-8")
@@ -63,6 +70,12 @@ ROWS = {
     # overflows at t = 0: the error names t, not a traceback
     "potential-overflow": Row(RUN, HARMONIC_GAUSSIAN.replace("x^2/2", "exp(800)*x^2"), 4,
                               files={"out": None}),
+    # a pole at t = 0.5, after 50 healthy Euler steps: the rows of t = 0 to
+    # 0.5 are kept, 3 coefficients each, and the last healthy state's grid
+    "run-pole-after-50-steps": Row(RUN, POLE_AFTER_50_STEPS, 4,
+                                   files={"out/coefficients.csv": 1 + 51 * 3,
+                                          "out/observables.csv": 52,
+                                          "out/wavefunction_final.csv": 257}),
     # no numpy warning or LAPACK message
     "fit-nan": Row(FIT, FIT_SAMPLES % b"0,nan,0", 2, files={"fit.csv": None}),
     "fit-x-overflows": Row(FIT, FIT_SAMPLES % b"1e200,1,0", 2, files={"fit.csv": None}),

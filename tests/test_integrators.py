@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import max_support_index, one_step, reference_propagate, riccati_alpha2
-from tdse.integrators import StepperConfig, _blown_up, propagate
+from tdse.integrators import BlowUp, StepperConfig, _blown_up, propagate
 from tdse.potential import Const, PotentialModel, parse_potential
 from tdse.state import CoefficientState, PhysicalParams
 
@@ -68,7 +68,7 @@ def test_propagate_single_step_matches_stepper():
     state = CoefficientState([0, 0, -0.25])
     cfg = StepperConfig(dt=0.1, steps=1)
     traj = propagate(state, FREE, PARAMS, cfg)
-    assert traj.status == "completed"
+    assert traj.error is None
     assert len(traj.snapshots) == 2
     direct = reference_propagate(state, FREE, PARAMS, cfg)[0][-1]
     assert np.array_equal(traj.final.alphas, direct.alphas)
@@ -125,7 +125,7 @@ def test_quadratic_closure_support_preserved(integrator):
     state = CoefficientState(alphas)
     cfg = StepperConfig(dt=0.05, steps=200, integrator=integrator, snapshot_stride=20)
     traj = propagate(state, HARMONIC, PARAMS, cfg)
-    assert traj.status == "completed"
+    assert traj.error is None
     for snap in traj.snapshots:
         assert np.all(snap.alphas[3:] == 0.0)
 
@@ -176,7 +176,7 @@ def test_propagate_aborts_on_blowup():
     state = CoefficientState([0, 0, -1.0])
     cfg = StepperConfig(dt=5.0, steps=50, blowup_threshold=1e6)
     traj = propagate(state, FREE, PARAMS, cfg)
-    assert traj.status == "aborted_blowup"
+    assert isinstance(traj.error, BlowUp)
     assert len(traj.snapshots) < 51
     for snap in traj.snapshots:
         assert np.all(np.isfinite(snap.alphas))

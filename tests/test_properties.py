@@ -30,7 +30,7 @@ import tdse.potential  # noqa: E402
 from tdse.cli import main  # noqa: E402
 from tdse.config import GridSpec  # noqa: E402
 from tdse.initialization import GaussianPacket, gaussian_coefficients  # noqa: E402
-from tdse.integrators import StepperConfig, propagate  # noqa: E402
+from tdse.integrators import BlowUp, StepperConfig, propagate  # noqa: E402
 from tdse.oracle import (  # noqa: E402
     OracleConfig,
     l2_distance,
@@ -180,16 +180,18 @@ def test_propagate_is_bitwise_the_textbook_stepper(case):
 
 def _propagate(*args):
     trajectory = propagate(*args)
-    return trajectory.snapshots, trajectory.status
+    return trajectory.snapshots, trajectory.error
 
 
 def _trajectory_outcome(run, *args):
-    """(status, bits of every snapshot's alphas and time), or the error."""
+    """(the type and message of the error that ended the run, or None, and
+    the bits of every snapshot's alphas and time), or the error raised."""
     try:
-        snapshots, status = run(*args)
+        snapshots, error = run(*args)
     except (ArithmeticError, ValueError) as exc:
         return ("raise", type(exc), str(exc))
-    return status, [(_bits(s.alphas), _bits(s.time)) for s in snapshots]
+    ended = None if error is None else (type(error), str(error))
+    return ended, [(_bits(s.alphas), _bits(s.time)) for s in snapshots]
 
 
 @st.composite
@@ -228,7 +230,8 @@ SIGNED_ZERO_POLE = (
 @example(SIGNED_ZERO_POLE[:3] + (StepperConfig(dt=0.1, steps=3, integrator="rk4"), 16))
 def test_tabulated_blocks_keep_the_bits_and_the_order_of_failures(case):
     # a blow-up before a pole ends the run as at the textbook stepper, and
-    # a pole before a blow-up raises the same error at the same stage time
+    # a pole before a blow-up ends it with the same error at the same stage
+    # time, or raises it when the first step reaches it
     initial, model, params, cfg, block_values = case
     expected = _trajectory_outcome(reference_propagate, initial, model, params, cfg)
     with mock.patch.object(tdse.potential, "BLOCK_VALUES", block_values):
@@ -238,7 +241,7 @@ def test_tabulated_blocks_keep_the_bits_and_the_order_of_failures(case):
 
 def test_blowup_examples_do_blow_up():
     initial, model, params, cfg = BLOWUP
-    assert propagate(initial, model, params, cfg).status == "aborted_blowup"
+    assert isinstance(propagate(initial, model, params, cfg).error, BlowUp)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +494,72 @@ def test_run_writes_no_row_whose_window_loses_the_packet(xmin, xmax, where, sigm
         assert code == 2 and err.getvalue().startswith("error: window edge magnitude ")
     else:
         assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# a pole the stepper reaches after its first step: run and compare write the
+# bytes of the same run cut to its last healthy step
+
+
+def _stage_times(dt, p, integrator):
+    """propagate's stage times of step p from t0 = 0.0."""
+    t = (p - 1) * dt if p > 1 else 0.0
+    return (t,) if integrator == "euler" else (t, t + 0.5 * dt, t + dt)
+
+
+def _pole_config(integrator, dt, steps, stride, pole):
+    return (
+        f"[potential]\nexpression = x^2/2 + 1/(t - {pole})*x\n"
+        "[initial]\nkind = gaussian\nsigma = 1.0\n"
+        f"[stepper]\nintegrator = {integrator}\ndt = {dt!r}\nsteps = {steps}\n"
+        f"snapshot_stride = {stride}\n"
+        "[grid]\nxmin = -12.0\nxmax = 12.0\npoints = 256\n"
+    )
+
+
+def _cli_outcome(tmp, name, body, command):
+    """(exit code, stdout, stderr, {file: bytes} or None without an output
+    directory) of one command on body."""
+    config, out_dir = os.path.join(tmp, name + ".cfg"), os.path.join(tmp, name + command)
+    with open(config, "w", encoding="utf-8") as handle:
+        handle.write(body)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", config, "--out", out_dir])
+    files = None
+    if os.path.isdir(out_dir):
+        files = {}
+        for file in sorted(os.listdir(out_dir)):
+            with open(os.path.join(out_dir, file), "rb") as handle:
+                files[file] = handle.read()
+    return code, out.getvalue(), err.getvalue(), files
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from(["euler", "rk4"]),
+    st.floats(0.005, 0.05),  # dt
+    st.integers(2, 30),  # the step whose stage time is the pole
+    st.integers(0, 2),  # which of its stage times (RK4)
+    st.integers(0, 10),  # steps past that step
+    st.integers(1, 8),  # snapshot_stride
+)
+def test_a_pole_keeps_the_bytes_of_the_run_cut_before_it(integrator, dt, p, stage, past, stride):
+    times = _stage_times(dt, p, integrator)
+    pole = times[stage % len(times)]
+    # the first step that evaluates V at the pole: step p - 1's last stage
+    # time can round to step p's first
+    failing = next(q for q in range(1, p + 1) if pole in _stage_times(dt, q, integrator))
+    body = _pole_config(integrator, dt, p + past, stride, repr(pole))
+    cut = _pole_config(integrator, dt, failing - 1, stride, repr(pole))
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("run", "compare"):
+            code, out, err, files = _cli_outcome(tmp, "pole", body, command)
+            assert (code, out, err) == (4, "", f"error: division by zero at t = {pole!r}\n")
+            if failing == 1:  # no step completed, so there is no row to keep
+                assert files is None
+            else:
+                assert files == _cli_outcome(tmp, "cut", cut, command)[3]
 
 
 # ---------------------------------------------------------------------------

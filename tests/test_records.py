@@ -15,7 +15,7 @@ import pytest
 
 from tdse.config import GridSpec, OracleOptions, RunConfig, load_config
 from tdse.initialization import FitResult, GaussianPacket
-from tdse.integrators import StepperConfig, Trajectory
+from tdse.integrators import BlowUp, StepperConfig, Trajectory
 from tdse.oracle import ComparisonReport, OracleConfig
 from tdse.potential import (
     BinOp,
@@ -85,11 +85,13 @@ def test_records_holding_an_unhashable_field_compare_equal_but_do_not_hash():
 def test_mutable_records_compare_by_field_and_do_not_hash():
     # field by field: records that share their array fields compare equal
     assert _STATE == _STATE and _STATE != PhysicalParams()
-    assert Trajectory([_STATE], "completed") == Trajectory([_STATE], "completed")
-    assert Trajectory([_STATE], "completed") != Trajectory([_STATE], "aborted_blowup")
+    blowup = BlowUp("blow-up at step 1, t = 1.0")
+    assert Trajectory([_STATE]) == Trajectory([_STATE], None)
+    assert Trajectory([_STATE], blowup) == Trajectory([_STATE], blowup)
+    assert Trajectory([_STATE]) != Trajectory([_STATE], blowup)
     cfg = load_config(str(ROOT / "configs" / "free_packet.cfg"))
     assert isinstance(cfg, RunConfig) and cfg == cfg and cfg.params == PhysicalParams()
-    for record in (_STATE, _GRID, Trajectory([_STATE], "completed"), cfg):
+    for record in (_STATE, _GRID, Trajectory([_STATE]), cfg):
         with pytest.raises(TypeError):
             hash(record)
 
@@ -105,8 +107,8 @@ def test_records_holding_equal_but_distinct_arrays_compare_equal():
     # arrays of another length, as of another truncation order, differ
     assert state() != CoefficientState([0.0, 0.5, -0.5, 0.0])
     assert grid() == grid() and grid() != grid(2.0)
-    assert Trajectory([state()], "completed") == Trajectory([state()], "completed")
-    assert Trajectory([state()], "completed") != Trajectory([state(-0.25)], "completed")
+    assert Trajectory([state()]) == Trajectory([state()])
+    assert Trajectory([state()]) != Trajectory([state(-0.25)])
     assert FitResult(state(), 0.25) == FitResult(state(), 0.25)
     assert FitResult(state(), 0.25) != FitResult(state(-0.25), 0.25)
     path = str(ROOT / "configs" / "harmonic_coherent.cfg")
@@ -136,13 +138,13 @@ def test_frozen_records_reject_assignment_and_deletion():
 def test_mutable_records_stay_mutable():
     state = CoefficientState([0.0, 0.5, -0.5])
     state.time = 2.0
-    trajectory = Trajectory([state], "completed")
-    trajectory.status = "aborted_blowup"
+    trajectory = Trajectory([state])
+    blowup = trajectory.error = BlowUp("blow-up at step 1, t = 1.0")
     grid = WaveGrid(-1.0, 0.25, np.ones(9, dtype=complex))
     grid.time = 1.0
-    report = ComparisonReport(*(np.zeros(1),) * 4, "completed")
-    assert (state.time, trajectory.status, grid.time) == (2.0, "aborted_blowup", 1.0)
-    assert report.reconstruction_error is None
+    report = ComparisonReport(*(np.zeros(1),) * 4)
+    assert (state.time, trajectory.error, grid.time) == (2.0, blowup, 1.0)
+    assert report.error is None
 
 
 # (record, changes, message): each change is invalid on its own
