@@ -10,13 +10,15 @@ compared: an exponent overflow, a vanishing norm, or a grid not negligible
 at its window's edges (a series past quadratic closure, compare's oracle,
 or in run any packet, at 1e-5 of its peak when closed); 3 a blow-up; 4 a
 potential-DSL error.  Every command keeps the rows before a blow-up or a
-potential that fails after the first step, whose code wins over an earlier
-failed snapshot's; run and compare keep those before a failed snapshot (in
-compare also a potential its oracle cannot evaluate).  compare and converge
-drive the oracle through tdse.oracle.compare_with_oracle, from the config
-_oracle_config resolves.  All numbers are written with 17 significant digits
-so identical inputs give byte-identical files; the only standard output is
-one final status line.
+potential that fails after the first step (converge: after level 0's),
+whose code wins over an earlier failed snapshot's; run and compare keep
+those before a failed snapshot (compare also those before a potential its
+oracle cannot evaluate).  run reconstructs its snapshots _BLOCK at a time
+and checks them in order.  compare and converge drive the oracle through
+tdse.oracle.compare_with_oracle, from the config _oracle_config resolves.
+Numbers are written with 17 significant digits, a file by one %-format
+call, so identical inputs give byte-identical files; the only standard
+output is one final status line.
 """
 
 import argparse
@@ -26,7 +28,7 @@ import sys
 
 from .config import ConfigError, RunConfig, load_config
 from .initialization import fit_log_polynomial
-from .integrators import BlowUp, StepperConfig, propagate
+from .integrators import BlowUp, StepperConfig, Trajectory, propagate
 from .oracle import (
     ADAPTIVE_MAX_STEPS,
     ADAPTIVE_MIN_STEPS,
@@ -40,7 +42,7 @@ from .oracle import (
     oracle_error_estimate,
     series_edge_guard,
 )
-from .potential import PotentialError
+from .potential import EvaluationError, PotentialError
 # evaluate_on_grid and observables are not called here, but perfbench/tracing.py
 # wraps them under tdse.cli's names
 from .reconstruction import (  # noqa: F401
@@ -66,16 +68,20 @@ _EXIT_CODES = (
     (OSError, EXIT_CONFIG),
 )
 
+# run reconstructs its snapshots this many at a time
+_BLOCK = 4
+
 
 def _fmt(value: float) -> str:
     return f"{value:.16e}"
 
 
-def _write_csv(path: str, header: str, lines) -> None:
-    """header, then lines, each already formatted and ending in a newline."""
+def _write_csv(path: str, header: str, row_format: str, fields: list) -> None:
+    """header, then one row_format line for each row of fields, the rows'
+    fields in order, filled in by one %-format call."""
+    rows = len(fields) // row_format.count("%")
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(header + "\n")
-        handle.writelines(lines)
+        handle.write(header + "\n" + (row_format * rows) % tuple(fields))
 
 
 def _resolve_out(args_out, cfg: RunConfig):
@@ -140,52 +146,42 @@ def _cmd_run(args) -> int:
     if cfg.grid is None:
         raise ConfigError("run needs a [grid] section for reconstruction output")
     trajectory = propagate(cfg.initial, cfg.potential, cfg.params, cfg.stepper)
+    snapshots = trajectory.snapshots
 
     os.makedirs(out_dir, exist_ok=True)
-    coeff_rows = (
-        f"{snap.time:.16e},{n},{alpha.real:.16e},{alpha.imag:.16e}\n"
-        for snap in trajectory.snapshots
-        for n, alpha in enumerate(snap.alphas.tolist())
-    )
-    _write_csv(os.path.join(out_dir, "coefficients.csv"), "t,n,alpha_re,alpha_im", coeff_rows)
+    coefficients = []
+    for snap in snapshots:
+        for n, alpha in enumerate(snap.alphas.tolist()):
+            coefficients += (snap.time, n, alpha.real, alpha.imag)
+    _write_csv(os.path.join(out_dir, "coefficients.csv"), "t,n,alpha_re,alpha_im",
+               "%.16e,%d,%.16e,%.16e\n", coefficients)
 
-    # reconstruction can fail on non-normalizable states; keep whatever rows
-    # were healthy
-    window = Window.inclusive(cfg.grid.xmin, cfg.grid.xmax, cfg.grid.points)
+    # reconstruction can fail on non-normalizable states: the first snapshot
+    # that fails, checked in order after its block, ends the healthy rows
+    window = Window.inclusive(cfg.grid.xmin, cfg.grid.xmax, cfg.grid.points, _BLOCK)
     guard = series_edge_guard(cfg.initial, cfg.potential, window)
-    reconstruction_error = None
-    obs_rows = []
-    for snap in trajectory.snapshots:
-        try:
-            values = window.sample(snap)
-            obs = window.moments(values)
-            p = window.mean_p(snap, cfg.params.hbar, obs.norm2)
-            guard(window.magnitude, snap.time)
-        except SNAPSHOT_FAILURES as exc:
-            reconstruction_error = exc
-            break
-        obs_rows.append(
-            f"{snap.time:.16e},{obs.norm2:.16e},{obs.mean_x:.16e},{obs.mean_x2:.16e},"
-            f"{p.real:.16e},{p.imag:.16e}\n"
-        )
-    _write_csv(
-        os.path.join(out_dir, "observables.csv"),
-        "t,norm2,mean_x,mean_x2,mean_p_re,mean_p_im",
-        obs_rows,
-    )
+    reconstruction_error, observed = None, []
+    try:
+        for i, snap in enumerate(snapshots):
+            b = i % _BLOCK
+            if b == 0:
+                window.observe(snapshots[i : i + _BLOCK], count=5)
+            row = window.row(b, cfg.params.hbar)
+            guard(window.magnitude[b], snap.time)
+            observed += (snap.time, *row)
+    except SNAPSHOT_FAILURES as exc:
+        reconstruction_error = exc
+    _write_csv(os.path.join(out_dir, "observables.csv"),
+               "t,norm2,mean_x,mean_x2,mean_p_re,mean_p_im", "%.16e," * 5 + "%.16e\n", observed)
     if reconstruction_error is None:
-        # the loop above ended on the final snapshot: its values are the last
-        # ones; Python's abs of a Python complex matches numpy's scalar abs,
-        # which numpy's array abs does not in the last bit
-        wf_rows = (
-            f"{x:.16e},{v.real:.16e},{v.imag:.16e},{abs(v) ** 2:.16e}\n"
-            for x, v in zip(window.xs.tolist(), values.tolist())
-        )
-        _write_csv(
-            os.path.join(out_dir, "wavefunction_final.csv"),
-            "x,psi_re,psi_im,prob_density",
-            wf_rows,
-        )
+        # the loop above ended on the final snapshot, row b; Python's abs of a
+        # Python complex matches numpy's scalar abs, which numpy's array abs
+        # does not in the last bit
+        wavefunction = []
+        for x, v in zip(window.xs.tolist(), window.values[b].tolist()):
+            wavefunction += (x, v.real, v.imag, abs(v) ** 2)
+        _write_csv(os.path.join(out_dir, "wavefunction_final.csv"),
+                   "x,psi_re,psi_im,prob_density", "%.16e,%.16e,%.16e,%.16e\n", wavefunction)
     return _finish(trajectory.error or reconstruction_error)
 
 
@@ -272,7 +268,12 @@ def _cmd_converge(args) -> int:
             steps=cfg.stepper.steps * factor,
             snapshot_stride=cfg.stepper.steps * factor,
         )
-        trajectory = propagate(cfg.initial, cfg.potential, cfg.params, stepper)
+        try:
+            trajectory = propagate(cfg.initial, cfg.potential, cfg.params, stepper)
+        except EvaluationError as exc:  # before a finer level's first step ends
+            if level == 0:
+                raise
+            trajectory = Trajectory([], exc)
         if trajectory.error is not None:
             break  # a level that stopped is never compared
         trajectories.append(trajectory)
@@ -290,9 +291,9 @@ def _cmd_converge(args) -> int:
     for i, err in enumerate(errors):
         # a ratio exists only against a nonzero error of a previous level
         ratio = _fmt(errors[i - 1] / err) if i > 0 and err != 0.0 else ""
-        rows.append(f"{cfg.stepper.dt / 2**i:.16e},{err:.16e},{ratio}\n")
+        rows += (cfg.stepper.dt / 2**i, err, ratio)
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "convergence.csv"), "dt,error,ratio", rows)
+    _write_csv(os.path.join(out_dir, "convergence.csv"), "dt,error,ratio", "%.16e,%.16e,%s\n", rows)
     return _finish(trajectory.error, report)
 
 
@@ -303,11 +304,10 @@ def _cmd_compare(args) -> int:
     report = compare_methods(cfg.initial, cfg.potential, cfg.params, cfg.stepper, oracle_cfg)
 
     os.makedirs(out_dir, exist_ok=True)
-    rows = [
-        f"{t:.16e},{l2:.16e},{dx:.16e},{dn:.16e}\n"
-        for t, l2, dx, dn in zip(report.times, report.l2, report.d_mean_x, report.d_norm)
-    ]
-    _write_csv(os.path.join(out_dir, "compare.csv"), "t,l2_distance,d_mean_x,d_norm", rows)
+    columns = (report.times, report.l2, report.d_mean_x, report.d_norm)
+    rows = [value for row in zip(*columns) for value in row]
+    _write_csv(os.path.join(out_dir, "compare.csv"), "t,l2_distance,d_mean_x,d_norm",
+               "%.16e,%.16e,%.16e,%.16e\n", rows)
     return _finish(report.error)
 
 
@@ -334,14 +334,13 @@ def _read_samples(path: str):
 
 def _cmd_fit(args) -> int:
     result = fit_log_polynomial(_read_samples(args.samples), args.degree)
-    rows = [
-        f"{n},{alpha.real:.16e},{alpha.imag:.16e}\n"
-        for n, alpha in enumerate(result.state.alphas)
-    ]
+    rows = []
+    for n, alpha in enumerate(result.state.alphas.tolist()):
+        rows += (n, alpha.real, alpha.imag)
     parent = os.path.dirname(args.out)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    _write_csv(args.out, "n,alpha_re,alpha_im", rows)
+    _write_csv(args.out, "n,alpha_re,alpha_im", "%d,%.16e,%.16e\n", rows)
     return _finish(None, f" residual={_fmt(result.residual)}")
 
 

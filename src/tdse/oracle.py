@@ -360,14 +360,18 @@ def compare_with_oracle(states: list, potential: PotentialModel, params: Physica
             shared = p == j
             while p != j:
                 p, grid = next(grids)
-            values = grid.values if norm0 is None else window.sample(state)
-            norm2_s, mean_x_s = window.first_moments(values)
-            guard(window.magnitude, state.time)
-            if norm0 is None:  # the start
+            if norm0 is None:  # the start, whose series grid is the oracle's
+                values = window.observe(values=grid.values)[0]
+            else:
+                values = window.observe([state])[0]
+            norm2_s, mean_x_s = window.row(0)
+            guard(window.magnitude[0], state.time)
+            if norm0 is None:
                 norm0 = norm2_o = norm2_s
                 mean_x_o = mean_x_s
             elif not shared:
-                norm2_o, mean_x_o = window.first_moments(grid.values)
+                window.observe(values=grid.values)
+                norm2_o, mean_x_o = window.row(0)
             l2 = _l2(grid.values, norm2_o, values, norm2_s, window.dx)
             rows.append((state.time, l2, mean_x_s - mean_x_o, norm2_s / norm0 - norm2_o / norm0))
         if pair is not None:

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import reference_compare, reference_run, write_config
+from conftest import reference_compare, reference_reconstruct, reference_run, write_config
 from tdse.cli import main
-from tdse.integrators import BlowUp
+from tdse.config import load_config
+from tdse.integrators import BlowUp, propagate
 from tdse.oracle import EdgeLeakage
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -824,6 +825,35 @@ def test_the_two_grids_window_has_two_grids():
     assert np.any(np.linspace(xmin, xmax, points) != xmin + dx * np.arange(points))
 
 
+# dense_run's packet: a free packet with k0 = 2, a snapshot at each of 400
+# RK4 steps, on 2001 points: 401 = 4*100 + 1 snapshots, so run's last block
+# of 4 holds one
+DENSE_FREE = """
+[potential]
+expression = 0
+
+[initial]
+kind = gaussian
+k0 = 2.0
+
+[stepper]
+integrator = rk4
+dt = 5e-3
+steps = 400
+
+[grid]
+xmin = -20.0
+xmax = 20.0
+points = 2001
+"""
+
+# the same packet leaks past 1e-5 of its peak at the window's right edge at
+# snapshot 0, 21, 30, 39 and 168: in run's blocks of 4, at each position
+DENSE_LEAKS = {
+    f"dense_leak_at_{index}": DENSE_FREE.replace("xmax = 20.0", f"xmax = {xmax}")
+    for index, xmax in ((0, 6.5), (21, 7.0), (30, 7.1), (39, 7.2), (168, 9.03))
+}
+
 @pytest.mark.parametrize(
     "name,code",
     [
@@ -834,28 +864,41 @@ def test_the_two_grids_window_has_two_grids():
         ("quartic_n20", 2),
         ("oracle_leak", 2),
         ("pole_after_50_steps", 4),
+        ("dense_free", 0),
+        *((name, 2) for name in DENSE_LEAKS),
     ],
 )
 def test_run_writes_the_bytes_of_the_per_snapshot_reference(tmp_path, capsys, name, code):
-    if name == "two_grids":
-        body = TWO_GRIDS
-    elif name == "oracle_leak":
-        body = ORACLE_LEAK
-    elif name == "quartic_n24":
-        body = QUARTIC_N24
-    elif name == "quartic_n20":
-        body = QUARTIC_N20
-    elif name == "pole_after_50_steps":
-        body = POLE_AFTER_50_STEPS
-    else:
-        body = (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
+    bodies = {
+        "two_grids": TWO_GRIDS,
+        "oracle_leak": ORACLE_LEAK,
+        "quartic_n24": QUARTIC_N24,
+        "quartic_n20": QUARTIC_N20,
+        "pole_after_50_steps": POLE_AFTER_50_STEPS,
+        "dense_free": DENSE_FREE,
+        **DENSE_LEAKS,
+    }
+    body = bodies.get(name) or (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
     config = write_config(tmp_path / "run.cfg", body)
     expected_code, expected = reference_run(config)
     assert expected_code == code
     out = tmp_path / "out"
     assert run_cli("run", "--config", config, "--out", str(out)) == code
-    capsys.readouterr()
+    err = capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in out.iterdir()} == expected
+    if name in DENSE_LEAKS:
+        # the guard read the |psi| of the first snapshot the reference dropped
+        index = int(name.rsplit("_", 1)[1])
+        assert expected["observables.csv"].count(b"\n") == 1 + index
+        cfg = load_config(config)
+        snap = propagate(cfg.initial, cfg.potential, cfg.params, cfg.stepper).snapshots[index]
+        values = reference_reconstruct(snap, -20.0, cfg.grid.xmax, 2001, cfg.params)[0]
+        magnitude = np.abs(values)
+        edge, peak = max(magnitude[0], magnitude[-1]), magnitude.max()
+        assert err == (
+            f"error: window edge magnitude {edge:.3e} exceeds 1e-05 of peak {peak:.3e} "
+            f"at t = {snap.time:.6g}\n"
+        )
 
 
 def test_run_builds_the_observables_kernel_once(tmp_path, capsys, monkeypatch):
@@ -1122,6 +1165,29 @@ def test_converge_keeps_the_levels_before_a_pole(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 4
     assert_one_error_line(capsys, "division by zero at t = 0.005")
+    lines = (out / "convergence.csv").read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [1e-2]
+
+
+# a pole at t = 0.0025: no RK4 stage of level 0 (0, 0.005, 0.01, ...) reaches
+# it, but level 1's first step takes its midpoint there, so propagate raises
+# before that level has a row
+CONVERGE_POLE_AT_A_FIRST_STEP = (
+    POLE.replace("x^2/(t-0.05)", "x^2/2 + 0.01*x/(t - 0.0025)").replace(
+        "dt = 1e-2", "integrator = rk4\ndt = 1e-2"
+    )
+    + "\n[oracle]\nsteps = 1000\n"
+)
+
+
+@pytest.mark.parametrize("halvings", ["1", "2"])
+def test_converge_keeps_the_levels_before_a_pole_at_a_finer_level_first_step(
+    tmp_path, capsys, halvings
+):
+    config = write_config(tmp_path / "pole.cfg", CONVERGE_POLE_AT_A_FIRST_STEP)
+    out = tmp_path / "out"
+    assert run_cli("converge", "--config", config, "--halvings", halvings, "--out", str(out)) == 4
+    assert_one_error_line(capsys, "division by zero at t = 0.0025")
     lines = (out / "convergence.csv").read_text().splitlines()
     assert [float(line.split(",")[0]) for line in lines[1:]] == [1e-2]
 

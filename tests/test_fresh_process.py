@@ -18,6 +18,7 @@ import pytest
 
 from test_cli import (
     CONFIGS,
+    CONVERGE_POLE_AT_A_FIRST_STEP,
     DRIVEN_FALLBACK,
     FIT_SAMPLES,
     HARMONIC_GAUSSIAN,
@@ -76,6 +77,10 @@ ROWS = {
                                    files={"out/coefficients.csv": 1 + 51 * 3,
                                           "out/observables.csv": 52,
                                           "out/wavefunction_final.csv": 257}),
+    # level 1 meets a pole at t = 0.0025 in its first step: level 0's row is kept
+    "converge-pole-at-a-finer-first-step": Row("converge --halvings 2" + IO,
+                                               CONVERGE_POLE_AT_A_FIRST_STEP, 4,
+                                               files={"out/convergence.csv": 2}),
     # no numpy warning or LAPACK message
     "fit-nan": Row(FIT, FIT_SAMPLES % b"0,nan,0", 2, files={"fit.csv": None}),
     "fit-x-overflows": Row(FIT, FIT_SAMPLES % b"1e200,1,0", 2, files={"fit.csv": None}),

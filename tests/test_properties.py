@@ -24,6 +24,7 @@ from conftest import (  # noqa: E402
     mentions_t,
     reference_propagate,
     reference_reconstruct,
+    reference_run,
     tree_eval_profile,
 )
 import tdse.potential  # noqa: E402
@@ -369,24 +370,21 @@ def _window(xmin, xmax, points, periodic):
 
 
 def _kernel(window, state, params):
-    values = window.sample(state)
-    moments = window.moments(values)
-    p = window.mean_p(state, params.hbar, moments.norm2)
-    return values, window.xs, RunObservables(*moments, p.real, p.imag)
+    """run's reconstruction of one state: the window's block of one."""
+    window.observe([state], count=5)
+    return window.values[0], window.xs, RunObservables(*window.row(0, params.hbar))
 
 
 def _one_grid(state, xmin, xmax, points, params, periodic):
     """evaluate_on_grid, or state_on_oracle_grid, followed by observables;
-    <p> from the state, through a window that took the grid's values."""
+    <p> from the state, through the window's block of one."""
     if periodic:
         grid = state_on_oracle_grid(state, OracleConfig(xmin, xmax, points, 1.0, 1))
     else:
         grid = evaluate_on_grid(state, xmin, xmax, points)
     moments = observables(grid)
-    window = _window(xmin, xmax, points, periodic)
-    window.moments(grid.values)
-    p = window.mean_p(state, params.hbar, moments.norm2)
-    return grid.values, grid.xs, RunObservables(*moments, p.real, p.imag)
+    p = _kernel(_window(xmin, xmax, points, periodic), state, params)[2][3:]
+    return grid.values, grid.xs, RunObservables(*moments, *p)
 
 
 def _reference(state, xmin, xmax, points, params, periodic):
@@ -621,6 +619,36 @@ def test_mean_p_of_an_exact_free_packet_is_hbar_k0(x0, sigma, k0, hbar, mass, t,
     centre = -alpha1.real / (2.0 * alpha2.real)
     half = math.sqrt(math.log(1e6) / -alpha2.real)  # |psi| = 1e-6 of its peak
     window = Window.inclusive(centre - half, centre + half, points)
-    moments = window.moments(window.sample(state))
-    p = window.mean_p(state, hbar, moments.norm2)
-    assert abs(p.real - hbar * k0) <= 1e-9 * max(1.0, hbar * abs(k0))
+    window.observe([state], count=5)
+    p_re = window.row(0, hbar)[3]
+    assert abs(p_re - hbar * k0) <= 1e-9 * max(1.0, hbar * abs(k0))
+
+
+# ---------------------------------------------------------------------------
+# run reconstructs its snapshots in blocks: every length of a last, partial
+# block writes the bytes of the one-snapshot-at-a-time reference
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(-2.0, 2.0),  # x0
+    st.floats(0.5, 2.0),  # sigma
+    st.floats(-3.0, 3.0),  # k0
+    st.integers(1, 13),  # steps, a snapshot each: 2 to 14 snapshots
+)
+@example(0.0, 1.0, 2.0, 1)  # a last block of 2 snapshots,
+@example(0.0, 1.0, 2.0, 2)  # of 3,
+@example(0.0, 1.0, 2.0, 3)  # of 4,
+@example(0.0, 1.0, 2.0, 4)  # and of 1
+def test_run_in_blocks_writes_the_bytes_of_the_reference(x0, sigma, k0, steps):
+    body = (
+        "[potential]\nexpression = 0\n"
+        f"[initial]\nkind = gaussian\nx0 = {x0!r}\nsigma = {sigma!r}\nk0 = {k0!r}\n"
+        f"[stepper]\nintegrator = rk4\ndt = 5e-3\nsteps = {steps}\n"
+        "[grid]\nxmin = -20.0\nxmax = 20.0\npoints = 2001\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err, files = _cli_outcome(tmp, "free", body, "run")
+        expected = reference_run(os.path.join(tmp, "free.cfg"))
+    assert (code, out, err) == (0, "status=completed\n", "")
+    assert (code, files) == expected

@@ -1,6 +1,7 @@
 """Tests for wavefunction reconstruction, quadrature, and observables."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tdse.integrators import StepperConfig, propagate
 from tdse.potential import PotentialModel, parse_potential
 from tdse.reconstruction import (
     ExponentOverflow,
+    Observables,
     WaveGrid,
     Window,
     ZeroNorm,
@@ -88,8 +90,9 @@ def test_observables_symmetric_packet():
 def _moments_and_p(state, xmin, xmax, points):
     """run's moments and <p> of a state on Window.inclusive(xmin, xmax, points)."""
     window = Window.inclusive(xmin, xmax, points)
-    moments = window.moments(window.sample(state))
-    return moments, window.mean_p(state, PARAMS.hbar, moments.norm2)
+    window.observe([state], count=5)
+    norm2, mean_x, mean_x2, p_re, p_im = window.row(0, PARAMS.hbar)
+    return Observables(norm2, mean_x, mean_x2), complex(p_re, p_im)
 
 
 def test_observables_momentum_kick():
@@ -153,3 +156,60 @@ def test_window_insensitivity():
     narrow = norm_squared(evaluate_on_grid(state, -15.0, 15.0, 3001))
     wide = norm_squared(evaluate_on_grid(state, -20.0, 20.0, 4001))
     assert abs(wide - narrow) / narrow < 1e-12
+
+
+# a healthy packet, one whose Re S passes the exp ceiling, one whose Horner
+# sum is NaN, one whose Re S is finite but Im S is not (so exp(S) is NaN),
+# one whose |psi|^2 underflows everywhere, and a moving packet
+BLOCK_STATES = [
+    CoefficientState([0, 0, -0.25]),
+    CoefficientState([0, 0, 1.0]),
+    CoefficientState([0, 0, complex(np.nan, 0.0)]),
+    CoefficientState([complex(0.0, np.inf), 0, -0.25]),
+    CoefficientState([-800.0, 0, -0.25]),
+    gaussian_coefficients(GaussianPacket(0.5, 0.8, 3.0)),
+]
+
+
+def _row_outcome(window, b):
+    """(bits of row b's values, |psi| and moments), or its error's type and message."""
+    try:
+        row = window.row(b, 1.5)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    bits = [np.asarray(a).tobytes() for a in (window.values[b], window.magnitude[b], row)]
+    return tuple(bits)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4])
+def test_a_block_gives_each_row_the_outcome_of_its_state_alone(block):
+    alone = Window.inclusive(-30.0, 30.0, 601)
+    window = Window.inclusive(-30.0, 30.0, 601, block)
+    states = BLOCK_STATES * 2  # every state at every position of a block
+    expected = []
+    for state in states:
+        alone.observe([state], count=5)
+        expected.append(_row_outcome(alone, 0))
+    errors = {outcome for outcome in expected if isinstance(outcome[0], type)}
+    assert sorted(kind.__name__ for kind, _ in errors) == [
+        "ExponentOverflow", "ExponentOverflow", "ValueError", "ZeroNorm"
+    ]
+    outcomes = []
+    for i in range(0, len(states), block):
+        window.observe(states[i : i + block], count=5)
+        outcomes += [_row_outcome(window, b) for b in range(len(states[i : i + block]))]
+    assert outcomes == expected
+
+
+def test_a_block_is_reconstructed_in_the_window_buffers():
+    points = 2001
+    window = Window.inclusive(-20.0, 20.0, points, 4)
+    block = BLOCK_STATES[:1] + BLOCK_STATES[-1:] * 3
+    window.observe(block, count=5)
+    tracemalloc.start()
+    try:
+        window.observe(block, count=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * points  # less than one row of |psi|
