@@ -215,6 +215,79 @@ def test_converge_free_scenario(tmp_path, capsys, integrator, band):
         assert band[0] <= ratio <= band[1]
 
 
+# one config for each closed form, with no [grid], so that the oracle cannot
+# stand in: each level's error is the closed form's, pinned to the bit
+CLOSED_FORM = """
+[physical]
+hbar = {hbar}
+mass = {mass}
+
+[potential]
+expression = {expression}
+
+[initial]
+kind = coefficients
+alpha_re = {alpha_re}
+alpha_im = {alpha_im}
+
+[stepper]
+integrator = euler
+dt = 1e-2
+steps = 100
+"""
+
+CLOSED_FORM_BYTES = {
+    "free": (
+        dict(hbar=0.7, mass=1.3, expression="0", alpha_re="0, 0, -0.25", alpha_im="0, 1, 0"),
+        "1.6675231287173410e-04,",
+        "8.3314750837099725e-05,2.0014740630716736e+00",
+        "4.1641975853036077e-05,2.0007396174268068e+00",
+    ),
+    "linear-constant": (
+        dict(hbar=1.0, mass=1.0, expression="0.3*x + 0.1", alpha_re="-0.5, 0.2", alpha_im="0, 0"),
+        "2.2204460492503131e-16,",
+        "2.2204460492503131e-16,1.0000000000000000e+00",
+        "1.6098233857064770e-15,1.3793103448275862e-01",
+    ),
+    "linear-cos": (
+        dict(hbar=0.7, mass=1.3, expression="cos(t)*x", alpha_re="0, 0.5", alpha_im="0, 0"),
+        "3.2735374296650743e-03,",
+        "1.6392731000673955e-03,1.9969445173781533e+00",
+        "8.2026264497381263e-04,1.9984734281295111e+00",
+    ),
+    "harmonic-ground": (
+        dict(hbar=1.0, mass=1.0, expression="x^2/2", alpha_re="0, 0, -0.5", alpha_im="0, 0, 0"),
+        "3.3306690738754696e-16,",
+        "3.3306690738754696e-16,1.0000000000000000e+00",
+        "5.1625370645069779e-15,6.4516129032258063e-02",
+    ),
+    "harmonic-coherent": (
+        dict(hbar=1.0, mass=2.0, expression="x^2/2", alpha_re="-0.125, 0.5, -0.7071067811865476",
+             alpha_im="0, 0, 0"),
+        "1.2515463814127153e-03,",
+        "6.2538861388646678e-04,2.0012298811054485e+00",
+        "3.1259740509456549e-04,2.0006199785864416e+00",
+    ),
+}
+
+
+@pytest.mark.parametrize("fields,level_0,level_1,level_2", CLOSED_FORM_BYTES.values(),
+                         ids=CLOSED_FORM_BYTES.keys())
+def test_converge_writes_the_bytes_of_each_closed_form(
+    tmp_path, capsys, fields, level_0, level_1, level_2
+):
+    config = write_config(tmp_path / "conv.cfg", CLOSED_FORM.format(**fields))
+    out = tmp_path / "out"
+    assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 0
+    assert capsys.readouterr() == ("status=completed\n", "")
+    assert (out / "convergence.csv").read_text() == (
+        "dt,error,ratio\n"
+        f"1.0000000000000000e-02,{level_0}\n"
+        f"5.0000000000000001e-03,{level_1}\n"
+        f"2.5000000000000001e-03,{level_2}\n"
+    )
+
+
 def test_converge_unknown_scenario_without_fallback(tmp_path, capsys):
     config = write_config(
         tmp_path / "conv.cfg",
