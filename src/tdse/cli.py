@@ -28,7 +28,7 @@ import sys
 
 from .config import ConfigError, RunConfig, load_config
 from .initialization import fit_log_polynomial
-from .integrators import BlowUp, StepperConfig, Trajectory, propagate
+from .integrators import BlowUp, Trajectory, propagate
 from .oracle import (
     ADAPTIVE_MAX_STEPS,
     ADAPTIVE_MIN_STEPS,
@@ -51,7 +51,7 @@ from .reconstruction import (  # noqa: F401
     evaluate_on_grid,
     observables,
 )
-from .scenarios import detect_scenario, reference_error
+from .scenarios import detect_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -113,8 +113,8 @@ def _has_oracle_window(cfg: RunConfig) -> bool:
     return cfg.grid is not None or None not in (opts.xmin, opts.xmax, opts.points)
 
 
-def _oracle_config(cfg: RunConfig, stepper: StepperConfig, default_steps=None) -> OracleConfig:
-    """The oracle over the stepper's horizon.  Its window takes each of
+def _oracle_config(cfg: RunConfig, default_steps=None) -> OracleConfig:
+    """The oracle over the horizon of cfg's stepper.  Its window takes each of
     xmin, xmax and points from [oracle], else from [grid].  Its step count
     is [oracle] steps, else round(horizon / [oracle] dt), else default_steps
     (converge's fallback passes each count its oracle error estimate tries),
@@ -122,8 +122,8 @@ def _oracle_config(cfg: RunConfig, stepper: StepperConfig, default_steps=None) -
     Its dt is [oracle] dt, else horizon / steps."""
     if not _has_oracle_window(cfg):
         raise ConfigError("the oracle needs a [grid] section (or [oracle] overrides)")
+    stepper, opts, grid = cfg.stepper, cfg.oracle, cfg.grid
     horizon = stepper.dt * stepper.steps
-    opts, grid = cfg.oracle, cfg.grid
     xmin = opts.xmin if opts.xmin is not None else grid.xmin
     xmax = opts.xmax if opts.xmax is not None else grid.xmax
     points = opts.points if opts.points is not None else _next_pow2(max(256, grid.points))
@@ -185,29 +185,29 @@ def _cmd_run(args) -> int:
     return _finish(trajectory.error or reconstruction_error)
 
 
-def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig, adaptive: bool):
+def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig):
     """(errors, status report) of the completed levels' final states
-    against the oracle.  When adaptive, its step count S doubles until its
-    error estimate is within ADAPTIVE_TOLERANCE of the finest level's error.
-    The first estimate's S/2-step run marches in the S-step run's FFT calls;
-    each doubling adds one oracle run, as the S-step run's final grid is the
-    coarse grid of the estimate at 2S."""
+    against the oracle.  With no [oracle] steps or dt, its step count S
+    doubles until its error estimate is within ADAPTIVE_TOLERANCE of the
+    finest level's error.  The first estimate's S/2-step run marches in the
+    S-step run's FFT calls; each doubling adds one oracle run, as the S-step
+    run's final grid is the coarse grid of the estimate at 2S."""
 
-    def oracle_run(oracle_cfg, pair=None):
-        """The oracle's final grid, the final grid of pair's run alongside it
-        (None without pair), and the l2 of each of finals."""
+    def oracle_run(oracle_cfg, halved=False):
+        """The oracle's final grid, the final grid of its run of half the
+        steps alongside it (None unless halved), and the l2 of each of finals."""
         states = [cfg.initial, *finals]
         report, final, coarse = compare_with_oracle(
-            states, cfg.potential, cfg.params, oracle_cfg, pair=pair
+            states, cfg.potential, cfg.params, oracle_cfg, halved=halved
         )
         if report.error is not None:
             raise report.error
         return final, coarse, report.l2[1:].tolist()
 
-    if not adaptive:
+    if cfg.oracle.steps is not None or cfg.oracle.dt is not None:
         return oracle_run(oracle_cfg)[2], ""
     steps = oracle_cfg.steps
-    fine, coarse, errors = oracle_run(oracle_cfg, _oracle_config(cfg, cfg.stepper, steps // 2))
+    fine, coarse, errors = oracle_run(oracle_cfg, halved=True)
     best = math.inf
     while (estimate := oracle_error_estimate(fine, coarse)) > ADAPTIVE_TOLERANCE * errors[-1]:
         best = min(best, estimate)
@@ -219,7 +219,7 @@ def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig, adapt
             )
         steps *= 2
         coarse = fine
-        fine, _, errors = oracle_run(_oracle_config(cfg, cfg.stepper, steps))
+        fine, _, errors = oracle_run(_oracle_config(cfg, steps))
     return errors, f" oracle_steps={steps} oracle_error={_fmt(estimate)}"
 
 
@@ -228,36 +228,28 @@ def _cmd_converge(args) -> int:
     out_dir = _resolve_out(args.out, cfg)
     if args.halvings < 1:
         raise ConfigError("--halvings must be at least 1")
-    detected = detect_scenario(cfg.potential, cfg.initial, cfg.params)
+    # the closed form's error function, or None for the oracle
+    detected, reference = detect_scenario(cfg.potential, cfg.initial, cfg.params)
     requested = cfg.converge_scenario
-    if requested == "auto":
-        scenario = detected
-        if scenario is None:
-            if cfg.allow_oracle_fallback and _has_oracle_window(cfg):
-                scenario = "oracle"
-            else:
-                raise ConfigError(
-                    "no registered closed-form scenario matches this config "
-                    "and the oracle fallback is disabled or lacks a [grid]"
-                )
-    elif requested == "oracle":
-        scenario = "oracle"
-    else:
-        if requested != detected:
-            raise ConfigError(
-                f"config does not match the requested scenario '{requested}'"
-                + (f" (detected: {detected})" if detected else "")
-            )
-        scenario = requested
+    if requested == "oracle":
+        reference = None
+    elif requested != "auto" and requested != detected:
+        raise ConfigError(
+            f"config does not match the requested scenario '{requested}'"
+            + (f" (detected: {detected})" if detected else "")
+        )
+    elif detected is None and not (cfg.allow_oracle_fallback and _has_oracle_window(cfg)):
+        raise ConfigError(
+            "no registered closed-form scenario matches this config "
+            "and the oracle fallback is disabled or lacks a [grid]"
+        )
 
     # with no [oracle] steps or dt, the oracle's step count S is sized by
     # its own error estimate, from ADAPTIVE_MIN_STEPS up; level k's horizon
     # (dt/2^k)*(steps*2^k) and final time are level 0's, bit for bit, so one
     # oracle config per S and one alignment check serve every level
-    adaptive = scenario == "oracle" and cfg.oracle.steps is None and cfg.oracle.dt is None
-    oracle_cfg = None
-    if scenario == "oracle":
-        oracle_cfg = _oracle_config(cfg, cfg.stepper, ADAPTIVE_MIN_STEPS if adaptive else None)
+    if reference is None:
+        oracle_cfg = _oracle_config(cfg, ADAPTIVE_MIN_STEPS)
         level_0 = cfg.stepper.replace(snapshot_stride=cfg.stepper.steps)
         check_alignment(cfg.initial.time, level_0, oracle_cfg)
     trajectories = []
@@ -279,13 +271,10 @@ def _cmd_converge(args) -> int:
         trajectories.append(trajectory)
 
     errors, report = [], ""
-    if oracle_cfg is None:
-        errors = [
-            reference_error(scenario, cfg.potential, cfg.initial, t.final, cfg.params)
-            for t in trajectories
-        ]
+    if reference is not None:
+        errors = [reference(t.final) for t in trajectories]
     elif trajectories:
-        errors, report = _oracle_errors(cfg, [t.final for t in trajectories], oracle_cfg, adaptive)
+        errors, report = _oracle_errors(cfg, [t.final for t in trajectories], oracle_cfg)
 
     rows = []
     for i, err in enumerate(errors):
@@ -300,7 +289,7 @@ def _cmd_converge(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
     out_dir = _resolve_out(args.out, cfg)
-    oracle_cfg = _oracle_config(cfg, cfg.stepper)
+    oracle_cfg = _oracle_config(cfg)
     report = compare_methods(cfg.initial, cfg.potential, cfg.params, cfg.stepper, oracle_cfg)
 
     os.makedirs(out_dir, exist_ok=True)

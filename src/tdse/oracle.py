@@ -189,32 +189,34 @@ def split_step_evolve(
     params: PhysicalParams,
     cfg: OracleConfig,
     capture: set,
-    pair: OracleConfig | None = None,
+    halved: bool = False,
 ):
     """Propagate the grid wavefunction up to the last step index in capture
     (at most cfg.steps), yielding (index, grid) at each captured step as it
     is reached, in ascending index order; dict(...) collects them.
 
-    pair, the config of a run over the same window and horizon in half the
-    steps, marches that run from the same start as a second row: on each
-    even step both rows take one np.fft.fft and one np.fft.ifft call, on odd
-    steps the first row steps alone.  The first row then runs to cfg.steps,
-    and its captures are followed by (pair.steps, the second row's final
-    grid), bit for bit what a run of pair alone reaches.  Each row's phases
+    halved marches, from the same start as a second row, the run of half the
+    steps over the same window and horizon: cfg with twice the dt and half
+    the steps, which must be even (ValueError otherwise).  The derived dt,
+    2*(h/S), is h/(S/2) to the bit for a power-of-two S.  On each even step
+    both rows take one np.fft.fft and one np.fft.ifft call, on odd steps the
+    first row steps alone.  The first row then runs to cfg.steps, and its
+    captures are followed by (cfg.steps // 2, the second row's final grid),
+    bit for bit what a run of that config alone reaches.  Each row's phases
     are tabulated a block of BLOCK_VALUES // (2 points) steps at a time.
 
     Each step runs in preallocated buffers.  Raises EdgeLeakage, in place of
-    the next pair, when the wavefunction stops being negligible at the
+    the next (index, grid), when the wavefunction stops being negligible at the
     window edges at a captured step or at the second row's final step.  An
     EvaluationError of the second row's potential is raised in place of its
     final grid, so that every failure of the first row comes first.
     """
     if not initial.matches(cfg.xmin, cfg.dx, cfg.points):
         raise GridMismatch("initial grid does not match the oracle configuration")
-    configs = (cfg,) if pair is None else (cfg, pair)
-    if pair is not None and (2 * pair.steps != cfg.steps or not initial.matches(
-            pair.xmin, pair.dx, pair.points)):
-        raise GridMismatch("a paired run must cover the same window in half the steps")
+    if halved and cfg.steps % 2:
+        raise ValueError(f"a run of {cfg.steps} steps cannot be halved")
+    half = cfg.replace(dt=2 * cfg.dt, steps=cfg.steps // 2) if halved else None
+    configs = (cfg,) if half is None else (cfg, half)
 
     k = 2.0 * np.pi * np.fft.fftfreq(cfg.points, d=cfg.dx)
     kinetic_phase = np.array(
@@ -231,9 +233,9 @@ def split_step_evolve(
         _edge_test(np.abs(psi[0]), t0)
         yield 0, WaveGrid(cfg.xmin, cfg.dx, psi[0].copy(), t0)
     width = len(configs) * cfg.points
-    last = cfg.steps if pair is not None else min(cfg.steps, max(capture, default=0))
+    last = cfg.steps if half is not None else min(cfg.steps, max(capture, default=0))
     half_phases = _half_phases(potential, params, cfg, t0, last, width)
-    paired = None if pair is None else _half_phases(potential, params, pair, t0, pair.steps, width)
+    paired = None if half is None else _half_phases(potential, params, half, t0, half.steps, width)
     failure = None
     for p, half_phase in enumerate(half_phases, start=1):
         rows, spec, kinetic = views[0]
@@ -255,12 +257,12 @@ def split_step_evolve(
             t = t0 + p * cfg.dt
             _edge_test(np.abs(psi[0]), t)
             yield p, WaveGrid(cfg.xmin, cfg.dx, psi[0].copy(), t)
-    if pair is not None:
+    if half is not None:
         if failure is not None:
             raise failure
-        t = t0 + pair.steps * pair.dt
+        t = t0 + half.steps * half.dt
         _edge_test(np.abs(psi[1]), t)
-        yield pair.steps, WaveGrid(pair.xmin, pair.dx, psi[1].copy(), t)
+        yield half.steps, WaveGrid(half.xmin, half.dx, psi[1].copy(), t)
 
 
 def l2_distance(a: WaveGrid, b: WaveGrid) -> float:
@@ -330,10 +332,10 @@ def check_alignment(t0: float, stepper_cfg: StepperConfig, oracle_cfg: OracleCon
 
 
 def compare_with_oracle(states: list, potential: PotentialModel, params: PhysicalParams,
-                        cfg: OracleConfig, pair: OracleConfig | None = None):
+                        cfg: OracleConfig, halved: bool = False):
     """(report, grid, coarse): the ComparisonReport of each of states on the
     oracle's step grid against the oracle's grid at its step, both sampled
-    on the oracle's window; the last grid reached; and, given pair (see
+    on the oracle's window; the last grid reached; and, when halved (see
     split_step_evolve), the final grid of the run of half the steps that
     marches alongside, else None.
 
@@ -350,7 +352,8 @@ def compare_with_oracle(states: list, potential: PotentialModel, params: Physica
     t0 = states[0].time
     on_grid = [(j, s) for s in states if (j := _oracle_index(s.time, t0, cfg.dt)) is not None]
     start = state_on_oracle_grid(states[0], cfg)
-    grids = split_step_evolve(start, potential, params, cfg, {j for j, _ in on_grid}, pair=pair)
+    capture = {j for j, _ in on_grid}
+    grids = split_step_evolve(start, potential, params, cfg, capture, halved=halved)
     window = Window(cfg.xmin, cfg.dx, cfg.points)
     guard = series_edge_guard(states[0], potential)
     rows = []
@@ -374,7 +377,7 @@ def compare_with_oracle(states: list, potential: PotentialModel, params: Physica
                 norm2_o, mean_x_o = window.row(0)
             l2 = _l2(grid.values, norm2_o, values, norm2_s, window.dx)
             rows.append((state.time, l2, mean_x_s - mean_x_o, norm2_s / norm0 - norm2_o / norm0))
-        if pair is not None:
+        if halved:
             _, coarse = next(grids)
     except SNAPSHOT_FAILURES as exc:
         error = exc

@@ -1,9 +1,9 @@
 """Closed-form references for convergence studies.
 
-Each registered scenario pairs a structural matcher (does this
-potential/initial-state combination have a known exact solution?) with
-an error functional comparing a propagated final state against that
-solution.  Everything here is exact coefficient dynamics:
+SCENARIOS maps each name to its match(potential, initial, params): the
+error(final) of a propagated final state against the scenario's exact
+solution when the config is that scenario, else None.  Everything here is
+exact coefficient dynamics:
 
   free              constant potential, support within {0,1,2}:
                     alpha_2(t) = a/(1 - (2i*hbar/m)*a*t) with a = alpha_2(0)
@@ -26,9 +26,7 @@ import numpy as np
 from .potential import Call, Const, PotentialModel, TimeVar
 from .state import CoefficientState, PhysicalParams
 
-__all__ = ["SCENARIOS", "detect_scenario", "reference_error"]
-
-SCENARIOS = ("free", "linear", "harmonic_ground", "harmonic_coherent")
+__all__ = ["SCENARIOS", "detect_scenario"]
 
 _SUPPORT_FLOOR = 1e-12
 _MATCH_TOL = 1e-9
@@ -38,90 +36,93 @@ def _support(state: CoefficientState) -> set:
     return set(np.nonzero(np.abs(state.alphas) > _SUPPORT_FLOOR)[0].tolist())
 
 
-def _ground_alpha2(v2: float, params: PhysicalParams) -> float:
-    return -math.sqrt(params.mass * v2 / 2.0) / params.hbar
-
-
-def _harmonic_well(potential: PotentialModel):
-    """The v2 of a pure v2*x^2 model with constant positive v2, else None."""
-    if set(potential.terms) != {2}:
+def _free(potential, initial, params):
+    if potential.degree != 0 or not _support(initial) <= {0, 1, 2}:
         return None
-    node = potential.terms[2]
-    if isinstance(node, Const) and node.value > 0:
-        return node.value
-    return None
+    a = complex(initial.alphas[2])
+
+    def error(final):
+        exact = a / (1.0 - (2j * params.hbar / params.mass) * a * (final.time - initial.time))
+        return abs(complex(final.alphas[2]) - exact)
+
+    return error
 
 
-def _matches_free(potential, initial, params) -> bool:
-    return potential.degree == 0 and _support(initial) <= {0, 1, 2}
-
-
-def _matches_linear(potential, initial, params) -> bool:
+def _linear(potential, initial, params):
     if set(potential.terms) - {0, 1} or 1 not in potential.terms:
-        return False
+        return None
     slope = potential.terms[1]
-    known = isinstance(slope, Const) or slope == Call("cos", TimeVar())
-    return known and _support(initial) <= {0, 1}
+    constant = isinstance(slope, Const)
+    if not (constant or slope == Call("cos", TimeVar())) or not _support(initial) <= {0, 1}:
+        return None
+
+    def error(final):
+        if constant:
+            accumulated = slope.value * (final.time - initial.time)
+        else:  # cos(t)
+            accumulated = math.sin(final.time) - math.sin(initial.time)
+        exact = complex(initial.alphas[1]) - (1j / params.hbar) * accumulated
+        return abs(complex(final.alphas[1]) - exact)
+
+    return error
 
 
-def _matches_harmonic(potential, initial, params, coherent: bool) -> bool:
-    v2 = _harmonic_well(potential)
-    if v2 is None or not _support(initial) <= {0, 1, 2}:
-        return False
+def _ground_well(potential, initial, params, displaced: bool):
+    """The v2 of a pure v2*x^2 model with constant positive v2, when the
+    initial state has the ground state's alpha_2 and is displaced (alpha_1
+    not 0) or not as asked, else None."""
+    node = potential.terms.get(2)
+    if set(potential.terms) != {2} or not (isinstance(node, Const) and node.value > 0):
+        return None
+    ground = -math.sqrt(params.mass * node.value / 2.0) / params.hbar
+    if not _support(initial) <= {0, 1, 2} or abs(complex(initial.alphas[2]) - ground) > _MATCH_TOL:
+        return None
+    return node.value if (abs(initial.alphas[1]) > _SUPPORT_FLOOR) == displaced else None
+
+
+def _harmonic_ground(potential, initial, params):
+    if _ground_well(potential, initial, params, displaced=False) is None:
+        return None
     a2 = complex(initial.alphas[2])
-    if abs(a2 - _ground_alpha2(v2, params)) > _MATCH_TOL:
-        return False
-    displaced = abs(initial.alphas[1]) > _SUPPORT_FLOOR
-    return displaced if coherent else not displaced
+
+    def error(final):
+        elapsed = final.time - initial.time
+        exact0 = complex(initial.alphas[0]) + (1j * params.hbar / params.mass) * a2 * elapsed
+        return max(abs(complex(final.alphas[2]) - a2), abs(complex(final.alphas[0]) - exact0))
+
+    return error
+
+
+def _harmonic_coherent(potential, initial, params):
+    v2 = _ground_well(potential, initial, params, displaced=True)
+    if v2 is None:
+        return None
+    omega = math.sqrt(2.0 * v2 / params.mass)
+
+    def error(final):
+        exact = complex(initial.alphas[1]) * cmath.exp(-1j * omega * (final.time - initial.time))
+        return abs(complex(final.alphas[1]) - exact)
+
+    return error
+
+
+# matched in this order; config's list of converge.scenario names follows it
+SCENARIOS = {
+    "free": _free,
+    "linear": _linear,
+    "harmonic_ground": _harmonic_ground,
+    "harmonic_coherent": _harmonic_coherent,
+}
 
 
 def detect_scenario(
     potential: PotentialModel, initial: CoefficientState, params: PhysicalParams
 ):
-    """Name of the matching registered scenario, or None."""
-    if _matches_free(potential, initial, params):
-        return "free"
-    if _matches_linear(potential, initial, params):
-        return "linear"
-    if _matches_harmonic(potential, initial, params, coherent=False):
-        return "harmonic_ground"
-    if _matches_harmonic(potential, initial, params, coherent=True):
-        return "harmonic_coherent"
-    return None
-
-
-def reference_error(
-    name: str,
-    potential: PotentialModel,
-    initial: CoefficientState,
-    final: CoefficientState,
-    params: PhysicalParams,
-) -> float:
-    """Absolute error of the propagated final state against the closed form."""
-    elapsed = final.time - initial.time
-    hbar, mass = params.hbar, params.mass
-    if name == "free":
-        a = complex(initial.alphas[2])
-        exact = a / (1.0 - (2j * hbar / mass) * a * elapsed)
-        return abs(complex(final.alphas[2]) - exact)
-    if name == "linear":
-        slope = potential.terms[1]
-        if isinstance(slope, Const):
-            accumulated = slope.value * elapsed
-        else:  # cos(t)
-            accumulated = math.sin(final.time) - math.sin(initial.time)
-        exact = complex(initial.alphas[1]) - (1j / hbar) * accumulated
-        return abs(complex(final.alphas[1]) - exact)
-    if name == "harmonic_ground":
-        a2 = complex(initial.alphas[2])
-        exact0 = complex(initial.alphas[0]) + (1j * hbar / mass) * a2 * elapsed
-        return max(
-            abs(complex(final.alphas[2]) - a2),
-            abs(complex(final.alphas[0]) - exact0),
-        )
-    if name == "harmonic_coherent":
-        v2 = _harmonic_well(potential)
-        omega = math.sqrt(2.0 * v2 / mass)
-        exact = complex(initial.alphas[1]) * cmath.exp(-1j * omega * elapsed)
-        return abs(complex(final.alphas[1]) - exact)
-    raise ValueError(f"unknown scenario {name!r}")
+    """(name, error) of the first scenario that matches, else (None, None);
+    error(final) is the absolute error of a propagated final state against
+    the closed form."""
+    for name, match in SCENARIOS.items():
+        error = match(potential, initial, params)
+        if error is not None:
+            return name, error
+    return None, None

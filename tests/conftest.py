@@ -416,7 +416,7 @@ def reference_compare(config_path: str):
     its peak at the window's edges (2); the stepper's error, a blow-up (3)
     or a potential that fails after the first step (4), takes precedence."""
     cfg = load_config(config_path)
-    oracle_cfg = _oracle_config(cfg, cfg.stepper)
+    oracle_cfg = _oracle_config(cfg)
     trajectory = propagate(cfg.initial, cfg.potential, cfg.params, cfg.stepper)
     closed = max_support_index(cfg.initial.alphas) <= 2 and cfg.potential.degree <= 2
     start = state_on_oracle_grid(cfg.initial, oracle_cfg)

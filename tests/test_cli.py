@@ -362,16 +362,18 @@ def test_converge_oracle_fallback(tmp_path, capsys):
 
 def _count_oracle_runs(monkeypatch):
     """The oracle configs of the split-step runs, in order: compare and
-    converge both run the oracle through tdse.oracle.  A run that marches
-    a paired run of half the steps alongside counts as both, in that order."""
+    converge both run the oracle through tdse.oracle.  A halved run, which
+    marches the run of half the steps alongside, counts as both, in that
+    order."""
     import tdse.oracle
 
     runs = []
     real = tdse.oracle.split_step_evolve
 
-    def counted(*a, pair=None):
-        runs.extend(cfg for cfg in (a[3], pair) if cfg is not None)
-        return real(*a, pair=pair)
+    def counted(*a, halved=False):
+        cfg = a[3]
+        runs.extend([cfg, cfg.replace(dt=2 * cfg.dt, steps=cfg.steps // 2)][: 1 + halved])
+        return real(*a, halved=halved)
 
     monkeypatch.setattr("tdse.oracle.split_step_evolve", counted)
     return runs

@@ -352,12 +352,12 @@ def test_compare_with_oracle_returns_the_last_grid_reached_before_a_leak():
 
 def _march_outcome(runs):
     """[(index, time, bytes of the grid)] of the split_step_evolve of each
-    (start, potential, params, cfg, capture, pair) of runs in turn, ending
+    (start, potential, params, cfg, capture, halved) of runs in turn, ending
     at the first exception, as its type and message."""
     out = []
     try:
-        for start, potential, params, cfg, capture, pair in runs:
-            for p, grid in split_step_evolve(start, potential, params, cfg, capture, pair=pair):
+        for start, potential, params, cfg, capture, halved in runs:
+            for p, grid in split_step_evolve(start, potential, params, cfg, capture, halved):
                 out.append((p, grid.time, grid.values.tobytes()))
     except (EdgeLeakage, EvaluationError) as exc:
         out.append(("raise", type(exc), str(exc)))
@@ -365,14 +365,14 @@ def _march_outcome(runs):
 
 
 def _assert_paired_is_two_runs(start, potential, params, cfg, capture):
-    """The paired march of cfg and its half-step run equals the S-step run
-    over capture then the S/2-step run to its end, and returns the outcome."""
-    pair = OracleConfig(cfg.xmin, cfg.xmax, cfg.points, 2 * cfg.dt, cfg.steps // 2)
+    """The halved march of cfg equals the S-step run over capture then the
+    S/2-step run to its end, and returns the outcome."""
+    half = OracleConfig(cfg.xmin, cfg.xmax, cfg.points, 2 * cfg.dt, cfg.steps // 2)
     apart = _march_outcome(
-        [(start, potential, params, cfg, capture, None),
-         (start, potential, params, pair, {pair.steps}, None)]
+        [(start, potential, params, cfg, capture, False),
+         (start, potential, params, half, {half.steps}, False)]
     )
-    paired = _march_outcome([(start, potential, params, cfg, capture, pair)])
+    paired = _march_outcome([(start, potential, params, cfg, capture, True)])
     assert paired == apart
     return paired
 
@@ -426,9 +426,8 @@ def test_a_potential_failing_in_the_paired_run_alone_fails_after_the_full_run(
     assert outcome[2] == ("raise", EvaluationError, "division by zero at t = 0.17")
 
 
-def test_a_pair_must_halve_the_steps_on_the_same_window():
-    cfg = OracleConfig(-10.0, 10.0, 256, dt=0.01, steps=40)
+def test_an_odd_step_count_cannot_be_halved():
+    cfg = OracleConfig(-10.0, 10.0, 256, dt=0.01, steps=41)
     start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0.0, 1.0, 0.0)), cfg)
-    for pair in (OracleConfig(-10.0, 10.0, 256, 0.02, 21), OracleConfig(-9.0, 10.0, 256, 0.02, 20)):
-        with pytest.raises(GridMismatch):
-            dict(split_step_evolve(start, HARMONIC, PARAMS, cfg, {40}, pair=pair))
+    with pytest.raises(ValueError, match="^a run of 41 steps cannot be halved$"):
+        dict(split_step_evolve(start, HARMONIC, PARAMS, cfg, {41}, halved=True))

@@ -10,6 +10,7 @@ import os
 import random
 import struct
 import tempfile
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -28,8 +29,8 @@ from conftest import (  # noqa: E402
     tree_eval_profile,
 )
 import tdse.potential  # noqa: E402
-from tdse.cli import main  # noqa: E402
-from tdse.config import GridSpec  # noqa: E402
+from tdse.cli import _oracle_config, main  # noqa: E402
+from tdse.config import GridSpec, OracleOptions  # noqa: E402
 from tdse.initialization import GaussianPacket, gaussian_coefficients  # noqa: E402
 from tdse.integrators import BlowUp, StepperConfig, propagate  # noqa: E402
 from tdse.oracle import (  # noqa: E402
@@ -451,6 +452,28 @@ def test_the_estimate_at_256_steps_is_within_2x_of_the_error(x0, sigma, k0):
     fine = OracleConfig(-10.0, 10.0, 256, dt=1.0 / 2048, steps=2048)
     error = l2_distance(_final_grid(initial, fine), _final_grid(initial, cfg))
     assert 0.5 * error <= estimate <= 2.0 * error
+
+
+@given(st.floats(1e-6, 1.0), st.integers(1, 10**5), st.integers(1, 13))
+def test_the_halved_run_is_the_oracle_config_of_half_the_steps(dt, steps, power):
+    # split_step_evolve derives the run of half the steps from cfg; for S a
+    # power of two from 2 to 8192 it is, field for field, the config that
+    # _oracle_config resolves for S/2 over the same horizon
+    size = 2**power
+    cfg = SimpleNamespace(stepper=StepperConfig(dt=dt, steps=steps),
+                          grid=GridSpec(-10.0, 10.0, 256), oracle=OracleOptions())
+    oracle_cfg = _oracle_config(cfg, size)
+    derived = []
+
+    def record(potential, params, cfg, t0, steps, width):  # steps nothing
+        derived.append(cfg)
+        return iter(())
+
+    start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0.0, 1.0, 0.0)), oracle_cfg)
+    with mock.patch("tdse.oracle._half_phases", record):
+        grids = dict(split_step_evolve(start, DRIVEN, PhysicalParams(), oracle_cfg, set(), True))
+    assert derived == [oracle_cfg, _oracle_config(cfg, size // 2)]
+    assert list(grids) == [size // 2]
 
 
 # ---------------------------------------------------------------------------
