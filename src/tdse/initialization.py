@@ -90,7 +90,8 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
     ascending (re-sorted defensively here).  Raises ValueError when an x or
     a psi is not finite or a power x^degree overflows, SampleTooSmall when
     any |psi| falls under MAGNITUDE_FLOOR and DegenerateSystem when the fit
-    matrix is rank-deficient: too few distinct x, or x too badly scaled.
+    matrix is rank-deficient: too few distinct x, found before the matrix is
+    built, or x too badly scaled.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -113,6 +114,11 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
             f"{MAGNITUDE_FLOOR:.3e}"
         )
 
+    # the rank is at most the number of distinct x
+    distinct = np.unique(xs).size
+    if distinct <= degree:
+        raise DegenerateSystem(f"fit matrix has rank {distinct} < {degree + 1}; "
+                               "need degree+1 samples with distinct x")
     y = np.log(magnitudes) + 1j * _unwrap_ascending(np.angle(psis))
     with np.errstate(over="ignore"):
         vander = np.vander(xs, degree + 1, increasing=True)
@@ -120,9 +126,8 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
         raise ValueError(f"x^{degree} overflows at |x| = {np.max(np.abs(xs))}; rescale x")
     coeffs, _, rank, _ = np.linalg.lstsq(vander, y, rcond=None)
     if rank < degree + 1:  # lstsq drops singular values under its rcond
-        cause = ("need degree+1 samples with distinct x" if np.unique(xs).size <= degree
-                 else "the x are distinct but too badly scaled; rescale x")
-        raise DegenerateSystem(f"fit matrix has rank {rank} < {degree + 1}; {cause}")
+        raise DegenerateSystem(f"fit matrix has rank {rank} < {degree + 1}; "
+                               "the x are distinct but too badly scaled; rescale x")
     residual = float(np.sqrt(np.mean(np.abs(vander @ coeffs - y) ** 2)))
 
     order = max(degree, 2)

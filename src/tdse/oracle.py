@@ -139,6 +139,9 @@ def series_edge_guard(initial: CoefficientState, potential: PotentialModel, wind
 def _half_phases(potential, params, cfg, t0, steps, width):
     """Yield the half-step phase exp(-i V dt / 2 hbar) on the grid for steps
     1..steps in turn, V taken at the step's midpoint time t0 + (p - 0.5)*dt.
+    The first step whose V dt / 2 hbar is not finite somewhere on the grid
+    raises EvaluationError "overflow at t = <its midpoint>", in place of its
+    phase.
 
     A static potential gives one phase.  A time-dependent one is tabulated
     by step_blocks, width values per step (the values of every row a march
@@ -151,36 +154,46 @@ def _half_phases(potential, params, cfg, t0, steps, width):
     zero = xs * 0
     scale = 1.0 / params.hbar
 
-    def phases(rows):
-        # in place, so a block allocates one real and one complex array
-        v = rows[:, -1:] + zero
-        for i in range(2, degree + 2):
-            np.multiply(v, xs, out=v)
-            np.add(rows[:, -i, None], v, out=v)
-        # -0.5j*v, times dt, over hbar in numpy's complex arithmetic leaves a
-        # real part of +0 and these bits in the imaginary part, its divide
-        # multiplying by 1/hbar
-        v *= -0.5
-        v *= cfg.dt
-        v += 0.0
-        v *= scale
-        phase = np.zeros(v.shape, dtype=np.complex128)
-        phase.imag = v
-        return np.exp(phase, out=phase)
+    def midpoint(p):
+        return (t0 + (p - 0.5) * cfg.dt,)
+
+    def phases(rows, first):
+        """Yield the phases of the rows of steps first, first + 1, ..."""
+        # in place, so a block allocates one real and one complex array; an
+        # overflow is found below, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = rows[:, -1:] + zero
+            for i in range(2, degree + 2):
+                np.multiply(v, xs, out=v)
+                np.add(rows[:, -i, None], v, out=v)
+            # -0.5j*v, times dt, over hbar in numpy's complex arithmetic
+            # leaves a real part of +0 and these bits in the imaginary part,
+            # its divide multiplying by 1/hbar
+            v *= -0.5
+            v *= cfg.dt
+            v += 0.0
+            v *= scale
+        finite = len(v)
+        if not np.isfinite(v).all():
+            finite = int(np.argmin(np.isfinite(v).all(axis=1)))
+        phase = np.zeros((finite, v.shape[1]), dtype=np.complex128)
+        phase.imag = v[:finite]
+        yield from np.exp(phase, out=phase)
+        if finite < len(v):
+            raise EvaluationError(f"overflow at t = {midpoint(first + finite)[0]}")
 
     if potential.is_static:
         if steps:  # with no step to take, nothing is evaluated
             row = eval_taylor_coefficients(potential, t0 + 0.5 * cfg.dt, degree)
-            phase = phases(row[None])[0]
+            phase = next(phases(row[None], 1))
             for _ in range(steps):
                 yield phase
         return
 
-    def midpoint(p):
-        return (t0 + (p - 0.5) * cfg.dt,)
-
+    first = 1
     for rows in step_blocks(potential, midpoint, steps, width, degree):
-        yield from phases(rows)
+        yield from phases(rows, first)
+        first += len(rows)
 
 
 def split_step_evolve(

@@ -82,7 +82,8 @@ class NonIntegerPowerError(PotentialError):
 
 class EvaluationError(PotentialError):
     """A profile cannot be evaluated at some t: a division by zero, an
-    overflow or a math domain error, raised by taylor_rows alone."""
+    overflow or a math domain error, raised by taylor_rows; or V on the
+    oracle's grid overflows at a step's midpoint t, raised by the oracle."""
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +455,7 @@ def taylor_rows(model: PotentialModel, times, max_degree: int) -> np.ndarray:
     order.  The first time at which a profile fails, or whose row holds an
     inf or a nan, raises EvaluationError "<reason> at t = <t>", the reason
     being division by zero, overflow (also for a value that is not finite)
-    or math domain error: the one place an evaluation failure is raised.
+    or math domain error: the one place a profile's failure is raised.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")

@@ -1295,6 +1295,47 @@ def test_a_pole_only_the_oracle_reaches_ends_compare_rows_and_fails_converge(
         assert not (out / "convergence.csv").exists()
 
 
+# V is finite at every stage of the N = 4 series, whose x^400 term it never
+# reaches, but passes the double range on the oracle's window: the oracle
+# fails at its first step's midpoint
+ORACLE_OVERFLOW = """
+[potential]
+expression = x^2/2 + 1e-40*x^400
+
+[initial]
+kind = gaussian
+truncation_order = 4
+
+[stepper]
+integrator = rk4
+dt = 1e-2
+steps = 10
+
+[grid]
+xmin = -8.0
+xmax = 8.0
+points = 256
+"""
+
+
+@pytest.mark.parametrize("command", ["compare", "converge"])
+def test_a_potential_overflowing_on_the_oracle_grid_exits_4(tmp_path, capsys, command):
+    config = write_config(tmp_path / "overflow.cfg", ORACLE_OVERFLOW)
+    out = tmp_path / "out"
+    argv = [command, "--config", config, "--out", str(out)]
+    if command == "converge":
+        argv[3:3] = ["--halvings", "1"]
+    assert run_cli(*argv) == 4
+    # compare's oracle takes the stepper's dt; converge's takes 256 steps
+    midpoint = 0.5 * 1e-2 if command == "compare" else 0.5 * (1e-2 * 10 / 256)
+    assert_one_error_line(capsys, f"overflow at t = {midpoint!r}")
+    if command == "compare":  # the row of the start stays
+        lines = (out / "compare.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0.0000000000000000e+00,")
+    else:
+        assert not (out / "convergence.csv").exists()
+
+
 # the pole at t = 0.2 is two steps past the horizon: no stage or oracle
 # midpoint reaches it, so no tabulated block may evaluate it
 POLE_PAST_THE_HORIZON = (

@@ -23,6 +23,7 @@ from test_cli import (
     FIT_SAMPLES,
     HARMONIC_GAUSSIAN,
     ORACLE_LEAK,
+    ORACLE_OVERFLOW,
     POLE_AFTER_50_STEPS,
 )
 
@@ -84,6 +85,12 @@ ROWS = {
     # no numpy warning or LAPACK message
     "fit-nan": Row(FIT, FIT_SAMPLES % b"0,nan,0", 2, files={"fit.csv": None}),
     "fit-x-overflows": Row(FIT, FIT_SAMPLES % b"1e200,1,0", 2, files={"fit.csv": None}),
+    # V passes the double range on the oracle's window: no numpy warning, one
+    # line naming the midpoint t, and the row of t = 0
+    "compare-oracle-overflow": Row(COMPARE, ORACLE_OVERFLOW, 4, files={"out/compare.csv": 2}),
+    # rejected before a 4 x 10^6 fit matrix is built
+    "fit-huge-degree": Row(FIT.replace("--degree 2", "--degree 1000000"), FIT_SAMPLES % b"0,1,0",
+                           2, files={"fit.csv": None}),
 }
 
 

@@ -2,6 +2,7 @@
 support/closure predicates."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,20 @@ def test_fit_duplicated_x_rejected():
     message = "fit matrix has rank 2 < 3; need degree+1 samples with distinct x"
     with pytest.raises(DegenerateSystem, match=f"^{re.escape(message)}$"):
         fit_log_polynomial(samples, degree=2)
+
+
+def test_fit_rejects_a_degree_past_its_samples_before_building_the_matrix():
+    # a 10 x 10^6 fit matrix would take 80 MB
+    samples = [(0.1 * j, 1.0) for j in range(10)]
+    message = "fit matrix has rank 10 < 1000001; need degree+1 samples with distinct x"
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegenerateSystem, match=f"^{re.escape(message)}$"):
+            fit_log_polynomial(samples, degree=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_fit_too_few_samples_rejected():

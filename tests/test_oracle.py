@@ -22,6 +22,7 @@ from tdse.potential import (
     Const,
     EvaluationError,
     PotentialModel,
+    eval_taylor_coefficients,
     parse_potential,
 )
 from tdse.reconstruction import WaveGrid, Window, norm_squared, observables
@@ -424,6 +425,35 @@ def test_a_potential_failing_in_the_paired_run_alone_fails_after_the_full_run(
     outcome = _assert_paired_is_two_runs(start, potential, PARAMS, cfg, {0, 40})
     assert [entry[0] for entry in outcome[:2]] == [0, 40]
     assert outcome[2] == ("raise", EvaluationError, "division by zero at t = 0.17")
+
+
+# V past the double range at the window's edge, its Taylor coefficients
+# finite: from the first step, or from about t = 0.13 on as exp(100 t) grows;
+# the x^512 term stays under 2 on |x| <= 2, outside which the packet is
+# negligible
+@BLOCK_SIZES
+@pytest.mark.parametrize(
+    "expression", ["x^2/2 + 1e-40*x^400", "x^2/2 + 2e-160*exp(100*t)*x^512"],
+    ids=["static", "driven"],
+)
+def test_a_potential_overflowing_on_the_grid_fails_at_its_first_such_step(
+    monkeypatch, block_values, expression
+):
+    monkeypatch.setattr("tdse.potential.BLOCK_VALUES", block_values)
+    potential = parse_potential(expression)
+    cfg = OracleConfig(-8.0, 8.0, 256, dt=0.01, steps=40)
+    start = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0.0, 0.25, 0.0)), cfg)
+    outcome = _assert_paired_is_two_runs(start, potential, PARAMS, cfg, set(range(41)))
+    # every step before the failing one p, then its midpoint's error
+    p = len(outcome) - 1
+    assert [entry[0] for entry in outcome[:p]] == list(range(p))
+    assert outcome[p] == ("raise", EvaluationError, f"overflow at t = {(p - 0.5) * 0.01!r}")
+    xs = cfg.xmin + cfg.dx * np.arange(cfg.points)
+    with np.errstate(over="ignore"):
+        v = [np.polynomial.polynomial.polyval(xs, eval_taylor_coefficients(potential, t, 512))
+             for t in ((p - 1.5) * 0.01, (p - 0.5) * 0.01)]
+    assert (p == 1 or np.isfinite(v[0]).all()) and not np.isfinite(v[1]).all()
+    assert p == 1 if expression.endswith("1e-40*x^400") else p > 10
 
 
 def test_an_odd_step_count_cannot_be_halved():
