@@ -173,14 +173,13 @@ def _half_phases(potential, params, cfg, t0, steps, width):
             v *= cfg.dt
             v += 0.0
             v *= scale
-        finite = len(v)
-        if not np.isfinite(v).all():
-            finite = int(np.argmin(np.isfinite(v).all(axis=1)))
-        phase = np.zeros((finite, v.shape[1]), dtype=np.complex128)
-        phase.imag = v[:finite]
+        finite = np.isfinite(v).all(axis=1)
+        healthy = len(v) if finite.all() else int(np.argmin(finite))
+        phase = np.zeros((healthy, v.shape[1]), dtype=np.complex128)
+        phase.imag = v[:healthy]
         yield from np.exp(phase, out=phase)
-        if finite < len(v):
-            raise EvaluationError(f"overflow at t = {midpoint(first + finite)[0]}")
+        if healthy < len(v):
+            raise EvaluationError(f"overflow at t = {midpoint(first + healthy)[0]}")
 
     if potential.is_static:
         if steps:  # with no step to take, nothing is evaluated
@@ -219,8 +218,8 @@ def split_step_evolve(
     are tabulated a block of BLOCK_VALUES // (2 points) steps at a time.
 
     Each step runs in preallocated buffers.  Raises EdgeLeakage, in place of
-    the next (index, grid), when the wavefunction stops being negligible at the
-    window edges at a captured step or at the second row's final step.  An
+    the next (index, grid), when the wavefunction stops being negligible at
+    the window edges at a captured step or at the second row's final step.  An
     EvaluationError of the second row's potential is raised in place of its
     final grid, so that every failure of the first row comes first.
     """
