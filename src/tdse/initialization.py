@@ -114,8 +114,9 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
             f"{MAGNITUDE_FLOOR:.3e}"
         )
 
-    # the rank is at most the number of distinct x
-    distinct = np.unique(xs).size
+    # the rank is at most the number of distinct x; np.unique would import
+    # numpy.ma, about 2 MiB
+    distinct = len(set(xs.tolist()))
     if distinct <= degree:
         raise DegenerateSystem(f"fit matrix has rank {distinct} < {degree + 1}; "
                                "need degree+1 samples with distinct x")
