@@ -428,10 +428,12 @@ def test_a_potential_failing_in_the_paired_run_alone_fails_after_the_full_run(
 
 
 # V past the double range at the window's edge, its Taylor coefficients
-# finite: from the first step, or from about t = 0.13 on as exp(100 t) grows;
-# the x^512 term stays under 2 on |x| <= 2, outside which the packet is
-# negligible
-@BLOCK_SIZES
+# finite: from the first step, or from about t = 0.13 on as exp(100 t) grows,
+# in the fourth block of 4 steps; the x^512 term stays under 2 on |x| <= 2,
+# outside which the packet is negligible
+@pytest.mark.parametrize(
+    "block_values", [256, 2048, 8192], ids=["1-step", "4-step", "16-step"]
+)
 @pytest.mark.parametrize(
     "expression", ["x^2/2 + 1e-40*x^400", "x^2/2 + 2e-160*exp(100*t)*x^512"],
     ids=["static", "driven"],
@@ -453,7 +455,7 @@ def test_a_potential_overflowing_on_the_grid_fails_at_its_first_such_step(
         v = [np.polynomial.polynomial.polyval(xs, eval_taylor_coefficients(potential, t, 512))
              for t in ((p - 1.5) * 0.01, (p - 0.5) * 0.01)]
     assert (p == 1 or np.isfinite(v[0]).all()) and not np.isfinite(v[1]).all()
-    assert p == 1 if expression.endswith("1e-40*x^400") else p > 10
+    assert p == 1 if expression.endswith("1e-40*x^400") else p > 12
 
 
 def test_an_odd_step_count_cannot_be_halved():
