@@ -6,15 +6,21 @@ each step) and classical fourth-order Runge-Kutta (potential sampled at
 the stage times t, t + dt/2, t + dt).  No adaptive step-size control;
 convergence studies are the accuracy control.
 
-Both run on plain coefficient arrays through one velocity kernel built
-per propagation; a static potential is evaluated once, a time-dependent
-one once per distinct stage time, tabulated a block of steps ahead by
-tdse.potential.step_blocks.
+Above quadratic closure (N > 2), both run on plain coefficient arrays
+through one velocity kernel built per propagation.  At N = 2, the closed
+regime, they run on a list of three Python complex numbers with the same
+formulas in CPython's complex arithmetic: three numbers do not pay for
+numpy's per-call overhead, and the result does not depend on the FMA or
+BLAS kernels numpy picks by CPU.  A static potential is evaluated once, a
+time-dependent one once per distinct stage time, tabulated a block of
+steps ahead by tdse.potential.step_blocks.
 
 Explicit stepping of this quadratic flow can diverge for large dt (BlowUp),
 and a potential can fail to evaluate at a later time: either is returned
 as the trajectory's error, with the rows before it, not raised.
 """
+
+import math
 
 import numpy as np
 
@@ -67,14 +73,14 @@ class Trajectory(Record):
         return self.snapshots[-1]
 
 
-def _stage_forcings(integrator, initial, potential, forcing, dt, steps):
+def _stage_forcings(integrator, initial, potential, forcing, dt, steps, as_lists):
     """Yield, for steps 1..steps in turn, the step's forcing rows
     (i/hbar) * V_n at its stage times: t, and for RK4 then t + dt/2 and
     t + dt, t being initial.time for the first step and t0 + (p-1)*dt for
-    step p.
+    step p.  The rows are arrays, or with as_lists lists of Python complex.
 
     A static potential is evaluated once.  A time-dependent one is
-    tabulated by step_blocks, with one multiply per block.
+    tabulated by step_blocks, with one multiply (and one tolist) per block.
     """
     order = initial.truncation_order
     stages = 1 if integrator == "euler" else 3
@@ -82,6 +88,8 @@ def _stage_forcings(integrator, initial, potential, forcing, dt, steps):
     if potential.is_static:
         held = forcing(eval_taylor_coefficients(potential, t0, order))
         table = np.broadcast_to(held, (stages, order + 1))
+        if as_lists:
+            table = table.tolist()
         for _ in range(steps):
             yield table
         return
@@ -92,7 +100,8 @@ def _stage_forcings(integrator, initial, potential, forcing, dt, steps):
         return (t,) if stages == 1 else (t, t + half, t + dt)
 
     for rows in step_blocks(potential, times, steps, stages * (order + 1), order):
-        yield from forcing(rows).reshape(-1, stages, order + 1)
+        block = forcing(rows).reshape(-1, stages, order + 1)
+        yield from block.tolist() if as_lists else block
 
 
 def _make_step(integrator: str, velocity, dt: float):
@@ -122,10 +131,67 @@ def _make_step(integrator: str, velocity, dt: float):
     return step
 
 
-def _blown_up(alphas: np.ndarray, threshold: float) -> bool:
+def _make_closed_step(integrator: str, params: PhysicalParams, dt: float):
+    """step(alphas, forced) -> the alphas one dt later at N = 2, the alphas
+    a list of three Python complex numbers and forced the step's rows from
+    _stage_forcings as lists.
+
+    The velocity is velocity_kernel's: the ladder term 2*alpha_2, the Cauchy
+    square of c = (alpha_1, 2*alpha_2), trimmed as the kernel trims trailing
+    zeros, and the forcing.  The steps are _make_step's, in the same order.
+    Every constant is complex, so each product is the full complex product
+    numpy takes on every Python version.
+    """
+    one, two = complex(1), complex(2)
+    kinetic_scale = 0.5j * params.hbar / params.mass
+
+    def velocity(a, forced):
+        # c = (1, 2) * (alpha_1, alpha_2); c1 is also the ladder term of
+        # alpha_0, and those of alpha_1 and alpha_2 are the 0j below
+        c0, c1 = one * a[1], two * a[2]
+        if c1 != 0:
+            cross = c0 * c1
+            q0, q1, q2 = c0 * c0, cross + cross, c1 * c1
+        else:
+            q0, q1, q2 = c0 * c0 if c0 != 0 else 0j, 0j, 0j
+        f0, f1, f2 = forced
+        return (
+            kinetic_scale * (c1 + q0) - f0,
+            kinetic_scale * (0j + q1) - f1,
+            kinetic_scale * (0j + q2) - f2,
+        )
+
+    dt_c = complex(dt)
+    if integrator == "euler":
+
+        def step(a, forced):
+            return [v * dt_c + x for v, x in zip(velocity(a, forced[0]), a)]
+
+        return step
+
+    half, sixth = complex(0.5 * dt), complex(dt / 6.0)
+
+    def step(a, forced):
+        start, mid, end = forced
+        k1 = velocity(a, start)
+        k2 = velocity([x + half * k for x, k in zip(a, k1)], mid)
+        k3 = velocity([x + half * k for x, k in zip(a, k2)], mid)
+        k4 = velocity([x + dt_c * k for x, k in zip(a, k3)], end)
+        return [
+            x + sixth * (p + two * q + two * r + s) for x, p, q, r, s in zip(a, k1, k2, k3, k4)
+        ]
+
+    return step
+
+
+def _blown_up(alphas, threshold: float) -> bool:
     # a NaN or infinite |alpha| fails the comparison as an oversized one
-    # does; over a few entries, Python's loop is cheaper than numpy's max
-    return not all(m <= threshold for m in np.abs(alphas).tolist())
+    # does; over a few entries, Python's loop is cheaper than numpy's max.
+    # math.hypot gives inf past the double range, where abs() of a Python
+    # complex raises OverflowError
+    if isinstance(alphas, np.ndarray):
+        return not all(m <= threshold for m in np.abs(alphas).tolist())
+    return not all(math.hypot(z.real, z.imag) <= threshold for z in alphas)
 
 
 def propagate(
@@ -145,10 +211,14 @@ def propagate(
     """
     t0, dt, stride, threshold = initial.time, cfg.dt, cfg.snapshot_stride, cfg.blowup_threshold
     snapshots = [initial]
-    a, t, recorded, p = initial.alphas, t0, True, 0
+    t, recorded, p = t0, True, 0
     forcing, velocity = velocity_kernel(initial.truncation_order, params)
-    step = _make_step(cfg.integrator, velocity, dt)
-    forcings = _stage_forcings(cfg.integrator, initial, potential, forcing, dt, cfg.steps)
+    closed = initial.truncation_order == 2
+    if closed:
+        a, step = initial.alphas.tolist(), _make_closed_step(cfg.integrator, params, dt)
+    else:
+        a, step = initial.alphas, _make_step(cfg.integrator, velocity, dt)
+    forcings = _stage_forcings(cfg.integrator, initial, potential, forcing, dt, cfg.steps, closed)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for p, forced in enumerate(forcings, start=1):

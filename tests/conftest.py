@@ -184,27 +184,60 @@ def _textbook_velocity(alphas, v, params) -> np.ndarray:
     return (0.5j * params.hbar / params.mass) * (kinetic + quad) - (1j / params.hbar) * v
 
 
-def reference_propagate(initial, model, params, cfg):
+def _closed_velocity(alphas, v, params) -> list:
+    """The N = 2 right-hand side in Python complex arithmetic, built from
+    scratch per call with _textbook_velocity's rules: the ladder term, the
+    Cauchy square of c_j = (j+1) * alpha_{j+1} after trimming trailing
+    zeros, and the forcing.  Every constant is complex, so every product is
+    the full complex product numpy takes."""
+    a = list(alphas) + [0j, 0j]  # alpha_n = 0 above the truncation order
+    kinetic = [complex((n + 2) * (n + 1)) * a[n + 2] for n in range(3)]
+    c = [complex(j + 1) * a[j + 1] for j in range(2)]
+    while c and c[-1] == 0:
+        c.pop()
+    quad = []
+    for n in range(3):
+        terms = [c[k] * c[n - k] for k in range(n + 1) if max(k, n - k) < len(c)]
+        quad.append(sum(terms[1:], terms[0]) if terms else 0j)
+    scale, force = 0.5j * params.hbar / params.mass, 1j / params.hbar
+    return [scale * (kinetic[n] + quad[n]) - force * complex(v[n]) for n in range(3)]
+
+
+def reference_propagate(initial, model, params, cfg, numpy_stages=False):
     """Per-stage Euler/RK4 over a tree-walking potential: a fresh
     CoefficientState and potential evaluation for every stage, every state
     kept.  Returns (snapshots, error) with propagate's snapshot rules: a
     step that blows up, or whose potential fails after the first step,
     ends the run with the last healthy state kept and its BlowUp or
-    EvaluationError as error, None when every step completes."""
+    EvaluationError as error, None when every step completes.
+
+    At N = 2 the stages run in Python complex arithmetic, as the package's
+    closed step does: the state is an object array, whose arithmetic is
+    Python's, every constant is complex, and the velocity is
+    _closed_velocity.  numpy_stages=True runs N = 2 on complex arrays with
+    _textbook_velocity, as every larger N runs."""
+    closed = initial.truncation_order == 2 and not numpy_stages
+    const = complex if closed else float
 
     def rhs(alphas, t):
         state = CoefficientState(alphas, t)
-        return _textbook_velocity(state.alphas, _tree_taylor(model, t, len(alphas) - 1), params)
+        v = _tree_taylor(model, t, len(alphas) - 1)
+        if closed:
+            return np.array(_closed_velocity(state.alphas.tolist(), v, params), dtype=object)
+        return _textbook_velocity(state.alphas, v, params)
 
     def step(state, dt):
         t, a = state.time, state.alphas
+        if closed:
+            a = np.array(a.tolist(), dtype=object)
         if cfg.integrator == "euler":
-            return CoefficientState(a + dt * rhs(a, t), t + dt)
+            return CoefficientState(a + const(dt) * rhs(a, t), t + dt)
+        half, two = const(0.5 * dt), const(2)
         k1 = rhs(a, t)
-        k2 = rhs(a + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(a + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(a + dt * k3, t + dt)
-        return CoefficientState(a + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), t + dt)
+        k2 = rhs(a + half * k1, t + 0.5 * dt)
+        k3 = rhs(a + half * k2, t + 0.5 * dt)
+        k4 = rhs(a + const(dt) * k3, t + dt)
+        return CoefficientState(a + const(dt / 6.0) * (k1 + two * k2 + two * k3 + k4), t + dt)
 
     snapshots = [initial]
     state = initial

@@ -6,6 +6,10 @@ failure at import time, or a warning printed on a success path.  Each child
 compiles tdse from src without writing bytecode there, and writes its output
 under the test's tmp_path.  Run one row with
 `pytest tests/test_fresh_process.py -k <id>`.
+
+The last rows run `tdse run` twice, under the kernels numpy and OpenBLAS
+pick for this CPU and under their baseline ones, to show which files do not
+depend on that choice.
 """
 
 import os
@@ -14,6 +18,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from test_cli import (
@@ -94,16 +99,22 @@ ROWS = {
 }
 
 
+def _tdse(tmp_path, argv: str, kernels: dict = {}):
+    """`python -m tdse.cli argv` in a child started in tmp_path, with the
+    kernel settings of KERNEL_SETTINGS given in kernels and no other."""
+    env = {k: v for k, v in os.environ.items() if k not in KERNEL_SETTINGS}
+    env.update(kernels, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "tdse.cli", *[arg.format(tmp=tmp_path) for arg in argv.split()]],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 @pytest.mark.parametrize("row", ROWS.values(), ids=ROWS.keys())
 def test_a_command_in_a_fresh_interpreter(tmp_path, row):
     data = row.input.encode("utf-8") if isinstance(row.input, str) else row.input
     (tmp_path / "input").write_bytes(data)
-    argv = [arg.format(tmp=tmp_path) for arg in row.argv.split()]
-    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    result = subprocess.run(
-        [sys.executable, "-m", "tdse.cli", *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-    )
+    result = _tdse(tmp_path, row.argv)
     assert result.returncode == row.code, result.stderr
     if row.code == 0:
         assert result.stderr == ""
@@ -119,3 +130,66 @@ def test_a_command_in_a_fresh_interpreter(tmp_path, row):
             assert len((tmp_path / path).read_text().splitlines()) == count
     for (path, line, column), text in row.cells.items():
         assert (tmp_path / path).read_text().splitlines()[line].split(",")[column] == text
+
+
+# the environment variables that pick numpy's SIMD loops and OpenBLAS's core
+KERNEL_SETTINGS = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
+
+
+def _baseline_kernels() -> tuple:
+    """(a name for the ids, the settings) that turn off every SIMD extension
+    numpy dispatches to on this CPU and, on an OpenBLAS build, pin its
+    oldest x86-64 core, whose complex dot has no FMA."""
+    build = np.show_config(mode="dicts")
+    settings = {"NPY_DISABLE_CPU_FEATURES": " ".join(build["SIMD Extensions"]["found"])}
+    if "openblas" not in build["Build Dependencies"]["blas"]["name"].lower():
+        return "numpy-baseline-only-no-openblas", settings
+    return "numpy-baseline-openblas-nehalem", {**settings, "OPENBLAS_CORETYPE": "Nehalem"}
+
+
+BASELINE_NAME, BASELINE_KERNELS = _baseline_kernels()
+
+# dense_run's seed-1 first packet: an N = 2 RK4 moving free packet.  Before
+# the N = 2 step left numpy, its coefficients.csv differed between the two
+# kernel settings
+DENSE_FREE_PACKET = """\
+[potential]
+expression = 0
+[initial]
+kind = gaussian
+x0 = -0.23588945844378484
+sigma = 0.9640896428594216
+k0 = 2.017993624386147
+truncation_order = 2
+[stepper]
+integrator = rk4
+dt = 5e-3
+steps = 400
+snapshot_stride = 1
+[grid]
+xmin = -20.0
+xmax = 20.0
+points = 2001
+"""
+KERNEL_ROWS = {"dense-free-packet": DENSE_FREE_PACKET, "harmonic-coherent": HARMONIC}
+# the observables' moments are sums over the grid in numpy's SIMD loops; the
+# largest difference measured was 4.0e-16 of the largest field in its row
+OBSERVABLES_BOUND = 1e-13
+
+
+@pytest.mark.parametrize("config", KERNEL_ROWS.values(),
+                         ids=[f"{name}-{BASELINE_NAME}" for name in KERNEL_ROWS])
+def test_n2_coefficients_do_not_depend_on_the_kernels(tmp_path, config):
+    # N = 2 steps in Python complex arithmetic, which no kernel setting reaches
+    (tmp_path / "input").write_text(config, encoding="utf-8")
+    outs = []
+    for name, kernels in (("out_default", {}), ("out_baseline", BASELINE_KERNELS)):
+        result = _tdse(tmp_path, f"run --config {{tmp}}/input --out {{tmp}}/{name}", kernels)
+        assert (result.returncode, result.stderr) == (0, ""), result.stderr
+        outs.append(tmp_path / name)
+    default, baseline = outs
+    assert (default / "coefficients.csv").read_bytes() == (baseline / "coefficients.csv").read_bytes()
+    got, want = (np.loadtxt(out / "observables.csv", delimiter=",", skiprows=1) for out in outs)
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= OBSERVABLES_BOUND * scale)

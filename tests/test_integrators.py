@@ -1,14 +1,22 @@
 """Tests for the Euler/RK4 steppers and the propagation loop."""
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
 
 from conftest import max_support_index, one_step, reference_propagate, riccati_alpha2
-from tdse.integrators import BlowUp, StepperConfig, _blown_up, propagate
+from tdse.integrators import (
+    BlowUp,
+    StepperConfig,
+    _blown_up,
+    _make_closed_step,
+    _make_step,
+    propagate,
+)
 from tdse.potential import Const, PotentialModel, parse_potential
-from tdse.state import CoefficientState, PhysicalParams
+from tdse.state import CoefficientState, PhysicalParams, velocity_kernel
 
 PARAMS = PhysicalParams()
 FREE = PotentialModel({})
@@ -162,13 +170,37 @@ def test_determinism():
 
 def test_detect_blowup_contract():
     ok = CoefficientState([0, 0, -0.25])
-    assert _blown_up(ok.alphas, 1e12) is False
     big = CoefficientState([0, 0, 1e13])
-    assert _blown_up(big.alphas, 1e12) is True
     bad = CoefficientState([0, float("nan"), -0.25])
-    assert _blown_up(bad.alphas, 1e12) is True
     infinite = CoefficientState([0, 0, complex(float("inf"), 0)])
-    assert _blown_up(infinite.alphas, 1e12) is True
+    # |alpha| passes the double range: abs() of a Python complex would raise
+    edge = CoefficientState([0, 0, complex(1.5e308, 1.5e308)])
+    # the numpy step hands _blown_up an array, the N = 2 step a list of
+    # Python complex numbers
+    for form in (np.asarray, list):
+        assert _blown_up(form(ok.alphas.tolist()), 1e12) is False
+        assert _blown_up(form(big.alphas.tolist()), 1e12) is True
+        assert _blown_up(form(bad.alphas.tolist()), 1e12) is True
+        assert _blown_up(form(infinite.alphas.tolist()), 1e12) is True
+        assert _blown_up(form(edge.alphas.tolist()), 1e308) is True
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_the_closed_step_is_the_numpy_step_where_no_rounding_can_differ(integrator):
+    # with parts from {+-0, 0.5, -1}, dt = 0.5 and unit hbar and mass, every
+    # product and sum is exact, so no FMA or summation order shows: what is
+    # left to differ is the sign of a zero, and the closed step keeps numpy's
+    forcing, velocity = velocity_kernel(2, PARAMS)
+    numpy_step = _make_step(integrator, velocity, 0.5)
+    closed_step = _make_closed_step(integrator, PARAMS, 0.5)
+    stages = 1 if integrator == "euler" else 3
+    for parts in itertools.product([0.0, -0.0, 0.5, -1.0], repeat=6):
+        alphas = np.array([complex(re, im) for re, im in zip(parts[0::2], parts[1::2])])
+        for v in ([0.0, 0.0, 0.0], [0.5, -1.0, 0.0]):
+            forced = np.broadcast_to(forcing(np.array(v)), (stages, 3))
+            expected = numpy_step(alphas, forced)
+            actual = closed_step(alphas.tolist(), forced.tolist())
+            assert np.array(actual).tobytes() == expected.tobytes(), (alphas, v)
 
 
 def test_propagate_aborts_on_blowup():

@@ -113,8 +113,8 @@ def potentials(draw, max_degree):
 
 
 @st.composite
-def propagation_cases(draw):
-    order = draw(st.integers(2, 20))
+def propagation_cases(draw, max_order=20):
+    order = draw(st.integers(2, max_order))
     support = draw(st.integers(0, order))
     parts = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
     alphas = np.zeros(order + 1, dtype=np.complex128)
@@ -174,6 +174,32 @@ DRIVEN_RK4_LONG = (
 @example(DRIVEN_EULER_LONG)
 @example(DRIVEN_RK4_LONG)
 def test_propagate_is_bitwise_the_textbook_stepper(case):
+    _assert_bitwise_the_textbook_stepper(case)
+
+
+# N = 2 runs its own step: the trim of alpha_2 = 0, then of alpha_1 = 0 too
+CLOSED_LINEAR = (
+    CoefficientState([-0.5, 0.2, 0.0], 0.25),
+    parse_potential("0.3*x + 0.1"),
+    PhysicalParams(0.7, 1.3),
+    StepperConfig(dt=1e-2, steps=20, integrator="rk4", snapshot_stride=3),
+)
+CLOSED_CONSTANT = (
+    CoefficientState([-0.5, 0.0, 0.0], 0.0),
+    parse_potential("0.1 + 0.2*cos(t)"),
+    PhysicalParams(0.7, 1.3),
+    StepperConfig(dt=1e-2, steps=20, snapshot_stride=3),
+)
+
+
+@given(propagation_cases(max_order=2))
+@example(CLOSED_LINEAR)
+@example(CLOSED_CONSTANT)
+def test_the_closed_step_is_bitwise_its_textbook_stepper(case):
+    _assert_bitwise_the_textbook_stepper(case)
+
+
+def _assert_bitwise_the_textbook_stepper(case):
     initial, model, params, cfg = case
     expected = _trajectory_outcome(reference_propagate, initial, model, params, cfg)
     actual = _trajectory_outcome(_propagate, initial, model, params, cfg)
@@ -244,6 +270,26 @@ def test_tabulated_blocks_keep_the_bits_and_the_order_of_failures(case):
 def test_blowup_examples_do_blow_up():
     initial, model, params, cfg = BLOWUP
     assert isinstance(propagate(initial, model, params, cfg).error, BlowUp)
+
+
+@given(propagation_cases(max_order=2))
+@example(DRIVEN_EULER_LONG)
+def test_the_closed_step_is_the_numpy_stepper_to_rounding(case):
+    # at N = 2 propagate steps in Python complex arithmetic, numpy in its
+    # FMA and BLAS kernels: the runs end alike, at the same times, and every
+    # snapshot agrees to 1e-14 of its largest |alpha|
+    initial, model, params, cfg = case
+    expected = _trajectory_outcome(reference_propagate, initial, model, params, cfg, True)
+    actual = _trajectory_outcome(_propagate, initial, model, params, cfg)
+    assert actual[0] == expected[0]
+    if actual[0] == "raise":
+        assert actual == expected
+        return
+    assert len(actual[1]) == len(expected[1])
+    for (bits, time), (want_bits, want_time) in zip(actual[1], expected[1]):
+        got, want = np.frombuffer(bits, complex), np.frombuffer(want_bits, complex)
+        assert time == want_time
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
