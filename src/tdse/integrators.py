@@ -143,7 +143,7 @@ def _make_closed_step(integrator: str, params: PhysicalParams, dt: float):
     numpy takes on every Python version.
     """
     one, two = complex(1), complex(2)
-    kinetic_scale = 0.5j * params.hbar / params.mass
+    scale = 0.5j * params.hbar / params.mass
 
     def velocity(a, forced):
         # c = (1, 2) * (alpha_1, alpha_2); c1 is also the ladder term of
@@ -155,11 +155,7 @@ def _make_closed_step(integrator: str, params: PhysicalParams, dt: float):
         else:
             q0, q1, q2 = c0 * c0 if c0 != 0 else 0j, 0j, 0j
         f0, f1, f2 = forced
-        return (
-            kinetic_scale * (c1 + q0) - f0,
-            kinetic_scale * (0j + q1) - f1,
-            kinetic_scale * (0j + q2) - f2,
-        )
+        return scale * (c1 + q0) - f0, scale * (0j + q1) - f1, scale * (0j + q2) - f2
 
     dt_c = complex(dt)
     if integrator == "euler":
@@ -177,9 +173,7 @@ def _make_closed_step(integrator: str, params: PhysicalParams, dt: float):
         k2 = velocity([x + half * k for x, k in zip(a, k1)], mid)
         k3 = velocity([x + half * k for x, k in zip(a, k2)], mid)
         k4 = velocity([x + dt_c * k for x, k in zip(a, k3)], end)
-        return [
-            x + sixth * (p + two * q + two * r + s) for x, p, q, r, s in zip(a, k1, k2, k3, k4)
-        ]
+        return [x + sixth * (p + two * q + two * r + s) for x, p, q, r, s in zip(a, k1, k2, k3, k4)]
 
     return step
 

@@ -278,9 +278,11 @@ def test_the_closed_step_is_the_numpy_stepper_to_rounding(case):
     # at N = 2 propagate steps in Python complex arithmetic, numpy in its
     # FMA and BLAS kernels: the runs end alike, at the same times, and every
     # snapshot agrees to 1e-14 of its largest |alpha|
-    initial, model, params, cfg = case
-    expected = _trajectory_outcome(reference_propagate, initial, model, params, cfg, True)
-    actual = _trajectory_outcome(_propagate, initial, model, params, cfg)
+    def numpy_reference(*args):
+        return reference_propagate(*args, numpy_stages=True)
+
+    expected = _trajectory_outcome(numpy_reference, *case)
+    actual = _trajectory_outcome(_propagate, *case)
     assert actual[0] == expected[0]
     if actual[0] == "raise":
         assert actual == expected
