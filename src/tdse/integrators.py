@@ -6,14 +6,16 @@ each step) and classical fourth-order Runge-Kutta (potential sampled at
 the stage times t, t + dt/2, t + dt).  No adaptive step-size control;
 convergence studies are the accuracy control.
 
-Above quadratic closure (N > 2), both run on plain coefficient arrays
-through one velocity kernel built per propagation.  At N = 2, the closed
-regime, they run on a list of three Python complex numbers with the same
-formulas in CPython's complex arithmetic: three numbers do not pay for
-numpy's per-call overhead, and the result does not depend on the FMA or
-BLAS kernels numpy picks by CPU.  A static potential is evaluated once, a
-time-dependent one once per distinct stage time, tabulated a block of
-steps ahead by tdse.potential.step_blocks.
+Each stepper is written once, over both forms of the state that
+tdse.state's right-hand side takes, and N alone picks the form.  Above
+quadratic closure (N > 2), the state is a coefficient array and the
+velocity velocity_kernel's.  At N = 2, the closed regime, it is a list of
+three Python complex numbers and the velocity closed_velocity_kernel's,
+the same formulas in CPython's complex arithmetic: three numbers do not
+pay for numpy's per-call overhead, and the result does not depend on the
+FMA or BLAS kernels numpy picks by CPU.  A static potential is evaluated
+once, a time-dependent one once per distinct stage time, tabulated a
+block of steps ahead by tdse.potential.step_blocks.
 
 Explicit stepping of this quadratic flow can diverge for large dt (BlowUp),
 and a potential can fail to evaluate at a later time: either is returned
@@ -26,7 +28,7 @@ import numpy as np
 
 from .potential import EvaluationError, PotentialModel, eval_taylor_coefficients, step_blocks
 from .records import Frozen, Record
-from .state import CoefficientState, PhysicalParams, velocity_kernel
+from .state import CoefficientState, PhysicalParams, closed_velocity_kernel, velocity_kernel
 # not called here: perfbench/tracing.py wraps it under tdse.integrators' name
 from .state import coefficient_velocity  # noqa: F401
 
@@ -73,7 +75,7 @@ class Trajectory(Record):
         return self.snapshots[-1]
 
 
-def _stage_forcings(integrator, initial, potential, forcing, dt, steps, as_lists):
+def _stage_forcings(integrator, initial, potential, params, dt, steps, as_lists):
     """Yield, for steps 1..steps in turn, the step's forcing rows
     (i/hbar) * V_n at its stage times: t, and for RK4 then t + dt/2 and
     t + dt, t being initial.time for the first step and t0 + (p-1)*dt for
@@ -84,9 +86,9 @@ def _stage_forcings(integrator, initial, potential, forcing, dt, steps, as_lists
     """
     order = initial.truncation_order
     stages = 1 if integrator == "euler" else 3
-    t0 = initial.time
+    t0, scale = initial.time, 1j / params.hbar
     if potential.is_static:
-        held = forcing(eval_taylor_coefficients(potential, t0, order))
+        held = scale * eval_taylor_coefficients(potential, t0, order)
         table = np.broadcast_to(held, (stages, order + 1))
         if as_lists:
             table = table.tolist()
@@ -100,80 +102,50 @@ def _stage_forcings(integrator, initial, potential, forcing, dt, steps, as_lists
         return (t,) if stages == 1 else (t, t + half, t + dt)
 
     for rows in step_blocks(potential, times, steps, stages * (order + 1), order):
-        block = forcing(rows).reshape(-1, stages, order + 1)
+        block = (scale * rows).reshape(-1, stages, order + 1)
         yield from block.tolist() if as_lists else block
 
 
-def _make_step(integrator: str, velocity, dt: float):
+def _make_step(integrator: str, velocity, dt: float, as_lists: bool):
     """step(alphas, forced) -> the alphas one dt later, forced being the
-    step's rows from _stage_forcings."""
-    if integrator == "euler":
+    step's rows from _stage_forcings and velocity one from tdse.state.
 
-        def step(a, forced):
-            # a + dt * velocity, computed in the velocity's own new array
-            out = velocity(a, forced[0])
-            out *= dt
-            out += a
-            return out
-
-        return step
-
-    half, sixth = 0.5 * dt, dt / 6.0
-
-    def step(a, forced):
-        start, mid, end = forced
-        k1 = velocity(a, start)
-        k2 = velocity(a + half * k1, mid)
-        k3 = velocity(a + half * k2, mid)
-        k4 = velocity(a + dt * k3, end)
-        return a + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    return step
-
-
-def _make_closed_step(integrator: str, params: PhysicalParams, dt: float):
-    """step(alphas, forced) -> the alphas one dt later at N = 2, the alphas
-    a list of three Python complex numbers and forced the step's rows from
-    _stage_forcings as lists.
-
-    The velocity is velocity_kernel's: the ladder term 2*alpha_2, the Cauchy
-    square of c = (alpha_1, 2*alpha_2), trimmed as the kernel trims trailing
-    zeros, and the forcing.  The steps are _make_step's, in the same order.
-    Every constant is complex, so each product is the full complex product
-    numpy takes on every Python version.
+    The alphas are an array, or with as_lists a list of Python complex
+    numbers; the two forms differ only in how they take x + s*k and RK4's
+    weighted sum.  Every constant is complex, so each product is the full
+    complex product in either form.
     """
-    one, two = complex(1), complex(2)
-    scale = 0.5j * params.hbar / params.mass
+    dt_c, half, sixth, two = complex(dt), complex(0.5 * dt), complex(dt / 6.0), complex(2)
+    if as_lists:
 
-    def velocity(a, forced):
-        # c = (1, 2) * (alpha_1, alpha_2); c1 is also the ladder term of
-        # alpha_0, and those of alpha_1 and alpha_2 are the 0j below
-        c0, c1 = one * a[1], two * a[2]
-        if c1 != 0:
-            cross = c0 * c1
-            q0, q1, q2 = c0 * c0, cross + cross, c1 * c1
-        else:
-            q0, q1, q2 = c0 * c0 if c0 != 0 else 0j, 0j, 0j
-        f0, f1, f2 = forced
-        return scale * (c1 + q0) - f0, scale * (0j + q1) - f1, scale * (0j + q2) - f2
+        def axpy(x, s, k):
+            return [xi + s * ki for xi, ki in zip(x, k)]
 
-    dt_c = complex(dt)
+        def rk4_sum(a, k1, k2, k3, k4):
+            return [x + sixth * (p + two * q + two * r + w) for x, p, q, r, w in zip(a, k1, k2, k3, k4)]
+
+    else:
+
+        def axpy(x, s, k):
+            return x + s * k
+
+        def rk4_sum(a, k1, k2, k3, k4):
+            return a + sixth * (k1 + two * k2 + two * k3 + k4)
+
     if integrator == "euler":
 
         def step(a, forced):
-            return [v * dt_c + x for v, x in zip(velocity(a, forced[0]), a)]
+            return axpy(a, dt_c, velocity(a, forced[0]))
 
         return step
-
-    half, sixth = complex(0.5 * dt), complex(dt / 6.0)
 
     def step(a, forced):
         start, mid, end = forced
         k1 = velocity(a, start)
-        k2 = velocity([x + half * k for x, k in zip(a, k1)], mid)
-        k3 = velocity([x + half * k for x, k in zip(a, k2)], mid)
-        k4 = velocity([x + dt_c * k for x, k in zip(a, k3)], end)
-        return [x + sixth * (p + two * q + two * r + s) for x, p, q, r, s in zip(a, k1, k2, k3, k4)]
+        k2 = velocity(axpy(a, half, k1), mid)
+        k3 = velocity(axpy(a, half, k2), mid)
+        k4 = velocity(axpy(a, dt_c, k3), end)
+        return rk4_sum(a, k1, k2, k3, k4)
 
     return step
 
@@ -206,13 +178,13 @@ def propagate(
     t0, dt, stride, threshold = initial.time, cfg.dt, cfg.snapshot_stride, cfg.blowup_threshold
     snapshots = [initial]
     t, recorded, p = t0, True, 0
-    forcing, velocity = velocity_kernel(initial.truncation_order, params)
     closed = initial.truncation_order == 2
     if closed:
-        a, step = initial.alphas.tolist(), _make_closed_step(cfg.integrator, params, dt)
+        a, velocity = initial.alphas.tolist(), closed_velocity_kernel(params)
     else:
-        a, step = initial.alphas, _make_step(cfg.integrator, velocity, dt)
-    forcings = _stage_forcings(cfg.integrator, initial, potential, forcing, dt, cfg.steps, closed)
+        a, velocity = initial.alphas, velocity_kernel(initial.truncation_order, params)
+    step = _make_step(cfg.integrator, velocity, dt, closed)
+    forcings = _stage_forcings(cfg.integrator, initial, potential, params, dt, cfg.steps, closed)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for p, forced in enumerate(forcings, start=1):

@@ -17,9 +17,11 @@ with the 1/n! factor already absorbed (see the potential module).  The
 infinite system is closed by holding alpha_n = 0 for every n > N.
 
 Unit conventions: alphas[n] carries length^-n, V_n carries
-energy * length^-n.  coefficient_velocity is pure; the functions a
-velocity_kernel returns reuse scratch buffers, so each caller builds
-its own kernel.
+energy * length^-n.  velocity_kernel writes the right-hand side on
+coefficient arrays at any N, closed_velocity_kernel on a list of three
+Python complex numbers at N = 2; both take the forcing row (i/hbar) * V_n
+ready made.  coefficient_velocity is pure; velocity_kernel's function
+reuses scratch buffers, so each caller builds its own kernel.
 """
 
 import math
@@ -32,6 +34,7 @@ __all__ = [
     "PhysicalParams",
     "CoefficientState",
     "velocity_kernel",
+    "closed_velocity_kernel",
     "coefficient_velocity",
 ]
 
@@ -75,31 +78,25 @@ class CoefficientState(Record):
 
 
 def velocity_kernel(truncation_order: int, params: PhysicalParams):
-    """(forcing, velocity): the coefficient ODE's right-hand side for one
-    truncation order N and one set of physical parameters.
+    """velocity(alphas, forced): the coefficient ODE's right-hand side for
+    one truncation order N and one set of physical parameters, on arrays.
 
-    ``forcing(v_coeffs)`` turns the potential's Taylor coefficients
-    V_0..V_N into the term (i/hbar) * V_n; a 2-D table of such rows, one
-    per time, gives one forcing row per time.  ``velocity(alphas, forced)``
-    returns d(alpha_n)/dt for the coefficient array alpha_0..alpha_N as a
-    new array.  The ladder and derivative weights are built once here, so
-    a propagation loop computes the forcing once per distinct V row and
-    pays only the arithmetic per stage.  The returned functions share
-    scratch buffers: use one kernel per thread.
+    ``velocity(alphas, forced)`` returns d(alpha_n)/dt for the coefficient
+    array alpha_0..alpha_N as a new array, ``forced`` being the row
+    (i/hbar) * V_0..V_N at the stage's time.  The ladder and derivative
+    weights are built once here, so a propagation loop pays only the
+    arithmetic per stage.  The function reuses scratch buffers: use one
+    kernel per thread.
     """
     size = truncation_order + 1
     n = np.arange(size)
     ladder = ((n + 2) * (n + 1)).astype(np.complex128)
     slope = np.arange(1, size).astype(np.complex128)
     kinetic_scale = 0.5j * params.hbar / params.mass
-    forcing_scale = 1j / params.hbar
     # alpha_{n+2}, zero above the truncation order; the top two slots stay zero
     shifted = np.zeros(size, dtype=np.complex128)
     no_quad = np.zeros(size, dtype=np.complex128)
     kinetic = np.empty(size, dtype=np.complex128)  # the ladder term, then kinetic + quad
-
-    def forcing(v_coeffs: np.ndarray) -> np.ndarray:
-        return forcing_scale * v_coeffs
 
     def combine(quad, forced):
         # kinetic_scale * (kinetic + quad) - forced, allocating only the result
@@ -131,7 +128,33 @@ def velocity_kernel(truncation_order: int, params: PhysicalParams):
             quad[: len(full)] = full
         return combine(quad, forced)
 
-    return forcing, velocity
+    return velocity
+
+
+def closed_velocity_kernel(params: PhysicalParams):
+    """velocity(alphas, forced): velocity_kernel's velocity at N = 2 on
+    lists of three Python complex numbers, in its formulas and order: the
+    ladder term 2*alpha_2, the Cauchy square of c = (alpha_1, 2*alpha_2),
+    trimmed as the kernel trims trailing zeros, and the forcing.  Every
+    constant is complex, so each product is the full complex product numpy
+    takes on every Python version.
+    """
+    one, two = complex(1), complex(2)
+    scale = 0.5j * params.hbar / params.mass
+
+    def velocity(a, forced):
+        # c = (1, 2) * (alpha_1, alpha_2); c1 is also the ladder term of
+        # alpha_0, and those of alpha_1 and alpha_2 are the 0j below
+        c0, c1 = one * a[1], two * a[2]
+        if c1 != 0:
+            cross = c0 * c1
+            q0, q1, q2 = c0 * c0, cross + cross, c1 * c1
+        else:
+            q0, q1, q2 = c0 * c0 if c0 != 0 else 0j, 0j, 0j
+        f0, f1, f2 = forced
+        return scale * (c1 + q0) - f0, scale * (0j + q1) - f1, scale * (0j + q2) - f2
+
+    return velocity
 
 
 def coefficient_velocity(
@@ -143,7 +166,7 @@ def coefficient_velocity(
     evaluated at the current time; entries beyond the stored range count
     as zero, as do alpha coefficients above the truncation order.
     """
-    v = np.zeros(len(state.alphas))  # forcing takes full-width rows
+    v = np.zeros(len(state.alphas))
     v[: min(len(v_coeffs), len(v))] = v_coeffs[: len(v)]
-    forcing, velocity = velocity_kernel(state.truncation_order, params)
-    return velocity(state.alphas, forcing(v))
+    velocity = velocity_kernel(state.truncation_order, params)
+    return velocity(state.alphas, (1j / params.hbar) * v)

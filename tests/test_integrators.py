@@ -11,12 +11,11 @@ from tdse.integrators import (
     BlowUp,
     StepperConfig,
     _blown_up,
-    _make_closed_step,
     _make_step,
     propagate,
 )
 from tdse.potential import Const, PotentialModel, parse_potential
-from tdse.state import CoefficientState, PhysicalParams, velocity_kernel
+from tdse.state import CoefficientState, PhysicalParams, closed_velocity_kernel, velocity_kernel
 
 PARAMS = PhysicalParams()
 FREE = PotentialModel({})
@@ -190,14 +189,13 @@ def test_the_closed_step_is_the_numpy_step_where_no_rounding_can_differ(integrat
     # with parts from {+-0, 0.5, -1}, dt = 0.5 and unit hbar and mass, every
     # product and sum is exact, so no FMA or summation order shows: what is
     # left to differ is the sign of a zero, and the closed step keeps numpy's
-    forcing, velocity = velocity_kernel(2, PARAMS)
-    numpy_step = _make_step(integrator, velocity, 0.5)
-    closed_step = _make_closed_step(integrator, PARAMS, 0.5)
+    numpy_step = _make_step(integrator, velocity_kernel(2, PARAMS), 0.5, False)
+    closed_step = _make_step(integrator, closed_velocity_kernel(PARAMS), 0.5, True)
     stages = 1 if integrator == "euler" else 3
     for parts in itertools.product([0.0, -0.0, 0.5, -1.0], repeat=6):
         alphas = np.array([complex(re, im) for re, im in zip(parts[0::2], parts[1::2])])
         for v in ([0.0, 0.0, 0.0], [0.5, -1.0, 0.0]):
-            forced = np.broadcast_to(forcing(np.array(v)), (stages, 3))
+            forced = np.broadcast_to((1j / PARAMS.hbar) * np.array(v), (stages, 3))
             expected = numpy_step(alphas, forced)
             actual = closed_step(alphas.tolist(), forced.tolist())
             assert np.array(actual).tobytes() == expected.tobytes(), (alphas, v)
