@@ -7,7 +7,7 @@ compiles tdse from src without writing bytecode there, and writes its output
 under the test's tmp_path.  Run one row with
 `pytest tests/test_fresh_process.py -k <id>`.
 
-The last rows run `tdse run` twice, under the kernels numpy and OpenBLAS
+The last rows run a command twice, under the kernels numpy and OpenBLAS
 pick for this CPU and under their baseline ones, to show which files do not
 depend on that choice.
 """
@@ -138,10 +138,17 @@ KERNEL_SETTINGS = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
 
 def _baseline_kernels() -> tuple:
     """(a name for the ids, the settings) that turn off every SIMD extension
-    numpy dispatches to on this CPU and, on an OpenBLAS build, pin its
-    oldest x86-64 core, whose complex dot has no FMA."""
+    this numpy build dispatches to and, on an OpenBLAS build, pin its
+    oldest x86-64 core, whose complex dot has no FMA.
+
+    The extensions are those found on this CPU and those not found: the
+    build lists no "found" key when none is (on an older CPU, or under an
+    outer NPY_DISABLE_CPU_FEATURES), and turning off one the CPU lacks
+    changes nothing."""
     build = np.show_config(mode="dicts")
-    settings = {"NPY_DISABLE_CPU_FEATURES": " ".join(build["SIMD Extensions"]["found"])}
+    simd = build["SIMD Extensions"]
+    dispatched = simd.get("found", []) + simd.get("not found", [])
+    settings = {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)}
     if "openblas" not in build["Build Dependencies"]["blas"]["name"].lower():
         return "numpy-baseline-only-no-openblas", settings
     return "numpy-baseline-openblas-nehalem", {**settings, "OPENBLAS_CORETYPE": "Nehalem"}
@@ -177,19 +184,46 @@ KERNEL_ROWS = {"dense-free-packet": DENSE_FREE_PACKET, "harmonic-coherent": HARM
 OBSERVABLES_BOUND = 1e-13
 
 
+def _under_both_kernels(tmp_path, config: str, command: str) -> tuple:
+    """The output directories of `tdse command` on config under the default
+    and under the baseline kernels."""
+    (tmp_path / "input").write_text(config, encoding="utf-8")
+    outs = []
+    for name, kernels in (("out_default", {}), ("out_baseline", BASELINE_KERNELS)):
+        result = _tdse(tmp_path, f"{command} --config {{tmp}}/input --out {{tmp}}/{name}", kernels)
+        assert (result.returncode, result.stderr) == (0, ""), result.stderr
+        outs.append(tmp_path / name)
+    return tuple(outs)
+
+
 @pytest.mark.parametrize("config", KERNEL_ROWS.values(),
                          ids=[f"{name}-{BASELINE_NAME}" for name in KERNEL_ROWS])
 def test_n2_coefficients_do_not_depend_on_the_kernels(tmp_path, config):
     # N = 2 steps in Python complex arithmetic, which no kernel setting reaches
-    (tmp_path / "input").write_text(config, encoding="utf-8")
-    outs = []
-    for name, kernels in (("out_default", {}), ("out_baseline", BASELINE_KERNELS)):
-        result = _tdse(tmp_path, f"run --config {{tmp}}/input --out {{tmp}}/{name}", kernels)
-        assert (result.returncode, result.stderr) == (0, ""), result.stderr
-        outs.append(tmp_path / name)
-    default, baseline = outs
+    default, baseline = _under_both_kernels(tmp_path, config, "run")
     assert (default / "coefficients.csv").read_bytes() == (baseline / "coefficients.csv").read_bytes()
-    got, want = (np.loadtxt(out / "observables.csv", delimiter=",", skiprows=1) for out in outs)
+    got, want = (np.loadtxt(out / "observables.csv", delimiter=",", skiprows=1)
+                 for out in (default, baseline))
     assert got.shape == want.shape
     scale = np.max(np.abs(want), axis=1, keepdims=True)
     assert np.all(np.abs(got - want) <= OBSERVABLES_BOUND * scale)
+
+
+# every file these write was byte-equal under both settings: converge's
+# closed-form references, and run's grids of the free packet, whose sums
+# happen to round alike
+PORTABLE_ROWS = {
+    "run-free": (FREE, "run"),
+    "converge-free": (FREE, "converge --halvings 3"),
+    "converge-harmonic": (HARMONIC, "converge --halvings 3"),
+}
+
+
+@pytest.mark.parametrize("config, command", PORTABLE_ROWS.values(),
+                         ids=[f"{name}-{BASELINE_NAME}" for name in PORTABLE_ROWS])
+def test_closed_outputs_do_not_depend_on_the_kernels(tmp_path, config, command):
+    default, baseline = _under_both_kernels(tmp_path, config, command)
+    names = sorted(path.name for path in default.iterdir())
+    assert names and names == sorted(path.name for path in baseline.iterdir())
+    for name in names:
+        assert (default / name).read_bytes() == (baseline / name).read_bytes(), name
