@@ -296,7 +296,10 @@ def _l2(a, na, b, nb, dx) -> float:
         raise GridMismatch("cannot normalize a zero grid")
     va = a / np.sqrt(na)
     vb = b / np.sqrt(nb)
-    inner = complex(_trapezoid(np.conj(va) * vb, dx))
+    # <va, vb> from real products: numpy's complex product may fuse one of
+    # them into its sum, and leave a rounding residual in Im <v, v>
+    ar, ai, br, bi = va.real, va.imag, vb.real, vb.imag
+    inner = complex(_trapezoid(ar * br + ai * bi, dx), _trapezoid(ar * bi - ai * br, dx))
     if abs(inner) > 0.0:
         vb = vb * (np.conj(inner) / abs(inner))
     return float(np.sqrt(_trapezoid(np.abs(va - vb) ** 2, dx)))
