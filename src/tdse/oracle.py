@@ -283,7 +283,7 @@ def l2_distance(a: WaveGrid, b: WaveGrid) -> float:
     Both inputs are normalized to unit norm, then b is rotated by the
     global phase maximizing Re<a, b> before the trapezoid integral of
     |a - b|^2 is taken; a global phase difference therefore counts as
-    zero distance.
+    zero distance, and a grid is exactly 0 from itself.
     """
     if not a.matches(b.xmin, b.dx, b.npoints):
         raise GridMismatch("grids disagree in window, spacing or size")

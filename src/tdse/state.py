@@ -166,7 +166,7 @@ def coefficient_velocity(
     evaluated at the current time; entries beyond the stored range count
     as zero, as do alpha coefficients above the truncation order.
     """
-    v = np.zeros(len(state.alphas))
+    v = np.zeros(len(state.alphas))  # velocity takes full-width forcing rows
     v[: min(len(v_coeffs), len(v))] = v_coeffs[: len(v)]
     velocity = velocity_kernel(state.truncation_order, params)
     return velocity(state.alphas, (1j / params.hbar) * v)

@@ -112,8 +112,8 @@ def test_l2_distance_identity_and_phase():
     assert l2_distance(grid, grid) == 0.0
     rotated = WaveGrid(grid.xmin, grid.dx, grid.values * np.exp(0.731j), grid.time)
     assert l2_distance(grid, rotated) <= 1e-12
-    # a moving packet: <v, v> has an imaginary part, which must cancel to
-    # exactly 0 for the grid to stay on itself
+    # a moving packet's grid is complex: the products that make up Im <v, v>
+    # must cancel exactly for the grid to stay on itself
     for k0 in (0.05, 1.0):
         moving = state_on_oracle_grid(gaussian_coefficients(GaussianPacket(0.3, 1, k0)), cfg)
         assert l2_distance(moving, moving) == 0.0
