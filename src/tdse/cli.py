@@ -16,9 +16,10 @@ those before a failed snapshot (compare also those before a potential its
 oracle cannot evaluate).  run reconstructs its snapshots _BLOCK at a time
 and checks them in order.  compare and converge drive the oracle through
 tdse.oracle.compare_with_oracle, from the config _oracle_config resolves.
-Numbers are written with 17 significant digits, a file by one %-format
-call, so identical inputs give byte-identical files; the only standard
-output is one final status line.
+run, converge and compare write into the directory --out names, fit to
+the file it names; --out is required.  Numbers are written with 17
+significant digits, a file by one %-format call, so identical inputs give
+byte-identical files; the only standard output is one final status line.
 """
 
 import argparse
@@ -84,13 +85,6 @@ def _write_csv(path: str, header: str, row_format: str, fields: list) -> None:
         handle.write(header + "\n" + (row_format * rows) % tuple(fields))
 
 
-def _resolve_out(args_out, cfg: RunConfig):
-    out = args_out or cfg.output_dir
-    if out is None:
-        raise ConfigError("no output directory: pass --out or set [output] directory")
-    return out
-
-
 def _finish(error, report: str = "") -> int:
     """Once a command's rows are written, raise error, what ended them, for
     main; else print the completed status line, report appended."""
@@ -116,44 +110,36 @@ def _has_oracle_window(cfg: RunConfig) -> bool:
 def _oracle_config(cfg: RunConfig, default_steps=None) -> OracleConfig:
     """The oracle over the horizon of cfg's stepper.  Its window takes each of
     xmin, xmax and points from [oracle], else from [grid].  Its step count
-    is [oracle] steps, else round(horizon / [oracle] dt), else default_steps
-    (converge's fallback passes each count its oracle error estimate tries),
-    else, when that is None too (compare), the stepper's own dt and steps.
-    Its dt is [oracle] dt, else horizon / steps."""
+    is [oracle] steps, else default_steps (converge passes each count its
+    oracle error estimate tries), and its dt horizon / steps; when both are
+    None (compare), it takes the stepper's own dt and steps."""
     if not _has_oracle_window(cfg):
         raise ConfigError("the oracle needs a [grid] section (or [oracle] overrides)")
     stepper, opts, grid = cfg.stepper, cfg.oracle, cfg.grid
-    horizon = stepper.dt * stepper.steps
     xmin = opts.xmin if opts.xmin is not None else grid.xmin
     xmax = opts.xmax if opts.xmax is not None else grid.xmax
     points = opts.points if opts.points is not None else _next_pow2(max(256, grid.points))
-    if opts.steps is None and opts.dt is None and default_steps is None:
+    steps = opts.steps or default_steps
+    if steps is None:
         dt, steps = stepper.dt, stepper.steps
     else:
-        if opts.steps is not None:
-            steps = opts.steps
-        elif opts.dt is not None:
-            steps = max(1, round(horizon / opts.dt))
-        else:
-            steps = default_steps
-        dt = opts.dt if opts.dt is not None else horizon / steps
+        dt = stepper.dt * stepper.steps / steps
     return OracleConfig(xmin=xmin, xmax=xmax, points=points, dt=dt, steps=steps)
 
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out_dir = _resolve_out(args.out, cfg)
     if cfg.grid is None:
         raise ConfigError("run needs a [grid] section for reconstruction output")
     trajectory = propagate(cfg.initial, cfg.potential, cfg.params, cfg.stepper)
     snapshots = trajectory.snapshots
 
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     coefficients = []
     for snap in snapshots:
         for n, alpha in enumerate(snap.alphas.tolist()):
             coefficients += (snap.time, n, alpha.real, alpha.imag)
-    _write_csv(os.path.join(out_dir, "coefficients.csv"), "t,n,alpha_re,alpha_im",
+    _write_csv(os.path.join(args.out, "coefficients.csv"), "t,n,alpha_re,alpha_im",
                "%.16e,%d,%.16e,%.16e\n", coefficients)
 
     # reconstruction can fail on non-normalizable states: the first snapshot
@@ -171,7 +157,7 @@ def _cmd_run(args) -> int:
             observed += (snap.time, *row)
     except SNAPSHOT_FAILURES as exc:
         reconstruction_error = exc
-    _write_csv(os.path.join(out_dir, "observables.csv"),
+    _write_csv(os.path.join(args.out, "observables.csv"),
                "t,norm2,mean_x,mean_x2,mean_p_re,mean_p_im", "%.16e," * 5 + "%.16e\n", observed)
     if reconstruction_error is None:
         # the loop above ended on the final snapshot, row b; Python's abs of a
@@ -180,16 +166,16 @@ def _cmd_run(args) -> int:
         wavefunction = []
         for x, v in zip(window.xs.tolist(), window.values[b].tolist()):
             wavefunction += (x, v.real, v.imag, abs(v) ** 2)
-        _write_csv(os.path.join(out_dir, "wavefunction_final.csv"),
+        _write_csv(os.path.join(args.out, "wavefunction_final.csv"),
                    "x,psi_re,psi_im,prob_density", "%.16e,%.16e,%.16e,%.16e\n", wavefunction)
     return _finish(trajectory.error or reconstruction_error)
 
 
 def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig):
     """(errors, status report) of the completed levels' final states
-    against the oracle.  With no [oracle] steps or dt, its step count S
-    doubles until its error estimate is within ADAPTIVE_TOLERANCE of the
-    finest level's error.  The first estimate's S/2-step run marches in the
+    against the oracle.  With no [oracle] steps, its step count S doubles
+    until its error estimate is within ADAPTIVE_TOLERANCE of the finest
+    level's error.  The first estimate's S/2-step run marches in the
     S-step run's FFT calls; each doubling adds one oracle run, as the S-step
     run's final grid is the coarse grid of the estimate at 2S."""
 
@@ -204,7 +190,7 @@ def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig):
             raise report.error
         return final, coarse, report.l2[1:].tolist()
 
-    if cfg.oracle.steps is not None or cfg.oracle.dt is not None:
+    if cfg.oracle.steps is not None:
         return oracle_run(oracle_cfg)[2], ""
     steps = oracle_cfg.steps
     fine, coarse, errors = oracle_run(oracle_cfg, halved=True)
@@ -225,7 +211,6 @@ def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig):
 
 def _cmd_converge(args) -> int:
     cfg = load_config(args.config)
-    out_dir = _resolve_out(args.out, cfg)
     if args.halvings < 1:
         raise ConfigError("--halvings must be at least 1")
     # the closed form's error function, or None for the oracle
@@ -233,19 +218,20 @@ def _cmd_converge(args) -> int:
     requested = cfg.converge_scenario
     if requested == "oracle":
         reference = None
-    elif requested != "auto" and requested != detected:
+    elif requested == "closed" and detected is None:
+        raise ConfigError("no registered closed-form scenario matches this config")
+    elif requested not in ("auto", "closed", detected):
         raise ConfigError(
             f"config does not match the requested scenario '{requested}'"
             + (f" (detected: {detected})" if detected else "")
         )
-    elif detected is None and not (cfg.allow_oracle_fallback and _has_oracle_window(cfg)):
+    elif detected is None and not _has_oracle_window(cfg):
         raise ConfigError(
-            "no registered closed-form scenario matches this config "
-            "and the oracle fallback is disabled or lacks a [grid]"
+            "no registered closed-form scenario matches this config and the oracle lacks a [grid]"
         )
 
-    # with no [oracle] steps or dt, the oracle's step count S is sized by
-    # its own error estimate, from ADAPTIVE_MIN_STEPS up; level k's horizon
+    # with no [oracle] steps, the oracle's step count S is sized by its own
+    # error estimate, from ADAPTIVE_MIN_STEPS up; level k's horizon
     # (dt/2^k)*(steps*2^k) and final time are level 0's, bit for bit, so one
     # oracle config per S and one alignment check serve every level
     if reference is None:
@@ -281,21 +267,21 @@ def _cmd_converge(args) -> int:
         # a ratio exists only against a nonzero error of a previous level
         ratio = _fmt(errors[i - 1] / err) if i > 0 and err != 0.0 else ""
         rows += (cfg.stepper.dt / 2**i, err, ratio)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "convergence.csv"), "dt,error,ratio", "%.16e,%.16e,%s\n", rows)
+    os.makedirs(args.out, exist_ok=True)
+    _write_csv(os.path.join(args.out, "convergence.csv"), "dt,error,ratio",
+               "%.16e,%.16e,%s\n", rows)
     return _finish(trajectory.error, report)
 
 
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    out_dir = _resolve_out(args.out, cfg)
     oracle_cfg = _oracle_config(cfg)
     report = compare_methods(cfg.initial, cfg.potential, cfg.params, cfg.stepper, oracle_cfg)
 
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     columns = (report.times, report.l2, report.d_mean_x, report.d_norm)
     rows = [value for row in zip(*columns) for value in row]
-    _write_csv(os.path.join(out_dir, "compare.csv"), "t,l2_distance,d_mean_x,d_norm",
+    _write_csv(os.path.join(args.out, "compare.csv"), "t,l2_distance,d_mean_x,d_norm",
                "%.16e,%.16e,%.16e,%.16e\n", rows)
     return _finish(report.error)
 
@@ -343,16 +329,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="propagate and write coefficient/observable CSVs")
     run_p.add_argument("--config", required=True, help="path to the run config")
-    run_p.add_argument("--out", help="output directory (default: [output] directory)")
+    run_p.add_argument("--out", required=True, help="output directory")
 
     conv_p = sub.add_parser("converge", help="empirical order measurement under dt halving")
     conv_p.add_argument("--config", required=True)
     conv_p.add_argument("--halvings", type=int, required=True, help="number of dt halvings")
-    conv_p.add_argument("--out", help="output directory")
+    conv_p.add_argument("--out", required=True, help="output directory")
 
     cmp_p = sub.add_parser("compare", help="cross-validate against the split-step oracle")
     cmp_p.add_argument("--config", required=True)
-    cmp_p.add_argument("--out", help="output directory")
+    cmp_p.add_argument("--out", required=True, help="output directory")
 
     fit_p = sub.add_parser("fit", help="fit coefficients to sampled wavefunction values")
     fit_p.add_argument("--samples", required=True, help="CSV with columns x,psi_re,psi_im")

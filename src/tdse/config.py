@@ -3,23 +3,23 @@
 UTF-8 text, '#' starts a comment, whitespace around keys and values is
 ignored, unknown sections and keys are rejected.  README.md shows every
 section.  _SCHEMA is the one table of the keys: each is read by its kind (a
-number, an integer, true/false, comma-separated numbers or text), and a
-value it cannot read is an error naming the key.
+number, an integer, comma-separated numbers or text), and a value it cannot
+read is an error naming the key.
 
 [potential], [initial] and [stepper] are required; [grid] is required by
 'run' and, when present, needs all of xmin, xmax and points.  A key left
 out of [physical] or [stepper] takes the default of PhysicalParams or
 StepperConfig; those of [initial] (x0 = 0, sigma = 1, k0 = 0, and
 truncation_order = 2 or the number of coefficients less one) are stated in
-_build_initial; [converge] defaults to scenario = auto and
-allow_oracle_fallback = true.  The oracle of 'compare' and 'converge' takes
-each of xmin, xmax and points from [oracle] when set there, else from
-[grid] (points rounded up to a power of two, at least 256).
+_build_initial; [converge] scenario defaults to auto (a closed form, else
+the oracle; closed is a closed form or an error).  The oracle of 'compare'
+and 'converge' takes each of xmin, xmax and points from [oracle] when set
+there, else from [grid] (points rounded up to a power of two, at least
+256), and its step count from [oracle] steps, else from the command.
 """
 
 import configparser
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -55,35 +55,24 @@ class OracleOptions(NamedTuple):
     xmin: float | None = None
     xmax: float | None = None
     points: int | None = None
-    dt: float | None = None
     steps: int | None = None
 
 
 class RunConfig(Record):
-    __slots__ = ("params", "potential", "initial", "stepper", "grid", "output_dir", "oracle",
-                 "converge_scenario", "allow_oracle_fallback")
+    __slots__ = ("params", "potential", "initial", "stepper", "grid", "oracle", "converge_scenario")
 
     def __init__(
         self, params: PhysicalParams, potential: PotentialModel, initial: CoefficientState,
-        stepper: StepperConfig, grid: GridSpec | None, output_dir: str | None,
-        oracle: OracleOptions, converge_scenario: str, allow_oracle_fallback: bool,
+        stepper: StepperConfig, grid: GridSpec | None, oracle: OracleOptions,
+        converge_scenario: str,
     ):
-        self._set(params, potential, initial, stepper, grid, output_dir, oracle,
-                  converge_scenario, allow_oracle_fallback)
-
-
-def _switch(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
-        raise ValueError(raw)
-    return lowered in ("true", "yes", "on", "1")
+        self._set(params, potential, initial, stepper, grid, oracle, converge_scenario)
 
 
 # a key's kind: how its text is converted, and what an error says it expects;
 # a word is matched case-insensitively
 _NUMBER = (float, "a number")
 _INTEGER = (int, "an integer")
-_SWITCH = (_switch, "true/false")
 _NUMBERS = (lambda raw: [float(part) for part in raw.split(",")], "comma-separated numbers")
 _TEXT = (str, "text")
 _WORD = (str.lower, "text")
@@ -101,14 +90,11 @@ _SCHEMA = {
         "blowup_threshold": _NUMBER, "snapshot_stride": _INTEGER,
     },
     "grid": {"xmin": _NUMBER, "xmax": _NUMBER, "points": _INTEGER},
-    "output": {"directory": _TEXT},
-    "oracle": {
-        "xmin": _NUMBER, "xmax": _NUMBER, "points": _INTEGER, "dt": _NUMBER, "steps": _INTEGER,
-    },
-    "converge": {"scenario": _WORD, "allow_oracle_fallback": _SWITCH},
+    "oracle": {"xmin": _NUMBER, "xmax": _NUMBER, "points": _INTEGER, "steps": _INTEGER},
+    "converge": {"scenario": _WORD},
 }
 
-_SCENARIO_NAMES = ("auto", *SCENARIOS, "oracle")
+_SCENARIO_NAMES = ("auto", "closed", *SCENARIOS, "oracle")
 
 _REQUIRED = object()
 
@@ -235,11 +221,9 @@ def load_config(path: str) -> RunConfig:
         grid = GridSpec(**_given(sections, "grid", required=("xmin", "xmax", "points")))
 
     oracle = OracleOptions(**_given(sections, "oracle"))
-    # the oracle divides its horizon by either
+    # the oracle divides its horizon by it
     if oracle.steps is not None and oracle.steps < 1:
         raise ConfigError(f"oracle.steps must be at least 1, got {oracle.steps}")
-    if oracle.dt is not None and not (math.isfinite(oracle.dt) and oracle.dt > 0):
-        raise ConfigError(f"oracle.dt must be positive and finite, got {oracle.dt!r}")
 
     scenario = _value(sections, "converge", "scenario", "auto")
     if scenario not in _SCENARIO_NAMES:
@@ -252,8 +236,6 @@ def load_config(path: str) -> RunConfig:
         initial=initial,
         stepper=stepper,
         grid=grid,
-        output_dir=_value(sections, "output", "directory"),
         oracle=oracle,
         converge_scenario=scenario,
-        allow_oracle_fallback=_value(sections, "converge", "allow_oracle_fallback", True),
     )

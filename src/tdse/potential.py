@@ -12,7 +12,7 @@ Input expressions follow the grammar
 with decimal number literals (optional exponent), insignificant
 whitespace, and '^' binding tighter than unary minus.  The parse result
 is expanded and collected as a polynomial in x; each coefficient is an
-expression tree over t alone (a TimeProfile).  Restrictions: x may not
+expression tree over t alone (a time profile).  Restrictions: x may not
 appear inside function arguments or denominators, and x exponents must
 be nonnegative integer literals.
 
@@ -101,26 +101,23 @@ class TimeVar(NamedTuple):
 
 
 class Neg(NamedTuple):
-    operand: "TimeProfile"
+    operand: tuple
 
 
 class BinOp(NamedTuple):
     op: str  # '+', '-', '*', '/'
-    left: "TimeProfile"
-    right: "TimeProfile"
+    left: tuple
+    right: tuple
 
 
 class Power(NamedTuple):
-    base: "TimeProfile"
+    base: tuple
     exponent: int
 
 
 class Call(NamedTuple):
     fn: str  # 'sin', 'cos', 'exp'
-    arg: "TimeProfile"
-
-
-TimeProfile = Const | TimeVar | Neg | BinOp | Power | Call
+    arg: tuple
 
 
 def _is_const(node, value: float) -> bool:
@@ -183,7 +180,7 @@ def _pow(base, exponent: int):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in x with TimeProfile coefficients (dict degree -> node)
+# polynomials in x with time-profile coefficients (dict degree -> node)
 
 
 def _prune(p: dict) -> dict:
@@ -220,7 +217,7 @@ def _poly_pow(p, exponent: int):
 
 
 class PotentialModel(Frozen):
-    """Polynomial-in-x potential; terms maps degree -> TimeProfile.
+    """Polynomial-in-x potential; terms maps degree -> time-profile tree.
 
     Each profile is compiled once, at construction, into a closure over
     math functions; is_static is True when no profile mentions t.  A copy
@@ -410,7 +407,7 @@ def parse_potential(text: str) -> PotentialModel:
 
 
 def _compile(node):
-    """(fn, static) for a TimeProfile tree.
+    """(fn, static) for a time-profile tree.
 
     fn(t) evaluates the tree node by node with Python's float arithmetic,
     left operand before right, with the dispatch on node types done once
@@ -440,7 +437,7 @@ def _compile(node):
     if isinstance(node, Call):
         (arg, static), fn = _compile(node.arg), getattr(math, node.fn)
         return (lambda t: fn(arg(t))), static
-    raise TypeError(f"not a TimeProfile node: {node!r}")
+    raise TypeError(f"not a time-profile node: {node!r}")
 
 
 _REASONS = {ZeroDivisionError: "division by zero", OverflowError: "overflow"}

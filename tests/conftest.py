@@ -104,7 +104,7 @@ def one_step(state, potential, params, dt: float, integrator: str = "euler"):
 
 
 def tree_eval_profile(node, t: float) -> float:
-    """Walk a TimeProfile tree at time t, one node at a time.  Any failure of
+    """Walk a time-profile tree at time t, one node at a time.  Any failure of
     the walk raises EvaluationError "<reason> at t = <t>", the reason being
     division by zero, overflow or math domain error."""
     try:
@@ -141,7 +141,7 @@ def _walk(node, t: float) -> float:
         return _walk(node.base, t) ** node.exponent
     if isinstance(node, Call):
         return getattr(math, node.fn)(_walk(node.arg, t))
-    raise TypeError(f"not a TimeProfile node: {node!r}")
+    raise TypeError(f"not a time-profile node: {node!r}")
 
 
 def mentions_t(node) -> bool:

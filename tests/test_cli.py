@@ -168,18 +168,18 @@ def test_run_dsl_evaluation_error_exits_4(tmp_path):
     assert run_cli("run", "--config", config, "--out", str(tmp_path / "o")) == 4
 
 
-def test_run_requires_out_dir(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "compare", "converge"])
+def test_each_command_requires_out(tmp_path, capsys, monkeypatch, command):
     config = write_config(tmp_path / "run.cfg", HARMONIC_GAUSSIAN)
-    assert run_cli("run", "--config", config) == 2
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", config]
+    if command == "converge":
+        argv += ["--halvings", "1"]
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv)
+    assert excinfo.value.code == 2
     assert "--out" in capsys.readouterr().err
-
-
-def test_run_out_dir_from_config(tmp_path, capsys):
-    body = HARMONIC_GAUSSIAN + f"\n[output]\ndirectory = {tmp_path / 'from_cfg'}\n"
-    config = write_config(tmp_path / "run.cfg", body)
-    assert run_cli("run", "--config", config) == 0
-    capsys.readouterr()
-    assert (tmp_path / "from_cfg" / "coefficients.csv").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg"]
 
 
 FREE_CONVERGE = """
@@ -288,29 +288,6 @@ def test_converge_writes_the_bytes_of_each_closed_form(
     )
 
 
-def test_converge_unknown_scenario_without_fallback(tmp_path, capsys):
-    config = write_config(
-        tmp_path / "conv.cfg",
-        """
-[potential]
-expression = 0.05*x^3
-
-[initial]
-kind = gaussian
-truncation_order = 8
-
-[stepper]
-dt = 1e-2
-steps = 30
-
-[converge]
-allow_oracle_fallback = false
-""",
-    )
-    assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(tmp_path)) == 2
-    assert "scenario" in capsys.readouterr().err
-
-
 CUBIC_FALLBACK = """
 [potential]
 expression = 0.05*x^3
@@ -358,6 +335,42 @@ def test_converge_oracle_fallback(tmp_path, capsys):
     errors = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(e > 0 for e in errors)
     assert errors[0] > errors[-1]
+
+
+_FREE_CLOSED_FORM = CLOSED_FORM.format(**CLOSED_FORM_BYTES["free"][0])
+_GRID = CUBIC_FALLBACK[CUBIC_FALLBACK.index("[grid]"):]
+
+
+@pytest.mark.parametrize("body", [_FREE_CLOSED_FORM, _FREE_CLOSED_FORM + _GRID],
+                         ids=["no-grid", "grid"])
+def test_converge_closed_writes_the_rows_of_auto_on_a_closed_form(tmp_path, capsys, body):
+    outputs = []
+    for scenario in ("auto", "closed"):
+        config = write_config(tmp_path / f"{scenario}.cfg", body + f"[converge]\nscenario = {scenario}\n")
+        out = tmp_path / scenario
+        assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 0
+        outputs.append((capsys.readouterr(), (out / "convergence.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[1][0] == ("status=completed\n", "")
+
+
+@pytest.mark.parametrize("body", [CUBIC_FALLBACK.split("[grid]")[0], CUBIC_FALLBACK],
+                         ids=["no-grid", "grid"])
+def test_converge_closed_without_a_closed_form_exits_2(tmp_path, capsys, body):
+    # where auto would fall back on the oracle, closed refuses
+    config = write_config(tmp_path / "conv.cfg", body + "\n[converge]\nscenario = closed\n")
+    out = tmp_path / "out"
+    assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 2
+    assert_one_error_line(capsys, "no registered closed-form scenario matches this config")
+    assert not out.exists()
+
+
+def test_converge_auto_without_a_closed_form_or_a_grid_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path / "conv.cfg", CUBIC_FALLBACK.split("[grid]")[0])
+    out = tmp_path / "out"
+    assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 2
+    assert_one_error_line(capsys, "and the oracle lacks a [grid]")
+    assert not out.exists()
 
 
 def _count_oracle_runs(monkeypatch):
@@ -426,16 +439,8 @@ def test_converge_reused_oracle_writes_the_bytes_of_independent_runs(
     assert (shared / "convergence.csv").read_text() == "dt,error,ratio\n" + "".join(rows)
 
 
-@pytest.mark.parametrize(
-    "oracle,steps,dt",
-    [
-        ("", 256, 1.0 / 256),
-        ("steps = 64\n", 64, 1.0 / 64),
-        ("dt = 0.25\n", 4, 0.25),
-        ("steps = 8\ndt = 0.125\n", 8, 0.125),
-    ],
-)
-def test_converge_oracle_steps_come_from_steps_then_dt_then_the_default(
+@pytest.mark.parametrize("oracle,steps,dt", [("", 256, 1.0 / 256), ("steps = 64\n", 64, 1.0 / 64)])
+def test_converge_oracle_steps_come_from_steps_then_the_default(
     tmp_path, capsys, monkeypatch, oracle, steps, dt
 ):
     runs = _count_oracle_runs(monkeypatch)
@@ -714,24 +719,16 @@ steps = 2000
 
 
 @pytest.mark.parametrize("command", ["compare", "converge"])
-@pytest.mark.parametrize(
-    "override,message",
-    [
-        ("steps = 0", "oracle.steps must be at least 1, got 0"),
-        ("dt = 0", "oracle.dt must be positive and finite, got 0.0"),
-    ],
-    ids=["steps", "dt"],
-)
-def test_a_zero_oracle_step_count_or_dt_exits_2(tmp_path, capsys, command, override, message):
-    # the oracle divides its horizon by either: a ZeroDivisionError traceback
-    # before the config checked them
+def test_a_zero_oracle_step_count_exits_2(tmp_path, capsys, command):
+    # the oracle divides its horizon by it: a ZeroDivisionError traceback
+    # before the config checked it
     body = HARMONIC_GAUSSIAN.replace("dt = 1e-3", "dt = 1e-2").replace("steps = 200", "steps = 10")
-    config = write_config(tmp_path / "zero.cfg", body + f"\n[oracle]\n{override}\n")
+    config = write_config(tmp_path / "zero.cfg", body + "\n[oracle]\nsteps = 0\n")
     argv = [command, "--config", config, "--out", str(tmp_path / "out")]
     if command == "converge":
         argv[1:1] = ["--halvings", "1"]
     assert run_cli(*argv) == 2
-    assert_one_error_line(capsys, message)
+    assert_one_error_line(capsys, "oracle.steps must be at least 1, got 0")
     assert not (tmp_path / "out").exists()
 
 
@@ -1605,9 +1602,7 @@ _NOT_A_VALUE = [
         ("oracle", "xmin", "a number"),
         ("oracle", "xmax", "a number"),
         ("oracle", "points", "an integer"),
-        ("oracle", "dt", "a number"),
         ("oracle", "steps", "an integer"),
-        ("converge", "allow_oracle_fallback", "true/false"),
     ]
 ] + [
     ((*_COEFFICIENTS, f"initial.{key}=x"), 2, _expected("initial", key, word))
@@ -1623,6 +1618,10 @@ _NOT_A_VALUE = [
 _CONFIG_ERRORS = _NOT_A_VALUE + [
     (("+extra",), 2, "unknown section 'extra'"),
     (("initial.width=1",), 2, "unknown key 'width' in section 'initial'"),
+    (("oracle.dt=0.25",), 2, "unknown key 'dt' in section 'oracle'"),
+    (("output.directory=out",), 2, "unknown section 'output'"),
+    (("converge.allow_oracle_fallback=false",), 2,
+     "unknown key 'allow_oracle_fallback' in section 'converge'"),
     (("+DEFAULT", "DEFAULT.hbar=1"), 2, "unknown section 'DEFAULT'"),
     (("[grid]\n",), 2, ("config parse error:", "section 'grid' already exists")),
     (("points = 128\n",), 2,
@@ -1658,10 +1657,9 @@ _CONFIG_ERRORS = _NOT_A_VALUE + [
     (("initial.truncation_order=1",), 2, "truncation_order must be at least 2"),
     (("initial.kind=plane",), 2, "initial.kind must be 'gaussian' or 'coefficients', got 'plane'"),
     (("converge.scenario=bogus",), 2,
-     "converge.scenario must be one of auto, free, linear, harmonic_ground, "
+     "converge.scenario must be one of auto, closed, free, linear, harmonic_ground, "
      "harmonic_coherent, oracle, got 'bogus'"),
     (("oracle.steps=0",), 2, "oracle.steps must be at least 1, got 0"),
-    (("oracle.dt=-1",), 2, "oracle.dt must be positive and finite, got -1.0"),
     # several errors: the first one checked is reported
     (("stepper.dt=x", "-stepper.steps"), 2, "missing required key stepper.steps"),
     (("potential.expression=x^^2", "-initial"), 4,
@@ -1680,11 +1678,10 @@ _CONFIG_ERRORS = _NOT_A_VALUE + [
     (("stepper.dt=-1", "grid.points=x"), 2, "dt must be positive and finite, got -1.0"),
     (("grid.xmin=x", "-grid.points"), 2, "missing required key grid.points"),
     (("grid.points=4", "oracle.steps=x"), 2, "grid points must be at least 8, got 4"),
-    (("oracle.steps=0", "oracle.dt=x"), 2, _expected("oracle", "dt", "a number")),
+    (("oracle.steps=0", "oracle.xmin=x"), 2, _expected("oracle", "xmin", "a number")),
     (("oracle.steps=0", "converge.scenario=bogus"), 2, "oracle.steps must be at least 1, got 0"),
-    (("converge.scenario=bogus", "converge.allow_oracle_fallback=x"), 2,
-     "converge.scenario must be one of auto, free, linear, harmonic_ground, "
-     "harmonic_coherent, oracle, got 'bogus'"),
+    (("oracle.steps=x", "converge.allow_oracle_fallback=false"), 2,
+     "unknown key 'allow_oracle_fallback' in section 'converge'"),
 ]
 
 

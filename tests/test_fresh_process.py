@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 
 from test_cli import (
+    CLOSED_FORM,
+    CLOSED_FORM_BYTES,
     CONFIGS,
     CONVERGE_POLE_AT_A_FIRST_STEP,
     DRIVEN_FALLBACK,
@@ -210,12 +212,16 @@ def test_n2_coefficients_do_not_depend_on_the_kernels(tmp_path, config):
 
 
 # every file these write was byte-equal under both settings: converge's
-# closed-form references, and run's grids of the free packet, whose sums
-# happen to round alike
+# closed-form references, on both configs and on the closed-form pins of
+# test_cli that no config covers, and run's grids of the free packet, whose
+# sums happen to round alike
 PORTABLE_ROWS = {
     "run-free": (FREE, "run"),
     "converge-free": (FREE, "converge --halvings 3"),
     "converge-harmonic": (HARMONIC, "converge --halvings 3"),
+    **{f"converge-{name}": (CLOSED_FORM.format(**CLOSED_FORM_BYTES[name][0]),
+                            "converge --halvings 3")
+       for name in ("linear-constant", "linear-cos", "harmonic-ground")},
 }
 
 
@@ -227,3 +233,51 @@ def test_closed_outputs_do_not_depend_on_the_kernels(tmp_path, config, command):
     assert names and names == sorted(path.name for path in baseline.iterdir())
     for name in names:
         assert (default / name).read_bytes() == (baseline / name).read_bytes(), name
+
+
+# a series past quadratic closure, N = 16, against its oracle
+QUARTIC = """\
+[potential]
+expression = x^2/2 + 0.01*x^4
+[initial]
+kind = gaussian
+x0 = -0.07
+sigma = 0.996
+k0 = 0.08
+truncation_order = 16
+[stepper]
+integrator = rk4
+dt = 4e-4
+steps = 1250
+snapshot_stride = 625
+[grid]
+xmin = -8.0
+xmax = 8.0
+points = 1024
+[oracle]
+points = 1024
+steps = 512
+"""
+# l2 distances, moments and the oracle's steps sum in numpy's SIMD loops and
+# BLAS; each field agrees to ORACLE_BOUND of the largest field in its row.
+# The largest difference measured was 1.2e-13 of its row (a ratio of the
+# driven well's errors), and 3.6e-15 in the quartic's compare.csv
+ORACLE_ROWS = {
+    "compare-quartic": (QUARTIC, "compare", "compare.csv"),
+    "converge-driven": (DRIVEN_FALLBACK, "converge --halvings 3", "convergence.csv"),
+}
+ORACLE_BOUND = 1e-12
+
+
+@pytest.mark.parametrize("config, command, name", ORACLE_ROWS.values(),
+                         ids=[f"{row}-{BASELINE_NAME}" for row in ORACLE_ROWS])
+def test_oracle_outputs_agree_under_the_kernels_to_a_relative_bound(tmp_path, config, command,
+                                                                     name):
+    default, baseline = _under_both_kernels(tmp_path, config, command)
+    # an empty ratio reads as nan
+    got, want = (np.genfromtxt(out / name, delimiter=",", skip_header=1)
+                 for out in (default, baseline))
+    assert got.shape == want.shape and len(want) > 1
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    scale = np.nanmax(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.nan_to_num(np.abs(got - want)) <= ORACLE_BOUND * scale)

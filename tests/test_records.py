@@ -1,6 +1,7 @@
 """The value types: equality, hashing, immutability and validation, which
 the dataclasses they replace had; an import of the CLI that leaves the
-dataclasses module unloaded; and the README's library example."""
+dataclasses module unloaded; and the README's library example and config
+block."""
 
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdse.config import GridSpec, OracleOptions, RunConfig, load_config
+from tdse.config import _SCHEMA, GridSpec, OracleOptions, RunConfig, load_config
 from tdse.initialization import FitResult, GaussianPacket
 from tdse.integrators import BlowUp, StepperConfig, Trajectory
 from tdse.oracle import ComparisonReport, OracleConfig
@@ -247,3 +248,12 @@ def test_the_readme_library_example_runs(capsys):
     mean_x, mean_p = map(float, capsys.readouterr().out.split())
     assert mean_x == pytest.approx(0.5 * math.cos(1.0), abs=1e-9)
     assert mean_p == pytest.approx(-0.5 * math.sin(1.0), abs=1e-9)
+
+
+def test_the_readme_config_block_loads_and_shows_every_section(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block, encoding="utf-8")
+    assert isinstance(load_config(str(path)), RunConfig)
+    assert re.findall(r"^\[(\w+)\]", block, re.MULTILINE) == list(_SCHEMA)
