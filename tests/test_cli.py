@@ -271,12 +271,14 @@ CLOSED_FORM_BYTES = {
 }
 
 
+@pytest.mark.parametrize("scenario", ["auto", "closed"])
 @pytest.mark.parametrize("fields,level_0,level_1,level_2", CLOSED_FORM_BYTES.values(),
                          ids=CLOSED_FORM_BYTES.keys())
 def test_converge_writes_the_bytes_of_each_closed_form(
-    tmp_path, capsys, fields, level_0, level_1, level_2
+    tmp_path, capsys, fields, level_0, level_1, level_2, scenario
 ):
-    config = write_config(tmp_path / "conv.cfg", CLOSED_FORM.format(**fields))
+    body = CLOSED_FORM.format(**fields) + f"\n[converge]\nscenario = {scenario}\n"
+    config = write_config(tmp_path / "conv.cfg", body)
     out = tmp_path / "out"
     assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 0
     assert capsys.readouterr() == ("status=completed\n", "")
@@ -337,23 +339,6 @@ def test_converge_oracle_fallback(tmp_path, capsys):
     assert errors[0] > errors[-1]
 
 
-_FREE_CLOSED_FORM = CLOSED_FORM.format(**CLOSED_FORM_BYTES["free"][0])
-_GRID = CUBIC_FALLBACK[CUBIC_FALLBACK.index("[grid]"):]
-
-
-@pytest.mark.parametrize("body", [_FREE_CLOSED_FORM, _FREE_CLOSED_FORM + _GRID],
-                         ids=["no-grid", "grid"])
-def test_converge_closed_writes_the_rows_of_auto_on_a_closed_form(tmp_path, capsys, body):
-    outputs = []
-    for scenario in ("auto", "closed"):
-        config = write_config(tmp_path / f"{scenario}.cfg", body + f"[converge]\nscenario = {scenario}\n")
-        out = tmp_path / scenario
-        assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 0
-        outputs.append((capsys.readouterr(), (out / "convergence.csv").read_bytes()))
-    assert outputs[0] == outputs[1]
-    assert outputs[1][0] == ("status=completed\n", "")
-
-
 @pytest.mark.parametrize("body", [CUBIC_FALLBACK.split("[grid]")[0], CUBIC_FALLBACK],
                          ids=["no-grid", "grid"])
 def test_converge_closed_without_a_closed_form_exits_2(tmp_path, capsys, body):
@@ -362,14 +347,6 @@ def test_converge_closed_without_a_closed_form_exits_2(tmp_path, capsys, body):
     out = tmp_path / "out"
     assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 2
     assert_one_error_line(capsys, "no registered closed-form scenario matches this config")
-    assert not out.exists()
-
-
-def test_converge_auto_without_a_closed_form_or_a_grid_exits_2(tmp_path, capsys):
-    config = write_config(tmp_path / "conv.cfg", CUBIC_FALLBACK.split("[grid]")[0])
-    out = tmp_path / "out"
-    assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 2
-    assert_one_error_line(capsys, "and the oracle lacks a [grid]")
     assert not out.exists()
 
 
