@@ -1,25 +1,26 @@
 """Batch front-end: run / converge / compare / fit commands with
 deterministic CSV artifacts.
 
-Each command is straight-line code that raises on failure; `main` alone
-maps an ending to an exit code, through one table, `_EXIT_CODES`, and one
-line: `status=aborted_blowup` on stdout for a blow-up, else `error:` on
-stderr.  Exit codes: 0 success; 2 a config or validation error, an output
-that cannot be written, or a snapshot that cannot be reconstructed or
-compared: an exponent overflow, a vanishing norm, or a grid not negligible
-at its window's edges (a series past quadratic closure, compare's oracle,
-or in run any packet, at 1e-5 of its peak when closed); 3 a blow-up; 4 a
-potential-DSL error.  Every command keeps the rows before a blow-up or a
-potential that fails after the first step (converge: after level 0's),
-whose code wins over an earlier failed snapshot's; run and compare keep
-those before a failed snapshot (compare also those before a potential its
-oracle cannot evaluate).  run reconstructs its snapshots _BLOCK at a time
-and checks them in order.  compare and converge drive the oracle through
-tdse.oracle.compare_with_oracle, from the config _oracle_config resolves.
-run, converge and compare write into the directory --out names, fit to
-the file it names; --out is required.  Numbers are written with 17
-significant digits, a file by one %-format call, so identical inputs give
-byte-identical files; the only standard output is one final status line.
+Each command is straight-line code that raises on failure; `main` alone maps
+an ending to an exit code, through one table, `_EXIT_CODES`, and one line:
+`status=aborted_blowup` on stdout for a blow-up, else `error:` on stderr.
+Exit codes: 0 success; 2 a config or validation error, an output that
+cannot be written, or a snapshot that cannot be reconstructed or compared:
+an exponent overflow, a vanishing norm, or a grid not negligible at its
+window's edges (a series past quadratic closure, compare's oracle, or in run
+any packet, at 1e-5 of its peak when closed); 3 a blow-up; 4 a potential-DSL
+error.  Every command keeps the rows before a
+blow-up or a potential that fails after the first step (converge: after
+level 0's), whose code wins over an earlier failed snapshot's; run and
+compare keep those before a failed snapshot (compare also those before a
+potential its oracle cannot evaluate).  run reconstructs its snapshots _BLOCK
+at a time and checks them in order.  compare and converge drive the oracle
+through tdse.oracle.compare_with_oracle, from the config _oracle_config
+resolves on [grid]'s window.  run, converge and compare write into the
+directory --out names, fit to the file it names; --out is required.  Numbers
+are written with 17 significant digits, a file by one %-format call, so
+identical inputs give byte-identical files; the only standard output is one
+final status line.
 """
 
 import argparse
@@ -101,30 +102,23 @@ def _next_pow2(n: int) -> int:
     return power
 
 
-def _has_oracle_window(cfg: RunConfig) -> bool:
-    """Whether [oracle] or else [grid] sets each of xmin, xmax and points."""
-    opts = cfg.oracle
-    return cfg.grid is not None or None not in (opts.xmin, opts.xmax, opts.points)
-
-
 def _oracle_config(cfg: RunConfig, default_steps=None) -> OracleConfig:
-    """The oracle over the horizon of cfg's stepper.  Its window takes each of
-    xmin, xmax and points from [oracle], else from [grid].  Its step count
-    is [oracle] steps, else default_steps (converge passes each count its
-    oracle error estimate tries), and its dt horizon / steps; when both are
-    None (compare), it takes the stepper's own dt and steps."""
-    if not _has_oracle_window(cfg):
-        raise ConfigError("the oracle needs a [grid] section (or [oracle] overrides)")
+    """The oracle over the horizon of cfg's stepper, on [grid]'s window, at
+    [oracle] points, else [grid] points rounded up to a power of two (at
+    least 256).  Its step count is [oracle] steps, else default_steps
+    (converge passes each count its oracle error estimate tries), and its dt
+    horizon / steps; when both are None (compare), it takes the stepper's
+    own dt and steps."""
+    if cfg.grid is None:
+        raise ConfigError("the oracle needs a [grid] section")
     stepper, opts, grid = cfg.stepper, cfg.oracle, cfg.grid
-    xmin = opts.xmin if opts.xmin is not None else grid.xmin
-    xmax = opts.xmax if opts.xmax is not None else grid.xmax
-    points = opts.points if opts.points is not None else _next_pow2(max(256, grid.points))
+    points = opts.points if opts.points is not None else _next_pow2(grid.points)
     steps = opts.steps or default_steps
     if steps is None:
         dt, steps = stepper.dt, stepper.steps
     else:
         dt = stepper.dt * stepper.steps / steps
-    return OracleConfig(xmin=xmin, xmax=xmax, points=points, dt=dt, steps=steps)
+    return OracleConfig(xmin=grid.xmin, xmax=grid.xmax, points=points, dt=dt, steps=steps)
 
 
 def _cmd_run(args) -> int:
@@ -214,18 +208,12 @@ def _cmd_converge(args) -> int:
     if args.halvings < 1:
         raise ConfigError("--halvings must be at least 1")
     # the closed form's error function, or None for the oracle
-    detected, reference = detect_scenario(cfg.potential, cfg.initial, cfg.params)
-    requested = cfg.converge_scenario
-    if requested == "oracle":
+    reference = detect_scenario(cfg.potential, cfg.initial, cfg.params)
+    if cfg.converge_scenario == "oracle":
         reference = None
-    elif requested == "closed" and detected is None:
+    elif reference is None and cfg.converge_scenario == "closed":
         raise ConfigError("no registered closed-form scenario matches this config")
-    elif requested not in ("auto", "closed", detected):
-        raise ConfigError(
-            f"config does not match the requested scenario '{requested}'"
-            + (f" (detected: {detected})" if detected else "")
-        )
-    elif detected is None and not _has_oracle_window(cfg):
+    elif reference is None and cfg.grid is None:
         raise ConfigError(
             "no registered closed-form scenario matches this config and the oracle lacks a [grid]"
         )

@@ -13,9 +13,9 @@ StepperConfig; those of [initial] (x0 = 0, sigma = 1, k0 = 0, and
 truncation_order = 2 or the number of coefficients less one) are stated in
 _build_initial; [converge] scenario defaults to auto (a closed form, else
 the oracle; closed is a closed form or an error).  The oracle of 'compare'
-and 'converge' takes each of xmin, xmax and points from [oracle] when set
-there, else from [grid] (points rounded up to a power of two, at least
-256), and its step count from [oracle] steps, else from the command.
+and 'converge' samples [grid]'s window, at [oracle] points when set, else
+at [grid] points rounded up to a power of two, at least 256, and takes its
+step count from [oracle] steps, else from the command.
 """
 
 import configparser
@@ -29,7 +29,6 @@ from .integrators import StepperConfig
 from .potential import PotentialModel, parse_potential
 from .reconstruction import check_bounds
 from .records import Frozen, Record
-from .scenarios import SCENARIOS
 from .state import CoefficientState, PhysicalParams
 
 __all__ = ["ConfigError", "GridSpec", "OracleOptions", "RunConfig", "load_config"]
@@ -52,8 +51,6 @@ class GridSpec(Frozen):
 class OracleOptions(NamedTuple):
     """Raw [oracle] overrides; unset fields fall back to command defaults."""
 
-    xmin: float | None = None
-    xmax: float | None = None
     points: int | None = None
     steps: int | None = None
 
@@ -90,11 +87,11 @@ _SCHEMA = {
         "blowup_threshold": _NUMBER, "snapshot_stride": _INTEGER,
     },
     "grid": {"xmin": _NUMBER, "xmax": _NUMBER, "points": _INTEGER},
-    "oracle": {"xmin": _NUMBER, "xmax": _NUMBER, "points": _INTEGER, "steps": _INTEGER},
+    "oracle": {"points": _INTEGER, "steps": _INTEGER},
     "converge": {"scenario": _WORD},
 }
 
-_SCENARIO_NAMES = ("auto", "closed", *SCENARIOS, "oracle")
+_SCENARIO_NAMES = ("auto", "closed", "oracle")
 
 _REQUIRED = object()
 

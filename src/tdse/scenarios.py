@@ -1,9 +1,9 @@
 """Closed-form references for convergence studies.
 
-SCENARIOS maps each name to its match(potential, initial, params): the
-error(final) of a propagated final state against the scenario's exact
-solution when the config is that scenario, else None.  Everything here is
-exact coefficient dynamics:
+Each matcher takes (potential, initial, params) and gives the error(final)
+of a propagated final state against its scenario's exact solution when the
+config is that scenario, else None; detect_scenario tries them in order.
+Everything here is exact coefficient dynamics:
 
   free              constant potential, support within {0,1,2}:
                     alpha_2(t) = a/(1 - (2i*hbar/m)*a*t) with a = alpha_2(0)
@@ -26,7 +26,7 @@ import numpy as np
 from .potential import Call, Const, PotentialModel, TimeVar
 from .state import CoefficientState, PhysicalParams
 
-__all__ = ["SCENARIOS", "detect_scenario"]
+__all__ = ["detect_scenario"]
 
 _SUPPORT_FLOOR = 1e-12
 _MATCH_TOL = 1e-9
@@ -106,23 +106,16 @@ def _harmonic_coherent(potential, initial, params):
     return error
 
 
-# matched in this order; config's list of converge.scenario names follows it
-SCENARIOS = {
-    "free": _free,
-    "linear": _linear,
-    "harmonic_ground": _harmonic_ground,
-    "harmonic_coherent": _harmonic_coherent,
-}
+_SCENARIOS = (_free, _linear, _harmonic_ground, _harmonic_coherent)
 
 
 def detect_scenario(
     potential: PotentialModel, initial: CoefficientState, params: PhysicalParams
 ):
-    """(name, error) of the first scenario that matches, else (None, None);
-    error(final) is the absolute error of a propagated final state against
-    the closed form."""
-    for name, match in SCENARIOS.items():
+    """error(final) of the first scenario that matches, else None: the
+    absolute error of a propagated final state against the closed form."""
+    for match in _SCENARIOS:
         error = match(potential, initial, params)
         if error is not None:
-            return name, error
-    return None, None
+            return error
+    return None

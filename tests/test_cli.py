@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_compare, reference_reconstruct, reference_run, write_config
-from tdse.cli import main
+from tdse.cli import _oracle_config, main
 from tdse.config import load_config
 from tdse.integrators import BlowUp, propagate
 from tdse.oracle import EdgeLeakage
@@ -651,13 +651,18 @@ steps = 4
     assert [(float(error), ratio) for _, error, ratio in rows] == [(0.0, "")] * 3
 
 
-def test_converge_named_scenario_mismatch(tmp_path, capsys):
+def test_converge_rejects_the_name_of_a_closed_form_as_a_scenario(tmp_path, capsys):
+    # closed picks whichever closed form matches; a name is not a value
     config = write_config(
         tmp_path / "conv.cfg",
         FREE_CONVERGE.format(integrator="euler") + "\n[converge]\nscenario = harmonic_ground\n",
     )
-    assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(tmp_path)) == 2
-    assert "scenario" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 2
+    assert capsys.readouterr() == (
+        "", "error: converge.scenario must be one of auto, closed, oracle, got 'harmonic_ground'\n"
+    )
+    assert not out.exists()
 
 
 def test_compare_with_oracle_overrides(tmp_path, capsys):
@@ -1576,8 +1581,6 @@ _NOT_A_VALUE = [
         ("grid", "xmin", "a number"),
         ("grid", "xmax", "a number"),
         ("grid", "points", "an integer"),
-        ("oracle", "xmin", "a number"),
-        ("oracle", "xmax", "a number"),
         ("oracle", "points", "an integer"),
         ("oracle", "steps", "an integer"),
     ]
@@ -1596,6 +1599,9 @@ _CONFIG_ERRORS = _NOT_A_VALUE + [
     (("+extra",), 2, "unknown section 'extra'"),
     (("initial.width=1",), 2, "unknown key 'width' in section 'initial'"),
     (("oracle.dt=0.25",), 2, "unknown key 'dt' in section 'oracle'"),
+    # the oracle samples [grid]'s window
+    (("oracle.xmin=x",), 2, "unknown key 'xmin' in section 'oracle'"),
+    (("oracle.xmax=x",), 2, "unknown key 'xmax' in section 'oracle'"),
     (("output.directory=out",), 2, "unknown section 'output'"),
     (("converge.allow_oracle_fallback=false",), 2,
      "unknown key 'allow_oracle_fallback' in section 'converge'"),
@@ -1634,8 +1640,7 @@ _CONFIG_ERRORS = _NOT_A_VALUE + [
     (("initial.truncation_order=1",), 2, "truncation_order must be at least 2"),
     (("initial.kind=plane",), 2, "initial.kind must be 'gaussian' or 'coefficients', got 'plane'"),
     (("converge.scenario=bogus",), 2,
-     "converge.scenario must be one of auto, closed, free, linear, harmonic_ground, "
-     "harmonic_coherent, oracle, got 'bogus'"),
+     "converge.scenario must be one of auto, closed, oracle, got 'bogus'"),
     (("oracle.steps=0",), 2, "oracle.steps must be at least 1, got 0"),
     # several errors: the first one checked is reported
     (("stepper.dt=x", "-stepper.steps"), 2, "missing required key stepper.steps"),
@@ -1655,7 +1660,7 @@ _CONFIG_ERRORS = _NOT_A_VALUE + [
     (("stepper.dt=-1", "grid.points=x"), 2, "dt must be positive and finite, got -1.0"),
     (("grid.xmin=x", "-grid.points"), 2, "missing required key grid.points"),
     (("grid.points=4", "oracle.steps=x"), 2, "grid points must be at least 8, got 4"),
-    (("oracle.steps=0", "oracle.xmin=x"), 2, _expected("oracle", "xmin", "a number")),
+    (("oracle.steps=0", "oracle.xmin=x"), 2, "unknown key 'xmin' in section 'oracle'"),
     (("oracle.steps=0", "converge.scenario=bogus"), 2, "oracle.steps must be at least 1, got 0"),
     (("oracle.steps=x", "converge.allow_oracle_fallback=false"), 2,
      "unknown key 'allow_oracle_fallback' in section 'converge'"),
@@ -1715,11 +1720,8 @@ def test_an_unreadable_config_text_exits_2_with_one_error_line(tmp_path, capsys,
     [("-10.0", "inf"), ("-inf", "10.0"), ("-1e308", "1e308"), ("0.0", "1e200")],
     ids=["inf", "-inf", "overflowing span", "overflowing squares"],
 )
-# run builds no oracle, so its [oracle] bounds are never read
 @pytest.mark.parametrize(
-    "command,section",
-    [("run", "grid"), ("compare", "grid"), ("compare", "oracle"), ("converge", "grid"),
-     ("converge", "oracle")],
+    "command,section", [("run", "grid"), ("compare", "grid"), ("converge", "grid")]
 )
 def test_a_non_finite_window_exits_2_and_writes_nothing(tmp_path, capsys, command, section, bounds):
     edits = (f"{section}.xmin={bounds[0]}", f"{section}.xmax={bounds[1]}")
@@ -1735,33 +1737,11 @@ def test_a_non_finite_window_exits_2_and_writes_nothing(tmp_path, capsys, comman
     assert not out.exists()
 
 
-# CUBIC_FALLBACK with its window given in [oracle] alone
-CUBIC_ORACLE_WINDOW = CUBIC_FALLBACK.split("[grid]")[0] + """[oracle]
-xmin = -14.0
-xmax = 14.0
-points = 1024
-"""
-
-
-@pytest.mark.parametrize("scenario", ["auto", "oracle"])
-def test_an_oracle_window_without_a_grid_writes_the_bytes_of_the_grid_window(
-    tmp_path, capsys, scenario
-):
-    body = f"\n[converge]\nscenario = {scenario}\n"
-    by_grid = write_config(tmp_path / "grid.cfg", CUBIC_FALLBACK + body)
-    by_oracle = write_config(tmp_path / "oracle.cfg", CUBIC_ORACLE_WINDOW + body)
-    for config, out in ((by_grid, tmp_path / "a"), (by_oracle, tmp_path / "b")):
-        assert run_cli("compare", "--config", config, "--out", str(out)) == 0
-        assert run_cli("converge", "--halvings", "1", "--config", config, "--out", str(out)) == 0
-    assert capsys.readouterr().err == ""
-    for name in ("compare.csv", "convergence.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
 @pytest.mark.parametrize("command", ["compare", "converge"])
-def test_an_oracle_window_set_in_neither_section_exits_2(tmp_path, capsys, command):
+def test_an_oracle_without_a_grid_exits_2(tmp_path, capsys, command):
+    # CUBIC_FALLBACK has no closed form, so converge falls back on the oracle
     config = write_config(
-        tmp_path / "partial.cfg", CUBIC_ORACLE_WINDOW.replace("points = 1024\n", "")
+        tmp_path / "no_grid.cfg", CUBIC_FALLBACK.split("[grid]")[0] + "[oracle]\npoints = 1024\n"
     )
     argv = [command, "--config", config, "--out", str(tmp_path / "out")]
     if command == "converge":
@@ -1770,3 +1750,18 @@ def test_an_oracle_window_set_in_neither_section_exits_2(tmp_path, capsys, comma
     fragment = "the oracle needs a [grid] section" if command == "compare" else "lacks a [grid]"
     assert_one_error_line(capsys, fragment)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "edits,points",
+    [(("grid.points=8",), 256), (("grid.points=256",), 256), (("grid.points=257",), 512),
+     (("grid.points=1201",), 2048), (("grid.points=1201", "oracle.points=1024"), 1024)],
+    ids=["8", "256", "257", "1201", "1201-oracle-1024"],
+)
+def test_the_oracle_samples_the_grid_window_at_a_power_of_two_or_its_own_points(
+    tmp_path, edits, points
+):
+    # [grid] points rounded up to a power of two, at least 256
+    cfg = load_config(write_config(tmp_path / "grid.cfg", _edited_config(edits)))
+    oracle_cfg = _oracle_config(cfg)
+    assert (oracle_cfg.xmin, oracle_cfg.xmax, oracle_cfg.points) == (-10.0, 10.0, points)

@@ -70,7 +70,7 @@ def test_values_that_differ_compare_unequal():
     assert StepperConfig(1e-3, 10) != StepperConfig(1e-3, 10, "rk4")
     assert Const(1.0) != Const(2.0) and Neg(Const(1.0)) != Const(1.0)
     # a type that holds the same values is still another type
-    assert GridSpec(-1.0, 1.0, 8) != OracleOptions(-1.0, 1.0, 8)
+    assert GaussianPacket(0.5, 2.0, 1.0) != Observables(0.5, 2.0, 1.0)
 
 
 def test_records_holding_an_unhashable_field_compare_equal_but_do_not_hash():
