@@ -4,12 +4,12 @@ deterministic CSV artifacts.
 Each command is straight-line code that raises on failure; `main` alone maps
 an ending to an exit code, through one table, `_EXIT_CODES`, and one line:
 `status=aborted_blowup` on stdout for a blow-up, else `error:` on stderr.
-Exit codes: 0 success; 2 a config or validation error, an output that
-cannot be written, or a snapshot that cannot be reconstructed or compared:
-an exponent overflow, a vanishing norm, or a grid not negligible at its
-window's edges (a series past quadratic closure, compare's oracle, or in run
-any packet, at 1e-5 of its peak when closed); 3 a blow-up; 4 a potential-DSL
-error.  Every command keeps the rows before a
+Exit codes: 0 success; 2 a command-line usage error, a config or validation
+error, an output that cannot be written, or a snapshot that cannot be
+reconstructed or compared: an exponent overflow, a vanishing norm, or a grid
+not negligible at its window's edges (a series past quadratic closure,
+compare's oracle, or in run any packet, at 1e-5 of its peak when closed); 3
+a blow-up; 4 a potential-DSL error.  Every command keeps the rows before a
 blow-up or a potential that fails after the first step (converge: after
 level 0's), whose code wins over an earlier failed snapshot's; run and
 compare keep those before a failed snapshot (compare also those before a
@@ -307,8 +307,16 @@ def _cmd_fit(args) -> int:
     return _finish(None, f" residual={_fmt(result.residual)}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error for main to report, where argparse would print
+    its usage and exit; subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tdse",
         description="Coefficient-flow solver for the 1-D time-dependent "
         "Schrodinger equation, with a split-step grid oracle.",
@@ -344,8 +352,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         if isinstance(exc, BlowUp):

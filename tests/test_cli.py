@@ -175,10 +175,10 @@ def test_each_command_requires_out(tmp_path, capsys, monkeypatch, command):
     argv = [command, "--config", config]
     if command == "converge":
         argv += ["--halvings", "1"]
-    with pytest.raises(SystemExit) as excinfo:
-        run_cli(*argv)
-    assert excinfo.value.code == 2
-    assert "--out" in capsys.readouterr().err
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: tdse {command}: the following arguments are required: --out\n"
+    )
     assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg"]
 
 
@@ -1026,13 +1026,18 @@ def test_missing_config_file(tmp_path):
     assert run_cli("run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)) == 2
 
 
-def test_help_exits_cleanly():
+def test_help_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli("--help")
     assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tdse ")
+    # a usage error is reported by main, but --help still exits through argparse
     with pytest.raises(SystemExit) as excinfo:
         run_cli("run", "--help")
     assert excinfo.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: tdse run ") and "--out OUT" in captured.out
+    assert captured.err == ""
 
 
 def assert_one_error_line(capsys, fragment):

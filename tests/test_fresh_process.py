@@ -95,6 +95,10 @@ ROWS = {
     # V passes the double range on the oracle's window: no numpy warning, one
     # line naming the midpoint t, and the row of t = 0
     "compare-oracle-overflow": Row(COMPARE, ORACLE_OVERFLOW, 4, files={"out/compare.csv": 2}),
+    # argparse's usage errors, reported by main as one error: line
+    "run-without-out": Row("run --config {tmp}/input", HARMONIC, 2, files={"out": None}),
+    "converge-halvings-not-an-int": Row("converge --halvings x" + IO, HARMONIC, 2,
+                                        files={"out": None}),
     # rejected before a 4 x 10^6 fit matrix is built
     "fit-huge-degree": Row(FIT.replace("--degree 2", "--degree 1000000"), FIT_SAMPLES % b"0,1,0",
                            2, files={"fit.csv": None}),
