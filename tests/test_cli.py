@@ -1744,7 +1744,7 @@ def test_a_non_finite_window_exits_2_and_writes_nothing(tmp_path, capsys, comman
 
 @pytest.mark.parametrize("command", ["compare", "converge"])
 def test_an_oracle_without_a_grid_exits_2(tmp_path, capsys, command):
-    # CUBIC_FALLBACK has no closed form, so converge falls back on the oracle
+    # [oracle] sets no window; CUBIC_FALLBACK has no closed form, so converge needs the oracle
     config = write_config(
         tmp_path / "no_grid.cfg", CUBIC_FALLBACK.split("[grid]")[0] + "[oracle]\npoints = 1024\n"
     )
