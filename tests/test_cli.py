@@ -651,16 +651,17 @@ steps = 4
     assert [(float(error), ratio) for _, error, ratio in rows] == [(0.0, "")] * 3
 
 
-def test_converge_rejects_the_name_of_a_closed_form_as_a_scenario(tmp_path, capsys):
-    # closed picks whichever closed form matches; a name is not a value
+@pytest.mark.parametrize("name", ["free", "linear", "harmonic_ground", "harmonic_coherent"])
+def test_converge_rejects_the_name_of_a_closed_form_as_a_scenario(tmp_path, capsys, name):
+    # closed picks whichever closed form matches; a name is not a value, not even the matching one
     config = write_config(
         tmp_path / "conv.cfg",
-        FREE_CONVERGE.format(integrator="euler") + "\n[converge]\nscenario = harmonic_ground\n",
+        FREE_CONVERGE.format(integrator="euler") + f"\n[converge]\nscenario = {name}\n",
     )
     out = tmp_path / "out"
     assert run_cli("converge", "--config", config, "--halvings", "2", "--out", str(out)) == 2
     assert capsys.readouterr() == (
-        "", "error: converge.scenario must be one of auto, closed, oracle, got 'harmonic_ground'\n"
+        "", f"error: converge.scenario must be one of auto, closed, oracle, got '{name}'\n"
     )
     assert not out.exists()
 
