@@ -28,7 +28,7 @@ import math
 import os
 import sys
 
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .initialization import fit_log_polynomial
 from .integrators import BlowUp, Trajectory, propagate
 from .oracle import (
@@ -36,7 +36,6 @@ from .oracle import (
     ADAPTIVE_MIN_STEPS,
     ADAPTIVE_TOLERANCE,
     SNAPSHOT_FAILURES,
-    EdgeLeakage,
     OracleConfig,
     check_alignment,
     compare_methods,
@@ -47,12 +46,7 @@ from .oracle import (
 from .potential import EvaluationError, PotentialError
 # evaluate_on_grid and observables are not called here, but perfbench/tracing.py
 # wraps them under tdse.cli's names
-from .reconstruction import (  # noqa: F401
-    ExponentOverflow,
-    Window,
-    evaluate_on_grid,
-    observables,
-)
+from .reconstruction import Window, evaluate_on_grid, observables  # noqa: F401
 from .scenarios import detect_scenario
 
 EXIT_OK = 0
@@ -65,8 +59,6 @@ _EXIT_CODES = (
     (BlowUp, EXIT_BLOWUP),
     (PotentialError, EXIT_DSL),
     (ValueError, EXIT_CONFIG),
-    (ExponentOverflow, EXIT_CONFIG),
-    (EdgeLeakage, EXIT_CONFIG),
     (OSError, EXIT_CONFIG),
 )
 
@@ -110,7 +102,7 @@ def _oracle_config(cfg: RunConfig, default_steps=None) -> OracleConfig:
     horizon / steps; when both are None (compare), it takes the stepper's
     own dt and steps."""
     if cfg.grid is None:
-        raise ConfigError("the oracle needs a [grid] section")
+        raise ValueError("the oracle needs a [grid] section")
     stepper, opts, grid = cfg.stepper, cfg.oracle, cfg.grid
     points = opts.points if opts.points is not None else _next_pow2(grid.points)
     steps = opts.steps or default_steps
@@ -124,7 +116,7 @@ def _oracle_config(cfg: RunConfig, default_steps=None) -> OracleConfig:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if cfg.grid is None:
-        raise ConfigError("run needs a [grid] section for reconstruction output")
+        raise ValueError("run needs a [grid] section for reconstruction output")
     trajectory = propagate(cfg.initial, cfg.potential, cfg.params, cfg.stepper)
     snapshots = trajectory.snapshots
 
@@ -192,7 +184,7 @@ def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig):
     while (estimate := oracle_error_estimate(fine, coarse)) > ADAPTIVE_TOLERANCE * errors[-1]:
         best = min(best, estimate)
         if steps >= ADAPTIVE_MAX_STEPS:
-            raise ConfigError(
+            raise ValueError(
                 f"the oracle's error estimate stays above {ADAPTIVE_TOLERANCE:.0%} of the "
                 f"finest error {errors[-1]:.3e} up to {ADAPTIVE_MAX_STEPS} steps "
                 f"(best {best:.3e}); set [oracle] steps to override"
@@ -206,15 +198,15 @@ def _oracle_errors(cfg: RunConfig, finals: list, oracle_cfg: OracleConfig):
 def _cmd_converge(args) -> int:
     cfg = load_config(args.config)
     if args.halvings < 1:
-        raise ConfigError("--halvings must be at least 1")
+        raise ValueError("--halvings must be at least 1")
     # the closed form's error function, or None for the oracle
     reference = detect_scenario(cfg.potential, cfg.initial, cfg.params)
     if cfg.converge_scenario == "oracle":
         reference = None
     elif reference is None and cfg.converge_scenario == "closed":
-        raise ConfigError("no registered closed-form scenario matches this config")
+        raise ValueError("no registered closed-form scenario matches this config")
     elif reference is None and cfg.grid is None:
-        raise ConfigError(
+        raise ValueError(
             "no registered closed-form scenario matches this config and the oracle lacks a [grid]"
         )
 
@@ -279,18 +271,18 @@ def _read_samples(path: str):
         with open(path, encoding="utf-8") as handle:
             lines = [line.strip() for line in handle if line.strip()]
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read samples: {exc}") from None
+        raise ValueError(f"cannot read samples: {exc}") from None
     if not lines or lines[0] != "x,psi_re,psi_im":
-        raise ConfigError("samples CSV must start with header 'x,psi_re,psi_im'")
+        raise ValueError("samples CSV must start with header 'x,psi_re,psi_im'")
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 3:
-            raise ConfigError(f"samples line {lineno}: expected 3 fields, got {len(parts)}")
+            raise ValueError(f"samples line {lineno}: expected 3 fields, got {len(parts)}")
         try:
             x, re_part, im_part = (float(p) for p in parts)
         except ValueError:
-            raise ConfigError(f"samples line {lineno}: non-numeric field") from None
+            raise ValueError(f"samples line {lineno}: non-numeric field") from None
         samples.append((x, complex(re_part, im_part)))
     return samples
 
@@ -312,7 +304,7 @@ class _Parser(argparse.ArgumentParser):
     its usage and exit; subcommand parsers are of the same class."""
 
     def error(self, message):
-        raise ConfigError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -31,11 +31,7 @@ from .reconstruction import check_bounds
 from .records import Frozen, Record
 from .state import CoefficientState, PhysicalParams
 
-__all__ = ["ConfigError", "GridSpec", "OracleOptions", "RunConfig", "load_config"]
-
-
-class ConfigError(ValueError):
-    """Invalid or incomplete run configuration."""
+__all__ = ["GridSpec", "OracleOptions", "RunConfig", "load_config"]
 
 
 class GridSpec(Frozen):
@@ -102,13 +98,13 @@ def _value(sections: dict, name: str, key: str, default=None):
     raw = sections.get(name, {}).get(key)
     if raw is None:
         if default is _REQUIRED:
-            raise ConfigError(f"missing required key {name}.{key}")
+            raise ValueError(f"missing required key {name}.{key}")
         return default
     convert, expected = _SCHEMA[name][key]
     try:
         return convert(raw)
     except ValueError:
-        raise ConfigError(f"{name}.{key}: expected {expected}, got {raw!r}") from None
+        raise ValueError(f"{name}.{key}: expected {expected}, got {raw!r}") from None
 
 
 def _given(sections: dict, name: str, required=()) -> dict:
@@ -137,16 +133,16 @@ def _read_sections(text: str) -> dict:
     except configparser.Error as exc:
         # configparser's text can span several lines; the error is one
         message = " ".join(line.strip() for line in str(exc).splitlines())
-        raise ConfigError(f"config parse error: {message}") from None
+        raise ValueError(f"config parse error: {message}") from None
     if cp.defaults():
-        raise ConfigError("unknown section 'DEFAULT'")
+        raise ValueError("unknown section 'DEFAULT'")
     sections = {}
     for name in cp.sections():
         if name not in _SCHEMA:
-            raise ConfigError(f"unknown section '{name}'")
+            raise ValueError(f"unknown section '{name}'")
         for key in cp[name]:
             if key not in _SCHEMA[name]:
-                raise ConfigError(f"unknown key '{key}' in section '{name}'")
+                raise ValueError(f"unknown key '{key}' in section '{name}'")
         sections[name] = dict(cp[name])
     return sections
 
@@ -158,7 +154,7 @@ def _build_initial(sections: dict) -> CoefficientState:
     if kind == "gaussian":
         for key in ("alpha_re", "alpha_im"):
             if key in raw:
-                raise ConfigError(f"initial.{key} is only valid with kind = coefficients")
+                raise ValueError(f"initial.{key} is only valid with kind = coefficients")
         packet = GaussianPacket(
             center=value("x0", 0.0), width=value("sigma", 1.0), wavenumber=value("k0", 0.0)
         )
@@ -166,51 +162,51 @@ def _build_initial(sections: dict) -> CoefficientState:
     if kind == "coefficients":
         for key in ("x0", "sigma", "k0"):
             if key in raw:
-                raise ConfigError(f"initial.{key} is only valid with kind = gaussian")
+                raise ValueError(f"initial.{key} is only valid with kind = gaussian")
         re_part = value("alpha_re", _REQUIRED)
         im_part = value("alpha_im", [0.0] * len(re_part))
         if len(im_part) != len(re_part):
-            raise ConfigError("initial.alpha_re and initial.alpha_im differ in length")
+            raise ValueError("initial.alpha_re and initial.alpha_im differ in length")
         alphas = np.array(re_part, dtype=np.complex128) + 1j * np.array(im_part)
         if not np.all(np.isfinite(alphas)):
-            raise ConfigError("initial coefficients must be finite")
+            raise ValueError("initial coefficients must be finite")
         order = value("truncation_order", max(len(alphas) - 1, 2))
         if order < len(alphas) - 1:
-            raise ConfigError(
+            raise ValueError(
                 f"initial.truncation_order = {order} cannot hold "
                 f"{len(alphas)} coefficients"
             )
         padded = np.zeros(order + 1, dtype=np.complex128)
         padded[: len(alphas)] = alphas
         return CoefficientState(padded, time=0.0)
-    raise ConfigError(f"initial.kind must be 'gaussian' or 'coefficients', got {kind!r}")
+    raise ValueError(f"initial.kind must be 'gaussian' or 'coefficients', got {kind!r}")
 
 
 def load_config(path: str) -> RunConfig:
     """Parse and validate a config file.
 
-    Raises ConfigError for a malformed or incomplete file, the ValueError of
-    the first value the objects it builds reject, and PotentialError for
-    the potential DSL; the CLI maps each to its own exit code.
+    Raises ValueError for a malformed or incomplete file or the first value
+    the objects it builds reject, and PotentialError (a ValueError) for the
+    potential DSL; the CLI maps the two to their own exit codes.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
+        raise ValueError(f"cannot read config: {exc}") from None
     sections = _read_sections(text)
     params = PhysicalParams(**_given(sections, "physical"))
 
     if "potential" not in sections:
-        raise ConfigError("missing required section [potential]")
+        raise ValueError("missing required section [potential]")
     potential = parse_potential(_value(sections, "potential", "expression", _REQUIRED))
 
     if "initial" not in sections:
-        raise ConfigError("missing required section [initial]")
+        raise ValueError("missing required section [initial]")
     initial = _build_initial(sections)
 
     if "stepper" not in sections:
-        raise ConfigError("missing required section [stepper]")
+        raise ValueError("missing required section [stepper]")
     stepper = StepperConfig(**_given(sections, "stepper", required=("dt", "steps")))
 
     grid = None
@@ -220,11 +216,11 @@ def load_config(path: str) -> RunConfig:
     oracle = OracleOptions(**_given(sections, "oracle"))
     # the oracle divides its horizon by it
     if oracle.steps is not None and oracle.steps < 1:
-        raise ConfigError(f"oracle.steps must be at least 1, got {oracle.steps}")
+        raise ValueError(f"oracle.steps must be at least 1, got {oracle.steps}")
 
     scenario = _value(sections, "converge", "scenario", "auto")
     if scenario not in _SCENARIO_NAMES:
-        raise ConfigError(
+        raise ValueError(
             f"converge.scenario must be one of {', '.join(_SCENARIO_NAMES)}, got {scenario!r}"
         )
     return RunConfig(

@@ -24,20 +24,10 @@ from .state import CoefficientState
 __all__ = [
     "GaussianPacket",
     "FitResult",
-    "SampleTooSmall",
-    "DegenerateSystem",
     "gaussian_coefficients",
     "fit_log_polynomial",
     "is_closed_system",
 ]
-
-
-class SampleTooSmall(ValueError):
-    """A sample magnitude sits under the floor (node or underflow)."""
-
-
-class DegenerateSystem(ValueError):
-    """Rank-deficient fit system, from duplicated or badly scaled x."""
 
 
 MAGNITUDE_FLOOR = 1e-12  # a sample |psi| at or under it is a node or an underflow
@@ -88,10 +78,10 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
 
     ``samples`` is a sequence of (x, psi) pairs with distinct x sorted
     ascending (re-sorted defensively here).  Raises ValueError when an x or
-    a psi is not finite or a power x^degree overflows, SampleTooSmall when
-    any |psi| falls under MAGNITUDE_FLOOR and DegenerateSystem when the fit
-    matrix is rank-deficient: too few distinct x, found before the matrix is
-    built, or x too badly scaled.
+    a psi is not finite, a power x^degree overflows, any |psi| falls under
+    MAGNITUDE_FLOOR (a node or an underflow) or the fit matrix is
+    rank-deficient: too few distinct x, found before the matrix is built, or
+    x too badly scaled.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -99,7 +89,7 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
     xs = np.array([p[0] for p in pairs], dtype=np.float64)
     psis = np.array([p[1] for p in pairs], dtype=np.complex128)
     if xs.size == 0:
-        raise DegenerateSystem("no samples given")
+        raise ValueError("no samples given")
     finite = np.isfinite(xs) & np.isfinite(psis)
     if not finite.all():
         j = int(np.argmin(finite))
@@ -109,7 +99,7 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
     small = magnitudes <= MAGNITUDE_FLOOR
     if np.any(small):
         j = int(np.argmax(small))
-        raise SampleTooSmall(
+        raise ValueError(
             f"|psi| = {magnitudes[j]:.3e} at x = {xs[j]} is under the floor "
             f"{MAGNITUDE_FLOOR:.3e}"
         )
@@ -118,7 +108,7 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
     # numpy.ma, about 2 MiB
     distinct = len(set(xs.tolist()))
     if distinct <= degree:
-        raise DegenerateSystem(f"fit matrix has rank {distinct} < {degree + 1}; "
+        raise ValueError(f"fit matrix has rank {distinct} < {degree + 1}; "
                                "need degree+1 samples with distinct x")
     y = np.log(magnitudes) + 1j * _unwrap_ascending(np.angle(psis))
     with np.errstate(over="ignore"):
@@ -127,7 +117,7 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
         raise ValueError(f"x^{degree} overflows at |x| = {np.max(np.abs(xs))}; rescale x")
     coeffs, _, rank, _ = np.linalg.lstsq(vander, y, rcond=None)
     if rank < degree + 1:  # lstsq drops singular values under its rcond
-        raise DegenerateSystem(f"fit matrix has rank {rank} < {degree + 1}; "
+        raise ValueError(f"fit matrix has rank {rank} < {degree + 1}; "
                                "the x are distinct but too badly scaled; rescale x")
     residual = float(np.sqrt(np.mean(np.abs(vander @ coeffs - y) ** 2)))
 

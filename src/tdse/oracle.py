@@ -39,7 +39,6 @@ from .state import CoefficientState, PhysicalParams
 __all__ = [
     "OracleConfig",
     "EdgeLeakage",
-    "GridMismatch",
     "ComparisonReport",
     "state_on_oracle_grid",
     "split_step_evolve",
@@ -63,13 +62,9 @@ ADAPTIVE_MAX_STEPS = 8192
 ADAPTIVE_TOLERANCE = 0.01
 
 
-class EdgeLeakage(RuntimeError):
+class EdgeLeakage(ValueError):
     """Wavefunction magnitude at the window edge exceeded 1e-6 of the peak;
     periodic wrap-around would corrupt the run."""
-
-
-class GridMismatch(ValueError):
-    """Grids disagree in window, spacing or size."""
 
 
 # what ends the rows of a comparison or a run, keeping the rows before it: a
@@ -224,7 +219,7 @@ def split_step_evolve(
     final grid, so that every failure of the first row comes first.
     """
     if not initial.matches(cfg.xmin, cfg.dx, cfg.points):
-        raise GridMismatch("initial grid does not match the oracle configuration")
+        raise ValueError("initial grid does not match the oracle configuration")
     if halved and cfg.steps % 2:
         raise ValueError(f"a run of {cfg.steps} steps cannot be halved")
     half = cfg.replace(dt=2 * cfg.dt, steps=cfg.steps // 2) if halved else None
@@ -286,14 +281,14 @@ def l2_distance(a: WaveGrid, b: WaveGrid) -> float:
     zero distance, and a grid is exactly 0 from itself.
     """
     if not a.matches(b.xmin, b.dx, b.npoints):
-        raise GridMismatch("grids disagree in window, spacing or size")
+        raise ValueError("grids disagree in window, spacing or size")
     return _l2(a.values, norm_squared(a), b.values, norm_squared(b), a.dx)
 
 
 def _l2(a, na, b, nb, dx) -> float:
     """l2_distance of the values a and b, of norms^2 na and nb."""
     if na <= 0.0 or nb <= 0.0:
-        raise GridMismatch("cannot normalize a zero grid")
+        raise ValueError("cannot normalize a zero grid")
     va = a / np.sqrt(na)
     vb = b / np.sqrt(nb)
     # <va, vb> from real products: numpy's complex product may fuse one of

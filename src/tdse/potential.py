@@ -36,9 +36,6 @@ from .records import Frozen
 __all__ = [
     "PotentialError",
     "PotentialSyntaxError",
-    "XInsideFunctionError",
-    "XInDenominatorError",
-    "NonIntegerPowerError",
     "EvaluationError",
     "Const",
     "TimeVar",
@@ -61,23 +58,13 @@ class PotentialError(ValueError):
 
 
 class PotentialSyntaxError(PotentialError):
-    """Malformed expression text; carries a 1-based character position."""
+    """Expression text the grammar rejects (malformed, x inside a function or
+    a denominator, an exponent that is not a nonnegative integer literal);
+    carries a 1-based character position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (position {position})")
         self.position = position
-
-
-class XInsideFunctionError(PotentialError):
-    """x occurred inside a sin/cos/exp argument."""
-
-
-class XInDenominatorError(PotentialError):
-    """x occurred in the denominator of a division."""
-
-
-class NonIntegerPowerError(PotentialError):
-    """'^' exponent was not a nonnegative integer literal."""
 
 
 class EvaluationError(PotentialError):
@@ -322,9 +309,7 @@ class _Parser:
                 poly = _poly_mul(poly, rhs)
             else:
                 if any(d > 0 for d in rhs):
-                    raise XInDenominatorError(
-                        f"x may not appear in a denominator (position {tok.pos})"
-                    )
+                    raise PotentialSyntaxError("x may not appear in a denominator", tok.pos)
                 denom = rhs.get(0, Const(0.0))
                 poly = _prune({d: _binary("/", c, denom) for d, c in poly.items()})
         return poly
@@ -343,9 +328,9 @@ class _Parser:
             self.advance()
             exp_tok = self.advance()
             if exp_tok.kind != "number" or not exp_tok.text.isdigit():
-                raise NonIntegerPowerError(
-                    f"exponent must be a nonnegative integer literal, found "
-                    f"{exp_tok.text!r} (position {exp_tok.pos})"
+                raise PotentialSyntaxError(
+                    f"exponent must be a nonnegative integer literal, found {exp_tok.text!r}",
+                    exp_tok.pos,
                 )
             poly = _poly_pow(poly, int(exp_tok.text))
         return poly
@@ -369,9 +354,7 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 if any(d > 0 for d in arg):
-                    raise XInsideFunctionError(
-                        f"x may not appear inside {tok.text}() (position {tok.pos})"
-                    )
+                    raise PotentialSyntaxError(f"x may not appear inside {tok.text}()", tok.pos)
                 return {0: Call(tok.text, arg.get(0, Const(0.0)))}
             raise PotentialSyntaxError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
@@ -387,10 +370,12 @@ class _Parser:
 def parse_potential(text: str) -> PotentialModel:
     """Parse expression text into a PotentialModel.
 
-    Raises PotentialSyntaxError, XInsideFunctionError, XInDenominatorError
-    or NonIntegerPowerError.  A model that parses may still fail to evaluate
-    at a particular t (a zero divisor, an overflowing exp or power, the cos
-    of an infinite constant); taylor_rows raises that as EvaluationError.
+    Raises PotentialSyntaxError, with the 1-based position of the fault, for
+    malformed text, an x inside a function or a denominator, or an exponent
+    that is not a nonnegative integer literal.  A model that parses may
+    still fail to evaluate at a particular t (a zero divisor, an overflowing
+    exp or power, the cos of an infinite constant); taylor_rows raises that
+    as EvaluationError.
     """
     if not text or not text.strip():
         raise PotentialSyntaxError("empty expression", 1)

@@ -35,7 +35,7 @@ __all__ = [
 _EXP_CUTOFF = 700.0
 
 
-class ExponentOverflow(OverflowError):
+class ExponentOverflow(ValueError):
     """Re S(x) exceeded the exp ceiling or is not finite, or |psi|^2 or a
     moment built from it overflowed: non-normalizable state or a window
     wider than the representation's validity region."""

@@ -8,7 +8,6 @@ from tdse.initialization import GaussianPacket, gaussian_coefficients
 from tdse.integrators import StepperConfig, propagate
 from tdse.oracle import (
     EdgeLeakage,
-    GridMismatch,
     OracleConfig,
     compare_methods,
     l2_distance,
@@ -130,10 +129,10 @@ def test_l2_distance_orthogonal_states():
 def test_l2_distance_grid_mismatch():
     a = WaveGrid(-1.0, 0.25, np.ones(9, dtype=complex))
     b = WaveGrid(-1.0, 0.25, np.ones(10, dtype=complex))
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ValueError, match="^grids disagree in window, spacing or size$"):
         l2_distance(a, b)
     c = WaveGrid(-2.0, 0.25, np.ones(9, dtype=complex))
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ValueError, match="^grids disagree in window, spacing or size$"):
         l2_distance(a, c)
 
 

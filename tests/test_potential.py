@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +10,8 @@ import pytest
 from tdse.potential import (
     Const,
     EvaluationError,
-    NonIntegerPowerError,
     PotentialModel,
     PotentialSyntaxError,
-    XInDenominatorError,
-    XInsideFunctionError,
     eval_taylor_coefficients,
     parse_potential,
     step_blocks,
@@ -35,27 +33,29 @@ def test_parse_time_dependent_linear():
         assert eval_taylor_coefficients(model, t, 1)[1] == pytest.approx(math.cos(2 * t))
 
 
+def _rejected(text: str, message: str, position: int):
+    """parse_potential(text) raises PotentialSyntaxError with exactly
+    message and its position."""
+    with pytest.raises(PotentialSyntaxError, match=f"^{re.escape(message)}$") as excinfo:
+        parse_potential(text)
+    assert excinfo.value.position == position
+
+
 def test_x_inside_function_rejected():
-    with pytest.raises(XInsideFunctionError):
-        parse_potential("exp(x)")
-    with pytest.raises(XInsideFunctionError):
-        parse_potential("sin(t + x^2)")
+    _rejected("exp(x)", "x may not appear inside exp() (position 1)", 1)
+    _rejected("sin(t + x^2)", "x may not appear inside sin() (position 1)", 1)
 
 
 def test_x_in_denominator_rejected():
-    with pytest.raises(XInDenominatorError):
-        parse_potential("1/x")
-    with pytest.raises(XInDenominatorError):
-        parse_potential("t/(1 + x)")
+    _rejected("1/x", "x may not appear in a denominator (position 2)", 2)
+    _rejected("t/(1 + x)", "x may not appear in a denominator (position 2)", 2)
 
 
 def test_non_integer_power_rejected():
-    with pytest.raises(NonIntegerPowerError):
-        parse_potential("x^1.5")
-    with pytest.raises(NonIntegerPowerError):
-        parse_potential("x^-2")
-    with pytest.raises(NonIntegerPowerError):
-        parse_potential("x^(2)")
+    message = "exponent must be a nonnegative integer literal, found {} (position 3)"
+    _rejected("x^1.5", message.format("'1.5'"), 3)
+    _rejected("x^-2", message.format("'-'"), 3)
+    _rejected("x^(2)", message.format("'('"), 3)
 
 
 def test_syntax_errors_carry_positions():
