@@ -4,12 +4,13 @@ deterministic CSV artifacts.
 Each command is straight-line code that raises on failure; `main` alone maps
 an ending to an exit code, through one table, `_EXIT_CODES`, and one line:
 `status=aborted_blowup` on stdout for a blow-up, else `error:` on stderr.
-Exit codes: 0 success; 2 a command-line usage error, a config or validation
-error, an output that cannot be written, or a snapshot that cannot be
-reconstructed or compared: an exponent overflow, a vanishing norm, or a grid
-not negligible at its window's edges (a series past quadratic closure,
-compare's oracle, or in run any packet, at 1e-5 of its peak when closed); 3
-a blow-up; 4 a potential-DSL error.  Every command keeps the rows before a
+Exit codes: 0 success; 3 a blow-up (BlowUp); 4 a potential-DSL error
+(PotentialError); 2 an output that cannot be written (OSError) and every
+other failure, each a ValueError: a command-line usage error, a config or
+validation error, or a snapshot that cannot be reconstructed or compared,
+an exponent overflow, a vanishing norm, or a grid not negligible at its
+window's edges (a series past quadratic closure, compare's oracle, or in
+run any packet, at 1e-5 of its peak when closed).  Every command keeps the rows before a
 blow-up or a potential that fails after the first step (converge: after
 level 0's), whose code wins over an earlier failed snapshot's; run and
 compare keep those before a failed snapshot (compare also those before a

@@ -4,16 +4,17 @@ UTF-8 text, '#' starts a comment, whitespace around keys and values is
 ignored, unknown sections and keys are rejected.  README.md shows every
 section.  _SCHEMA is the one table of the keys: each is read by its kind (a
 number, an integer, comma-separated numbers or text), and a value it cannot
-read is an error naming the key.
+read is an error naming the key.  Every error is a ValueError.
 
 [potential], [initial] and [stepper] are required; [grid] is required by
 'run' and, when present, needs all of xmin, xmax and points.  A key left
 out of [physical] or [stepper] takes the default of PhysicalParams or
 StepperConfig; those of [initial] (x0 = 0, sigma = 1, k0 = 0, and
 truncation_order = 2 or the number of coefficients less one) are stated in
-_build_initial; [converge] scenario defaults to auto (a closed form, else
-the oracle; closed is a closed form or an error).  The oracle of 'compare'
-and 'converge' samples [grid]'s window, at [oracle] points when set, else
+_build_initial, where either kind's coefficients must be finite;
+[converge] scenario defaults to auto (a closed form, else the oracle;
+closed is a closed form or an error).  The oracle of 'compare' and
+'converge' samples [grid]'s window, at [oracle] points when set, else
 at [grid] points rounded up to a power of two, at least 256, and takes its
 step count from [oracle] steps, else from the command.
 """

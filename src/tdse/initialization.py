@@ -10,7 +10,8 @@ exp(S(x)) by fitting a polynomial to log|psi| + i*phi with the phase phi
 unwrapped sequentially along ascending x; sampling must be dense enough
 that true phase increments stay below pi between neighbours (this cannot
 be detected in-band).  Wavefunctions with nodes are out of reach of the
-log-polynomial form, hence the magnitude floor.
+log-polynomial form, hence the magnitude floor.  Every failure here is a
+ValueError.
 """
 
 import math
@@ -49,15 +50,22 @@ def gaussian_coefficients(packet: GaussianPacket, truncation_order: int = 2) -> 
 
     alpha_2 = -1/(4 sigma^2), alpha_1 = x0/(2 sigma^2) + i k0,
     alpha_0 = -x0^2/(4 sigma^2) - i k0 x0 (+0.0 for x0 = 0, never -0.0);
-    zero-padded up to the requested truncation order.
+    zero-padded up to the requested truncation order.  Raises ValueError
+    when a coefficient overflows, divides by zero or is not finite: a
+    packet past the double range.
     """
     if truncation_order < 2:
         raise ValueError("truncation_order must be at least 2")
     x0, sigma, k0 = packet.center, packet.width, packet.wavenumber
     alphas = np.zeros(truncation_order + 1, dtype=np.complex128)
-    alphas[2] = -1.0 / (4.0 * sigma**2)
-    alphas[1] = x0 / (2.0 * sigma**2) + 1j * k0
-    alphas[0] = -(x0**2) / (4.0 * sigma**2) - 1j * k0 * x0 + 0.0
+    try:
+        alphas[2] = -1.0 / (4.0 * sigma**2)
+        alphas[1] = x0 / (2.0 * sigma**2) + 1j * k0
+        alphas[0] = -(x0**2) / (4.0 * sigma**2) - 1j * k0 * x0 + 0.0
+    except (OverflowError, ZeroDivisionError):
+        alphas[0] = math.nan
+    if not np.isfinite(alphas).all():
+        raise ValueError("initial coefficients must be finite")
     return CoefficientState(alphas, time=0.0)
 
 

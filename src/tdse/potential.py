@@ -16,6 +16,9 @@ expression tree over t alone (a time profile).  Restrictions: x may not
 appear inside function arguments or denominators, and x exponents must
 be nonnegative integer literals.
 
+Text the grammar rejects is a PotentialSyntaxError with the 1-based
+position of the fault.
+
 The stored coefficient of x^n IS the Taylor coefficient of the potential
 about x = 0 (any 1/n! bookkeeping is already absorbed here), so
 taylor_rows, which tabulates them over a sequence of times, feeds the
@@ -25,6 +28,7 @@ and step_blocks tabulates a time-dependent potential a block of steps ahead.
 Models are immutable after construction and evaluation is pure.
 """
 
+import functools
 import math
 import re
 from typing import NamedTuple
@@ -129,7 +133,7 @@ def _folded(node):
 def _unevaluable(node) -> bool:
     """Whether node is t-free and cannot be folded: its failure is the same
     at every t."""
-    return _compile(node)[1] and not isinstance(_folded(node), Const)
+    return _source(node)[2] and not isinstance(_folded(node), Const)
 
 
 def _neg(a):
@@ -206,9 +210,9 @@ def _poly_pow(p, exponent: int):
 class PotentialModel(Frozen):
     """Polynomial-in-x potential; terms maps degree -> time-profile tree.
 
-    Each profile is compiled once, at construction, into a closure over
-    math functions; is_static is True when no profile mentions t.  A copy
-    or pickle compiles its terms again.
+    Each profile is compiled once, at construction, into a Python function
+    that evaluates each distinct subtree once per call; is_static is True
+    when no profile mentions t.  A copy or pickle compiles its terms again.
     """
 
     __slots__ = ("terms", "_profiles", "_static")
@@ -391,38 +395,65 @@ def parse_potential(text: str) -> PotentialModel:
 # evaluation
 
 
-def _compile(node):
-    """(fn, static) for a time-profile tree.
+_MATH = {name: getattr(math, name) for name in _FUNCTIONS}
 
-    fn(t) evaluates the tree node by node with Python's float arithmetic,
-    left operand before right, with the dispatch on node types done once
-    here; static is True when the tree does not mention t.
-    """
-    if isinstance(node, Const):
-        value = node.value
-        return (lambda t: value), True
-    if isinstance(node, TimeVar):
-        return (lambda t: t), False
-    if isinstance(node, Neg):
-        operand, static = _compile(node.operand)
-        return (lambda t: -operand(t)), static
-    if isinstance(node, BinOp):
-        (left, left_static), (right, right_static) = _compile(node.left), _compile(node.right)
-        static = left_static and right_static
-        if node.op == "+":
-            return (lambda t: left(t) + right(t)), static
-        if node.op == "-":
-            return (lambda t: left(t) - right(t)), static
-        if node.op == "*":
-            return (lambda t: left(t) * right(t)), static
-        return (lambda t: left(t) / right(t)), static
-    if isinstance(node, Power):
-        (base, static), exponent = _compile(node.base), node.exponent
-        return (lambda t: base(t) ** exponent), static
-    if isinstance(node, Call):
-        (arg, static), fn = _compile(node.arg), getattr(math, node.fn)
-        return (lambda t: fn(arg(t))), static
-    raise TypeError(f"not a time-profile node: {node!r}")
+
+def _source(node) -> tuple:
+    """(source, constants, static): source defines make(c0, c1, ...), which
+    returns profile(t), the tree evaluated with Python's float arithmetic,
+    left operand before right, each distinct subtree (by identity; the
+    expansion shares them, as in (x+t)^n) once, where a walk of the tree
+    first reaches it, so the first failure is the walk's."""
+    names, constants, lines = {}, [], []
+
+    def constant(value) -> str:
+        known = f"c{len(constants)}"
+        constants.append(value)
+        return known
+
+    def name(node) -> str:
+        known = names.get(id(node))
+        if known is not None:
+            return known
+        if isinstance(node, Const):
+            known = constant(node.value)
+        elif isinstance(node, TimeVar):
+            known = "t"
+        else:
+            if isinstance(node, Neg):
+                operation = f"-{name(node.operand)}"
+            elif isinstance(node, BinOp) and node.op in _UNIT:
+                operation = f"{name(node.left)} {node.op} {name(node.right)}"
+            elif isinstance(node, Power):
+                operation = f"{name(node.base)} ** {constant(node.exponent)}"
+            elif isinstance(node, Call) and node.fn in _MATH:
+                operation = f"{node.fn}({name(node.arg)})"
+            else:
+                raise TypeError(f"not a time-profile node: {node!r}")
+            known = f"v{len(lines)}"
+            lines.append(f"        {known} = {operation}\n")
+        names[id(node)] = known
+        return known
+
+    result = name(node)
+    parameters = ", ".join([f"c{i}" for i in range(len(constants))])
+    source = (f"def make({parameters}):\n    def profile(t):\n{''.join(lines)}"
+              f"        return {result}\n    return profile\n")
+    return source, constants, "t" not in names.values()
+
+
+@functools.lru_cache(maxsize=64)
+def _factory(source: str):
+    """source's make: a fold, or a potential parsed again, reuses its code."""
+    namespace = dict(_MATH)
+    exec(source, namespace)
+    return namespace["make"]
+
+
+def _compile(node):
+    """(profile, static), static being True when the tree does not mention t."""
+    source, constants, static = _source(node)
+    return _factory(source)(*constants), static
 
 
 _REASONS = {ZeroDivisionError: "division by zero", OverflowError: "overflow"}

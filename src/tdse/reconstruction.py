@@ -144,7 +144,7 @@ def _finite(name: str, *values) -> None:
 
 
 def _trapezoid(y: np.ndarray, dx, pairs=None):
-    """np.trapezoid(y, dx=dx) along y's last axis, written out in its
+    """np.trapezoid(y, dx=dx) along real y's last axis, written out in its
     operations and their order, so each result is bitwise numpy's without the
     cost of its Python wrapper.  It pairs neighbours over y flattened, into
     pairs (y's size, or a new array), so numpy iterates one dimension; a pair
@@ -154,10 +154,8 @@ def _trapezoid(y: np.ndarray, dx, pairs=None):
     inner = pairs[:-1]
     np.add(flat[1:], flat[:-1], out=inner)
     np.multiply(dx, inner, out=inner)
-    if np.iscomplexobj(inner):
-        np.divide(inner, 2.0, out=inner)
-    else:  # * 0.5 gives the bits of / 2.0 for real values, at a third of its cost
-        np.multiply(inner, 0.5, out=inner)
+    # * 0.5 gives the bits of / 2.0 for real values, at a third of its cost
+    np.multiply(inner, 0.5, out=inner)
     return pairs.reshape(y.shape)[..., :-1].sum(axis=-1)
 
 

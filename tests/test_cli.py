@@ -1007,10 +1007,12 @@ FIT_SAMPLES = b"x,psi_re,psi_im\n-1,0.6,0\n%s\n1,0.6,0\n2,0.1,0\n"
         (b"0,inf,0", "psi = (inf+0j) is not finite"),
         (b"nan,1,0", "x = nan, psi = (1+0j) is not finite"),
         (b"1e200,1,0", "x^2 overflows at |x| = 1e+200"),
+        (b"0,1e-13,0", "|psi| = 1.000e-13 at x = 0.0 is under the floor 1.000e-12"),
         (b"1e100,1,0", "rank 1 < 3; the x are distinct but too badly scaled; rescale x"),
         (b"0,\xff,0", "cannot read samples: 'utf-8' codec can't decode byte 0xff in position 27"),
     ],
-    ids=["nan-psi", "inf-psi", "nan-x", "x-overflows", "x-badly-scaled", "not-utf-8"],
+    ids=["nan-psi", "inf-psi", "nan-x", "x-overflows", "psi-under-the-floor", "x-badly-scaled",
+         "not-utf-8"],
 )
 def test_fit_rejects_a_sample_it_cannot_fit(tmp_path, capsys, row, fragment):
     # one bad row: no nan coefficients, no numpy warning, no LAPACK failure
@@ -1641,6 +1643,11 @@ _CONFIG_ERRORS = _NOT_A_VALUE + [
     ((*_COEFFICIENTS, "initial.alpha_im=0, 0"), 2,
      "initial.alpha_re and initial.alpha_im differ in length"),
     ((*_COEFFICIENTS, "initial.alpha_re=nan, 0.5, -0.5"), 2, "initial coefficients must be finite"),
+    # a gaussian packet whose coefficients pass the double range
+    (("initial.x0=1e160",), 2, "initial coefficients must be finite"),
+    (("initial.sigma=1e200",), 2, "initial coefficients must be finite"),
+    (("initial.sigma=1e-171",), 2, "initial coefficients must be finite"),
+    (("initial.sigma=1e-160",), 2, "initial coefficients must be finite"),
     ((*_COEFFICIENTS, "initial.truncation_order=1"), 2,
      "initial.truncation_order = 1 cannot hold 3 coefficients"),
     # a coefficients state takes the minimum order of a gaussian one
@@ -1653,6 +1660,9 @@ _CONFIG_ERRORS = _NOT_A_VALUE + [
     (("converge.scenario=bogus",), 2,
      "converge.scenario must be one of auto, closed, oracle, got 'bogus'"),
     (("oracle.steps=0",), 2, "oracle.steps must be at least 1, got 0"),
+    (("potential.expression=1/x",), 4, "x may not appear in a denominator (position 2)"),
+    (("potential.expression=x^1.5",), 4,
+     "exponent must be a nonnegative integer literal, found '1.5' (position 3)"),
     # several errors: the first one checked is reported
     (("stepper.dt=x", "-stepper.steps"), 2, "missing required key stepper.steps"),
     (("potential.expression=x^^2", "-initial"), 4,

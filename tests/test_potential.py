@@ -3,6 +3,7 @@
 import math
 import pickle
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -56,6 +57,25 @@ def test_non_integer_power_rejected():
     _rejected("x^1.5", message.format("'1.5'"), 3)
     _rejected("x^-2", message.format("'-'"), 3)
     _rejected("x^(2)", message.format("'('"), 3)
+
+
+def test_a_power_of_a_sum_parses_and_evaluates_in_well_under_a_second():
+    # the coefficients of (x+t)^n share their subtrees; evaluated once per
+    # path instead of once per subtree, n = 20 took 40 s and n = 24 hangs
+    def timeout(signum, frame):
+        raise TimeoutError("(x+t)^24 did not parse and evaluate in 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        times = [0.5, 1.0, 2.0]
+        rows = taylor_rows(parse_potential("(x+t)^24"), times, 24)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # the binomial coefficients, exact in doubles at these t
+    expected = [[math.comb(24, k) * t ** (24 - k) for k in range(25)] for t in times]
+    assert np.array_equal(rows, expected)
 
 
 def test_syntax_errors_carry_positions():

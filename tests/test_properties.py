@@ -328,6 +328,18 @@ def test_every_failing_profile_raises_one_evaluation_error(node, t, message):
     assert _outcome(lambda: eval_taylor_coefficients(model, t, 1)[1]) == expected
 
 
+# one pole, reached on three paths: 1/(t - 0.5) * (1/(t - 0.5) + cos(1/(t - 0.5)))
+_SHARED = BinOp("/", Const(1.0), BinOp("-", TimeVar(), Const(0.5)))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 1.0, -3.0])
+def test_a_shared_subtree_gives_the_value_and_the_failure_of_the_tree_walk(t):
+    node = BinOp("*", _SHARED, BinOp("+", _SHARED, Call("cos", _SHARED)))
+    expected = _outcome(tree_eval_profile, node, t)
+    model = PotentialModel({2: node})
+    assert _outcome(lambda: float(eval_taylor_coefficients(model, t, 2)[2])) == expected
+
+
 @given(times)
 def test_zero_divisor_raises_the_same_error(t):
     node = BinOp("/", TimeVar(), BinOp("-", TimeVar(), TimeVar()))
