@@ -7,21 +7,21 @@ an ending to an exit code, through one table, `_EXIT_CODES`, and one line:
 Exit codes: 0 success; 3 a blow-up (BlowUp); 4 a potential-DSL error
 (PotentialError); 2 an output that cannot be written (OSError) and every
 other failure, each a ValueError: a command-line usage error, a config or
-validation error, or a snapshot that cannot be reconstructed or compared,
-an exponent overflow, a vanishing norm, or a grid not negligible at its
-window's edges (a series past quadratic closure, compare's oracle, or in
-run any packet, at 1e-5 of its peak when closed).  Every command keeps the rows before a
-blow-up or a potential that fails after the first step (converge: after
-level 0's), whose code wins over an earlier failed snapshot's; run and
+validation error, or a snapshot that cannot be reconstructed or compared, an
+exponent overflow, a vanishing norm, or a grid not negligible at its
+window's edges (a series past quadratic closure, compare's oracle, or in run
+any packet, at 1e-5 of its peak when closed).  Every command keeps the rows
+before a blow-up or a potential that fails after the first step (converge:
+after level 0's), whose code wins over an earlier failed snapshot's; run and
 compare keep those before a failed snapshot (compare also those before a
-potential its oracle cannot evaluate).  run reconstructs its snapshots _BLOCK
-at a time and checks them in order.  compare and converge drive the oracle
-through tdse.oracle.compare_with_oracle, from the config _oracle_config
-resolves on [grid]'s window.  run, converge and compare write into the
-directory --out names, fit to the file it names; --out is required.  Numbers
-are written with 17 significant digits, a file by one %-format call, so
-identical inputs give byte-identical files; the only standard output is one
-final status line.
+potential its oracle cannot evaluate).  run reconstructs its snapshots
+_BLOCK at a time and checks them in order.  compare and converge drive the
+oracle through tdse.oracle.compare_with_oracle, from the config
+_oracle_config resolves on [grid]'s window.  run, converge and compare write
+into the directory --out names, fit to the file it names; --out is required.
+Numbers are written with 17 significant digits, a file by one %-format call,
+so identical inputs give byte-identical files; the only standard output is
+one final status line.
 """
 
 import argparse

@@ -63,7 +63,7 @@ def gaussian_coefficients(packet: GaussianPacket, truncation_order: int = 2) -> 
         alphas[1] = x0 / (2.0 * sigma**2) + 1j * k0
         alphas[0] = -(x0**2) / (4.0 * sigma**2) - 1j * k0 * x0 + 0.0
     except (OverflowError, ZeroDivisionError):
-        alphas[0] = math.nan
+        alphas[0] = math.nan  # not finite: reported below
     if not np.isfinite(alphas).all():
         raise ValueError("initial coefficients must be finite")
     return CoefficientState(alphas, time=0.0)
@@ -117,7 +117,7 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
     distinct = len(set(xs.tolist()))
     if distinct <= degree:
         raise ValueError(f"fit matrix has rank {distinct} < {degree + 1}; "
-                               "need degree+1 samples with distinct x")
+                         "need degree+1 samples with distinct x")
     y = np.log(magnitudes) + 1j * _unwrap_ascending(np.angle(psis))
     with np.errstate(over="ignore"):
         vander = np.vander(xs, degree + 1, increasing=True)
@@ -126,7 +126,7 @@ def fit_log_polynomial(samples, degree: int) -> FitResult:
     coeffs, _, rank, _ = np.linalg.lstsq(vander, y, rcond=None)
     if rank < degree + 1:  # lstsq drops singular values under its rcond
         raise ValueError(f"fit matrix has rank {rank} < {degree + 1}; "
-                               "the x are distinct but too badly scaled; rescale x")
+                         "the x are distinct but too badly scaled; rescale x")
     residual = float(np.sqrt(np.mean(np.abs(vander @ coeffs - y) ** 2)))
 
     order = max(degree, 2)
