@@ -17,7 +17,9 @@ appear inside function arguments or denominators, and x exponents must
 be nonnegative integer literals.
 
 Text the grammar rejects is a PotentialSyntaxError with the 1-based
-position of the fault.
+position of the fault, and so is text whose parse would pass
+PARSE_WORK_LIMIT: the coefficient products of its expansion plus the lines
+of code generated for its folds and profiles.
 
 The stored coefficient of x^n IS the Taylor coefficient of the potential
 about x = 0 (any 1/n! bookkeeping is already absorbed here), so
@@ -75,6 +77,39 @@ class EvaluationError(PotentialError):
     """A profile cannot be evaluated at some t: a division by zero, an
     overflow or a math domain error, raised by taylor_rows; or V on the
     oracle's grid overflows at a step's midpoint t, raised by the oracle."""
+
+
+# the most work one parse_potential may do, in units of one coefficient
+# product in _poly_mul or one line of profile code written by _source (for a
+# fold or for the model's compile); past it the parse raises
+# PotentialSyntaxError.  Any text within it parses in well under 0.25 s:
+# texts at the limit took at most 85 ms on a shared 2-vCPU x86-64 machine
+# under Python 3.11 ((1e300+x)^36, (x+t)^36, (1+x)^62, x^5001).
+PARSE_WORK_LIMIT = 10_000
+
+
+class _Work:
+    """The work of the parse in progress, and the position of the operator
+    being applied, which a parse past PARSE_WORK_LIMIT names."""
+
+    __slots__ = ("spent", "position")
+
+    def __init__(self):
+        self.spent, self.position = 0, 1
+
+    def spend(self, units: int):
+        self.spent += units
+        if self.spent > PARSE_WORK_LIMIT:
+            raise PotentialSyntaxError(
+                f"expression needs more than {PARSE_WORK_LIMIT} coefficient products "
+                "and lines of compiled code",
+                self.position,
+            )
+
+
+# the _Work of the parse in progress; None outside parse_potential, so a
+# PotentialModel built from a tree is not counted
+_work = None
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +222,8 @@ def _poly_add(p, q, op: str):
 
 
 def _poly_mul(p, q):
+    if _work is not None:
+        _work.spend(len(p) * len(q))
     out: dict = {}
     for d1, c1 in p.items():
         for d2, c2 in q.items():
@@ -300,8 +337,10 @@ class _Parser:
     def expr(self) -> dict:
         poly = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            poly = _poly_add(poly, self.term(), op)
+            tok = self.advance()
+            rhs = self.term()
+            _work.position = tok.pos
+            poly = _poly_add(poly, rhs, tok.text)
         return poly
 
     def term(self) -> dict:
@@ -309,6 +348,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "*/":
             tok = self.advance()
             rhs = self.unary()
+            _work.position = tok.pos
             if tok.text == "*":
                 poly = _poly_mul(poly, rhs)
             else:
@@ -322,7 +362,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return {d: _neg(c) for d, c in self.unary().items()}
+            operand = self.unary()
+            _work.position = tok.pos
+            return {d: _neg(c) for d, c in operand.items()}
         return self.factor()
 
     def factor(self) -> dict:
@@ -336,6 +378,7 @@ class _Parser:
                     f"exponent must be a nonnegative integer literal, found {exp_tok.text!r}",
                     exp_tok.pos,
                 )
+            _work.position = tok.pos
             poly = _poly_pow(poly, int(exp_tok.text))
         return poly
 
@@ -375,20 +418,27 @@ def parse_potential(text: str) -> PotentialModel:
     """Parse expression text into a PotentialModel.
 
     Raises PotentialSyntaxError, with the 1-based position of the fault, for
-    malformed text, an x inside a function or a denominator, or an exponent
-    that is not a nonnegative integer literal.  A model that parses may
+    malformed text, an x inside a function or a denominator, an exponent
+    that is not a nonnegative integer literal, or work past
+    PARSE_WORK_LIMIT.  A model that parses may
     still fail to evaluate at a particular t (a zero divisor, an overflowing
     exp or power, the cos of an infinite constant); taylor_rows raises that
     as EvaluationError.
     """
+    global _work
     if not text or not text.strip():
         raise PotentialSyntaxError("empty expression", 1)
     parser = _Parser(text)
-    poly = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise PotentialSyntaxError(f"unexpected {trailing.text!r}", trailing.pos)
-    return PotentialModel(_prune(poly))
+    _work = _Work()
+    try:
+        poly = parser.expr()
+        trailing = parser.peek()
+        if trailing.kind != "end":
+            raise PotentialSyntaxError(f"unexpected {trailing.text!r}", trailing.pos)
+        _work.position = 1
+        return PotentialModel(_prune(poly))
+    finally:
+        _work = None
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +486,8 @@ def _source(node) -> tuple:
         return known
 
     result = name(node)
+    if _work is not None:
+        _work.spend(len(lines))
     parameters = ", ".join([f"c{i}" for i in range(len(constants))])
     source = (f"def make({parameters}):\n    def profile(t):\n{''.join(lines)}"
               f"        return {result}\n    return profile\n")

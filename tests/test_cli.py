@@ -379,10 +379,10 @@ def test_converge_runs_the_oracle_once_per_invocation(tmp_path, capsys, monkeypa
     config = write_config(tmp_path / "conv.cfg", DRIVEN_FALLBACK)
     argv = ("converge", "--config", config, "--halvings", "3", "--out", str(tmp_path / "out"))
     assert run_cli(*argv) == 0
-    assert [cfg.steps for cfg in runs] == [256, 128]
+    assert [cfg.steps for cfg in runs] == [128, 64]
     assert len(checks) == 1  # every level's horizon and final time are level 0's
     assert run_cli(*argv) == 0  # nothing is kept from one invocation to the next
-    assert [cfg.steps for cfg in runs[2:]] == [256, 128]
+    assert [cfg.steps for cfg in runs[2:]] == [128, 64]
     capsys.readouterr()
 
 
@@ -396,12 +396,12 @@ def test_converge_reused_oracle_writes_the_bytes_of_independent_runs(
     config = write_config(tmp_path / "conv.cfg", body)
     shared = tmp_path / "shared"
     assert run_cli("converge", "--config", config, "--halvings", "3", "--out", str(shared)) == 0
-    assert "oracle_steps=256 " in capsys.readouterr().out
-    # each level compared on its own against its own 256-step oracle run
+    assert "oracle_steps=128 " in capsys.readouterr().out
+    # each level compared on its own against its own 128-step oracle run
     cfg = load_config(config)
     grid, stepper = cfg.grid, cfg.stepper
     oracle = OracleConfig(
-        grid.xmin, grid.xmax, max(256, grid.points), stepper.dt * stepper.steps / 256, 256
+        grid.xmin, grid.xmax, max(256, grid.points), stepper.dt * stepper.steps / 128, 128
     )
     runs = _count_oracle_runs(monkeypatch)
     rows, errors = [], []
@@ -412,11 +412,11 @@ def test_converge_reused_oracle_writes_the_bytes_of_independent_runs(
         errors.append(float(report.l2[-1]))
         ratio = f"{errors[-2] / errors[-1]:.16e}" if level else ""
         rows.append(f"{dt:.16e},{errors[-1]:.16e},{ratio}\n")
-    assert [cfg.steps for cfg in runs] == [256] * 4
+    assert [cfg.steps for cfg in runs] == [128] * 4
     assert (shared / "convergence.csv").read_text() == "dt,error,ratio\n" + "".join(rows)
 
 
-@pytest.mark.parametrize("oracle,steps,dt", [("", 256, 1.0 / 256), ("steps = 64\n", 64, 1.0 / 64)])
+@pytest.mark.parametrize("oracle,steps,dt", [("", 128, 1.0 / 128), ("steps = 64\n", 64, 1.0 / 64)])
 def test_converge_oracle_steps_come_from_steps_then_the_default(
     tmp_path, capsys, monkeypatch, oracle, steps, dt
 ):
@@ -424,24 +424,25 @@ def test_converge_oracle_steps_come_from_steps_then_the_default(
     config = write_config(tmp_path / "conv.cfg", DRIVEN_FALLBACK + "\n[oracle]\n" + oracle)
     assert run_cli("converge", "--config", config, "--halvings", "1", "--out", str(tmp_path)) == 0
     # the default is checked by an estimate that reruns the oracle at half the steps
-    expected = [(steps, dt)] if oracle else [(256, 1.0 / 256), (128, 1.0 / 128)]
+    expected = [(steps, dt)] if oracle else [(128, 1.0 / 128), (64, 1.0 / 64)]
     assert [(cfg.steps, cfg.dt) for cfg in runs] == expected
     status = capsys.readouterr().out
     if oracle:  # a configured oracle reports nothing about itself
         assert status == "status=completed\n"
     else:
-        assert status.startswith("status=completed oracle_steps=256 oracle_error=")
+        assert status.startswith("status=completed oracle_steps=128 oracle_error=")
 
 
 @pytest.mark.parametrize(
-    "halvings,steps", [(3, [256, 128]), (6, [256, 128, 512])], ids=["256", "512"]
+    "halvings,steps", [(3, [128, 64]), (6, [128, 64, 256, 512])], ids=["128", "512"]
 )
 def test_converge_sizes_the_oracle_by_its_error_estimate(
     tmp_path, capsys, monkeypatch, halvings, steps
 ):
-    # the estimate at 256 steps, 1.5e-6, is under 1% of the finest error at
-    # 3 halvings (8.7e-4) but not at 6 (1.1e-4); each doubling adds one run
-    # of the oracle and none of the series
+    # the estimate at 128 steps, 5.9e-6, is under 1% of the finest error at
+    # 3 halvings (8.8e-4) but not at 6 (1.1e-4), nor is 256's (1.5e-6);
+    # 512's (3.7e-7) is.  Each doubling adds one run of the oracle and none
+    # of the series
     import tdse.cli
 
     runs = _count_oracle_runs(monkeypatch)
@@ -467,12 +468,12 @@ def test_converge_sizes_the_oracle_by_its_error_estimate(
     assert estimate <= 0.01 * float(lines[-1].split(",")[1])
 
 
-# a linear kick at the midpoints of the 128-step estimate run's steps, which
-# the 256-step run's midpoints miss (cos vanishes there): only the estimate
+# a linear kick at the midpoints of the 64-step estimate run's steps, which
+# the 128-step run's midpoints miss (cos vanishes there): only the estimate
 # run's packet swings out to the window's edge
 HALF_RUN_LEAK = (
     DRIVEN_FALLBACK.replace(
-        "0.5*sin(2*t)*x + 0.1*cos(t)^2*x^2", f"10*cos({256 * math.pi!r}*t)^2*x"
+        "0.5*sin(2*t)*x + 0.1*cos(t)^2*x^2", f"10*cos({128 * math.pi!r}*t)^2*x"
     )
     .replace("truncation_order = 2", "sigma = 0.7071067811865476\ntruncation_order = 2")
     .replace("-10.0", "-8.0")
@@ -487,17 +488,17 @@ def test_a_leak_in_the_estimate_run_alone_is_its_own_error(tmp_path, capsys):
     config = write_config(tmp_path / "conv.cfg", HALF_RUN_LEAK)
     argv = ("converge", "--config", config, "--halvings", "1", "--out", str(tmp_path / "out"))
     assert run_cli(*argv) == 2
-    # the message of the 128-step run made on its own
+    # the message of the 64-step run made on its own
     cfg = load_config(config)
-    half = OracleConfig(-8.0, 8.0, 256, 1.0 / 128, 128)
+    half = OracleConfig(-8.0, 8.0, 256, 1.0 / 64, 64)
     start = state_on_oracle_grid(cfg.initial, half)
     with pytest.raises(EdgeLeakage) as leak:
-        dict(split_step_evolve(start, cfg.potential, cfg.params, half, {128}))
+        dict(split_step_evolve(start, cfg.potential, cfg.params, half, {64}))
     assert str(leak.value).endswith("at t = 1")
     assert capsys.readouterr() == ("", f"error: {leak.value}\n")
-    # the 256-step run alone stays inside its window
-    full = OracleConfig(-8.0, 8.0, 256, 1.0 / 256, 256)
-    dict(split_step_evolve(start, cfg.potential, cfg.params, full, {0, 256}))
+    # the 128-step run alone stays inside its window
+    full = OracleConfig(-8.0, 8.0, 256, 1.0 / 128, 128)
+    dict(split_step_evolve(start, cfg.potential, cfg.params, full, {0, 128}))
 
 
 # RK4 at dt = 1e-2 is far more accurate than any oracle up to 8192 steps:
@@ -1318,8 +1319,8 @@ def test_a_potential_overflowing_on_the_oracle_grid_exits_4(tmp_path, capsys, co
     if command == "converge":
         argv[3:3] = ["--halvings", "1"]
     assert run_cli(*argv) == 4
-    # compare's oracle takes the stepper's dt; converge's takes 256 steps
-    midpoint = 0.5 * 1e-2 if command == "compare" else 0.5 * (1e-2 * 10 / 256)
+    # compare's oracle takes the stepper's dt; converge's takes 128 steps
+    midpoint = 0.5 * 1e-2 if command == "compare" else 0.5 * (1e-2 * 10 / 128)
     assert_one_error_line(capsys, f"overflow at t = {midpoint!r}")
     if command == "compare":  # the row of the start stays
         lines = (out / "compare.csv").read_text().splitlines()

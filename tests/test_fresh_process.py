@@ -56,10 +56,10 @@ ROWS = {
     "compare-harmonic": Row(COMPARE, HARMONIC, 0, "status=completed"),
     "converge-harmonic": Row("converge --halvings 1" + IO, HARMONIC, 0, "status=completed"),
     "run-free": Row(RUN, FREE, 0, "status=completed"),
-    # the oracle fallback on a driven well: its 256-step oracle run and the
-    # 128-step run of its error estimate march together
+    # the oracle fallback on a driven well: its 128-step oracle run and the
+    # 64-step run of its error estimate march together
     "converge-driven": Row("converge --halvings 2" + IO, DRIVEN_FALLBACK, 0,
-                           "status=completed oracle_steps=256 oracle_error=",
+                           "status=completed oracle_steps=128 oracle_error=",
                            {"out/convergence.csv": 4}),
     # the oracle grid leaks at the window's edge at t = 0.3: the rows of
     # t = 0, 0.1 and 0.2 are kept

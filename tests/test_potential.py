@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tdse.potential import (
+    PARSE_WORK_LIMIT,
     Const,
     EvaluationError,
     PotentialModel,
@@ -76,6 +77,63 @@ def test_a_power_of_a_sum_parses_and_evaluates_in_well_under_a_second():
     # the binomial coefficients, exact in doubles at these t
     expected = [[math.comb(24, k) * t ** (24 - k) for k in range(25)] for t in times]
     assert np.array_equal(rows, expected)
+
+
+# each text, on the parent of the parse's work limit: (1+x)^1100 took 9 s
+# and (1+x)^2000 did not finish in 120 s (past the double range the
+# coefficient trees grow); (x+t)^96 took 1.7 s and (1e300+x)^100 2.2 s, as
+# each coefficient compiled its shared subtrees again.  Past the limit, the
+# error names the '^' of an expansion, or position 1 for the compile
+PAST_THE_WORK_LIMIT = [
+    ("(1+x)^1100", 6),
+    ("(1+x)^2000", 6),
+    ("(x+t)^96", 1),
+    ("(1e300+x)^100", 10),
+]
+
+
+@pytest.mark.parametrize("text, position", PAST_THE_WORK_LIMIT)
+def test_a_parse_past_the_work_limit_exits_4_in_under_a_second(tmp_path, capsys, text, position):
+    from tdse.cli import main
+
+    config = tmp_path / "limit.cfg"
+    config.write_text(
+        f"[potential]\nexpression = {text}\n\n[initial]\nkind = gaussian\n"
+        "truncation_order = 2\n\n[stepper]\ndt = 0.01\nsteps = 1\n",
+        encoding="utf-8",
+    )
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"{text} did not end in 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(1)
+    try:
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 4
+    message = (
+        f"expression needs more than {PARSE_WORK_LIMIT} coefficient products and lines "
+        f"of compiled code (position {position})"
+    )
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    _rejected(text, message, position)
+
+
+def test_the_work_limit_admits_the_pinned_monomials():
+    # x^n takes n - 1 products of one coefficient pair, each folded in one
+    # line of code
+    largest = PARSE_WORK_LIMIT // 2 + 1
+    for n in (400, 512, largest):
+        assert parse_potential(f"x^{n}").terms == {n: Const(1.0)}
+    _rejected(
+        f"x^{largest + 1}",
+        f"expression needs more than {PARSE_WORK_LIMIT} coefficient products and lines "
+        "of compiled code (position 2)",
+        2,
+    )
 
 
 def test_syntax_errors_carry_positions():

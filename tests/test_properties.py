@@ -493,24 +493,31 @@ def test_the_kernel_keeps_its_window_on_later_states():
 # (d) the oracle's error estimate against a much finer run
 
 DRIVEN = parse_potential("x^2/2 + 0.5*sin(2*t)*x + 0.1*cos(t)^2*x^2")
+QUARTIC = parse_potential("x^2/2 + 0.01*x^4")
 
 
-def _final_grid(initial, cfg):
+def _final_grid(initial, potential, cfg):
     start = state_on_oracle_grid(initial, cfg)
-    return dict(split_step_evolve(start, DRIVEN, PhysicalParams(), cfg, {cfg.steps}))[cfg.steps]
+    grids = split_step_evolve(start, potential, PhysicalParams(), cfg, {cfg.steps})
+    return dict(grids)[cfg.steps]
 
 
+@pytest.mark.parametrize("potential", [DRIVEN, QUARTIC], ids=["driven", "quartic"])
+@pytest.mark.parametrize("steps", [128, 256])
 @settings(max_examples=8)
 @given(st.floats(-0.5, 0.5), st.floats(0.9, 1.1), st.floats(-0.5, 0.5))
-def test_the_estimate_at_256_steps_is_within_2x_of_the_error(x0, sigma, k0):
-    # the driven well over a unit horizon on 256 points, as converge's
-    # oracle fallback runs it; a 2048-step run stands in for the exact grid
+def test_the_estimate_at_s_steps_is_within_2x_of_the_error(steps, potential, x0, sigma, k0):
+    # a unit horizon on 256 points, as converge's oracle fallback runs it
+    # from ADAPTIVE_MIN_STEPS = 128 up; a 2048-step run stands in for the
+    # exact grid
     initial = gaussian_coefficients(GaussianPacket(x0, sigma, k0))
-    cfg = OracleConfig(-10.0, 10.0, 256, dt=1.0 / 256, steps=256)
-    half = OracleConfig(-10.0, 10.0, 256, dt=1.0 / 128, steps=128)
-    estimate = oracle_error_estimate(_final_grid(initial, cfg), _final_grid(initial, half))
+    cfg = OracleConfig(-10.0, 10.0, 256, dt=1.0 / steps, steps=steps)
+    half = OracleConfig(-10.0, 10.0, 256, dt=1.0 / (steps // 2), steps=steps // 2)
+    estimate = oracle_error_estimate(
+        _final_grid(initial, potential, cfg), _final_grid(initial, potential, half)
+    )
     fine = OracleConfig(-10.0, 10.0, 256, dt=1.0 / 2048, steps=2048)
-    error = l2_distance(_final_grid(initial, fine), _final_grid(initial, cfg))
+    error = l2_distance(_final_grid(initial, potential, fine), _final_grid(initial, potential, cfg))
     assert 0.5 * error <= estimate <= 2.0 * error
 
 
