@@ -420,10 +420,9 @@ def parse_potential(text: str) -> PotentialModel:
     Raises PotentialSyntaxError, with the 1-based position of the fault, for
     malformed text, an x inside a function or a denominator, an exponent
     that is not a nonnegative integer literal, or work past
-    PARSE_WORK_LIMIT.  A model that parses may
-    still fail to evaluate at a particular t (a zero divisor, an overflowing
-    exp or power, the cos of an infinite constant); taylor_rows raises that
-    as EvaluationError.
+    PARSE_WORK_LIMIT.  A model that parses may still fail to evaluate at a
+    particular t (a zero divisor, an overflowing exp or power, the cos of an
+    infinite constant); taylor_rows raises that as EvaluationError.
     """
     global _work
     if not text or not text.strip():

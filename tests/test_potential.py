@@ -8,6 +8,7 @@ import signal
 import numpy as np
 import pytest
 
+from conftest import write_config
 from tdse.potential import (
     PARSE_WORK_LIMIT,
     Const,
@@ -79,11 +80,11 @@ def test_a_power_of_a_sum_parses_and_evaluates_in_well_under_a_second():
     assert np.array_equal(rows, expected)
 
 
-# each text, on the parent of the parse's work limit: (1+x)^1100 took 9 s
-# and (1+x)^2000 did not finish in 120 s (past the double range the
-# coefficient trees grow); (x+t)^96 took 1.7 s and (1e300+x)^100 2.2 s, as
-# each coefficient compiled its shared subtrees again.  Past the limit, the
-# error names the '^' of an expansion, or position 1 for the compile
+# without a bound on the parse's work, (1+x)^1100 took 9 s and (1+x)^2000
+# did not finish in 120 s (past the double range the coefficient trees
+# grow); (x+t)^96 took 1.7 s and (1e300+x)^100 2.2 s, as each coefficient
+# compiled its shared subtrees again.  Past the limit, the error names the
+# '^' of an expansion, or position 1 for the compile
 PAST_THE_WORK_LIMIT = [
     ("(1+x)^1100", 6),
     ("(1+x)^2000", 6),
@@ -96,11 +97,10 @@ PAST_THE_WORK_LIMIT = [
 def test_a_parse_past_the_work_limit_exits_4_in_under_a_second(tmp_path, capsys, text, position):
     from tdse.cli import main
 
-    config = tmp_path / "limit.cfg"
-    config.write_text(
+    config = write_config(
+        tmp_path / "limit.cfg",
         f"[potential]\nexpression = {text}\n\n[initial]\nkind = gaussian\n"
         "truncation_order = 2\n\n[stepper]\ndt = 0.01\nsteps = 1\n",
-        encoding="utf-8",
     )
 
     def timeout(signum, frame):
@@ -109,7 +109,7 @@ def test_a_parse_past_the_work_limit_exits_4_in_under_a_second(tmp_path, capsys,
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(1)
     try:
-        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        code = main(["run", "--config", config, "--out", str(tmp_path / "out")])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
