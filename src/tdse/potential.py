@@ -19,7 +19,7 @@ be nonnegative integer literals.
 Text the grammar rejects is a PotentialSyntaxError with the 1-based
 position of the fault, and so is text whose parse would pass
 PARSE_WORK_LIMIT: the coefficient products of its expansion plus the lines
-of code generated for its folds and profiles.
+of code compiled for its profiles.
 
 The stored coefficient of x^n IS the Taylor coefficient of the potential
 about x = 0 (any 1/n! bookkeeping is already absorbed here), so
@@ -30,8 +30,8 @@ and step_blocks tabulates a time-dependent potential a block of steps ahead.
 Models are immutable after construction and evaluation is pure.
 """
 
-import functools
 import math
+import operator
 import re
 from typing import NamedTuple
 
@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp")
+_MATH = {name: getattr(math, name) for name in _FUNCTIONS}
 
 
 class PotentialError(ValueError):
@@ -80,11 +81,11 @@ class EvaluationError(PotentialError):
 
 
 # the most work one parse_potential may do, in units of one coefficient
-# product in _poly_mul or one line of profile code written by _source (for a
-# fold or for the model's compile); past it the parse raises
-# PotentialSyntaxError.  Any text within it parses in well under 0.25 s:
-# texts at the limit took at most 85 ms on a shared 2-vCPU x86-64 machine
-# under Python 3.11 ((1e300+x)^36, (x+t)^36, (1+x)^62, x^5001).
+# product in _poly_mul or one line of the model's profile code written by
+# _compile; past it the parse raises PotentialSyntaxError.  Any text within it
+# parses in well under 0.25 s: texts at the limit took at most 85 ms on a
+# shared 2-vCPU x86-64 machine under Python 3.11 ((1e300+x)^36, (x+t)^36,
+# (1+x)^62, x^5001).
 PARSE_WORK_LIMIT = 10_000
 
 
@@ -151,30 +152,47 @@ def _is_const(node, value: float) -> bool:
 
 
 # smart constructors: fold constants so parsed coefficients stay tidy.  A
-# node whose operands are all Const is folded to the value its compiled
-# profile gives; where that evaluation fails (a zero divisor, a power that
-# overflows, a value past the double range) the node is kept, and
-# taylor_rows raises the failure at every t
+# node whose operands are all Const is folded to its value, computed with
+# Python's float operators and math, the IEEE operations of its compiled
+# profile; where that fails (a zero divisor, an overflow, a math domain
+# error, a value past the double range) the node is kept, and taylor_rows
+# raises the failure at every t.  So a t-free node that is not a Const fails
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _folded(node):
+    if not all(isinstance(operand, Const) for operand in node if isinstance(operand, tuple)):
+        return node
     try:
-        value = _compile(node)[0](0.0)
+        if isinstance(node, BinOp):
+            value = _OPERATORS[node.op](node.left.value, node.right.value)
+        elif isinstance(node, Neg):
+            value = -node.operand.value
+        elif isinstance(node, Power):
+            value = node.base.value ** node.exponent
+        else:
+            value = _MATH[node.fn](node.arg.value)
     except (ZeroDivisionError, OverflowError, ValueError):
         return node
     return Const(value) if math.isfinite(value) else node
 
 
-def _unevaluable(node) -> bool:
-    """Whether node is t-free and cannot be folded: its failure is the same
-    at every t."""
-    return _source(node)[2] and not isinstance(_folded(node), Const)
+def _mentions_t(node) -> bool:
+    """Whether the tree mentions t; each distinct subtree is visited once."""
+    seen, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TimeVar):
+            return True
+        if not isinstance(node, Const) and id(node) not in seen:
+            seen.add(id(node))
+            stack += [operand for operand in node if isinstance(operand, tuple)]
+    return False
 
 
 def _neg(a):
-    if isinstance(a, Neg):
-        return a.operand
-    return _folded(Neg(a)) if isinstance(a, Const) else Neg(a)
+    return a.operand if isinstance(a, Neg) else _folded(Neg(a))
 
 
 # the right operand that leaves each operator's left one as it is
@@ -186,9 +204,10 @@ def _binary(op, a, b):
         return _folded(BinOp(op, a, b))
     if _is_const(b, _UNIT[op]):
         return a
-    # x*0 -> 0, unless x fails at every t: taylor_rows raises that instead
+    # x*0 -> 0, unless x is t-free (not being a Const, it fails at every t):
+    # taylor_rows raises that instead
     if op == "*" and (_is_const(a, 0.0) or _is_const(b, 0.0)):
-        if not _unevaluable(b if _is_const(a, 0.0) else a):
+        if _mentions_t(b if _is_const(a, 0.0) else a):
             return Const(0.0)
     if op in "+*" and _is_const(a, _UNIT[op]):
         return b
@@ -202,7 +221,7 @@ def _pow(base, exponent: int):
         return Const(1.0)
     if exponent == 1:
         return base
-    return _folded(Power(base, exponent)) if isinstance(base, Const) else Power(base, exponent)
+    return _folded(Power(base, exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +277,8 @@ class PotentialModel(Frozen):
         for d in terms:
             if not isinstance(d, int) or d < 0:
                 raise ValueError(f"term degrees must be nonnegative integers, got {d!r}")
-        compiled = [(d, _compile(node)) for d, node in terms.items()]
-        profiles = tuple((d, fn) for d, (fn, _) in compiled)
-        self._set(terms, profiles, all(static for _, (_, static) in compiled))
+        profiles = tuple((d, _compile(node)) for d, node in terms.items())
+        self._set(terms, profiles, not any(map(_mentions_t, terms.values())))
 
     @property
     def is_static(self) -> bool:
@@ -402,7 +420,7 @@ class _Parser:
                 self.expect_op(")")
                 if any(d > 0 for d in arg):
                     raise PotentialSyntaxError(f"x may not appear inside {tok.text}()", tok.pos)
-                return {0: Call(tok.text, arg.get(0, Const(0.0)))}
+                return {0: _folded(Call(tok.text, arg.get(0, Const(0.0))))}
             raise PotentialSyntaxError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
             poly = self.expr()
@@ -444,20 +462,16 @@ def parse_potential(text: str) -> PotentialModel:
 # evaluation
 
 
-_MATH = {name: getattr(math, name) for name in _FUNCTIONS}
-
-
-def _source(node) -> tuple:
-    """(source, constants, static): source defines make(c0, c1, ...), which
-    returns profile(t), the tree evaluated with Python's float arithmetic,
-    left operand before right, each distinct subtree (by identity; the
-    expansion shares them, as in (x+t)^n) once, where a walk of the tree
-    first reaches it, so the first failure is the walk's."""
-    names, constants, lines = {}, [], []
+def _compile(node):
+    """profile(t): the tree evaluated with Python's float arithmetic, left
+    operand before right, each distinct subtree (by identity; the expansion
+    shares them, as in (x+t)^n) once, where a walk of the tree first reaches
+    it, so the first failure is the walk's; its constants are globals."""
+    names, namespace, lines = {}, dict(_MATH), []
 
     def constant(value) -> str:
-        known = f"c{len(constants)}"
-        constants.append(value)
+        known = f"c{len(namespace)}"
+        namespace[known] = value
         return known
 
     def name(node) -> str:
@@ -480,31 +494,15 @@ def _source(node) -> tuple:
             else:
                 raise TypeError(f"not a time-profile node: {node!r}")
             known = f"v{len(lines)}"
-            lines.append(f"        {known} = {operation}\n")
+            lines.append(f"    {known} = {operation}\n")
         names[id(node)] = known
         return known
 
     result = name(node)
     if _work is not None:
         _work.spend(len(lines))
-    parameters = ", ".join([f"c{i}" for i in range(len(constants))])
-    source = (f"def make({parameters}):\n    def profile(t):\n{''.join(lines)}"
-              f"        return {result}\n    return profile\n")
-    return source, constants, "t" not in names.values()
-
-
-@functools.lru_cache(maxsize=64)
-def _factory(source: str):
-    """source's make: a fold, or a potential parsed again, reuses its code."""
-    namespace = dict(_MATH)
-    exec(source, namespace)
-    return namespace["make"]
-
-
-def _compile(node):
-    """(profile, static), static being True when the tree does not mention t."""
-    source, constants, static = _source(node)
-    return _factory(source)(*constants), static
+    exec(f"def profile(t):\n{''.join(lines)}    return {result}\n", namespace)
+    return namespace["profile"]
 
 
 _REASONS = {ZeroDivisionError: "division by zero", OverflowError: "overflow"}

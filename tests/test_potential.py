@@ -11,6 +11,8 @@ import pytest
 from conftest import write_config
 from tdse.potential import (
     PARSE_WORK_LIMIT,
+    BinOp,
+    Call,
     Const,
     EvaluationError,
     PotentialModel,
@@ -27,6 +29,16 @@ def test_parse_quadratic():
     assert set(model.terms) == {2}
     assert model.terms[2] == Const(0.5)
     assert model.degree == 2
+
+
+def test_a_function_of_a_constant_folds():
+    # folded with math, as the compiled profile evaluates it; exp(800)
+    # overflows, so it is kept, fails at every t, and a zero does not cancel it
+    assert parse_potential("cos(0)*x^2/2").terms == {2: Const(0.5)}
+    assert parse_potential("sin(2)*x").terms == {1: Const(math.sin(2.0))}
+    assert parse_potential("0*exp(800)*x").terms == {
+        1: BinOp("*", Const(0.0), Call("exp", Const(800.0)))
+    }
 
 
 def test_parse_time_dependent_linear():
@@ -123,9 +135,9 @@ def test_a_parse_past_the_work_limit_exits_4_in_under_a_second(tmp_path, capsys,
 
 
 def test_the_work_limit_admits_the_pinned_monomials():
-    # x^n takes n - 1 products of one coefficient pair, each folded in one
-    # line of code
-    largest = PARSE_WORK_LIMIT // 2 + 1
+    # x^n takes n - 1 products of one coefficient pair; their folds and the
+    # compile of the constant profile write no code
+    largest = PARSE_WORK_LIMIT + 1
     for n in (400, 512, largest):
         assert parse_potential(f"x^{n}").terms == {n: Const(1.0)}
     _rejected(
