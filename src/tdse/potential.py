@@ -17,9 +17,9 @@ appear inside function arguments or denominators, and x exponents must
 be nonnegative integer literals.
 
 Text the grammar rejects is a PotentialSyntaxError with the 1-based
-position of the fault, and so is text whose parse would pass
-PARSE_WORK_LIMIT: the coefficient products of its expansion plus the lines
-of code compiled for its profiles.
+position of the fault, and so is text that nests deeper than MAX_NESTING,
+or whose parse would pass PARSE_WORK_LIMIT: the coefficient products of its
+expansion plus the lines of code compiled for its profiles.
 
 The stored coefficient of x^n IS the Taylor coefficient of the potential
 about x = 0 (any 1/n! bookkeeping is already absorbed here), so
@@ -33,6 +33,7 @@ Models are immutable after construction and evaluation is pure.
 import math
 import operator
 import re
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -87,6 +88,12 @@ class EvaluationError(PotentialError):
 # shared 2-vCPU x86-64 machine under Python 3.11 ((1e300+x)^36, (x+t)^36,
 # (1+x)^62, x^5001).
 PARSE_WORK_LIMIT = 10_000
+
+# the most parentheses, function calls and unary minuses one parse may have
+# open at once; past it the parse raises PotentialSyntaxError at the token
+# that opens one more.  The parser recurses at most five frames a level, so
+# it stays well under Python's default recursion limit of 1000 frames.
+MAX_NESTING = 100
 
 
 class _Work:
@@ -333,6 +340,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0  # the levels open; each closes on its rule's return
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -348,6 +356,14 @@ class _Parser:
             raise PotentialSyntaxError(
                 f"expected {op!r}, found {tok.text!r}" if tok.text else f"expected {op!r}",
                 tok.pos,
+            )
+
+    def nest(self, tok: _Token):
+        """Open one more level at tok."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PotentialSyntaxError(
+                f"expression nests deeper than {MAX_NESTING} levels", tok.pos
             )
 
     # grammar rules, each returning a polynomial dict
@@ -380,7 +396,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
+            self.nest(tok)
             operand = self.unary()
+            self.depth -= 1
             _work.position = tok.pos
             return {d: _neg(c) for d, c in operand.items()}
         return self.factor()
@@ -396,8 +414,14 @@ class _Parser:
                     f"exponent must be a nonnegative integer literal, found {exp_tok.text!r}",
                     exp_tok.pos,
                 )
+            try:
+                exponent = int(exp_tok.text)
+            except ValueError:  # past Python's limit on the digits it converts
+                raise PotentialSyntaxError(
+                    f"exponent has more than {sys.get_int_max_str_digits()} digits", exp_tok.pos
+                ) from None
             _work.position = tok.pos
-            poly = _poly_pow(poly, int(exp_tok.text))
+            poly = _poly_pow(poly, exponent)
         return poly
 
     def atom(self) -> dict:
@@ -415,16 +439,20 @@ class _Parser:
             if tok.text == "t":
                 return {0: TimeVar()}
             if tok.text in _FUNCTIONS:
+                self.nest(tok)
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
+                self.depth -= 1
                 if any(d > 0 for d in arg):
                     raise PotentialSyntaxError(f"x may not appear inside {tok.text}()", tok.pos)
                 return {0: _folded(Call(tok.text, arg.get(0, Const(0.0))))}
             raise PotentialSyntaxError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
+            self.nest(tok)
             poly = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return poly
         raise PotentialSyntaxError(
             f"unexpected {tok.text!r}" if tok.text else "unexpected end of input",
@@ -437,7 +465,8 @@ def parse_potential(text: str) -> PotentialModel:
 
     Raises PotentialSyntaxError, with the 1-based position of the fault, for
     malformed text, an x inside a function or a denominator, an exponent
-    that is not a nonnegative integer literal, or work past
+    that is not a nonnegative integer literal (or has more digits than
+    Python converts), nesting past MAX_NESTING, or work past
     PARSE_WORK_LIMIT.  A model that parses may still fail to evaluate at a
     particular t (a zero divisor, an overflowing exp or power, the cos of an
     infinite constant); taylor_rows raises that as EvaluationError.

@@ -11,6 +11,8 @@ write from the snapshots is their own).
 
 import cmath
 import math
+import signal
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -85,6 +87,23 @@ def support_bound_after_step(A: int, D: int) -> int:
     if A < 0 or D < 0:
         raise ValueError("A and D must be nonnegative")
     return max(A, 2 * A - 2, D)
+
+
+@contextmanager
+def within_seconds(seconds: int):
+    """Raise TimeoutError inside the block once it has run for seconds (by
+    SIGALRM, so only in the main thread)."""
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"did not end in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def write_config(path, body: str) -> str:

@@ -984,6 +984,18 @@ def test_fit_command_round_trip(tmp_path, capsys):
     assert coeffs == pytest.approx([0.0, 0.0, -1.0], abs=1e-10)
 
 
+def test_an_output_is_a_new_file_that_replaces_a_symlink(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    lines = ["x,psi_re,psi_im"] + [f"{x},{np.exp(-x * x)},0.0" for x in np.linspace(-2, 2, 41)]
+    samples.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    target, out = tmp_path / "target.csv", tmp_path / "fit.csv"
+    target.write_text("kept\n")
+    out.symlink_to(target)
+    assert run_cli("fit", "--samples", str(samples), "--degree", "2", "--out", str(out)) == 0
+    assert not out.is_symlink() and out.read_text().startswith("n,alpha_re,alpha_im\n")
+    assert target.read_text() == "kept\n"
+
+
 def test_fit_command_zero_sample(tmp_path, capsys):
     samples = tmp_path / "samples.csv"
     samples.write_text("x,psi_re,psi_im\n-1.0,0.5,0\n0.0,0.0,0\n1.0,0.5,0\n", encoding="utf-8")

@@ -49,6 +49,7 @@ class Row(NamedTuple):
     stdout: str = ""  # the start of a success's one line; a failure prints none
     files: dict = {}  # path under {tmp}: its number of lines, or None if absent
     cells: dict = {}  # (path, line, column): the text of that CSV field
+    before: dict = {}  # path under {tmp}: the text an earlier run left there
 
 
 ROWS = {
@@ -71,11 +72,24 @@ ROWS = {
     "run-window-leak": Row(RUN, ORACLE_LEAK, 2, files={"out/observables.csv": 4},
                            cells={("out/observables.csv", 1, 4): "8.0000000000000000e+00",
                                   ("out/observables.csv", 1, 5): "0.0000000000000000e+00"}),
+    # rerun into the --out of a run that completed: its grid is removed, not
+    # kept beside the new rows, and its observables are replaced
+    "run-window-leak-over-an-earlier-run": Row(
+        RUN, ORACLE_LEAK, 2,
+        files={"out/observables.csv": 4, "out/wavefunction_final.csv": None},
+        before={"out/observables.csv": "t,norm2,mean_x,mean_x2,mean_p_re,mean_p_im\n" + "0\n" * 9,
+                "out/wavefunction_final.csv": "x,psi_re,psi_im,prob_density\n0,1,0,1\n"}),
     # configparser's text for a line without `=` spans two lines
     "line-without-equals": Row(RUN, ORACLE_LEAK.replace("points = 256", "points"), 2,
                                files={"out": None}),
     "xmax-inf": Row(RUN, HARMONIC_GAUSSIAN.replace("xmax = 12.0", "xmax = inf"), 2,
                     files={"out": None}),
+    # one line with a position, not the parser's RecursionError traceback
+    "potential-nested-too-deep": Row(RUN, HARMONIC_GAUSSIAN.replace(
+        "x^2/2", "(" * 300 + "x^2/2" + ")" * 300), 4, files={"out": None}),
+    # one line with a position, not the ValueError of int() (exit 2)
+    "potential-exponent-of-5000-digits": Row(RUN, HARMONIC_GAUSSIAN.replace(
+        "x^2/2", "x^" + "9" * 5000), 4, files={"out": None}),
     # overflows at t = 0: the error names t, not a traceback
     "potential-overflow": Row(RUN, HARMONIC_GAUSSIAN.replace("x^2/2", "exp(800)*x^2"), 4,
                               files={"out": None}),
@@ -120,6 +134,9 @@ def _tdse(tmp_path, argv: str, kernels: dict = {}):
 def test_a_command_in_a_fresh_interpreter(tmp_path, row):
     data = row.input.encode("utf-8") if isinstance(row.input, str) else row.input
     (tmp_path / "input").write_bytes(data)
+    for path, text in row.before.items():
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(text)
     result = _tdse(tmp_path, row.argv)
     assert result.returncode == row.code, result.stderr
     if row.code == 0:

@@ -1,15 +1,17 @@
 """Tests for the potential expression compiler."""
 
+import functools
 import math
 import pickle
 import re
-import signal
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import write_config
+from conftest import within_seconds, write_config
 from tdse.potential import (
+    MAX_NESTING,
     PARSE_WORK_LIMIT,
     BinOp,
     Call,
@@ -17,6 +19,8 @@ from tdse.potential import (
     EvaluationError,
     PotentialModel,
     PotentialSyntaxError,
+    Power,
+    TimeVar,
     eval_taylor_coefficients,
     parse_potential,
     step_blocks,
@@ -76,17 +80,9 @@ def test_non_integer_power_rejected():
 def test_a_power_of_a_sum_parses_and_evaluates_in_well_under_a_second():
     # the coefficients of (x+t)^n share their subtrees; evaluated once per
     # path instead of once per subtree, n = 20 took 40 s and n = 24 hangs
-    def timeout(signum, frame):
-        raise TimeoutError("(x+t)^24 did not parse and evaluate in 10 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(10)
-    try:
-        times = [0.5, 1.0, 2.0]
+    times = [0.5, 1.0, 2.0]
+    with within_seconds(10):
         rows = taylor_rows(parse_potential("(x+t)^24"), times, 24)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     # the binomial coefficients, exact in doubles at these t
     expected = [[math.comb(24, k) * t ** (24 - k) for k in range(25)] for t in times]
     assert np.array_equal(rows, expected)
@@ -105,8 +101,9 @@ PAST_THE_WORK_LIMIT = [
 ]
 
 
-@pytest.mark.parametrize("text, position", PAST_THE_WORK_LIMIT)
-def test_a_parse_past_the_work_limit_exits_4_in_under_a_second(tmp_path, capsys, text, position):
+def _run_exits_4_in_a_second(tmp_path, capsys, text: str, message: str):
+    """`tdse run` on a config with expression = text exits 4 within 1 s, with
+    the one line `error: message`, and writes no output."""
     from tdse.cli import main
 
     config = write_config(
@@ -114,24 +111,68 @@ def test_a_parse_past_the_work_limit_exits_4_in_under_a_second(tmp_path, capsys,
         f"[potential]\nexpression = {text}\n\n[initial]\nkind = gaussian\n"
         "truncation_order = 2\n\n[stepper]\ndt = 0.01\nsteps = 1\n",
     )
-
-    def timeout(signum, frame):
-        raise TimeoutError(f"{text} did not end in 1 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(1)
-    try:
+    with within_seconds(1):
         code = main(["run", "--config", config, "--out", str(tmp_path / "out")])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, position", PAST_THE_WORK_LIMIT)
+def test_a_parse_past_the_work_limit_exits_4_in_under_a_second(tmp_path, capsys, text, position):
     message = (
         f"expression needs more than {PARSE_WORK_LIMIT} coefficient products and lines "
         f"of compiled code (position {position})"
     )
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    _run_exits_4_in_a_second(tmp_path, capsys, text, message)
     _rejected(text, message, position)
+
+
+# without a bound on the nesting, the parser's recursion ended every command
+# with a RecursionError traceback (exit 1); the token past the bound is named
+PAST_THE_NESTING = [
+    ("(" * 300 + "x" + ")" * 300, MAX_NESTING + 1),
+    ("-" * 2000 + "x", MAX_NESTING + 1),
+    ("sin(" * 150 + "t" + ")" * 150 + "*x", 4 * MAX_NESTING + 1),
+    ("x^2/2 + " + "-(" * 60 + "t" + ")" * 60, 8 + MAX_NESTING + 1),
+]
+
+
+@pytest.mark.parametrize("text, position", PAST_THE_NESTING)
+def test_a_parse_past_the_nesting_bound_exits_4_in_under_a_second(tmp_path, capsys, text,
+                                                                  position):
+    message = f"expression nests deeper than {MAX_NESTING} levels (position {position})"
+    _run_exits_4_in_a_second(tmp_path, capsys, text, message)
+    _rejected(text, message, position)
+
+
+def test_text_nested_to_the_bound_parses():
+    levels = MAX_NESTING
+    with within_seconds(1):
+        assert parse_potential("(" * levels + "x" + ")" * levels).terms == {1: Const(1.0)}
+        assert parse_potential("-" * levels + "x").terms == {1: Const(1.0)}
+        nested = parse_potential("cos(" * levels + "t" + ")" * levels + "*x^2")
+        assert taylor_rows(nested, [0.5], 2)[0, 2] == functools.reduce(
+            lambda value, _: math.cos(value), range(levels), 0.5
+        )
+        assert parse_potential("-(" * (levels // 2) + "t" + ")" * (levels // 2)).terms == {
+            0: TimeVar()
+        }
+
+
+def test_an_exponent_past_pythons_digit_limit_exits_4(tmp_path, capsys):
+    digits = sys.get_int_max_str_digits()
+    message = f"exponent has more than {digits} digits (position 3)"
+    _run_exits_4_in_a_second(tmp_path, capsys, "x^" + "9" * (digits + 700), message)
+    _rejected("t^" + "9" * (digits + 700), message, 3)
+    # an exponent that converts parses as before: past the work limit for x,
+    # one Power node for t, and for a constant a kept fold that overflows
+    huge = int("9" * digits)
+    with within_seconds(1):
+        _rejected("x^" + "9" * digits, f"expression needs more than {PARSE_WORK_LIMIT} "
+                  "coefficient products and lines of compiled code (position 2)", 2)
+        assert parse_potential("t^" + "9" * digits).terms == {0: Power(TimeVar(), huge)}
+        assert parse_potential("2^" + "9" * digits).terms == {0: Power(Const(2.0), huge)}
 
 
 def test_the_work_limit_admits_the_pinned_monomials():
