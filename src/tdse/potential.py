@@ -84,9 +84,9 @@ class EvaluationError(PotentialError):
 # the most work one parse_potential may do, in units of one coefficient
 # product in _poly_mul or one line of the model's profile code written by
 # _compile; past it the parse raises PotentialSyntaxError.  Any text within it
-# parses in well under 0.25 s: texts at the limit took at most 85 ms on a
-# shared 2-vCPU x86-64 machine under Python 3.11 ((1e300+x)^36, (x+t)^36,
-# (1+x)^62, x^5001).
+# parses in well under 0.25 s: texts at the limit took at most 26 ms on a
+# shared 2-vCPU x86-64 machine under Python 3.11 ((1e300+x)^30, (x+t)^30,
+# (1+x)^99, x^10001).
 PARSE_WORK_LIMIT = 10_000
 
 # the most parentheses, function calls and unary minuses one parse may have
