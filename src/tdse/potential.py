@@ -163,7 +163,8 @@ def _is_const(node, value: float) -> bool:
 # Python's float operators and math, the IEEE operations of its compiled
 # profile; where that fails (a zero divisor, an overflow, a math domain
 # error, a value past the double range) the node is kept, and taylor_rows
-# raises the failure at every t.  So a t-free node that is not a Const fails
+# raises the failure at every t.  So a t-free node that is not a Const holds
+# a fold that failed
 
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -211,8 +212,8 @@ def _binary(op, a, b):
         return _folded(BinOp(op, a, b))
     if _is_const(b, _UNIT[op]):
         return a
-    # x*0 -> 0, unless x is t-free (not being a Const, it fails at every t):
-    # taylor_rows raises that instead
+    # x*0 -> 0, unless x is t-free and so holds a fold that failed: the
+    # product is kept, for taylor_rows to raise the failure at every t
     if op == "*" and (_is_const(a, 0.0) or _is_const(b, 0.0)):
         if _mentions_t(b if _is_const(a, 0.0) else a):
             return Const(0.0)
