@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -984,16 +986,20 @@ def test_fit_command_round_trip(tmp_path, capsys):
     assert coeffs == pytest.approx([0.0, 0.0, -1.0], abs=1e-10)
 
 
-def test_an_output_is_a_new_file_that_replaces_a_symlink(tmp_path, capsys):
+def test_fit_writes_through_a_fifo_it_is_given(tmp_path, capsys):
     samples = tmp_path / "samples.csv"
     lines = ["x,psi_re,psi_im"] + [f"{x},{np.exp(-x * x)},0.0" for x in np.linspace(-2, 2, 41)]
     samples.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    target, out = tmp_path / "target.csv", tmp_path / "fit.csv"
-    target.write_text("kept\n")
-    out.symlink_to(target)
-    assert run_cli("fit", "--samples", str(samples), "--degree", "2", "--out", str(out)) == 0
-    assert not out.is_symlink() and out.read_text().startswith("n,alpha_re,alpha_im\n")
-    assert target.read_text() == "kept\n"
+    out = tmp_path / "fit.csv"
+    os.mkfifo(out)
+    # the read end, open without blocking, lets fit open the write end at once
+    reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli("fit", "--samples", str(samples), "--degree", "2", "--out", str(out)) == 0
+        assert stat.S_ISFIFO(os.stat(out).st_mode)
+        assert os.read(reader, 1 << 16).startswith(b"n,alpha_re,alpha_im\n0,")
+    finally:
+        os.close(reader)
 
 
 def test_fit_command_zero_sample(tmp_path, capsys):
