@@ -9,11 +9,13 @@ convergence studies are the accuracy control.
 Each stepper is written once, over both forms of the state that
 tdse.state's right-hand side takes, and N alone picks the form.  Above
 quadratic closure (N > 2), the state is a coefficient array and the
-velocity velocity_kernel's.  At N = 2, the closed regime, it is a list of
-three Python complex numbers and the velocity closed_velocity_kernel's,
-the same formulas in CPython's complex arithmetic: three numbers do not
-pay for numpy's per-call overhead, and the result does not depend on the
-FMA or BLAS kernels numpy picks by CPU.  A static potential is evaluated
+velocity velocity_kernel's.  At N = 2, the closed regime, it is a 3-tuple
+of Python complex numbers and the velocity closed_velocity_kernel's, the
+same formulas in CPython's complex arithmetic, each step unpacking the
+three numbers by name: they do not pay for numpy's per-call overhead, nor
+for a loop, and the result does not depend on the FMA or BLAS kernels
+numpy picks by CPU.  Each form has its own blow-up test, picked once per
+propagate.  A static potential is evaluated
 once, a time-dependent one once per distinct stage time, tabulated a
 block of steps ahead by tdse.potential.step_blocks.
 
@@ -110,19 +112,31 @@ def _make_step(integrator: str, velocity, dt: float, as_lists: bool):
     """step(alphas, forced) -> the alphas one dt later, forced being the
     step's rows from _stage_forcings and velocity one from tdse.state.
 
-    The alphas are an array, or with as_lists a list of Python complex
-    numbers; the two forms differ only in how they take x + s*k and RK4's
-    weighted sum.  Every constant is complex, so each product is the full
+    The alphas are an array, or with as_lists three Python complex numbers
+    (a step returns them as a tuple); the two forms differ only in how they
+    take x + s*k and RK4's weighted sum, element by element in the same
+    expression.  Every constant is complex, so each product is the full
     complex product in either form.
     """
     dt_c, half, sixth, two = complex(dt), complex(0.5 * dt), complex(dt / 6.0), complex(2)
     if as_lists:
 
         def axpy(x, s, k):
-            return [xi + s * ki for xi, ki in zip(x, k)]
+            x0, x1, x2 = x
+            k0, k1, k2 = k
+            return x0 + s * k0, x1 + s * k1, x2 + s * k2
 
         def rk4_sum(a, k1, k2, k3, k4):
-            return [x + sixth * (p + two * q + two * r + w) for x, p, q, r, w in zip(a, k1, k2, k3, k4)]
+            a0, a1, a2 = a
+            p0, p1, p2 = k1
+            q0, q1, q2 = k2
+            r0, r1, r2 = k3
+            w0, w1, w2 = k4
+            return (
+                a0 + sixth * (p0 + two * q0 + two * r0 + w0),
+                a1 + sixth * (p1 + two * q1 + two * r1 + w1),
+                a2 + sixth * (p2 + two * q2 + two * r2 + w2),
+            )
 
     else:
 
@@ -150,14 +164,24 @@ def _make_step(integrator: str, velocity, dt: float, as_lists: bool):
     return step
 
 
-def _blown_up(alphas, threshold: float) -> bool:
-    # a NaN or infinite |alpha| fails the comparison as an oversized one
-    # does; over a few entries, Python's loop is cheaper than numpy's max.
+# the blow-up tests of the two forms of the state, one picked per propagate.
+# A NaN or infinite |alpha| fails the comparison as an oversized one does
+
+
+def _array_blown_up(alphas: np.ndarray, threshold: float) -> bool:
+    # over a few entries, Python's loop is cheaper than numpy's max
+    return not all(m <= threshold for m in np.abs(alphas).tolist())
+
+
+def _closed_blown_up(alphas, threshold: float) -> bool:
     # math.hypot gives inf past the double range, where abs() of a Python
     # complex raises OverflowError
-    if isinstance(alphas, np.ndarray):
-        return not all(m <= threshold for m in np.abs(alphas).tolist())
-    return not all(math.hypot(z.real, z.imag) <= threshold for z in alphas)
+    a0, a1, a2 = alphas
+    return not (
+        math.hypot(a0.real, a0.imag) <= threshold
+        and math.hypot(a1.real, a1.imag) <= threshold
+        and math.hypot(a2.real, a2.imag) <= threshold
+    )
 
 
 def propagate(
@@ -184,12 +208,13 @@ def propagate(
     else:
         a, velocity = initial.alphas, velocity_kernel(initial.truncation_order, params)
     step = _make_step(cfg.integrator, velocity, dt, closed)
+    blown_up = _closed_blown_up if closed else _array_blown_up
     forcings = _stage_forcings(cfg.integrator, initial, potential, params, dt, cfg.steps, closed)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for p, forced in enumerate(forcings, start=1):
                 new = step(a, forced)
-                if _blown_up(new, threshold):
+                if blown_up(new, threshold):
                     raise BlowUp(f"blow-up at step {p}, t = {t0 + p * dt}")
                 # anchor the clock at t0 + p*dt: repeated `time += dt` accumulates a
                 # rounding error per step, which pollutes left-endpoint potential

@@ -492,11 +492,29 @@ def parse_potential(text: str) -> PotentialModel:
 # evaluation
 
 
-def _compile(node):
+def _operands(node) -> tuple:
+    """The operands of a profile node that is neither a Const nor t."""
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, BinOp) and node.op in _UNIT:
+        return node.left, node.right
+    if isinstance(node, Power):
+        return (node.base,)
+    if isinstance(node, Call) and node.fn in _MATH:
+        return (node.arg,)
+    raise TypeError(f"not a time-profile node: {node!r}")
+
+
+def _compile(root):
     """profile(t): the tree evaluated with Python's float arithmetic, left
     operand before right, each distinct subtree (by identity; the expansion
     shares them, as in (x+t)^n) once, where a walk of the tree first reaches
-    it, so the first failure is the walk's; its constants are globals."""
+    it, so the first failure is the walk's; its constants are globals.
+
+    The walk is a loop over a stack, not a recursion, so a tree as deep as a
+    chain t+t+...+t of any length compiles: each node is named after its
+    operands, the left one first, and a node that is not a profile node
+    raises TypeError when the walk first reaches it."""
     names, namespace, lines = {}, dict(_MATH), []
 
     def constant(value) -> str:
@@ -504,34 +522,33 @@ def _compile(node):
         namespace[known] = value
         return known
 
-    def name(node) -> str:
-        known = names.get(id(node))
-        if known is not None:
-            return known
+    stack = [(root, False)]  # (node, whether its operands are named)
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in names:
+            continue
         if isinstance(node, Const):
-            known = constant(node.value)
+            names[id(node)] = constant(node.value)
         elif isinstance(node, TimeVar):
-            known = "t"
+            names[id(node)] = "t"
+        elif not ready:
+            stack.append((node, True))
+            stack += [(operand, False) for operand in reversed(_operands(node))]
         else:
             if isinstance(node, Neg):
-                operation = f"-{name(node.operand)}"
-            elif isinstance(node, BinOp) and node.op in _UNIT:
-                operation = f"{name(node.left)} {node.op} {name(node.right)}"
+                operation = f"-{names[id(node.operand)]}"
+            elif isinstance(node, BinOp):
+                operation = f"{names[id(node.left)]} {node.op} {names[id(node.right)]}"
             elif isinstance(node, Power):
-                operation = f"{name(node.base)} ** {constant(node.exponent)}"
-            elif isinstance(node, Call) and node.fn in _MATH:
-                operation = f"{node.fn}({name(node.arg)})"
+                operation = f"{names[id(node.base)]} ** {constant(node.exponent)}"
             else:
-                raise TypeError(f"not a time-profile node: {node!r}")
-            known = f"v{len(lines)}"
+                operation = f"{node.fn}({names[id(node.arg)]})"
+            names[id(node)] = known = f"v{len(lines)}"
             lines.append(f"    {known} = {operation}\n")
-        names[id(node)] = known
-        return known
 
-    result = name(node)
     if _work is not None:
         _work.spend(len(lines))
-    exec(f"def profile(t):\n{''.join(lines)}    return {result}\n", namespace)
+    exec(f"def profile(t):\n{''.join(lines)}    return {names[id(root)]}\n", namespace)
     return namespace["profile"]
 
 
@@ -543,25 +560,32 @@ def taylor_rows(model: PotentialModel, times, max_degree: int) -> np.ndarray:
     max_degree + 1) array whose column d holds the compiled profile of
     degree d at each time; degrees absent from the model are 0.
 
-    The times are evaluated in order, each one's profiles in the model's
-    order.  The first time at which a profile fails, or whose row holds an
-    inf or a nan, raises EvaluationError "<reason> at t = <t>", the reason
-    being division by zero, overflow (also for a value that is not finite)
-    or math domain error: the one place a profile's failure is raised.
+    Each profile the row keeps fills its column over all the times.  If one
+    fails, the times are evaluated again in order, each one's profiles in
+    the model's order, so the failure raised is the first in time order:
+    EvaluationError "<reason> at t = <t>", the reason being division by zero,
+    overflow (also for a value that is not finite) or math domain error; a
+    row before it that holds an inf or a nan raises first, as overflow at its
+    time.  This is the one place a profile's failure is raised.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     kept = [(d, fn) for d, fn in model._profiles if d <= max_degree]
-    values, failure = [], None
-    for t in times:
-        try:
-            values.append([fn(t) for _, fn in kept])
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:  # all they raise
-            failure = f"{_REASONS.get(type(exc), 'math domain error')} at t = {t}"
-            break
-    out = np.zeros((len(values), max_degree + 1))
-    if values and kept:
-        out[:, [d for d, _ in kept]] = values
+    out, failure = np.zeros((len(times), max_degree + 1)), None
+    try:
+        for d, fn in kept:
+            out[:, d] = list(map(fn, times))
+    except (ZeroDivisionError, OverflowError, ValueError):  # all they raise
+        values = []
+        for t in times:
+            try:
+                values.append([fn(t) for _, fn in kept])
+            except (ZeroDivisionError, OverflowError, ValueError) as exc:
+                failure = f"{_REASONS.get(type(exc), 'math domain error')} at t = {t}"
+                break
+        out = np.zeros((len(values), max_degree + 1))
+        if values:
+            out[:, [d for d, _ in kept]] = values
     finite = np.isfinite(out)
     if not finite.all():  # once per call; a time before the failure fails first
         raise EvaluationError(f"overflow at t = {times[int(np.argmin(finite.all(axis=1)))]}")

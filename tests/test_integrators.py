@@ -10,7 +10,8 @@ from conftest import max_support_index, one_step, reference_propagate, riccati_a
 from tdse.integrators import (
     BlowUp,
     StepperConfig,
-    _blown_up,
+    _array_blown_up,
+    _closed_blown_up,
     _make_step,
     propagate,
 )
@@ -174,14 +175,14 @@ def test_detect_blowup_contract():
     infinite = CoefficientState([0, 0, complex(float("inf"), 0)])
     # |alpha| passes the double range: abs() of a Python complex would raise
     edge = CoefficientState([0, 0, complex(1.5e308, 1.5e308)])
-    # the numpy step hands _blown_up an array, the N = 2 step a list of
-    # Python complex numbers
-    for form in (np.asarray, list):
-        assert _blown_up(form(ok.alphas.tolist()), 1e12) is False
-        assert _blown_up(form(big.alphas.tolist()), 1e12) is True
-        assert _blown_up(form(bad.alphas.tolist()), 1e12) is True
-        assert _blown_up(form(infinite.alphas.tolist()), 1e12) is True
-        assert _blown_up(form(edge.alphas.tolist()), 1e308) is True
+    # the numpy step's state is an array, tested by _array_blown_up; the
+    # N = 2 step's three Python complex numbers, by _closed_blown_up
+    for form, blown_up in ((np.asarray, _array_blown_up), (tuple, _closed_blown_up)):
+        assert blown_up(form(ok.alphas.tolist()), 1e12) is False
+        assert blown_up(form(big.alphas.tolist()), 1e12) is True
+        assert blown_up(form(bad.alphas.tolist()), 1e12) is True
+        assert blown_up(form(infinite.alphas.tolist()), 1e12) is True
+        assert blown_up(form(edge.alphas.tolist()), 1e308) is True
 
 
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
