@@ -18,8 +18,8 @@ infinite system is closed by holding alpha_n = 0 for every n > N.
 
 Unit conventions: alphas[n] carries length^-n, V_n carries
 energy * length^-n.  velocity_kernel writes the right-hand side on
-coefficient arrays at any N, closed_velocity_kernel on a list of three
-Python complex numbers at N = 2; both take the forcing row (i/hbar) * V_n
+coefficient arrays at any N, closed_velocity_kernel on three Python
+complex numbers at N = 2; both take the forcing row (i/hbar) * V_n
 ready made.  coefficient_velocity is pure; velocity_kernel's function
 reuses scratch buffers, so each caller builds its own kernel.
 """
@@ -133,11 +133,11 @@ def velocity_kernel(truncation_order: int, params: PhysicalParams):
 
 def closed_velocity_kernel(params: PhysicalParams):
     """velocity(alphas, forced): velocity_kernel's velocity at N = 2 on
-    lists of three Python complex numbers, in its formulas and order: the
-    ladder term 2*alpha_2, the Cauchy square of c = (alpha_1, 2*alpha_2),
-    trimmed as the kernel trims trailing zeros, and the forcing.  Every
-    constant is complex, so each product is the full complex product numpy
-    takes on every Python version.
+    three Python complex numbers (a list or a tuple), in its formulas and
+    order: the ladder term 2*alpha_2, the Cauchy square of c = (alpha_1,
+    2*alpha_2), trimmed as the kernel trims trailing zeros, and the
+    forcing.  Every constant is complex, so each product is the full
+    complex product numpy takes on every Python version.
     """
     one, two = complex(1), complex(2)
     scale = 0.5j * params.hbar / params.mass

@@ -182,6 +182,18 @@ def _tree_taylor(model, t: float, order: int) -> np.ndarray:
     return out
 
 
+def reference_taylor_rows(model, times, max_degree: int) -> np.ndarray:
+    """taylor_rows time by time, by the tree walk: each time's row in the
+    model's order, the first failing time raising its EvaluationError, and a
+    row that holds an inf or a nan raising overflow at its time."""
+    rows = np.zeros((len(times), max_degree + 1))
+    for i, t in enumerate(times):
+        rows[i] = _tree_taylor(model, t, max_degree)
+        if not np.isfinite(rows[i]).all():
+            raise EvaluationError(f"overflow at t = {t}")
+    return rows
+
+
 def _textbook_velocity(alphas, v, params) -> np.ndarray:
     """The coefficient ODE's right-hand side, built from scratch per call.
 

@@ -90,6 +90,11 @@ ROWS = {
     # one line with a position, not the ValueError of int() (exit 2)
     "potential-exponent-of-5000-digits": Row(RUN, HARMONIC_GAUSSIAN.replace(
         "x^2/2", "x^" + "9" * 5000), 4, files={"out": None}),
+    # a flat chain of 1500 terms nests nothing, yet its tree is 1498 levels
+    # deep: it runs, where a recursive compile walk ended in a RecursionError
+    # traceback (exit 1)
+    "run-flat-chain": Row(RUN, HARMONIC_GAUSSIAN.replace(
+        "x^2/2", "x^2/2 + " + "+".join(["t"] * 1499) + " + t*x"), 0, "status=completed"),
     # overflows at t = 0: the error names t, not a traceback
     "potential-overflow": Row(RUN, HARMONIC_GAUSSIAN.replace("x^2/2", "exp(800)*x^2"), 4,
                               files={"out": None}),

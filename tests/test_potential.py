@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import within_seconds, write_config
+import tdse.potential
 from tdse.potential import (
     MAX_NESTING,
     PARSE_WORK_LIMIT,
@@ -86,6 +87,42 @@ def test_a_power_of_a_sum_parses_and_evaluates_in_well_under_a_second():
     # the binomial coefficients, exact in doubles at these t
     expected = [[math.comb(24, k) * t ** (24 - k) for k in range(25)] for t in times]
     assert np.array_equal(rows, expected)
+
+
+def test_a_flat_chain_compiles_and_evaluates():
+    # t+t+...+t nests nothing, yet its tree is 1498 levels deep: a recursive
+    # compile walk ended every command on it with a RecursionError traceback
+    chain = parse_potential("x^2/2 + " + "+".join(["t"] * 1499) + " + t*x")
+    rows = taylor_rows(chain, [0.5, -2.0], 2)
+    assert rows.tolist() == [[749.5, 0.5, 0.5], [-2998.0, -2.0, 0.5]]
+
+
+def test_the_compiled_profile_names_each_node_after_its_operands_left_first(monkeypatch):
+    # a shared subtree is named once, where the walk first reaches it, and
+    # the constants in the order the walk reaches them, a power's exponent
+    # after its base: c3 first, as the namespace starts with sin, cos and exp
+    compiled = []
+
+    def recorded_exec(source, namespace):
+        exec(source, namespace)
+        constants = {k: v for k, v in namespace.items() if re.fullmatch(r"c\d+", k)}
+        compiled.append((source, constants))
+
+    monkeypatch.setattr(tdse.potential, "exec", recorded_exec, raising=False)
+    pole = BinOp("/", Const(1.0), BinOp("-", TimeVar(), Const(0.5)))
+    node = BinOp("*", pole, BinOp("+", pole, Power(Call("cos", pole), 3)))
+    PotentialModel({0: node})
+    assert compiled == [(
+        "def profile(t):\n"
+        "    v0 = t - c4\n"
+        "    v1 = c3 / v0\n"
+        "    v2 = cos(v1)\n"
+        "    v3 = v2 ** c5\n"
+        "    v4 = v1 + v3\n"
+        "    v5 = v1 * v4\n"
+        "    return v5\n",
+        {"c3": 1.0, "c4": 0.5, "c5": 3},
+    )]
 
 
 # without a bound on the parse's work, (1+x)^1100 took 9 s and (1+x)^2000

@@ -26,6 +26,7 @@ from conftest import (  # noqa: E402
     reference_propagate,
     reference_reconstruct,
     reference_run,
+    reference_taylor_rows,
     tree_eval_profile,
 )
 import tdse.potential  # noqa: E402
@@ -52,6 +53,7 @@ from tdse.potential import (  # noqa: E402
     TimeVar,
     eval_taylor_coefficients,
     parse_potential,
+    taylor_rows,
 )
 from tdse.reconstruction import Window, evaluate_on_grid, observables  # noqa: E402
 from tdse.state import CoefficientState, PhysicalParams  # noqa: E402
@@ -347,6 +349,62 @@ def test_zero_divisor_raises_the_same_error(t):
     assert expected[0] == "raise" and "division by zero" in expected[2]
     model = PotentialModel({0: node})
     assert _outcome(lambda: eval_taylor_coefficients(model, t, 0)[0]) == expected
+
+
+def _pole(at: float, scale: float = 1.0):
+    """scale / (t - at): a division by zero at t = at, and for scale 1e308 a
+    value past the double range, with no exception, within 1 of it."""
+    return BinOp("/", Const(scale), BinOp("-", TimeVar(), Const(at)))
+
+
+@st.composite
+def tabulations(draw):
+    """(model, times, max_degree) for taylor_rows: profiles of degrees 0 to 4
+    in any order, each a random tree, or a pole at one of the times, or a
+    value past the double range near one, so that a profile of higher
+    degree, or later in the model's order, can fail at an earlier time."""
+    ts = draw(st.lists(times, min_size=1, max_size=8))
+    terms = {}
+    for d in draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True)):
+        kind = draw(st.sampled_from(["tree", "pole", "past the double range"]))
+        if kind == "tree":
+            terms[d] = draw(profiles)
+        else:
+            terms[d] = _pole(draw(st.sampled_from(ts)), 1.0 if kind == "pole" else 1e308)
+    return PotentialModel(terms), ts, draw(st.integers(0, 4))
+
+
+# filled one column per profile, a table would meet the pole of degree 0 at
+# t = 1 first; the first failure in time order is at t = 0.5 in each
+FIRST_FAILURES_IN_TIME_ORDER = [
+    ((PotentialModel({0: _pole(1.0), 2: _pole(0.5)}), [0.0, 0.5, 1.0], 2),
+     "division by zero at t = 0.5"),
+    ((PotentialModel({3: _pole(1.0), 1: _pole(0.5)}), [0.0, 0.5, 1.0], 3),
+     "division by zero at t = 0.5"),
+    ((PotentialModel({0: _pole(1.0), 1: _pole(0.75, 1e308)}), [0.0, 0.5, 1.0], 1),
+     "overflow at t = 0.5"),
+]
+
+
+def _rows_outcome(tabulate, model, ts, max_degree):
+    try:
+        rows = tabulate(model, ts, max_degree)
+    except EvaluationError as exc:
+        return ("raise", str(exc))
+    return ("ok", rows.shape, rows.tobytes())
+
+
+@given(tabulations())
+@example(FIRST_FAILURES_IN_TIME_ORDER[0][0])
+@example(FIRST_FAILURES_IN_TIME_ORDER[1][0])
+@example(FIRST_FAILURES_IN_TIME_ORDER[2][0])
+def test_taylor_rows_are_the_time_by_time_rows(case):
+    assert _rows_outcome(taylor_rows, *case) == _rows_outcome(reference_taylor_rows, *case)
+
+
+@pytest.mark.parametrize("case, message", FIRST_FAILURES_IN_TIME_ORDER)
+def test_taylor_rows_raise_the_first_failure_in_time_order(case, message):
+    assert _rows_outcome(taylor_rows, *case) == ("raise", message)
 
 
 # ---------------------------------------------------------------------------
